@@ -27,29 +27,38 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
+def _given(value: int | None, default: int) -> int:
+    """The flag's value, or the family's default when the flag is omitted."""
+    return default if value is None else value
+
+
 def _build(family_id: str, a) -> object:
+    for name in ("m", "k", "s", "n"):
+        value = getattr(a, name)
+        if value is not None and value < 1:
+            raise FamilyError(f"{name} must be ≥ 1")
     q, m, k, s, n = a.q, a.m, a.k, a.s, a.n
     if family_id == "desarguesian":
-        return F.desarguesian_symplectic_spread(q, n or 2)
+        return F.desarguesian_symplectic_spread(q, _given(n, 2))
     if family_id == "thm3.1":
-        return F.transversal_spread(q, m or 1)
+        return F.transversal_spread(q, _given(m, 1))
     if family_id == "prop4.1":
-        return F.orthogonal_spread(q, m or 2)
+        return F.orthogonal_spread(q, _given(m, 2))
     if family_id == "thm4.3":
-        return F.descended_spread(q, m or 2, k or 2)
+        return F.descended_spread(q, _given(m, 2), _given(k, 2))
     if family_id == "ex5.1":
         pair = F.folklore_pair(q)
         return pair[0] if (a.variant or "a") == "a" else pair[1]
     if family_id == "thm5.2i":
-        return F.grassl_spread(q, k or 2, "i")
+        return F.grassl_spread(q, _given(k, 2), "i")
     if family_id == "thm5.2ii":
-        return F.grassl_spread(q, k or 2, "ii")
+        return F.grassl_spread(q, _given(k, 2), "ii")
     if family_id == "appA":
         return F.desarguesian_ovoid(q)
     if family_id == "thm7.2":
         return F.orthovoid_bullet(q, 1, "A6i")
     if family_id == "thm7.3":
-        return F.orthovoid_bullet(q, s or 1, a.scheme)
+        return F.orthovoid_bullet(q, _given(s, 1), a.scheme)
     if family_id == "ex7.4":
         return F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric")
     if family_id == "lem7.5-st":
@@ -63,13 +72,13 @@ def _build(family_id: str, a) -> object:
     if family_id == "thm7.11":
         return F.st_section_replace(q)
     if family_id == "thm7.12":
-        return F.st_circle_replace(q, s or 2)
+        return F.st_circle_replace(q, _given(s, 2))
     if family_id == "thm8.1":
         return F.sp6_line_replace(q)
     if family_id == "thm9.1":
-        return F.conic_replace(q, s or 1)
+        return F.conic_replace(q, _given(s, 1))
     if family_id == "ex9.2":
-        return F.three_lines(q, m or 2)
+        return F.three_lines(q, _given(m, 2))
     if family_id == "appB-st":
         return F.suzuki_tits_ovoid(q)
     raise FamilyError(f"unknown family id {family_id!r}")

@@ -9,7 +9,13 @@ of the appropriate Frobenius power inside the top field, and all arithmetic
 indices.
 
 Multiplication uses log/antilog tables, so the defining polynomials must be
-primitive.  The table below holds, for each supported (p, d), the
+primitive.  The tables carry a zero sentinel (Greenan, Miller, Schwarz,
+MASCOTS 2008): with n = p^d, the real logs are 0..n-2, log[0] is 2(n-1),
+and exp repeats its period over [0, 2(n-1)) and is zero from 2(n-1) up to
+4(n-1).  A sum of two real logs is at most 2(n-2), and a sum involving
+log[0] lands in the zero tail, so `vmul(a, b)` is the single lookup
+exp[log[a] + log[b]] with no zero mask.  The scalar ops and `vfrob` keep
+their own zero tests.  The table below holds, for each supported (p, d), the
 lexicographically smallest primitive polynomial (coefficients low-to-high,
 read as base-p digits); scripts/gen_primitive_polys.py regenerates it.
 """
@@ -109,7 +115,7 @@ class FieldTower:
         p, d, n = self.p, self.d, self.order
         # x^d = -(low coefficients) reduction, done on digit vectors
         red = [(-c) % p for c in self.poly[:d]]
-        exp = np.zeros(2 * n, dtype=np.int64)
+        exp = np.zeros(4 * (n - 1) + 1, dtype=np.int64)
         log = np.zeros(n, dtype=np.int64)
         cur = [1] + [0] * (d - 1)
         for i in range(n - 1):
@@ -126,6 +132,7 @@ class FieldTower:
         if len(np.unique(exp[: n - 1])) != n - 1:
             raise FieldError(f"polynomial for GF({p}^{d}) is not primitive")
         exp[n - 1 : 2 * (n - 1)] = exp[: n - 1]
+        log[0] = 2 * (n - 1)  # zero sentinel: any sum with it hits the zero tail
         self._exp = exp
         self._log = log
 
@@ -208,10 +215,7 @@ class FieldTower:
         return tab[a]
 
     def vmul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp[self._log[a] + self._log[b]]
 
     def vinv(self, a):
         return self._inv[a]

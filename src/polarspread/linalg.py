@@ -58,6 +58,42 @@ def rref(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     return m[:r]
 
 
+def rank_reaches(fv: FieldView, rows: np.ndarray, k: int) -> bool:
+    """Whether the rows span at least k dimensions, i.e. rref(rows) has at
+    least k rows.  Forward elimination only, clearing below each pivot and
+    only right of it, and stopping as soon as k pivots are found or too few
+    columns remain to find them."""
+    if k <= 0:
+        return True
+    tw = fv.tower
+    m = np.array(rows, dtype=np.int64)
+    if m.ndim == 1:
+        m = m[None, :]
+    nrows, ncols = m.shape
+    if nrows < k or ncols < k:
+        return False
+    r = 0
+    for col in range(ncols):
+        if ncols - col < k - r:
+            return False
+        nz = np.flatnonzero(m[r:, col])
+        if len(nz) == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        below = r + 1 + np.flatnonzero(m[r + 1 :, col])
+        if len(below):
+            scale = tw.vmul(tw.vneg(m[below, col]), tw.inv(int(m[r, col])))
+            m[below, col:] = tw.vadd(
+                m[below, col:], tw.vmul(scale[:, None], m[r, col:][None, :])
+            )
+        r += 1
+        if r == k:
+            return True
+    return False
+
+
 def rref_with_transform(fv: FieldView, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RREF of independent rows together with T such that T @ rows = R."""
     k, n = rows.shape

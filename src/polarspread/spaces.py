@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldError, FieldView, standalone
+from .gf import FieldError, FieldView, sqrt_char2, standalone
 from .linalg import (
     key_weights,
     Subspace,
@@ -583,7 +583,7 @@ class ZProjection:
         u = canonicalize(fv, u_rows, space.dim)
         if not space.is_ti(u):
             raise FieldError("lifted preimage is not totally isotropic")
-        phi = np.array([_sqrt2(tw, space.qform(b)) for b in u.mat], dtype=np.int64)
+        phi = np.array([sqrt_char2(tw, space.qform(b)) for b in u.mat], dtype=np.int64)
         if not np.any(phi):
             raise FieldError("Q-kernel is not of codimension 1 (z singular or U not t.i.)")
         coef_kernel = _coeff_kernel(fv, phi)
@@ -618,10 +618,6 @@ class ZProjection:
             if space.ts_type(cand) == target_type:
                 return cand
         raise FieldError("no extension of the requested type (geometry bug)")
-
-
-def _sqrt2(tw, x: int) -> int:
-    return tw.pow(x, 2 ** (tw.d - 1))
 
 
 def _coeff_kernel(fv: FieldView, phi: np.ndarray) -> np.ndarray:

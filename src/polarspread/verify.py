@@ -2,15 +2,22 @@
 exhaustive maximality search with uncovered-point pruning, completeness
 checks, size formulas, hyperplane census, and fingerprints.
 
+The partial-spread predicate needs no pairwise rank test.  Two members meet
+nontrivially iff they share a projective point, and every point has one
+canonical key, so the members are pairwise disjoint iff the concatenated
+point keys of all members are pairwise distinct: one sort over the union.
+
 The maximality search rests on one exact reduction: a subspace extends a
 partial spread iff every one of its points is uncovered (lies in no member).
 The engine grows a flag from uncovered admissible points, accepting an
 extension p only when the whole coset p + span is uncovered and p is the
 minimum of that coset (so each candidate subspace is visited once), and
 prunes a branch when span + remaining candidates cannot reach the target
-dimension.  Serial and parallel runs return the same verdict and witness:
-parallel workers own disjoint ranges of first-flag points and the merge
-keeps the witness from the lowest-ranked branch.
+dimension.  That rank prune is a forward elimination that stops as soon as
+the target rank is reached, so it never builds a full echelon form.  Serial
+and parallel runs return the same verdict and witness: parallel workers own
+disjoint ranges of first-flag points and the merge keeps the witness from
+the lowest-ranked branch.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .linalg import (
     Subspace,
     canonicalize,
     point_keys,
-    rref,
+    rank_reaches,
 )
 from .spaces import FormedSpace, OutOfDeskScale
 
@@ -112,13 +119,11 @@ def is_partial_spread(fam: SubspaceFamily, flavor: str = "plain") -> bool:
             return False
         if flavor == "orthogonal" and not space.is_ts(m):
             return False
-    # zero intersection iff the stacked bases have full rank
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            stacked = np.vstack([members[i].mat, members[j].mat])
-            if rref(space.fv, stacked).shape[0] != 2 * n:
-                return False
-    return True
+    if not members:
+        return True
+    # pairwise trivial intersection iff no projective point is repeated
+    keys = np.sort(np.concatenate([point_keys(space.fv, m.points()) for m in members]))
+    return not np.any(keys[1:] == keys[:-1])
 
 
 def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
@@ -258,11 +263,9 @@ class _SearchState:
     rank_prune_cap: int = 512
     nodes: int = 0
 
-    def rank_with(self, flag_idx: list[int], cand_idx: np.ndarray) -> int:
-        stacked = self.pts[flag_idx + list(cand_idx)]
-        if len(stacked) == 0:
-            return 0
-        return rref(self.space.fv, stacked).shape[0]
+    def spans_target(self, flag_idx: list[int], cand_idx: np.ndarray) -> bool:
+        stacked = self.pts[np.concatenate([np.asarray(flag_idx, dtype=np.int64), cand_idx])]
+        return rank_reaches(self.space.fv, stacked, self.target)
 
     def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
         if len(rest) == 0:
@@ -287,7 +290,7 @@ def _search_char2(state: _SearchState, flag_idx, span_keys, cand_idx) -> Subspac
     if len(cand_idx) < need:
         return None
     if len(cand_idx) <= state.rank_prune_cap:
-        if state.rank_with(flag_idx, cand_idx) < state.target:
+        if not state.spans_target(flag_idx, cand_idx):
             return None
     allk = state.skeys[cand_idx][:, :, None] ^ span_keys[None, None, :]
     flatk = allk.reshape(len(cand_idx), -1)
@@ -319,7 +322,7 @@ def _search_generic(state: _SearchState, flag_idx, span_vecs, cand_idx) -> Subsp
     if len(cand_idx) < need:
         return None
     if len(cand_idx) <= state.rank_prune_cap:
-        if state.rank_with(flag_idx, cand_idx) < state.target:
+        if not state.spans_target(flag_idx, cand_idx):
             return None
     cands = state.pts[cand_idx]
     s = len(span_vecs)

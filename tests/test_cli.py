@@ -115,3 +115,19 @@ def test_table_subset(capsys):
 
 def test_table_unknown_rows():
     assert run(["table", "--rows", "zzz"]) == 2
+
+
+def test_construct_rejects_nonpositive_parameters(tmp_path, capsys):
+    for flag, value in [("--m", "0"), ("--m", "-1"), ("--k", "0"), ("--s", "-2"), ("--n", "0")]:
+        out = tmp_path / "x.json"
+        assert run(["construct", "thm3.1", "--q", "3", flag, value, "-o", str(out)]) == 2
+        assert f"{flag[2:]} must be ≥ 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_construct_default_applies_only_when_flag_omitted(tmp_path):
+    default = tmp_path / "default.json"
+    explicit = tmp_path / "explicit.json"
+    assert run(["construct", "thm3.1", "--q", "3", "-o", str(default)]) == 0
+    assert run(["construct", "thm3.1", "--q", "3", "--m", "1", "-o", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()

@@ -1,6 +1,7 @@
 """Field towers: table sanity, trace/norm against conjugate-product oracles,
 Frobenius properties, theta/pi searches vs exhaustive scans."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +191,36 @@ def test_field_view():
     assert sub.q == 4
     assert len(sub.elements()) == 4
     assert 0 in sub.elements() and 1 in sub.elements()
+
+
+SMALL_TOWERS = sorted(pd for pd in PRIMITIVE_POLYS if pd[0] ** pd[1] <= 256)
+
+
+@pytest.mark.parametrize("p,d", SMALL_TOWERS)
+def test_vmul_matches_scalar_mul_on_all_pairs(p, d):
+    """The sentinel-table vmul against the zero-testing scalar mul, zero
+    included, over every pair of the tower."""
+    tw = gf.FieldTower(p, d)
+    idx = np.arange(tw.order, dtype=np.int64)
+    got = tw.vmul(idx[:, None], idx[None, :])
+    assert got.dtype == np.int64
+    want = np.array([[tw.mul(a, b) for b in range(tw.order)] for a in range(tw.order)])
+    assert np.array_equal(got, want)
+
+
+def test_vmul_call_shapes():
+    tw = tower(2, 3)
+    for a, b in [(0, 5), (5, 0), (3, 6), (1, 1)]:
+        for x, y in [(a, b), (np.int64(a), np.int64(b)), (np.int64(a), b)]:
+            r = tw.vmul(x, y)
+            assert np.ndim(r) == 0 and np.asarray(r).dtype == np.int64
+            assert int(r) == tw.mul(a, b)
+    row = np.array([0, 3, 7, 1], dtype=np.int64)
+    assert tw.vmul(row, np.int64(5)).tolist() == [tw.mul(int(x), 5) for x in row]
+    assert tw.vmul(np.int64(0), row).tolist() == [0, 0, 0, 0]
+    # span_vectors' (q,1,n) x (1,1,n) broadcast
+    elems = np.arange(tw.order, dtype=np.int64)
+    scaled = tw.vmul(elems[:, None, None], row[None, None, :])
+    assert scaled.shape == (tw.order, 1, len(row))
+    for e in range(tw.order):
+        assert scaled[e, 0].tolist() == [tw.mul(e, int(x)) for x in row]

@@ -16,6 +16,8 @@ from polarspread.linalg import (
     canonicalize_points,
     point_keys,
     quotient_coords,
+    rank_reaches,
+    rref,
     zero_subspace,
 )
 
@@ -163,3 +165,29 @@ def test_quotient_coords():
         w = v.copy()
         w[3] ^= 1
         assert qmap(v.astype(np.int64)).tolist() == qmap(w.astype(np.int64)).tolist()
+
+
+RANK_FIELDS = [standalone(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_reaches_matches_rref(data):
+    """The early-stopping rank test agrees with the full RREF for every k,
+    on matrices with zero rows and with more rows than columns."""
+    fv = data.draw(st.sampled_from(RANK_FIELDS))
+    elems = fv.elements().tolist()
+    ncols = data.draw(st.integers(1, 6))
+    nrows = data.draw(st.integers(0, 9))
+    # zero-heavy entries make dependent and zero rows common
+    entry = st.one_of(st.just(0), st.sampled_from(elems))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    drawn = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    rows = np.array(drawn, dtype=np.int64).reshape(nrows, ncols)
+    if nrows and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, nrows - 1))] = 0
+    rank = rref(fv, rows).shape[0]
+    before = rows.copy()
+    for k in range(ncols + 2):
+        assert rank_reaches(fv, rows, k) == (rank >= k)
+    assert np.array_equal(rows, before)  # the input is not modified

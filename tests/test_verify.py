@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polarspread import families as F
 from polarspread import verify as V
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
-from polarspread.linalg import point_keys
+from polarspread.linalg import canonicalize, point_keys, rref
 from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
 
 
@@ -205,3 +205,141 @@ def test_census_rejects_non_ovoid():
 
     with pytest.raises(FieldError):
         V.hyperplane_census(st_fam.space, short)
+
+
+# ---------------------------------------------------------------------------
+# The one-sort partial-spread predicate against the pairwise-rank oracle
+# ---------------------------------------------------------------------------
+
+
+def pairwise_rank_oracle(fam, flavor):
+    """The former predicate: per-member checks, then one RREF per pair (two
+    n-spaces meet trivially iff their stacked bases have rank 2n)."""
+    space = fam.space
+    n = space.dim // 2
+    members = fam.members
+    if len(set(members)) != len(members):
+        return False
+    for m in members:
+        if m.dim != n:
+            return False
+        if flavor == "symplectic" and not space.is_ti(m):
+            return False
+        if flavor == "orthogonal" and not space.is_ts(m):
+            return False
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            stacked = np.vstack([members[i].mat, members[j].mat])
+            if rref(space.fv, stacked).shape[0] != 2 * n:
+                return False
+    return True
+
+
+def raw_family(space, members):
+    """A family holding exactly `members`, bypassing the constructor's own
+    distinctness and dimension checks."""
+    fam = spread_of(space, [])
+    fam.members = list(members)
+    return fam
+
+
+def agree(fam, flavor):
+    got = V.is_partial_spread(fam, flavor)
+    assert got == pairwise_rank_oracle(fam, flavor)
+    return got
+
+
+def _triality(build_ovoid):
+    return lambda: F.triality_pointset(build_ovoid())
+
+
+def _elliptic(q):
+    return F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric")
+
+
+# every subspace family the README, `table` and the benchmark build
+SPREAD_FAMILIES = {
+    "desarguesian(3,2)": (lambda: F.desarguesian_symplectic_spread(3, 2), "symplectic"),
+    "desarguesian(2,3)": (lambda: F.desarguesian_symplectic_spread(2, 3), "symplectic"),
+    "thm3.1(3,1)": (lambda: F.transversal_spread(3, 1), "symplectic"),
+    "thm3.1(2,2)": (lambda: F.transversal_spread(2, 2), "symplectic"),
+    "thm3.1(5,1)": (lambda: F.transversal_spread(5, 1), "symplectic"),
+    "prop4.1(2,2)": (lambda: F.orthogonal_spread(2, 2), "orthogonal"),
+    "thm4.3(2,2,2)": (lambda: F.descended_spread(2, 2, 2), "orthogonal"),
+    "ex5.1a(4)": (lambda: F.folklore_pair(4)[0], "orthogonal"),
+    "ex5.1b(4)": (lambda: F.folklore_pair(4)[1], "orthogonal"),
+    "thm5.2i(2,2)": (lambda: F.grassl_spread(2, 2, "i"), "symplectic"),
+    "thm5.2ii(2,2)": (lambda: F.grassl_spread(2, 2, "ii"), "symplectic"),
+    "thm8.1(2)": (lambda: F.sp6_line_replace(2), "symplectic"),
+    "thm8.1(4)": (lambda: F.sp6_line_replace(4), "symplectic"),
+    "thm7.2(4)": (_triality(lambda: F.orthovoid_bullet(4, 1)), "orthogonal"),
+    "ex7.4(4)-triality": (_triality(lambda: _elliptic(4)), "orthogonal"),
+    "ex7.4(3)-triality": (_triality(lambda: _elliptic(3)), "orthogonal"),
+    "lem7.8(2)-triality": (_triality(lambda: F.two_quadrics_ovoid(2)), "orthogonal"),
+    "lem7.8(3)-triality": (_triality(lambda: F.two_quadrics_ovoid(3)), "orthogonal"),
+    "project-prop4.1(2,2)": (lambda: F.project_family(F.orthogonal_spread(2, 2)), "symplectic"),
+    "descend-ex5.1a(4)": (lambda: F.descend_family(F.folklore_pair(4)[0]), "symplectic"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPREAD_FAMILIES))
+def test_partial_spread_matches_pairwise_oracle_on_families(name):
+    build, flavor = SPREAD_FAMILIES[name]
+    fam = build()
+    assert agree(fam, flavor)
+    assert agree(fam, "plain")
+    assert agree(raw_family(fam.space, fam.members[:-1]), flavor)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_partial_spread_matches_oracle_on_all_pairs_sp4(q):
+    """Every pair of t.i. lines of Sp(4,q): disjoint pairs, and pairs that
+    share exactly one point."""
+    space = sp_space(q, 2)
+    mts = space.maximal_totally_singular()
+    verdicts = set()
+    for i in range(len(mts)):
+        for j in range(i + 1, len(mts)):
+            verdicts.add(agree(raw_family(space, [mts[i], mts[j]]), "symplectic"))
+    assert verdicts == {True, False}
+
+
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_partial_spread_matches_oracle_on_random_families(qn, data):
+    q, n = qn
+    space = sp_space(q, n)
+    mts = space.maximal_totally_singular()
+    idx = data.draw(st.lists(st.integers(0, len(mts) - 1), max_size=6, unique=True))
+    agree(raw_family(space, [mts[i] for i in idx]), "symplectic")
+
+
+def test_partial_spread_negatives():
+    fam = F.transversal_spread(2, 1)
+    space = fam.space
+    first = fam.members[0]
+    # exactly one shared point: a t.i. line meeting `first` in one point
+    mts = space.maximal_totally_singular()
+    meet_one = next(w for w in mts if w.intersect(first).dim == 1)
+    assert not agree(raw_family(space, [first, meet_one]), "symplectic")
+    assert not agree(raw_family(space, fam.members + [meet_one]), "symplectic")
+    # a duplicated member
+    assert not agree(raw_family(space, fam.members + [first]), "symplectic")
+    # a member of the wrong dimension, disjoint from the rest
+    point = canonicalize(space.fv, first.mat[:1], space.dim)
+    assert not agree(raw_family(space, fam.members[1:] + [point]), "plain")
+    # a non-t.i. member: the plane of two unit vectors the form pairs
+    i, j = np.argwhere(space.gram != 0)[0]
+    plane = canonicalize(space.fv, np.eye(4, dtype=np.int64)[[i, j]], 4)
+    assert not space.is_ti(plane)
+    assert agree(raw_family(space, [plane]), "plain")
+    assert not agree(raw_family(space, [plane]), "symplectic")
+    # a non-t.s. member of O+(4,2): t.i. in characteristic 2 but not t.s.
+    o = oplus_space(2, 2)
+    diag = canonicalize(o.fv, [[1, 1, 0, 0], [0, 0, 1, 1]], 4)
+    assert o.is_ti(diag) and not o.is_ts(diag)
+    assert agree(raw_family(o, [diag]), "plain")
+    assert not agree(raw_family(o, [diag]), "orthogonal")
+    # the empty family and a one-member family
+    assert agree(raw_family(space, []), "symplectic")
+    assert agree(raw_family(space, [first]), "symplectic")
