@@ -58,42 +58,6 @@ def rref(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     return m[:r]
 
 
-def rank_reaches(fv: FieldView, rows: np.ndarray, k: int) -> bool:
-    """Whether the rows span at least k dimensions, i.e. rref(rows) has at
-    least k rows.  Forward elimination only, clearing below each pivot and
-    only right of it, and stopping as soon as k pivots are found or too few
-    columns remain to find them."""
-    if k <= 0:
-        return True
-    tw = fv.tower
-    m = np.array(rows, dtype=np.int64)
-    if m.ndim == 1:
-        m = m[None, :]
-    nrows, ncols = m.shape
-    if nrows < k or ncols < k:
-        return False
-    r = 0
-    for col in range(ncols):
-        if ncols - col < k - r:
-            return False
-        nz = np.flatnonzero(m[r:, col])
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        below = r + 1 + np.flatnonzero(m[r + 1 :, col])
-        if len(below):
-            scale = tw.vmul(tw.vneg(m[below, col]), tw.inv(int(m[r, col])))
-            m[below, col:] = tw.vadd(
-                m[below, col:], tw.vmul(scale[:, None], m[r, col:][None, :])
-            )
-        r += 1
-        if r == k:
-            return True
-    return False
-
-
 def rref_with_transform(fv: FieldView, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RREF of independent rows together with T such that T @ rows = R."""
     k, n = rows.shape
@@ -247,6 +211,68 @@ def key_weights(fv: FieldView, dim: int) -> np.ndarray:
 def point_keys(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     """Canonical index of each row (packed coordinate tuple)."""
     return rows @ key_weights(fv, rows.shape[1])
+
+
+class KeyPacking:
+    """View-local vector keys of fv^dim with key addition, for every p.
+
+    An element's *rank* is its position in the sorted `fv.elements()`.  The
+    view is an e-dimensional GF(p)-subspace of the tower's base-p digit
+    space; take its reduced echelon basis b_1..b_e with pivots chosen from
+    the most significant digit down.  The pivot digit of x = sum c_i b_i is
+    c_i, and every digit above it depends on c_1..c_(i-1) only, so integer
+    order on x is lexicographic order on (c_1, ..., c_e).  The base-p digits
+    of the rank are therefore the echelon coordinates: ranking is GF(p)-
+    linear and order-preserving.
+
+    A key stores each coordinate as the e base-p digits of its rank, W bits
+    per digit, first coordinate most significant.  Keys thus order vectors
+    as `point_keys` does, and the key of a vector sum is the digitwise sum
+    mod p of the keys.  For p = 2, W = 1 and that sum is XOR.  For odd p,
+    W = bit_length(p - 1) + 1: a digit sum s <= 2p - 2 fits its field, and
+    so does s + 2^(W-1) - p, whose top bit is set exactly when s >= p.  One
+    add, shift and mask flag those fields and one subtraction of p reduces
+    them, every digit at once (SWAR; H. S. Warren, Hacker's Delight, ch. 2).
+    """
+
+    def __init__(self, fv: FieldView, dim: int):
+        p, e = fv.p, fv.degree
+        width = 1 if p == 2 else (p - 1).bit_length() + 1
+        if dim * e * width > 62:
+            raise FieldError("packed keys exceed int64; space too wide")
+        self.fv = fv
+        self.p = p
+        self.q = fv.q
+        self.width = width
+        ranks = np.arange(fv.q, dtype=np.int64)
+        self.spread = sum(((ranks // p**k) % p) << (k * width) for k in range(e))
+        self.weights = np.int64(1) << (e * width * np.arange(dim - 1, -1, -1, dtype=np.int64))
+        self.ones = np.int64(sum(1 << (k * width) for k in range(dim * e)))
+        self.off = ((1 << (width - 1)) - p) * self.ones
+        if p == 2:  # the digitwise sum mod 2: bind the ufunc, skipping a call
+            self.kadd = np.bitwise_xor
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of vectors given along the last axis as tower indices."""
+        return self.spread[np.searchsorted(self.fv.elements(), rows)] @ self.weights
+
+    def kadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Key of the sum of the vectors keyed a and b (XOR for p = 2)."""
+        s = a + b
+        return s - self.p * (((s + self.off) >> (self.width - 1)) & self.ones)
+
+    def multiples(self, rows: np.ndarray) -> np.ndarray:
+        """(n, q - 1) keys of the nonzero scalar multiples of each row."""
+        nz = self.fv.elements()[1:]
+        return self.pack(self.fv.tower.vmul(nz[None, :, None], rows[:, None, :]))
+
+
+def isin_sorted(keys: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
+    """Elementwise membership of keys in an ascending array."""
+    if len(sorted_arr) == 0:
+        return np.zeros(np.shape(keys), dtype=bool)
+    idx = np.minimum(np.searchsorted(sorted_arr, keys), len(sorted_arr) - 1)
+    return sorted_arr[idx] == keys
 
 
 def reduce_rows(fv: FieldView, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -6,15 +6,42 @@ upper-triangular coefficient matrix.  In characteristic 2 the Gram matrix of
 an orthogonal space is the polarization B(u,v) = Q(u+v) - Q(u) - Q(v), which
 is alternating, so the space doubles as a symplectic space.
 
-Maximal totally singular / totally isotropic subspaces are enumerated by a
-canonical-augmentation DFS: a flag is grown one singular point at a time, and
-an extension point p is accepted only if p is the minimum (by canonical
-index) of its coset modulo the current span.  Each subspace is then generated
-exactly once, via its greedy chain, so no dedup set is needed.
+Maximal totally singular / totally isotropic subspaces, the k-subspaces of a
+container and the maximality engine's extensions are all found by one
+canonical-augmentation DFS, `FlagSearch` (B. D. McKay, Isomorph-free
+exhaustive generation, J. Algorithms 26 (1998)).  A flag is grown one point
+at a time from canonical points in ascending canonical index, and a point p
+extends the span S only if p is the minimum of the coset <S, p> minus S.  A
+subspace W is then reached only along its greedy chain, whose (d+1)-th point
+is the minimum point of W outside the span S_d of the first d, so each
+subspace is generated exactly once and no dedup set is needed.
+
+The DFS never touches coordinate rows.  Every vector is one int64 key
+(`linalg.KeyPacking`) holding the ranks of its coordinates in the field view
+as base-p digits.  A subfield's sorted indices count through its echelon
+coordinates, so the packing is GF(p)-linear and order-preserving: the key of
+a sum is the digitwise sum mod p of the keys (XOR for p = 2, a SWAR add and
+reduce for odd p), and the least key among the nonzero multiples of a vector
+is the key of its canonical point.  A span is kept as the keys of all its
+vectors, and the coset test for all candidates is one array expression: the
+keys of lambda p + s over lambda != 0 and s in S, minimized per candidate and
+compared with the key of p.
+
+Count bound.  Let W, of dimension t, complete a node of depth d: the flag
+p_1..p_d is an initial segment of W's greedy chain, with span S_d.  Every
+point of W lies in the search's point list (W is totally singular, or
+uncovered in the engine).  By induction on d, every point x of W outside S_d
+is a candidate: x lies outside S_(d-1), so it was a candidate one level up;
+x is larger than p_d, the minimum of W outside S_(d-1); and x passes p_d's
+filter, perpendicularity, because W is totally isotropic.  So a node with
+fewer than (q^t - q^d)/(q - 1) candidates has no completion and is cut.  The
+cut removes only fruitless subtrees, so results and their order do not
+change.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -23,14 +50,14 @@ import numpy as np
 
 from .gf import FieldError, FieldView, sqrt_char2, standalone
 from .linalg import (
-    key_weights,
+    KeyPacking,
     Subspace,
     canonical_point_blocks,
     canonicalize,
     canonicalize_points,
     express,
+    isin_sorted,
     mat_mul,
-    point_keys,
     rref,
 )
 
@@ -39,6 +66,10 @@ MAX_ENUM_POINTS = 6_000_000
 
 class OutOfDeskScale(RuntimeError):
     """The requested exhaustive computation exceeds the configured guards."""
+
+
+class SearchTimeout(RuntimeError):
+    """The maximality search exceeded its time budget."""
 
 
 class TsType(Enum):
@@ -796,131 +827,102 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     return adj
 
 
-def scaling_keys(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
-    """Vector keys of all nonzero scalar multiples of each point: (n, q-1).
+# coset keys evaluated per block of candidates, bounding the scratch array
+COSET_BLOCK = 1 << 22
 
-    In characteristic 2 the key packing is per-coordinate bit fields, so
-    vector addition is XOR of keys; these scaling keys then generate coset
-    key sets without touching coordinate rows."""
-    tw = space.fv.tower
-    elems_nz = space.fv.elements()[1:]
-    scaled = tw.vmul(elems_nz[None, :, None], pts[:, None, :])
-    weights = key_weights(space.fv, space.dim)
-    return scaled @ weights
+
+@dataclass
+class FlagSearch:
+    """The canonical-augmentation DFS over `pts`, canonical points in
+    ascending canonical index.  `flags()` yields, in DFS order, the index
+    list of every greedy flag of `target` points.  A set `space` keeps only
+    candidates perpendicular to every flag point (through `adj` when given,
+    else `vbform`).  `within` also requires every vector of an accepted
+    coset to be a multiple of one of `pts`, the engine's uncovered test.
+    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout."""
+
+    packing: KeyPacking
+    pts: np.ndarray
+    target: int
+    space: FormedSpace | None = None
+    adj: np.ndarray | None = None
+    within: bool = False
+    deadline: float | None = None
+    nodes: int = 0
+
+    def __post_init__(self):
+        self.keys = self.packing.pack(self.pts)
+        self.skeys = self.packing.multiples(self.pts)
+        self.allowed = np.sort(self.skeys.ravel()) if self.within else None
+        q = self.packing.q
+        self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target)]
+
+    def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
+        """The candidates after point i that survive its filter."""
+        if self.space is None or len(rest) == 0:
+            return rest
+        if self.adj is not None:
+            return rest[self.adj[i, rest]]
+        return rest[self.space.vbform(self.pts[rest], self.pts[i]) == 0]
+
+    def subspace(self, flag: list[int]) -> Subspace:
+        return canonicalize(self.packing.fv, self.pts[flag], self.pts.shape[1])
+
+    def grow(self, span: np.ndarray, i: int) -> np.ndarray:
+        """Keys of <span, pts[i]>: span plus every lambda pts[i] + s."""
+        added = self.packing.kadd(self.skeys[i][:, None], span[None, :])
+        return np.concatenate([span, added.ravel()])
+
+    def flags(self, flag: list[int] | None = None, span=None, cand=None):
+        """Greedy flags below the node (flag, span keys, candidates); the
+        root by default."""
+        if flag is None:
+            flag, span, cand = [], np.zeros(1, dtype=np.int64), np.arange(len(self.pts))
+        self.nodes += 1
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout("maximality search exceeded its budget")
+        depth = len(flag)
+        if depth == self.target:
+            yield flag
+            return
+        if len(cand) < self.need[depth]:
+            return
+        for pos in self._eligible(cand, span):
+            i = int(cand[pos])
+            rest = self.rest_after(i, cand[pos + 1 :])
+            yield from self.flags(flag + [i], self.grow(span, i), rest)
+
+    def _eligible(self, cand: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """Positions in cand of the points that are the minimum of their
+        coset, the keys kadd(lambda p, s) over lambda != 0 and s in span."""
+        step = max(1, COSET_BLOCK // (self.skeys.shape[1] * len(span)))
+        if len(cand) > step:
+            starts = range(0, len(cand), step)
+            return np.concatenate([lo + self._eligible(cand[lo : lo + step], span) for lo in starts])
+        coset = self.packing.kadd(self.skeys[cand][:, :, None], span[None, None, :])
+        coset = coset.reshape(len(cand), -1)
+        ok = (coset.min(axis=1) == self.keys[cand]).nonzero()[0]
+        if self.allowed is not None and len(ok):
+            ok = ok[isin_sorted(coset[ok], self.allowed).all(axis=1)]
+        return ok
 
 
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
     if len(pts) == 0:
         return []
-    if space.fv.char == 2:
-        return _enumerate_flags_char2(space, pts, target, cap)
-    return _enumerate_flags_generic(space, pts, target, cap)
-
-
-def _enumerate_flags_char2(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
-    """Key-arithmetic DFS: spans live as XOR-closed int64 key sets."""
-    fv = space.fv
-    keys = point_keys(fv, pts)
-    skeys = scaling_keys(space, pts)
-    adj = perp_adjacency(space, pts)
+    packing = KeyPacking(space.fv, space.dim)
+    search = FlagSearch(packing, pts, target, space=space, adj=perp_adjacency(space, pts))
     results: list[Subspace] = []
-
-    def recurse(flag_idx: list[int], span_keys: np.ndarray, cand_idx: np.ndarray):
-        depth = len(flag_idx)
-        if depth == target:
-            results.append(canonicalize(fv, pts[flag_idx], space.dim))
-            if len(results) > cap:
-                raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
-            return
-        if len(cand_idx) == 0:
-            return
-        allk = skeys[cand_idx][:, :, None] ^ span_keys[None, None, :]
-        minfull = allk.reshape(len(cand_idx), -1).min(axis=1)
-        for pos in np.nonzero(minfull == keys[cand_idx])[0]:
-            i = int(cand_idx[pos])
-            new_span = np.concatenate(
-                [span_keys, (skeys[i][:, None] ^ span_keys[None, :]).ravel()]
-            )
-            rest = cand_idx[pos + 1 :]
-            if len(rest):
-                rest = rest[adj[i, rest]]
-            recurse(flag_idx + [i], new_span, rest)
-
-    recurse([], np.zeros(1, dtype=np.int64), np.arange(len(pts)))
-    return results
-
-
-def _enumerate_flags_generic(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
-    fv = space.fv
-    tw = fv.tower
-    keys = point_keys(fv, pts)
-    adj = perp_adjacency(space, pts)
-    weights = key_weights(space.fv, space.dim)
-    results: list[Subspace] = []
-
-    def coset_min_keys(cands: np.ndarray, span_vecs: np.ndarray) -> np.ndarray:
-        cosets = tw.vadd(cands[:, None, :], span_vecs[None, :, :])
-        flat = cosets.reshape(-1, space.dim)
-        lead = np.argmax(flat != 0, axis=1)
-        vals = flat[np.arange(len(flat)), lead]
-        scale = tw.vinv(np.where(vals == 0, 1, vals))
-        flat = tw.vmul(flat, scale[:, None])
-        k = flat @ weights
-        return k.reshape(len(cands), -1).min(axis=1)
-
-    def recurse(flag_idx: list[int], span_vecs: np.ndarray, cand_idx: np.ndarray):
-        depth = len(flag_idx)
-        if depth == target:
-            results.append(canonicalize(fv, pts[flag_idx], space.dim))
-            if len(results) > cap:
-                raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
-            return
-        if len(cand_idx) == 0:
-            return
-        minkeys = coset_min_keys(pts[cand_idx], span_vecs)
-        for pos in np.nonzero(minkeys == keys[cand_idx])[0]:
-            i = int(cand_idx[pos])
-            p = pts[i]
-            scaled = tw.vmul(fv.elements()[:, None, None], p[None, None, :])
-            new_span = tw.vadd(span_vecs[None, :, :], scaled).reshape(-1, space.dim)
-            rest = cand_idx[pos + 1 :]
-            if len(rest):
-                rest = rest[adj[i, rest]]
-            recurse(flag_idx + [i], new_span, rest)
-
-    zero = np.zeros((1, space.dim), dtype=np.int64)
-    recurse([], zero, np.arange(len(pts)))
+    for flag in search.flags():
+        results.append(search.subspace(flag))
+        if len(results) > cap:
+            raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
     return results
 
 
 def iter_subspaces(fv: FieldView, container: Subspace, k: int):
     """All k-dimensional subspaces of a small container, in greedy-chain DFS
     order (deterministic; used for 'first subspace such that' searches)."""
-    pts = container.points()
-    keys = point_keys(fv, pts)
-    tw = fv.tower
-    dim = container.dim_ambient
-    weights = key_weights(fv, dim)
-
-    def recurse(flag_rows, span_vecs, cand_idx):
-        depth = len(flag_rows)
-        if depth == k:
-            yield canonicalize(fv, np.array(flag_rows), dim)
-            return
-        if len(cand_idx) == 0:
-            return
-        cands = pts[cand_idx]
-        cosets = tw.vadd(cands[:, None, :], span_vecs[None, :, :]).reshape(-1, dim)
-        lead = np.argmax(cosets != 0, axis=1)
-        vals = cosets[np.arange(len(cosets)), lead]
-        scale = tw.vinv(np.where(vals == 0, 1, vals))
-        cosets = tw.vmul(cosets, scale[:, None])
-        minkeys = (cosets @ weights).reshape(len(cands), -1).min(axis=1)
-        for pos in np.nonzero(minkeys == keys[cand_idx])[0]:
-            p = cands[pos]
-            scaled = tw.vmul(fv.elements()[:, None, None], p[None, None, :])
-            new_span = tw.vadd(span_vecs[None, :, :], scaled).reshape(-1, dim)
-            yield from recurse(flag_rows + [p], new_span, cand_idx[pos + 1 :])
-
-    zero = np.zeros((1, dim), dtype=np.int64)
-    yield from recurse([], zero, np.arange(len(pts)))
+    search = FlagSearch(KeyPacking(fv, container.dim_ambient), container.points(), k)
+    for flag in search.flags():
+        yield search.subspace(flag)

@@ -9,42 +9,32 @@ point keys of all members are pairwise distinct: one sort over the union.
 
 The maximality search rests on one exact reduction: a subspace extends a
 partial spread iff every one of its points is uncovered (lies in no member).
-The engine grows a flag from uncovered admissible points, accepting an
+The engine runs the package's one canonical-augmentation DFS,
+`spaces.FlagSearch`, over the uncovered admissible points: it accepts an
 extension p only when the whole coset p + span is uncovered and p is the
-minimum of that coset (so each candidate subspace is visited once), and
-prunes a branch when span + remaining candidates cannot reach the target
-dimension.  That rank prune is a forward elimination that stops as soon as
-the target rank is reached, so it never builds a full echelon form.  Serial
-and parallel runs return the same verdict and witness: parallel workers own
-disjoint ranges of first-flag points and the merge keeps the witness from
-the lowest-ranked branch.
+minimum of that coset (so each candidate subspace is visited once), and it
+cuts a node whose candidates are fewer than the points a completion would
+still need.  Serial and parallel runs return the same verdict and witness:
+parallel workers own disjoint ranges of first-flag points, and the merge
+keeps the witness from the lowest-ranked branch.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
-from .linalg import (
-    key_weights,
-    Subspace,
-    canonicalize,
-    point_keys,
-    rank_reaches,
-)
-from .spaces import FormedSpace, OutOfDeskScale
+from .linalg import KeyPacking, Subspace, canonicalize, isin_sorted, point_keys
+from .spaces import FlagSearch, FormedSpace, OutOfDeskScale, SearchTimeout, perp_adjacency
 
 ENGINE_VERSION = "1"
 DEFAULT_TEST_GUARD = 2_000_000_000
-
-
-class SearchTimeout(RuntimeError):
-    """The maximality search exceeded its time budget."""
 
 
 @dataclass
@@ -242,118 +232,6 @@ def check_maximal_ovoid(
 # ---------------------------------------------------------------------------
 
 
-def _isin_sorted(keys: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
-    if len(sorted_arr) == 0:
-        return np.zeros(np.shape(keys), dtype=bool)
-    idx = np.minimum(np.searchsorted(sorted_arr, keys), len(sorted_arr) - 1)
-    return sorted_arr[idx] == keys
-
-
-@dataclass
-class _SearchState:
-    space: FormedSpace
-    target: int
-    uncovered_vec_sorted: np.ndarray  # vector keys of all uncovered-point multiples
-    pts: np.ndarray  # uncovered admissible points, ascending key
-    keys: np.ndarray
-    skeys: np.ndarray | None  # scaling keys (char 2 key path) or None
-    adj: np.ndarray | None  # perp adjacency when small enough
-    use_form: bool
-    deadline: float | None
-    rank_prune_cap: int = 512
-    nodes: int = 0
-
-    def spans_target(self, flag_idx: list[int], cand_idx: np.ndarray) -> bool:
-        stacked = self.pts[np.concatenate([np.asarray(flag_idx, dtype=np.int64), cand_idx])]
-        return rank_reaches(self.space.fv, stacked, self.target)
-
-    def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
-        if len(rest) == 0:
-            return rest
-        if not self.use_form:
-            return rest
-        if self.adj is not None:
-            return rest[self.adj[i, rest]]
-        return rest[self.space.vbform(self.pts[rest], self.pts[i]) == 0]
-
-
-def _search_char2(state: _SearchState, flag_idx, span_keys, cand_idx) -> Subspace | None:
-    """DFS over XOR-closed span key sets (characteristic 2)."""
-    space = state.space
-    state.nodes += 1
-    if state.deadline is not None and time.monotonic() > state.deadline:
-        raise SearchTimeout("maximality search exceeded its budget")
-    depth = len(flag_idx)
-    if depth == state.target:
-        return canonicalize(space.fv, state.pts[flag_idx], space.dim)
-    need = state.target - depth
-    if len(cand_idx) < need:
-        return None
-    if len(cand_idx) <= state.rank_prune_cap:
-        if not state.spans_target(flag_idx, cand_idx):
-            return None
-    allk = state.skeys[cand_idx][:, :, None] ^ span_keys[None, None, :]
-    flatk = allk.reshape(len(cand_idx), -1)
-    ok = _isin_sorted(flatk.ravel(), state.uncovered_vec_sorted).reshape(flatk.shape)
-    eligible = ok.all(axis=1) & (flatk.min(axis=1) == state.keys[cand_idx])
-    for pos in np.nonzero(eligible)[0]:
-        i = int(cand_idx[pos])
-        new_span = np.concatenate(
-            [span_keys, (state.skeys[i][:, None] ^ span_keys[None, :]).ravel()]
-        )
-        rest = state.rest_after(i, cand_idx[pos + 1 :])
-        hit = _search_char2(state, flag_idx + [i], new_span, rest)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _search_generic(state: _SearchState, flag_idx, span_vecs, cand_idx) -> Subspace | None:
-    space = state.space
-    fv = space.fv
-    tw = fv.tower
-    state.nodes += 1
-    if state.deadline is not None and time.monotonic() > state.deadline:
-        raise SearchTimeout("maximality search exceeded its budget")
-    depth = len(flag_idx)
-    if depth == state.target:
-        return canonicalize(fv, state.pts[flag_idx], space.dim)
-    need = state.target - depth
-    if len(cand_idx) < need:
-        return None
-    if len(cand_idx) <= state.rank_prune_cap:
-        if not state.spans_target(flag_idx, cand_idx):
-            return None
-    cands = state.pts[cand_idx]
-    s = len(span_vecs)
-    weights = key_weights(space.fv, space.dim)
-    chunk = max(1, 4_000_000 // max(1, s * space.dim))
-    eligible = np.zeros(len(cand_idx), dtype=bool)
-    for start in range(0, len(cand_idx), chunk):
-        stop = min(len(cand_idx), start + chunk)
-        block = cands[start:stop]
-        # the lambda=1 coset slice p + span hits every new point exactly once;
-        # canonicalizing it yields the canonical keys of the whole coset
-        canon = tw.vadd(block[:, None, :], span_vecs[None, :, :]).reshape(-1, space.dim)
-        lead = np.argmax(canon != 0, axis=1)
-        vals = canon[np.arange(len(canon)), lead]
-        scale = tw.vinv(np.where(vals == 0, 1, vals))
-        canon = tw.vmul(canon, scale[:, None])
-        ck = (canon @ weights).reshape(stop - start, s)
-        ok = _isin_sorted(ck.ravel(), state.uncovered_vec_sorted).reshape(stop - start, s)
-        eligible[start:stop] = ok.all(axis=1) & (ck.min(axis=1) == state.keys[cand_idx][start:stop])
-    for pos in np.nonzero(eligible)[0]:
-        i = int(cand_idx[pos])
-        p = state.pts[i]
-        scaled = tw.vmul(fv.elements()[:, None, None], p[None, None, :])
-        new_span = tw.vadd(span_vecs[None, :, :], scaled).reshape(-1, space.dim)
-        rest = state.rest_after(i, cand_idx[pos + 1 :])
-        hit = _search_generic(state, flag_idx + [i], new_span, rest)
-        if hit is not None:
-            return hit
-    return None
-
-
 def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
     space = fam.space
     fv = space.fv
@@ -374,39 +252,20 @@ def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
     order = np.argsort(keys, kind="stable")
     pts = pts[order]
     keys = keys[order]
-    mask = _isin_sorted(keys, uncovered)
-    return pts[mask], keys[mask]
+    return pts[isin_sorted(keys, uncovered)]
 
 
-def _build_state(space, flavor, pts, keys, deadline) -> _SearchState:
-    from .spaces import perp_adjacency, scaling_keys
-
-    char2 = space.fv.char == 2
-    if char2:
-        skeys = scaling_keys(space, pts) if len(pts) else np.zeros((0, 1), dtype=np.int64)
-        vec_keys = np.sort(skeys.ravel()) if len(pts) else np.zeros(0, dtype=np.int64)
-    else:
-        skeys = None
-        vec_keys = keys  # canonical keys suffice for the generic path
-    adj = perp_adjacency(space, pts) if 0 < len(pts) <= 4096 else None
-    return _SearchState(
-        space=space,
-        target=space.dim // 2,
-        uncovered_vec_sorted=vec_keys,
-        pts=pts,
-        keys=keys,
-        skeys=skeys,
-        adj=adj,
-        use_form=flavor in ("symplectic", "orthogonal"),
+def _build_search(space, flavor, pts, deadline) -> FlagSearch:
+    use_form = flavor in ("symplectic", "orthogonal")
+    return FlagSearch(
+        KeyPacking(space.fv, space.dim),
+        pts,
+        space.dim // 2,
+        space=space if use_form else None,
+        adj=perp_adjacency(space, pts) if use_form and 0 < len(pts) <= 4096 else None,
+        within=True,
         deadline=deadline,
     )
-
-
-def _run_search(state: _SearchState, cand_idx: np.ndarray) -> Subspace | None:
-    if state.space.fv.char == 2:
-        return _search_char2(state, [], np.zeros(1, dtype=np.int64), cand_idx)
-    zero = np.zeros((1, state.space.dim), dtype=np.int64)
-    return _search_generic(state, [], zero, cand_idx)
 
 
 def check_maximal_spread(
@@ -423,14 +282,15 @@ def check_maximal_spread(
     if not is_partial_spread(fam, flavor):
         raise FieldError(f"family is not a {flavor} partial spread")
     space = fam.space
-    pts, keys = _prepare_spread_search(fam, flavor, guard)
+    pts = _prepare_spread_search(fam, flavor, guard)
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    state = _build_state(space, flavor, pts, keys, deadline)
+    search = _build_search(space, flavor, pts, deadline)
     if jobs > 1 and len(pts):
-        witness, nodes = _parallel_search(state, jobs, time_budget)
+        witness, nodes = _parallel_search(search, jobs)
     else:
-        witness = _run_search(state, np.arange(len(pts)))
-        nodes = state.nodes
+        flag = next(search.flags(), None)
+        witness = None if flag is None else search.subspace(flag)
+        nodes = search.nodes
     ms = (time.perf_counter() - t0) * 1000
     if witness is not None:
         checked = SubspaceFamily(
@@ -442,64 +302,68 @@ def check_maximal_spread(
     return MaximalityCertificate("maximal", None, nodes, ms, flavor)
 
 
-def _branch_range(state: _SearchState, lo: int, hi: int) -> Subspace | None:
-    """Run the search restricted to first-flag points with index in [lo, hi)."""
-    space = state.space
-    tw = space.fv.tower
-    char2 = space.fv.char == 2
+def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
+    """The first flag found among first-flag points with index in [lo, hi).
+    A shared `best` below lo (a lower range holds a witness) ends the range
+    at its next first-flag point, since its outcome can no longer matter."""
+    root = np.zeros(1, dtype=np.int64)
     for pos in range(lo, hi):
-        rest = state.rest_after(pos, np.arange(pos + 1, len(state.pts)))
-        if char2:
-            span = np.concatenate([np.zeros(1, dtype=np.int64), state.skeys[pos]])
-            hit = _search_char2(state, [pos], span, rest)
-        else:
-            p = state.pts[pos]
-            elems = space.fv.elements()
-            scaled = tw.vmul(elems[:, None, None], p[None, None, :])
-            span = scaled.reshape(-1, space.dim)
-            hit = _search_generic(state, [pos], span, rest)
-        if hit is not None:
-            return hit
+        if best is not None and best.value < lo:
+            return None
+        rest = search.rest_after(pos, np.arange(pos + 1, len(search.pts)))
+        flag = next(search.flags([pos], search.grow(root, pos), rest), None)
+        if flag is not None:
+            return flag
     return None
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(payload):
-    _WORKER_STATE["state"] = payload
+def _worker_init(search, best):
+    _WORKER_STATE["search"] = search
+    _WORKER_STATE["best"] = best
 
 
-def _worker_run(args):
-    lo, hi = args
-    state: _SearchState = _WORKER_STATE["state"]
+def _worker_run(lo: int, hi: int):
+    search: FlagSearch = _WORKER_STATE["search"]
+    before = search.nodes  # a worker process runs several ranges
     try:
-        hit = _branch_range(state, lo, hi)
+        flag = _branch_range(search, lo, hi, _WORKER_STATE["best"])
     except SearchTimeout:
-        return (lo, "timeout", None, state.nodes)
-    rows = None if hit is None else hit.mat.tolist()
-    return (lo, "done", rows, state.nodes)
+        return "timeout", None, search.nodes - before
+    return "done", flag, search.nodes - before
 
 
-def _parallel_search(state: _SearchState, jobs: int, time_budget):
-    n = len(state.pts)
+def _parallel_search(search: FlagSearch, jobs: int):
+    """Ranges of first-flag points are queued in order.  A witness in one
+    range lowers the shared `best`, and every range above it stops at its
+    next first-flag point; the run waits only for the ranges below, so the
+    lowest-ranked witness wins as in a serial run.  A timeout below `best`
+    ends the run and cancels the ranges still queued."""
+    n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
-    ranges = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
-    results = {}
-    nodes = 0
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init, initargs=(state,)) as ex:
-        for lo, status, rows, nd in ex.map(_worker_run, ranges):
-            results[lo] = (status, rows)
-            nodes += nd
-    witness = None
-    for lo, _hi in ranges:
-        status, rows = results[lo]
-        if status == "timeout":
-            raise SearchTimeout("a worker exceeded the search budget")
-        if rows is not None:
-            witness = canonicalize(state.space.fv, np.array(rows, dtype=np.int64), state.space.dim)
-            break
-    return witness, nodes
+    ctx = multiprocessing.get_context("spawn")
+    best = ctx.Value("q", n, lock=False)  # written by this process only
+    best_flag, nodes = None, 0
+    ex = ProcessPoolExecutor(jobs, mp_context=ctx, initializer=_worker_init, initargs=(search, best))
+    try:
+        pending = {ex.submit(_worker_run, lo, min(n, lo + chunk)): lo for lo in range(0, n, chunk)}
+        while any(lo < best.value for lo in pending.values()):
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                lo = pending.pop(fut)
+                status, flag, nd = fut.result()
+                nodes += nd
+                if lo > best.value:
+                    continue
+                if status == "timeout":
+                    raise SearchTimeout("a worker exceeded the search budget")
+                if flag is not None:
+                    best.value, best_flag = lo, flag
+    finally:
+        ex.shutdown(cancel_futures=True)
+    return (None if best_flag is None else search.subspace(best_flag)), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +380,7 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     uncovered = report.uncovered_keys
     for w in space.maximal_totally_singular():
         wk = point_keys(space.fv, w.points())
-        if _isin_sorted(wk, uncovered).all():
+        if isin_sorted(wk, uncovered).all():
             return "extendable", w
     return "maximal", None
 
@@ -684,7 +548,7 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         inside = np.zeros(len(sing), dtype=bool)
         fam_keys = np.sort(point_keys(space.fv, fam.points))
         keys = point_keys(space.fv, sing)
-        inside = _isin_sorted(keys, fam_keys)
+        inside = isin_sorted(keys, fam_keys)
         for p in fam.points:
             counts += (space.vbform(sing, p) == 0).astype(np.int64)
         return tuple(sorted(counts[~inside].tolist()))

@@ -178,13 +178,27 @@ def test_fingerprint_separates_the_two_q8_ovoid_types():
 
 
 def test_parallel_search_matches_serial():
-    fam = F.transversal_spread(2, 2)
+    # q = 3 sends odd-p packed keys through the workers' pickled state
+    for fam in (F.transversal_spread(2, 2), F.transversal_spread(3, 1)):
+        short = spread_of(fam.space, fam.members[:-1])
+        serial = V.check_maximal_spread(short, "symplectic")
+        par = V.check_maximal_spread(short, "symplectic", jobs=2)
+        assert serial.verdict == par.verdict == "extendable"
+        assert serial.witness == par.witness
+        assert V.check_maximal_spread(fam, "symplectic", jobs=2).is_maximal
+
+
+def test_parallel_search_stops_at_the_lowest_witness():
+    """thm4.3(2,2,2) less one member: the witness lies in the first range, and
+    every other range is a search of hours, so the run must end once the
+    first range reports, not when the budget stops the other ranges."""
+    fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
-    serial = V.check_maximal_spread(short, "symplectic")
-    par = V.check_maximal_spread(short, "symplectic", jobs=2)
-    assert serial.verdict == par.verdict == "extendable"
-    assert serial.witness == par.witness
-    assert V.check_maximal_spread(fam, "symplectic", jobs=2).is_maximal
+    serial = V.check_maximal_spread(short, "orthogonal")
+    par = V.check_maximal_spread(short, "orthogonal", jobs=2, time_budget=120)
+    assert par.verdict == "extendable"
+    assert par.witness == serial.witness
+    assert par.millis < 60_000
 
 
 def test_is_ovoid_small():
