@@ -42,6 +42,7 @@ change.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -70,6 +71,10 @@ class OutOfDeskScale(RuntimeError):
 
 class SearchTimeout(RuntimeError):
     """The maximality search exceeded its time budget."""
+
+
+class SearchStopped(RuntimeError):
+    """A search's `stop` predicate turned true: its outcome no longer matters."""
 
 
 class TsType(Enum):
@@ -839,7 +844,9 @@ class FlagSearch:
     candidates perpendicular to every flag point (through `adj` when given,
     else `vbform`).  `within` also requires every vector of an accepted
     coset to be a multiple of one of `pts`, the engine's uncovered test.
-    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout."""
+    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
+    and a `stop` predicate that turns true raises SearchStopped, both at the
+    next node visited."""
 
     packing: KeyPacking
     pts: np.ndarray
@@ -848,6 +855,7 @@ class FlagSearch:
     adj: np.ndarray | None = None
     within: bool = False
     deadline: float | None = None
+    stop: Callable[[], bool] | None = None
     nodes: int = 0
 
     def __post_init__(self):
@@ -881,6 +889,8 @@ class FlagSearch:
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout("maximality search exceeded its budget")
+        if self.stop is not None and self.stop():
+            raise SearchStopped("the search was stopped")
         depth = len(flag)
         if depth == self.target:
             yield flag
@@ -922,7 +932,16 @@ def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, c
 
 def iter_subspaces(fv: FieldView, container: Subspace, k: int):
     """All k-dimensional subspaces of a small container, in greedy-chain DFS
-    order (deterministic; used for 'first subspace such that' searches)."""
-    search = FlagSearch(KeyPacking(fv, container.dim_ambient), container.points(), k)
+    order (deterministic; used for 'first subspace such that' searches).
+
+    The search runs on the coordinates of the container's points in its RREF
+    basis, which are their entries in the pivot columns, so keys take the
+    container's dimension, not the ambient one.  Every entry between two
+    pivots depends only on the coordinates before it, so lexicographic order
+    on these coordinates is canonical-index order and the yield order is the
+    same as a search over ambient keys."""
+    pts = container.points()
+    pivots = np.argmax(container.mat != 0, axis=1)
+    search = FlagSearch(KeyPacking(fv, container.dim), pts[:, pivots], k)
     for flag in search.flags():
-        yield search.subspace(flag)
+        yield canonicalize(fv, pts[flag], container.dim_ambient)

@@ -31,7 +31,14 @@ import numpy as np
 from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
 from .linalg import KeyPacking, Subspace, canonicalize, isin_sorted, point_keys
-from .spaces import FlagSearch, FormedSpace, OutOfDeskScale, SearchTimeout, perp_adjacency
+from .spaces import (
+    FlagSearch,
+    FormedSpace,
+    OutOfDeskScale,
+    SearchStopped,
+    SearchTimeout,
+    perp_adjacency,
+)
 
 ENGINE_VERSION = "1"
 DEFAULT_TEST_GUARD = 2_000_000_000
@@ -305,15 +312,19 @@ def check_maximal_spread(
 def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
     """The first flag found among first-flag points with index in [lo, hi).
     A shared `best` below lo (a lower range holds a witness) ends the range
-    at its next first-flag point, since its outcome can no longer matter."""
+    at the next node it visits, inside a subtree too, since its outcome can
+    no longer matter."""
+    if best is not None:
+        search.stop = lambda: best.value < lo
     root = np.zeros(1, dtype=np.int64)
-    for pos in range(lo, hi):
-        if best is not None and best.value < lo:
-            return None
-        rest = search.rest_after(pos, np.arange(pos + 1, len(search.pts)))
-        flag = next(search.flags([pos], search.grow(root, pos), rest), None)
-        if flag is not None:
-            return flag
+    try:
+        for pos in range(lo, hi):
+            rest = search.rest_after(pos, np.arange(pos + 1, len(search.pts)))
+            flag = next(search.flags([pos], search.grow(root, pos), rest), None)
+            if flag is not None:
+                return flag
+    except SearchStopped:
+        pass
     return None
 
 
@@ -337,16 +348,16 @@ def _worker_run(lo: int, hi: int):
 
 def _parallel_search(search: FlagSearch, jobs: int):
     """Ranges of first-flag points are queued in order.  A witness in one
-    range lowers the shared `best`, and every range above it stops at its
-    next first-flag point; the run waits only for the ranges below, so the
+    range lowers the shared `best`, and every range above it stops at the
+    next node it visits; the run waits only for the ranges below, so the
     lowest-ranked witness wins as in a serial run.  A timeout below `best`
-    ends the run and cancels the ranges still queued."""
+    ends the run and cancels the ranges still queued.  The node count takes
+    in every range that ran, the stopped ones too."""
     n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
-    ctx = multiprocessing.get_context("spawn")
-    best = ctx.Value("q", n, lock=False)  # written by this process only
+    best = multiprocessing.RawValue("q", n)  # written by this process only
     best_flag, nodes = None, 0
-    ex = ProcessPoolExecutor(jobs, mp_context=ctx, initializer=_worker_init, initargs=(search, best))
+    ex = ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(search, best))
     try:
         pending = {ex.submit(_worker_run, lo, min(n, lo + chunk)): lo for lo in range(0, n, chunk)}
         while any(lo < best.value for lo in pending.values()):
@@ -363,6 +374,7 @@ def _parallel_search(search: FlagSearch, jobs: int):
                     best.value, best_flag = lo, flag
     finally:
         ex.shutdown(cancel_futures=True)
+    nodes += sum(fut.result()[2] for fut in pending if not fut.cancelled())
     return (None if best_flag is None else search.subspace(best_flag)), nodes
 
 

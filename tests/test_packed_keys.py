@@ -7,6 +7,8 @@ the former row-vector search, kept here as the oracle: it built cosets as
 coordinate rows, canonicalized them by scaling, and pruned by a full RREF.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from polarspread import families as F
 from polarspread import gf
 from polarspread import verify as V
 from polarspread.families import Provenance, SubspaceFamily
-from polarspread.gf import PRIMITIVE_POLYS, FieldView
+from polarspread.gf import PRIMITIVE_POLYS, FieldView, standalone
 from polarspread.linalg import (
     KeyPacking,
     canonicalize,
@@ -278,6 +280,31 @@ def test_iter_subspaces_order_matches_row_vector_oracle(p, d, e, dim, k):
         got = [w.mat.tolist() for w in iter_subspaces(fv, container, k)]
         assert got == [w.mat.tolist() for w in iter_subspaces_oracle(fv, container, k)]
         assert len(got) == len({tuple(map(tuple, m)) for m in got})
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_iter_subspaces_in_a_wide_ambient_space(q):
+    """Containers of GF(q)^8, whose ambient keys would not fit in int64:
+    keys are taken in the container's own coordinates."""
+    fv = standalone(q)
+    rng = np.random.default_rng(q)
+    small = canonicalize(fv, fv.elements()[rng.integers(0, q, size=(3, 8))], 8)
+    got = [w.mat.tolist() for w in iter_subspaces(fv, small, 2)]
+    assert got == [w.mat.tolist() for w in iter_subspaces_oracle(fv, small, 2)]
+    assert len(got) == q**2 + q + 1
+    # the container of families._first_anisotropic_plane: compare a prefix
+    middle = canonicalize(fv, np.eye(8, dtype=np.int64)[2:6], 8)
+    pts = middle.points()
+    oracle = row_vector_flags(fv, pts, 2, lambda i, rest: rest)
+    want = [canonicalize(fv, pts[f], 8).mat.tolist() for f in islice(oracle, 60)]
+    assert [w.mat.tolist() for w in islice(iter_subspaces(fv, middle, 2), 60)] == want
+
+
+def test_ovoid_construction_over_gf25():
+    """ex7.4 at q = 25 picks its O-(4,q) through iter_subspaces in O+(8,q)."""
+    fam = F.elliptic_or_o5_partial_ovoid(25, "elliptic_quadric")
+    assert len(fam.points) == 25**2 + 1
+    assert V.is_partial_ovoid(fam, "orthogonal")
 
 
 def test_coset_blocks_do_not_change_results(monkeypatch):

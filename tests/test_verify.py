@@ -1,6 +1,8 @@
 """Predicates, cover reports, the maximality engine and its brute-force
 agreement, size formulas, fingerprints."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,16 +191,39 @@ def test_parallel_search_matches_serial():
 
 
 def test_parallel_search_stops_at_the_lowest_witness():
-    """thm4.3(2,2,2) less one member: the witness lies in the first range, and
-    every other range is a search of hours, so the run must end once the
-    first range reports, not when the budget stops the other ranges."""
+    """thm4.3(2,2,2) less one member: the witness lies in the first range of
+    2072 first-flag points, found in 1617 nodes.  The second range opens
+    with a first-flag subtree of 8369 nodes and no witness, and every range
+    after it is a search of hours, so the worker on the second range must
+    stop inside that subtree once the first range reports.  The parallel
+    node count takes in the stopped ranges, so it shows where they ended."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     serial = V.check_maximal_spread(short, "orthogonal")
     par = V.check_maximal_spread(short, "orthogonal", jobs=2, time_budget=120)
     assert par.verdict == "extendable"
     assert par.witness == serial.witness
-    assert par.millis < 60_000
+    assert serial.nodes == 1617
+    assert par.nodes < serial.nodes + 8369
+    assert par.millis < 60_000  # backstop only
+
+
+def test_branch_range_stops_inside_a_first_flag_subtree():
+    """A `best` that drops below the range while the search is deep in the
+    first first-flag subtree (8369 nodes, see above) ends the range at the
+    next node visited, not at the next first-flag point."""
+    fam = F.descended_spread(2, 2, 2)
+    short = spread_of(fam.space, fam.members[:-1])
+    pts = V._prepare_spread_search(short, "orthogonal", V.DEFAULT_TEST_GUARD)
+    search = V._build_search(short.space, "orthogonal", pts, time.monotonic() + 120)
+
+    class Best:
+        @property
+        def value(self):
+            return len(pts) if search.nodes < 50 else 0
+
+    assert V._branch_range(search, 2072, 2080, Best()) is None
+    assert search.nodes == 50
 
 
 def test_is_ovoid_small():
