@@ -20,6 +20,10 @@ from .spaces import FormedSpace, make_orthogonal, make_symplectic
 FORMAT_VERSION = 1
 
 
+class ArtifactError(ValueError):
+    """An artifact file is not JSON or does not describe a family."""
+
+
 def family_to_dict(fam) -> dict:
     space = fam.space
     prov = fam.provenance
@@ -57,13 +61,13 @@ def space_from_dict(d: dict) -> FormedSpace:
         raise FieldError("artifact polynomial does not match the built-in table")
     fv = FieldView(tower, f["view_degree"])
     s = d["space"]
-    gram = np.array(s["gram"], dtype=np.int64)
+    gram = _in_field(fv, s["gram"], "the Gram matrix")
     if s["qcoef"] is None:
         space = make_symplectic(fv, gram)
         if space.kind != s["kind"]:
             raise FieldError("space kind mismatch")
         return space
-    space = make_orthogonal(fv, np.array(s["qcoef"], dtype=np.int64), s["kind"])
+    space = make_orthogonal(fv, _in_field(fv, s["qcoef"], "the quadratic form"), s["kind"])
     if not np.array_equal(space.gram, gram):
         raise FieldError("artifact Gram matrix is not the polarization of its Q")
     return space
@@ -80,12 +84,20 @@ def family_from_dict(d: dict):
     )
     if d["kind"] == "subspace_family":
         members = [
-            canonicalize(space.fv, np.array(rows, dtype=np.int64), space.dim)
+            canonicalize(space.fv, _in_field(space.fv, rows, "a member"), space.dim)
             for rows in d["members"]
         ]
         return SubspaceFamily(space, members, prov, expected_size=d.get("expected_size"))
-    pts = np.array(d["members"], dtype=np.int64).reshape(-1, space.dim)
+    pts = _in_field(space.fv, d["members"], "a member").reshape(-1, space.dim)
     return PointFamily(space, pts, prov, expected_size=d.get("expected_size"))
+
+
+def _in_field(fv: FieldView, rows, what: str) -> np.ndarray:
+    """rows as an int64 array, every entry an element of the view."""
+    arr = np.array(rows, dtype=np.int64)
+    if not np.isin(arr, fv.elements()).all():
+        raise FieldError(f"{what} has entries outside GF({fv.q})")
+    return arr
 
 
 def dumps(d: dict) -> str:
@@ -98,3 +110,16 @@ def save(d: dict, path) -> None:
 
 def load(path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def load_family(path) -> tuple[dict, object]:
+    """The artifact's dict and the family it describes.  Any defect of the
+    file (not JSON, wrong format version, missing key, ragged member rows,
+    a field or space that fails its checks) raises ArtifactError."""
+    try:
+        d = load(path)
+        return d, family_from_dict(d)
+    except KeyError as e:
+        raise ArtifactError(f"missing key {e}") from e
+    except (ValueError, TypeError, IndexError, AttributeError) as e:
+        raise ArtifactError(str(e)) from e

@@ -2,8 +2,8 @@
 projection / descent / triality transforms, run the summary table, the
 hyperplane census, and fingerprints.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 out-of-desk-scale
-refusal.  Output is line-oriented: one family per line as
+Exit codes: 0 ok, 1 verification failure, invalid artifact or a family that
+fails a transform's precondition, 2 usage error, 3 out-of-desk-scale refusal.  Output is line-oriented: one family per line as
 "id params expected actual verdict millis".
 """
 
@@ -109,12 +109,7 @@ def cmd_construct(a) -> int:
 
 
 def cmd_verify(a) -> int:
-    d = artifacts.load(a.artifact)
-    try:
-        fam = artifacts.family_from_dict(d)
-    except (FamilyError, FieldError) as e:
-        print(f"artifact invalid: {e}", file=sys.stderr)
-        return EXIT_VERIFY
+    d, fam = artifacts.load_family(a.artifact)
     flavor = a.flavor
     try:
         if isinstance(fam, PointFamily):
@@ -158,8 +153,7 @@ def cmd_verify(a) -> int:
 
 
 def cmd_project(a) -> int:
-    d = artifacts.load(a.artifact)
-    fam = artifacts.family_from_dict(d)
+    _, fam = artifacts.load_family(a.artifact)
     if not isinstance(fam, SubspaceFamily):
         print("error: projection applies to subspace families", file=sys.stderr)
         return EXIT_USAGE
@@ -173,8 +167,7 @@ def cmd_project(a) -> int:
 
 
 def cmd_descend(a) -> int:
-    d = artifacts.load(a.artifact)
-    fam = artifacts.family_from_dict(d)
+    _, fam = artifacts.load_family(a.artifact)
     if not isinstance(fam, SubspaceFamily):
         print("error: descent applies to subspace families", file=sys.stderr)
         return EXIT_USAGE
@@ -185,8 +178,7 @@ def cmd_descend(a) -> int:
 
 
 def cmd_triality(a) -> int:
-    d = artifacts.load(a.artifact)
-    fam = artifacts.family_from_dict(d)
+    _, fam = artifacts.load_family(a.artifact)
     if not isinstance(fam, PointFamily):
         print("error: triality applies to point families", file=sys.stderr)
         return EXIT_USAGE
@@ -210,8 +202,7 @@ def cmd_census(a) -> int:
 
 
 def cmd_fingerprint(a) -> int:
-    d = artifacts.load(a.artifact)
-    fam = artifacts.family_from_dict(d)
+    _, fam = artifacts.load_family(a.artifact)
     try:
         fp = V.fingerprint(fam, seed=a.seed)
     except OutOfDeskScale as e:
@@ -408,6 +399,12 @@ def main(argv=None) -> int:
     a = ap.parse_args(argv)
     try:
         return a.fn(a)
+    except artifacts.ArtifactError as e:
+        print(f"artifact invalid: {e}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (FamilyError, FieldError) as e:  # e.g. a transform's precondition
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY
     except OutOfDeskScale as e:
         print(f"out of desk scale: {e}", file=sys.stderr)
         return EXIT_SCALE

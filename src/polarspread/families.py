@@ -35,6 +35,7 @@ from .spaces import (
     make_orthogonal,
     make_symplectic,
     oplus_space,
+    oplus_space_over,
     parabolic_in_oplus8,
     parabolic_space,
     sp_space,
@@ -104,9 +105,6 @@ class PointFamily:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def key_set(self) -> set[int]:
-        return set(point_keys(self.space.fv, self.points).tolist())
 
 
 def _require_partial_ovoid(fam: PointFamily) -> PointFamily:
@@ -261,19 +259,6 @@ def transversal_star_data(q: int, m: int) -> tuple[TraceSymplecticSpace, list[Su
 
 
 @lru_cache(maxsize=None)
-def _oplus_over(fv: FieldView, n: int) -> FormedSpace:
-    qc = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for i in range(n):
-        qc[2 * i, 2 * i + 1] = 1
-    space = make_orthogonal(fv, qc, "orthogonal_plus")
-    m0 = np.zeros((n, 2 * n), dtype=np.int64)
-    for i in range(n):
-        m0[i, 2 * i] = 1
-    space._m0 = canonicalize(fv, m0, 2 * n)
-    return space
-
-
-@lru_cache(maxsize=None)
 def _orthogonal_spread_cached(q: int, m: int, base_deg: int | None) -> SubspaceFamily:
     if q % 2:
         raise FamilyError("orthogonal spreads require even q")
@@ -281,7 +266,7 @@ def _orthogonal_spread_cached(q: int, m: int, base_deg: int | None) -> SubspaceF
         raise FamilyError("need 4m >= 8")
     ts = _trace_space(q, 2 * m - 1)
     fv = ts.kview if base_deg is None else FieldView(ts.tw, base_deg)
-    space = _oplus_over(ts.kview, 2 * m)
+    space = oplus_space_over(ts.kview, 2 * m)
     z = space.first_nonsingular_point()
     proj = ZProjection(space, z)
     from .spaces import find_isometry

@@ -292,16 +292,18 @@ class FieldTower:
             for t in range(len(kappa)):
                 rows.append(_digits(self.mul(basis[j], kappa[t]), p, self.d))
         m = np.array(rows, dtype=np.int64) % p
-        table = {}
-        for x in self.subfield_elements(big_deg).tolist():
-            c = _solve_gfp(m, np.array(_digits(x, p, self.d)), p)
-            coords = []
-            for j in range(r):
-                y = 0
-                for t in range(len(kappa)):
-                    y = self.add(y, self.mul(int(c[j * len(kappa) + t]), kappa[t]))
-                coords.append(y)
-            table[x] = tuple(coords)
+        xs = self.subfield_elements(big_deg)
+        digits = (xs[:, None] // p ** np.arange(self.d)) % p
+        pivots, inverse = _gfp_pivot_inverse(m, p)
+        c = (digits[:, pivots] @ inverse) % p  # c @ m = digits, one row per element
+        if np.any((c @ m) % p != digits):
+            raise FieldError("element not in subfield span")
+        coords = np.zeros((len(xs), r), dtype=np.int64)
+        for j in range(r):
+            for t, k in enumerate(kappa):
+                term = self.vmul(c[:, j * len(kappa) + t], np.int64(k))
+                coords[:, j] = self.vadd(coords[:, j], term)
+        table = dict(zip(xs.tolist(), map(tuple, coords.tolist())))
         self._coords_cache[key] = table
         return table
 
@@ -318,34 +320,31 @@ class FieldTower:
         return f"FieldTower(GF({self.p}^{self.d}), designated={self.designated})"
 
 
-def _solve_gfp(m: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Solve c @ m = v over GF(p); m has full row rank and v lies in its span."""
+def _gfp_pivot_inverse(m: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """For m of full row rank k over GF(p): pivot columns P and the inverse of
+    m[:, P], so c = v[P] @ inverse solves c @ m = v for every v in the row
+    space of m (Gauss-Jordan on [m | I])."""
     k, d = m.shape
     aug = np.concatenate([m % p, np.eye(k, dtype=np.int64)], axis=1)
-    vv = np.concatenate([v % p, np.zeros(k, dtype=np.int64)])
-    row = 0
+    pivots = []
     for col in range(d):
-        piv = None
-        for r in range(row, k):
-            if aug[r, col]:
-                piv = r
-                break
-        if piv is None:
+        row = len(pivots)
+        hit = np.nonzero(aug[row:, col])[0]
+        if len(hit) == 0:
             continue
+        piv = row + int(hit[0])
         aug[[row, piv]] = aug[[piv, row]]
         aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
         for r in range(k):
             if r != row and aug[r, col]:
                 aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-        if vv[col]:
-            vv = (vv - vv[col] * aug[row]) % p
-        row += 1
-        if row == k:
+        pivots.append(col)
+        if len(pivots) == k:
             break
-    # remaining v columns must be clear on the m-part
-    if np.any(vv[:d]):
-        raise FieldError("element not in subfield span")
-    return (-vv[d:]) % p
+    if len(pivots) != k:
+        raise FieldError("subfield basis is not independent")
+    # rows of aug[:, d:] map m to its RREF R, and v = v[P] @ R on the row space
+    return pivots, aug[:, d:]
 
 
 @dataclass(frozen=True)
@@ -404,10 +403,6 @@ def standalone(q: int) -> FieldView:
     return FieldView(tower(p, e), e)
 
 
-def view(p: int, d: int, designated: tuple[int, ...], degree: int) -> FieldView:
-    return FieldView(tower(p, d, designated), degree)
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
     for p in (2, 3, 5, 7, 11, 13):
         if q % p == 0:
@@ -443,16 +438,6 @@ def norm(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> int:
     for _ in range(from_deg // to_deg):
         acc = tw.mul(acc, y)
         y = tw.frob(y, to_deg)
-    return acc
-
-
-def vtrace(tw: FieldTower, from_deg: int, to_deg: int, x):
-    """Vectorized relative trace."""
-    acc = np.zeros_like(np.asarray(x))
-    y = np.asarray(x)
-    for _ in range(from_deg // to_deg):
-        acc = tw.vadd(acc, y)
-        y = tw.vfrob(y, to_deg)
     return acc
 
 

@@ -167,10 +167,6 @@ def zero_subspace(fv: FieldView, dim_ambient: int) -> Subspace:
     return Subspace(fv, dim_ambient, np.zeros((0, dim_ambient), dtype=np.int64))
 
 
-def full_space(fv: FieldView, dim_ambient: int) -> Subspace:
-    return Subspace(fv, dim_ambient, np.eye(dim_ambient, dtype=np.int64))
-
-
 def span_vectors(fv: FieldView, rows: np.ndarray, dim_ambient: int) -> np.ndarray:
     """All q^k combinations of k independent rows (includes the zero vector)."""
     tw = fv.tower
@@ -244,8 +240,10 @@ class KeyPacking:
         self.p = p
         self.q = fv.q
         self.width = width
+        # the rank's base-p digits, W bits apart, by tower index
         ranks = np.arange(fv.q, dtype=np.int64)
-        self.spread = sum(((ranks // p**k) % p) << (k * width) for k in range(e))
+        self.code = np.zeros(fv.tower.order, dtype=np.int64)
+        self.code[fv.elements()] = sum(((ranks // p**k) % p) << (k * width) for k in range(e))
         self.weights = np.int64(1) << (e * width * np.arange(dim - 1, -1, -1, dtype=np.int64))
         self.ones = np.int64(sum(1 << (k * width) for k in range(dim * e)))
         self.off = ((1 << (width - 1)) - p) * self.ones
@@ -253,8 +251,13 @@ class KeyPacking:
             self.kadd = np.bitwise_xor
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
-        """Keys of vectors given along the last axis as tower indices."""
-        return self.spread[np.searchsorted(self.fv.elements(), rows)] @ self.weights
+        """Keys of vectors given along the last axis as tower indices (one
+        coordinate at a time, so no temporary outgrows the keys)."""
+        rows = np.asarray(rows)
+        keys = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for i, w in enumerate(self.weights):
+            keys += self.code[rows[..., i]] * w
+        return keys
 
     def kadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Key of the sum of the vectors keyed a and b (XOR for p = 2)."""
@@ -265,6 +268,34 @@ class KeyPacking:
         """(n, q - 1) keys of the nonzero scalar multiples of each row."""
         nz = self.fv.elements()[1:]
         return self.pack(self.fv.tower.vmul(nz[None, :, None], rows[:, None, :]))
+
+    def kernel_masks(self, coefs: np.ndarray) -> np.ndarray:
+        """(m, e) bit masks of the functionals x -> sum_i coefs[r, i] x_i, for
+        p = 2.  Key bit b is the key of u_b = elements()[2^k] e_i; since ranks
+        are GF(2)-linear, bit j of rank(f(x)) is the parity of key(x) & mask_j,
+        where mask_j holds the b with bit j set in rank(f(u_b))."""
+        if self.p != 2:
+            raise FieldError("kernel masks need characteristic 2")
+        fv = self.fv
+        e, dim = fv.degree, len(self.weights)
+        elems = fv.elements()
+        coefs = np.asarray(coefs, dtype=np.int64).reshape(-1, dim)
+        units = elems[1 << np.arange(e)]
+        ranks = np.searchsorted(elems, fv.tower.vmul(coefs[:, :, None], units))  # (m, dim, e)
+        pos = e * np.arange(dim - 1, -1, -1)[:, None] + np.arange(e)  # key bit of (i, k)
+        bits = (ranks[..., None] >> np.arange(e)) & 1  # (m, dim, k, j)
+        return (bits << pos[:, :, None]).sum(axis=(1, 2))
+
+
+def in_kernel(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether f(x) = 0, from the p = 2 keys of x and the kernel masks of f
+    (last axis of `masks`; `keys` broadcasts against masks[..., j]): iff
+    every parity of key & mask_j is even, i.e. bit 0 of the OR of the
+    popcounts is 0."""
+    acc = np.bitwise_count(keys & masks[..., 0])
+    for j in range(1, masks.shape[-1]):
+        acc |= np.bitwise_count(keys & masks[..., j])
+    return (acc & 1) == 0
 
 
 def isin_sorted(keys: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:

@@ -37,6 +37,27 @@ filter, perpendicularity, because W is totally isotropic.  So a node with
 fewer than (q^t - q^d)/(q - 1) candidates has no completion and is cut.  The
 cut removes only fruitless subtrees, so results and their order do not
 change.
+
+Perpendicularity in characteristic 2 is a bit test on the same keys.  For
+p = 2 a key is the n*e bits of the coordinates' ranks, and ranking is GF(2)-
+linear, so key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f
+is GF(2)-linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the
+parity of key(x) & mask_j, where mask_j marks the key bits b for which the
+basis vector u_b with key 1 << b has bit j set in rank(f(u_b))
+(`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is even.  The
+functional B(., v) has coefficient row v G^T, so `perp_masks` gives e masks
+per point and a perpendicularity test over many keys is e AND-popcount
+passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
+spaces whose keys need more than 62 bits, use `vbform`.
+
+Singular points are solved in the last coordinate.  Write a point as
+y + t e_n with y_n = 0; then Q(y + t e_n) = Q(y) + t B(y, e_n) + t^2 Q(e_n)
+in every characteristic (B is the polarization of Q).  So Q and B are
+evaluated once per prefix y, and all q values of t cost three field ops on
+a (prefix x t) array.  The prefixes are the canonical points of the first
+n - 1 coordinates in ascending canonical index and t is the least
+significant digit, so the row-major zeros of that array come out in
+ascending canonical index, as a filter over all points would give them.
 """
 
 from __future__ import annotations
@@ -45,7 +66,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,16 +74,22 @@ from .gf import FieldError, FieldView, sqrt_char2, standalone
 from .linalg import (
     KeyPacking,
     Subspace,
+    all_points,
     canonical_point_blocks,
     canonicalize,
     canonicalize_points,
     express,
+    in_kernel,
     isin_sorted,
     mat_mul,
     rref,
 )
 
 MAX_ENUM_POINTS = 6_000_000
+# largest (prefix x t) array of a singular-point block, in elements
+POINT_BLOCK = 1 << 19
+# int64 temporaries per row block of a perpendicularity test
+PERP_BLOCK = 1 << 16
 
 
 class OutOfDeskScale(RuntimeError):
@@ -104,18 +131,8 @@ class FormedSpace:
         self._validate()
 
     def _validate(self) -> None:
-        tw = self.fv.tower
         if self.qcoef is not None:
-            derived = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if i < j:
-                        derived[i, j] = self.qcoef[i, j]
-                        derived[j, i] = self.qcoef[i, j]
-                    elif i == j:
-                        two = tw.add(1, 1)
-                        derived[i, i] = tw.mul(two, self.qcoef[i, i])
-            if not np.array_equal(derived, self.gram):
+            if not np.array_equal(_polarization(self.fv, self.qcoef), self.gram):
                 raise FieldError("Gram matrix is not the polarization of Q")
         if self.kind == "symplectic":
             if np.any(np.diagonal(self.gram)):
@@ -208,19 +225,32 @@ class FormedSpace:
                 acc = tw.vadd(acc, tw.vmul(rows[:, i], np.int64(w[i])))
         return acc
 
-    # -- predicates ---------------------------------------------------------
-    def is_singular_point(self, v) -> bool:
-        if self.qcoef is None:
-            return self.bform(v, v) == 0
-        return self.qform(v) == 0
+    @cached_property
+    def bit_packing(self) -> KeyPacking | None:
+        """The view-local p = 2 keys of the space's vectors, or None for odd p
+        or when the n*e key bits exceed 62."""
+        if self.fv.p != 2:
+            return None
+        try:
+            return KeyPacking(self.fv, self.dim)
+        except FieldError:
+            return None
 
+    def perp_masks(self, vs: np.ndarray) -> np.ndarray:
+        """(len(vs), e) kernel masks of B(., v), coefficient row v G^T, for
+        each row v; needs `bit_packing`.  Blocked to PERP_BLOCK temporaries."""
+        vs = np.atleast_2d(vs)
+        e = self.fv.degree
+        step = max(1, PERP_BLOCK // (self.dim * e * e))
+        blocks = [
+            self.bit_packing.kernel_masks(mat_mul(self.fv, vs[lo : lo + step], self.gram.T))
+            for lo in range(0, max(1, len(vs)), step)
+        ]
+        return np.concatenate(blocks)
+
+    # -- predicates ---------------------------------------------------------
     def is_ti(self, sub: Subspace) -> bool:
-        m = sub.mat
-        for i in range(sub.dim):
-            vals = self.vbform(m, m[i])
-            if np.any(vals):
-                return False
-        return True
+        return all(block.all() for _, block in perp_blocks(self, sub.mat))
 
     def is_ts(self, sub: Subspace) -> bool:
         if self.qcoef is None:
@@ -239,9 +269,6 @@ class FormedSpace:
             return Subspace(self.fv, self.dim, np.eye(self.dim, dtype=np.int64))
         constraints = mat_mul(self.fv, sub.mat, self.gram.T)
         return self.nullspace(constraints)
-
-    def perp_of_vector(self, v) -> Subspace:
-        return self.perp(canonicalize(self.fv, [v], self.dim))
 
     def nullspace(self, constraints: np.ndarray) -> Subspace:
         """{v : constraints @ v = 0 entrywise over the field}."""
@@ -264,27 +291,34 @@ class FormedSpace:
                 raise OutOfDeskScale(
                     f"enumerating {self.point_count()} points exceeds the desk-scale guard"
                 )
-            chunks = []
-            for block in canonical_point_blocks(self.fv, self.dim):
-                if self.qcoef is None:
-                    chunks.append(block)
-                else:
-                    chunks.append(block[self.vqform(block) == 0])
-            pts = np.vstack(chunks)
+            if self.qcoef is None:
+                pts = all_points(self.fv, self.dim)
+            else:
+                pts = self._singular_by_last_coordinate()
             pts.flags.writeable = False
             self._singular = pts
         return self._singular
 
-    def first_singular_point(self) -> np.ndarray:
-        for block in canonical_point_blocks(self.fv, self.dim, chunk=4096):
-            if self.qcoef is None:
-                if len(block):
-                    return block[0]
-            else:
-                hit = block[self.vqform(block) == 0]
-                if len(hit):
-                    return hit[0]
-        raise FieldError("no singular point")
+    def _singular_by_last_coordinate(self) -> np.ndarray:
+        """Singular points solved in the last coordinate (module docstring),
+        ascending canonical index."""
+        fv, n = self.fv, self.dim
+        tw = fv.tower
+        t = fv.elements()
+        last = np.zeros(n, dtype=np.int64)
+        last[-1] = 1
+        chunks = [last[None, :]] if self.qform(last) == 0 else []
+        t2q = tw.vmul(tw.vmul(t, t), np.int64(self.qform(last)))
+        for block in canonical_point_blocks(fv, n - 1, chunk=max(1, POINT_BLOCK // len(t))):
+            y = np.zeros((len(block), n), dtype=np.int64)
+            y[:, :-1] = block
+            vals = tw.vmul(self.vbform(y, last)[:, None], t[None, :])
+            vals = tw.vadd(tw.vadd(vals, self.vqform(y)[:, None]), t2q[None, :])
+            row, col = np.nonzero(vals == 0)
+            hit = y[row]
+            hit[:, -1] = t[col]
+            chunks.append(hit)
+        return np.vstack(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
 
     def first_nonsingular_point(self) -> np.ndarray:
         if self.qcoef is None:
@@ -353,37 +387,31 @@ def make_symplectic(fv: FieldView, gram: np.ndarray) -> FormedSpace:
     return FormedSpace(fv, gram.shape[0], "symplectic", gram)
 
 
-def make_orthogonal(fv: FieldView, qcoef: np.ndarray, kind: str) -> FormedSpace:
+def _polarization(fv: FieldView, qcoef: np.ndarray) -> np.ndarray:
+    """Gram matrix of B(u, v) = Q(u + v) - Q(u) - Q(v) for upper-triangular Q."""
     tw = fv.tower
-    dim = qcoef.shape[0]
-    gram = np.zeros((dim, dim), dtype=np.int64)
-    two = tw.add(1, 1)
-    for i in range(dim):
-        for j in range(dim):
-            if i < j:
-                gram[i, j] = qcoef[i, j]
-                gram[j, i] = qcoef[i, j]
-            elif i == j:
-                gram[i, i] = tw.mul(two, qcoef[i, i])
-    return FormedSpace(fv, dim, kind, gram, qcoef)
+    upper = np.triu(qcoef, 1)
+    diag = tw.vmul(np.int64(tw.add(1, 1)), np.diagonal(qcoef))
+    return upper + upper.T + np.diag(diag)
 
 
-@lru_cache(maxsize=None)
+def make_orthogonal(fv: FieldView, qcoef: np.ndarray, kind: str) -> FormedSpace:
+    return FormedSpace(fv, qcoef.shape[0], kind, _polarization(fv, qcoef), qcoef)
+
+
 def sp_space(q: int, n: int) -> FormedSpace:
     """Sp(2n, q) with hyperbolic-pair Gram: pairs (x1,x2), (x3,x4), ..."""
-    fv = standalone(q)
-    tw = fv.tower
-    gram = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for i in range(n):
-        gram[2 * i, 2 * i + 1] = 1
-        gram[2 * i + 1, 2 * i] = tw.neg(1)
-    return make_symplectic(fv, gram)
+    return sp_space_over(standalone(q), n)
 
 
 @lru_cache(maxsize=None)
 def oplus_space(q: int, n: int) -> FormedSpace:
     """O+(2n, q) with Q = x1 x2 + x3 x4 + ..."""
-    fv = standalone(q)
+    return oplus_space_over(standalone(q), n)
+
+
+@lru_cache(maxsize=None)
+def oplus_space_over(fv: FieldView, n: int) -> FormedSpace:
     qc = np.zeros((2 * n, 2 * n), dtype=np.int64)
     for i in range(n):
         qc[2 * i, 2 * i + 1] = 1
@@ -823,12 +851,31 @@ def klein_point_of_line(space: FormedSpace, line: Subspace) -> np.ndarray:
 # -- canonical-augmentation enumeration ------------------------------------------
 
 
+def perp_blocks(space: FormedSpace, pts: np.ndarray, upper: bool = False):
+    """Yield (lo, block) over row blocks of pts: block[r, c] tells whether
+    pts[lo + r] is perpendicular to pts[c], or, when `upper`, whether
+    pts[lo + r] and pts[lo + 1 + c] are a perpendicular pair i < j.  For
+    p = 2 each block is one kernel-mask test; otherwise each row is one
+    `vbform`."""
+    n = len(pts)
+    bits = space.bit_packing
+    if bits is None:
+        for i in range(n):
+            yield i, (space.vbform(pts[i + 1 if upper else 0 :], pts[i]) == 0)[None, :]
+        return
+    keys, masks = bits.pack(pts), space.perp_masks(pts)
+    step = max(1, PERP_BLOCK // max(1, n))
+    for lo in range(0, n, step):
+        block = in_kernel(keys[None, lo + 1 if upper else 0 :], masks[lo : lo + step, None, :])
+        yield lo, np.triu(block) if upper else block
+
+
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     """Boolean matrix: adj[i, j] iff pts[i] and pts[j] are perpendicular."""
     n = len(pts)
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        adj[i] = space.vbform(pts, pts[i]) == 0
+    for lo, block in perp_blocks(space, pts):
+        adj[lo : lo + len(block)] = block
     return adj
 
 
@@ -842,8 +889,9 @@ class FlagSearch:
     ascending canonical index.  `flags()` yields, in DFS order, the index
     list of every greedy flag of `target` points.  A set `space` keeps only
     candidates perpendicular to every flag point (through `adj` when given,
-    else `vbform`).  `within` also requires every vector of an accepted
-    coset to be a multiple of one of `pts`, the engine's uncovered test.
+    else the space's kernel masks for p = 2, else `vbform`).  `within` also
+    requires every vector of an accepted coset to be a multiple of one of
+    `pts`, the engine's uncovered test.
     `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
     and a `stop` predicate that turns true raises SearchStopped, both at the
     next node visited."""
@@ -862,6 +910,11 @@ class FlagSearch:
         self.keys = self.packing.pack(self.pts)
         self.skeys = self.packing.multiples(self.pts)
         self.allowed = np.sort(self.skeys.ravel()) if self.within else None
+        # keys and kernel masks of B(., pts[i]) in the space's p = 2 packing
+        self.perp_bits = None
+        bits = None if self.space is None else self.space.bit_packing
+        if bits is not None and self.adj is None:
+            self.perp_bits = (bits.pack(self.pts), self.space.perp_masks(self.pts))
         q = self.packing.q
         self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target)]
 
@@ -871,6 +924,9 @@ class FlagSearch:
             return rest
         if self.adj is not None:
             return rest[self.adj[i, rest]]
+        if self.perp_bits is not None:
+            keys, masks = self.perp_bits
+            return rest[in_kernel(keys[rest], masks[i])]
         return rest[self.space.vbform(self.pts[rest], self.pts[i]) == 0]
 
     def subspace(self, flag: list[int]) -> Subspace:

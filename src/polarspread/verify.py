@@ -17,6 +17,15 @@ cuts a node whose candidates are fewer than the points a completion would
 still need.  Serial and parallel runs return the same verdict and witness:
 parallel workers own disjoint ranges of first-flag points, and the merge
 keeps the witness from the lowest-ranked branch.
+
+An ovoid is certified maximal by a scan: a candidate point extends the
+family iff it is perpendicular to no member.  An ascending index array of
+live candidates is narrowed once per member, so the first index left is the
+first witness in canonical order.  For p = 2 each narrowing is the kernel-
+mask test of the `spaces` docstring: rank(B(x, p)) is GF(2)-linear in
+key(x), so B(x, p) = 0 iff every parity of key(x) & mask_j is even; odd p
+keeps `vbform`.  The hyperplane census counts the zeros of x . phi for all
+hyperplanes phi at once, as a blocked field product hyperplanes x points.
 """
 
 from __future__ import annotations
@@ -30,14 +39,25 @@ import numpy as np
 
 from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
-from .linalg import KeyPacking, Subspace, canonicalize, isin_sorted, point_keys
+from .linalg import (
+    KeyPacking,
+    Subspace,
+    all_points,
+    canonicalize,
+    in_kernel,
+    isin_sorted,
+    mat_mul,
+    point_keys,
+)
 from .spaces import (
+    PERP_BLOCK,
     FlagSearch,
     FormedSpace,
     OutOfDeskScale,
     SearchStopped,
     SearchTimeout,
     perp_adjacency,
+    perp_blocks,
 )
 
 ENGINE_VERSION = "1"
@@ -131,16 +151,10 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
             return False
         if np.any(space.vqform(pts)):
             return False
-    for i in range(len(pts) - 1):
-        vals = space.vbform(pts[i + 1 :], pts[i])
-        if np.any(vals == 0):
-            return False
-    return True
+    return not any(block.any() for _, block in perp_blocks(space, pts, upper=True))
 
 
 def universe_points(space: FormedSpace, mode: str) -> np.ndarray:
-    from .linalg import all_points
-
     if mode == "singular":
         return space.singular_points()
     pts = all_points(space.fv, space.dim)
@@ -219,18 +233,21 @@ def check_maximal_ovoid(
             f"{count} candidate points x {len(fam)} members exceeds the guard"
         )
     cands = universe_points(space, "singular" if flavor == "orthogonal" else "any_point")
-    alive = np.ones(len(cands), dtype=bool)
-    for p in fam.points:
-        idx = np.nonzero(alive)[0]
-        if len(idx) == 0:
+    alive = np.arange(len(cands))  # ascending: alive[0] is the first witness
+    bits = space.bit_packing
+    if bits is not None:
+        keys, masks = bits.pack(cands), space.perp_masks(fam.points)
+    for k, p in enumerate(fam.points):
+        if len(alive) == 0:
             break
-        vals = space.vbform(cands[idx], p)
-        alive[idx[vals == 0]] = False
+        if bits is not None:
+            alive = alive[~in_kernel(keys[alive], masks[k])]
+        else:
+            alive = alive[space.vbform(cands[alive], p) != 0]
     nodes = len(cands)
     ms = (time.perf_counter() - t0) * 1000
-    hit = np.nonzero(alive)[0]
-    if len(hit):
-        return MaximalityCertificate("extendable", cands[hit[0]], nodes, ms, flavor)
+    if len(alive):
+        return MaximalityCertificate("extendable", cands[alive[0]], nodes, ms, flavor)
     return MaximalityCertificate("maximal", None, nodes, ms, flavor)
 
 
@@ -492,52 +509,51 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     parabolic space, with radical/Witt-type tags.  Requires Omega to be an
     ovoid of the space; asserts every hyperplane meets Omega and that the
     section sizes lie in {1, q+1, q - sqrt(2q) + 1, q + sqrt(2q) + 1}."""
-    from .linalg import all_points
-
     if u_space.kind != "parabolic" or u_space.dim != 5:
         raise FieldError("census expects a 5-dimensional parabolic space")
     if not is_ovoid(fam, "orthogonal"):
         raise FieldError("census input is not an ovoid of the space")
     q = u_space.q
     fv = u_space.fv
-    tw = fv.tower
     root2q = round((2 * q) ** 0.5)
     allowed = {1, q + 1}
     if root2q * root2q == 2 * q:
         allowed |= {q - root2q + 1, q + root2q + 1}
-    radical = np.zeros(5, dtype=np.int64)
-    radical[0] = 1
-    sing = u_space.singular_points()
+    planes = all_points(fv, 5)
+    # hyperplane x . phi = 0 meets the ovoid and the singular points in the
+    # zeros of one blocked product planes x points; it holds the radical e_0
+    # iff phi_0 = 0
+    hit_counts = _zero_counts(fv, planes, fam.points)
+    sing_counts = _zero_counts(fv, planes, u_space.singular_points())
     sizes: dict[int, int] = {}
     type_counts: dict[str, int] = {}
     tangent = 0
-    nplanes = 0
-
-    def functional_values(phi, rows):
-        acc = np.zeros(len(rows), dtype=np.int64)
-        for i in range(5):
-            if phi[i]:
-                acc = tw.vadd(acc, tw.vmul(rows[:, i], np.int64(phi[i])))
-        return acc
-
-    for phi in all_points(fv, 5):
-        nplanes += 1
-        hits = int((functional_values(phi, fam.points) == 0).sum())
+    for hits, nsing, phi0 in zip(hit_counts.tolist(), sing_counts.tolist(), planes[:, 0].tolist()):
         if hits == 0:
             raise FieldError("a hyperplane misses the ovoid (census violation)")
         if hits not in allowed:
             raise FieldError(f"unexpected section size {hits}")
         sizes[hits] = sizes.get(hits, 0) + 1
-        has_radical = functional_values(phi, radical[None, :])[0] == 0
-        nsing = int((functional_values(phi, sing) == 0).sum())
-        if has_radical:
+        if phi0 == 0:
             tag = "tangent" if hits == 1 else "secant"
         else:
             tag = "minus" if nsing == q**2 + 1 else "plus"
         type_counts[tag] = type_counts.get(tag, 0) + 1
         if hits == 1:
             tangent += 1
-    return CensusReport(sizes, tangent, type_counts, nplanes)
+    return CensusReport(sizes, tangent, type_counts, len(planes))
+
+
+def _zero_counts(fv, planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """For each row phi of planes, the number of rows x of pts with x . phi = 0,
+    from a field product in row blocks of at most PERP_BLOCK entries."""
+    step = max(1, PERP_BLOCK // max(1, len(pts)))
+    return np.concatenate(
+        [
+            (mat_mul(fv, planes[lo : lo + step], pts.T) == 0).sum(axis=1)
+            for lo in range(0, len(planes), step)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

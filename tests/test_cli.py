@@ -1,6 +1,8 @@
 """CLI surface: construct/verify exit codes, artifact round-trips, chained
 transforms, table rows, census."""
 
+import pytest
+
 from polarspread import artifacts
 from polarspread.cli import main
 
@@ -131,3 +133,82 @@ def test_construct_default_applies_only_when_flag_omitted(tmp_path):
     assert run(["construct", "thm3.1", "--q", "3", "-o", str(default)]) == 0
     assert run(["construct", "thm3.1", "--q", "3", "--m", "1", "-o", str(explicit)]) == 0
     assert default.read_bytes() == explicit.read_bytes()
+
+
+def _not_json(path, d):
+    path.write_text('{"format_version": 1, "field": ')
+
+
+def _wrong_format_version(path, d):
+    d["format_version"] = 99
+    artifacts.save(d, path)
+
+
+def _missing_key(path, d):
+    del d["space"]
+    artifacts.save(d, path)
+
+
+def _truncated_members(path, d):
+    # the last coordinate row of the last member loses its final entry
+    last = d["members"][-1]
+    if isinstance(last[0], list):
+        last[-1] = last[-1][:-1]
+    else:
+        d["members"][-1] = last[:-1]
+    artifacts.save(d, path)
+
+
+def _entry_outside_field(path, d):
+    row = d["members"][0]
+    if isinstance(row[0], list):
+        row = row[0]
+    row[-1] = 2 ** d["field"]["d"]  # no element has this index
+    artifacts.save(d, path)
+
+
+@pytest.mark.parametrize("command", ["descend", "project", "triality", "verify", "fingerprint"])
+@pytest.mark.parametrize(
+    "defect",
+    [_not_json, _wrong_format_version, _missing_key, _truncated_members, _entry_outside_field],
+)
+def test_malformed_artifact_exits_1_without_traceback(tmp_path, capsys, command, defect):
+    src = tmp_path / "good.json"
+    if command == "triality":
+        run(["construct", "lem7.8", "--q", "2", "-o", str(src)])
+    else:
+        run(["construct", "ex5.1", "--q", "4", "-o", str(src)])
+    bad = tmp_path / "bad.json"
+    defect(bad, artifacts.load(src))
+    capsys.readouterr()
+    argv = [command, str(bad)]
+    if command in ("descend", "project", "triality"):
+        argv += ["-o", str(tmp_path / "out.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "artifact invalid:" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_artifact_without_format_or_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"field": 1}')
+    for command in ("verify", "fingerprint"):
+        assert run([command, str(bad)]) == 1
+        assert "artifact invalid: unsupported artifact format None" in capsys.readouterr().err
+    bad.write_text("[1, 2]")
+    assert run(["verify", str(bad)]) == 1
+
+
+def test_transform_precondition_failure_exits_1_without_traceback(tmp_path, capsys):
+    """A well-formed artifact whose family a transform cannot take."""
+    src = tmp_path / "p41.json"
+    run(["construct", "prop4.1", "--q", "2", "--m", "2", "-o", str(src)])
+    d = artifacts.load(src)
+    d["members"] = [rows[:-1] for rows in d["members"]]  # 3-spaces, not a spread
+    artifacts.save(d, src)
+    capsys.readouterr()
+    for command in ("project", "descend"):
+        assert run([command, str(src), "-o", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

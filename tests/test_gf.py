@@ -183,6 +183,63 @@ def test_subfield_coords_roundtrip():
         assert acc == x
 
 
+def _solve_gfp(m, v, p):
+    """Solve c @ m = v over GF(p), one element at a time (the former path)."""
+    k, d = m.shape
+    aug = np.concatenate([m % p, np.eye(k, dtype=np.int64)], axis=1)
+    vv = np.concatenate([v % p, np.zeros(k, dtype=np.int64)])
+    row = 0
+    for col in range(d):
+        piv = next((r for r in range(row, k) if aug[r, col]), None)
+        if piv is None:
+            continue
+        aug[[row, piv]] = aug[[piv, row]]
+        aug[row] = (aug[row] * pow(int(aug[row, col]), -1, p)) % p
+        for r in range(k):
+            if r != row and aug[r, col]:
+                aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
+        if vv[col]:
+            vv = (vv - vv[col] * aug[row]) % p
+        row += 1
+        if row == k:
+            break
+    assert not np.any(vv[:d])
+    return (-vv[d:]) % p
+
+
+def subfield_coords_oracle(tw, big, small):
+    p = tw.p
+    basis = tw.subfield_basis(big, small)
+    kappa = tw.subfield_basis(small, 1) if small > 1 else [1]
+    digits = lambda x: [(x // p**i) % p for i in range(tw.d)]  # noqa: E731
+    m = np.array([digits(tw.mul(b, k)) for b in basis for k in kappa], dtype=np.int64)
+    table = {}
+    for x in tw.subfield_elements(big).tolist():
+        c = _solve_gfp(m, np.array(digits(x)), p)
+        coords = []
+        for j in range(len(basis)):
+            y = 0
+            for t, k in enumerate(kappa):
+                y = tw.add(y, tw.mul(int(c[j * len(kappa) + t]), k))
+            coords.append(y)
+        table[x] = tuple(coords)
+    return table
+
+
+COORD_TOWERS = sorted(pd for pd in PRIMITIVE_POLYS if pd[0] in (2, 3, 5) and pd[0] ** pd[1] <= 4096)
+
+
+@pytest.mark.parametrize("p,d", COORD_TOWERS)
+def test_subfield_coords_match_per_element_solve(p, d):
+    """The batched table against one GF(p) solve per element, on every
+    designated (big, small) pair of the full-divisor tower."""
+    tw = gf.FieldTower(p, d, [e for e in range(1, d + 1) if d % e == 0])
+    for big in tw.designated:
+        for small in tw.designated:
+            if big % small == 0:
+                assert tw.subfield_coords(big, small) == subfield_coords_oracle(tw, big, small)
+
+
 def test_field_view():
     fv = standalone(4)
     assert fv.q == 4
