@@ -2,8 +2,16 @@
 projection / descent / triality transforms, run the summary table, the
 hyperplane census, and fingerprints.
 
+`FAMILIES` is the one list of family ids: each maps to the flags it takes,
+with their defaults, and to its constructor; `construct` and `table` both
+build through `build`.  A default applies only to an omitted flag, and a
+flag the family does not take is a usage error.  The expected size printed
+is the constructor's own `expected_size`, which the family checks when it
+is made.
+
 Exit codes: 0 ok, 1 verification failure, invalid artifact or a family that
-fails a transform's precondition, 2 usage error, 3 out-of-desk-scale refusal.  Output is line-oriented: one family per line as
+fails a transform's precondition, 2 usage error, 3 out-of-desk-scale
+refusal.  `table` prints one family per line as
 "id params expected actual verdict millis".
 """
 
@@ -27,66 +35,53 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-def _given(value: int | None, default: int) -> int:
-    """The flag's value, or the family's default when the flag is omitted."""
-    return default if value is None else value
+# family id -> (flag defaults, builder).  A builder takes q and exactly the
+# flags of its defaults, and looks its constructor up in `F` at call time.
+FAMILIES = {
+    "desarguesian": ({"n": 2}, lambda q, n: F.desarguesian_symplectic_spread(q, n)),
+    "thm3.1": ({"m": 1}, lambda q, m: F.transversal_spread(q, m)),
+    "prop4.1": ({"m": 2}, lambda q, m: F.orthogonal_spread(q, m)),
+    "thm4.3": ({"m": 2, "k": 2}, lambda q, m, k: F.descended_spread(q, m, k)),
+    "ex5.1": ({"variant": "a"}, lambda q, variant: F.folklore_pair(q)["ab".index(variant)]),
+    "thm5.2i": ({"k": 2}, lambda q, k: F.grassl_spread(q, k, "i")),
+    "thm5.2ii": ({"k": 2}, lambda q, k: F.grassl_spread(q, k, "ii")),
+    "appA": ({}, lambda q: F.desarguesian_ovoid(q)),
+    "thm7.2": ({}, lambda q: F.orthovoid_bullet(q, 1, "A6i")),
+    "thm7.3": ({"s": 1, "scheme": "A6i"}, lambda q, s, scheme: F.orthovoid_bullet(q, s, scheme)),
+    "ex7.4": ({}, lambda q: F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric")),
+    "lem7.5-st": ({}, lambda q: F.elliptic_or_o5_partial_ovoid(q, "suzuki_tits")),
+    "lem7.5-o5": ({}, lambda q: F.elliptic_or_o5_partial_ovoid(q, "o5_generic")),
+    "lem7.8": ({}, lambda q: F.two_quadrics_ovoid(q)),
+    "thm7.10": ({}, lambda q: F.st_pencil_replace(q)),
+    "thm7.11": ({}, lambda q: F.st_section_replace(q)),
+    "thm7.12": ({"s": 2}, lambda q, s: F.st_circle_replace(q, s)),
+    "thm8.1": ({}, lambda q: F.sp6_line_replace(q)),
+    "thm9.1": ({"s": 1}, lambda q, s: F.conic_replace(q, s)),
+    "ex9.2": ({"m": 2}, lambda q, m: F.three_lines(q, m)),
+    "appB-st": ({}, lambda q: F.suzuki_tits_ovoid(q)),
+}
 
 
-def _build(family_id: str, a) -> object:
-    for name in ("m", "k", "s", "n"):
-        value = getattr(a, name)
-        if value is not None and value < 1:
+def build(family_id: str, q: int, **given):
+    """The family `family_id` over GF(q).  A flag given as None takes the
+    family's default; a flag the family does not take is an error."""
+    for name, value in given.items():
+        if isinstance(value, int) and value < 1:
             raise FamilyError(f"{name} must be ≥ 1")
-    q, m, k, s, n = a.q, a.m, a.k, a.s, a.n
-    if family_id == "desarguesian":
-        return F.desarguesian_symplectic_spread(q, _given(n, 2))
-    if family_id == "thm3.1":
-        return F.transversal_spread(q, _given(m, 1))
-    if family_id == "prop4.1":
-        return F.orthogonal_spread(q, _given(m, 2))
-    if family_id == "thm4.3":
-        return F.descended_spread(q, _given(m, 2), _given(k, 2))
-    if family_id == "ex5.1":
-        pair = F.folklore_pair(q)
-        return pair[0] if (a.variant or "a") == "a" else pair[1]
-    if family_id == "thm5.2i":
-        return F.grassl_spread(q, _given(k, 2), "i")
-    if family_id == "thm5.2ii":
-        return F.grassl_spread(q, _given(k, 2), "ii")
-    if family_id == "appA":
-        return F.desarguesian_ovoid(q)
-    if family_id == "thm7.2":
-        return F.orthovoid_bullet(q, 1, "A6i")
-    if family_id == "thm7.3":
-        return F.orthovoid_bullet(q, _given(s, 1), a.scheme)
-    if family_id == "ex7.4":
-        return F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric")
-    if family_id == "lem7.5-st":
-        return F.elliptic_or_o5_partial_ovoid(q, "suzuki_tits")
-    if family_id == "lem7.5-o5":
-        return F.elliptic_or_o5_partial_ovoid(q, "o5_generic")
-    if family_id == "lem7.8":
-        return F.two_quadrics_ovoid(q)
-    if family_id == "thm7.10":
-        return F.st_pencil_replace(q)
-    if family_id == "thm7.11":
-        return F.st_section_replace(q)
-    if family_id == "thm7.12":
-        return F.st_circle_replace(q, _given(s, 2))
-    if family_id == "thm8.1":
-        return F.sp6_line_replace(q)
-    if family_id == "thm9.1":
-        return F.conic_replace(q, _given(s, 1))
-    if family_id == "ex9.2":
-        return F.three_lines(q, _given(m, 2))
-    if family_id == "appB-st":
-        return F.suzuki_tits_ovoid(q)
-    raise FamilyError(f"unknown family id {family_id!r}")
+    if family_id not in FAMILIES:
+        raise FamilyError(f"unknown family id {family_id!r}")
+    defaults, builder = FAMILIES[family_id]
+    for name, value in given.items():
+        if value is not None and name not in defaults:
+            raise FamilyError(f"{family_id} takes no --{name}")
+    return builder(q, **{k: v if given.get(k) is None else given[k] for k, v in defaults.items()})
 
 
 def cmd_construct(a) -> int:
     try:
-        fam = _build(a.family, a)
+        fam = build(
+            a.family, a.q, m=a.m, k=a.k, s=a.s, n=a.n, scheme=a.scheme, variant=a.variant
+        )
     except (FamilyError, FieldError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -97,15 +92,12 @@ def cmd_construct(a) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    try:
-        expected = V.expected_size(fam.provenance.family, fam.provenance.params)
-    except KeyError:
-        expected = fam.expected_size
-    print(f"{fam.provenance.describe()} size={len(fam)} expected={expected}")
+    # the constructor has checked its size against `expected_size`
+    print(f"{fam.provenance.describe()} size={len(fam)} expected={fam.expected_size}")
     if a.output:
         artifacts.save(artifacts.family_to_dict(fam), a.output)
         print(f"wrote {a.output}")
-    return EXIT_OK if expected is None or len(fam) == expected else EXIT_VERIFY
+    return EXIT_OK
 
 
 def cmd_verify(a) -> int:
@@ -218,86 +210,50 @@ def cmd_fingerprint(a) -> int:
 # -- summary table -----------------------------------------------------------
 
 TABLE_ROWS = [
-    # (row id, description, build, flavor checks)
-    ("thm3.1", {"q": 2, "m": 2}),
-    ("prop4.1", {"q": 2, "m": 2}),
-    ("thm4.3", {"q": 2, "m": 2, "k": 2}),
-    ("thm5.2i", {"q": 2, "k": 2}),
-    ("thm5.2ii", {"q": 2, "k": 2}),
-    ("thm7.2", {"q": 4}),
-    ("thm7.3", {"q": 8, "s": 1}),
-    ("thm7.3-n4", {"q": 16, "s": 4}),
-    ("ex7.4", {"q": 4}),
-    ("lem7.8", {"q": 2}),
-    ("thm7.10", {"q": 8}),
-    ("thm7.11", {"q": 8}),
-    ("thm7.12", {"q": 32, "s": 2}),
-    ("thm8.1", {"q": 2}),
+    # (row id, family id, parameters, flavor, take the triality image?)
+    ("thm3.1", "thm3.1", {"q": 2, "m": 2}, "symplectic", False),
+    ("prop4.1", "prop4.1", {"q": 2, "m": 2}, "plain", False),
+    ("thm4.3", "thm4.3", {"q": 2, "m": 2, "k": 2}, "orthogonal", False),
+    ("thm5.2i", "thm5.2i", {"q": 2, "k": 2}, "symplectic", False),
+    ("thm5.2ii", "thm5.2ii", {"q": 2, "k": 2}, "symplectic", False),
+    ("thm7.2", "thm7.2", {"q": 4}, "orthogonal", True),
+    ("thm7.3", "thm7.3", {"q": 8, "s": 1}, "orthogonal", False),
+    ("thm7.3-n4", "thm7.3", {"q": 16, "s": 4, "scheme": "A6ii"}, "orthogonal", False),
+    ("ex7.4", "ex7.4", {"q": 4}, "orthogonal", True),
+    ("lem7.8", "lem7.8", {"q": 2}, "orthogonal", True),
+    ("thm7.10", "thm7.10", {"q": 8}, "orthogonal", False),
+    ("thm7.11", "thm7.11", {"q": 8}, "orthogonal", False),
+    ("thm7.12", "thm7.12", {"q": 32, "s": 2}, "orthogonal", False),
+    ("thm8.1", "thm8.1", {"q": 2}, "symplectic", False),
 ]
-
-
-def _table_build(row_id: str, p: dict):
-    if row_id == "thm3.1":
-        return F.transversal_spread(p["q"], p["m"]), "spread", "symplectic"
-    if row_id == "prop4.1":
-        return F.orthogonal_spread(p["q"], p["m"]), "spread", "plain"
-    if row_id == "thm4.3":
-        return F.descended_spread(p["q"], p["m"], p["k"]), "spread", "orthogonal"
-    if row_id == "thm5.2i":
-        return F.grassl_spread(p["q"], p["k"], "i"), "spread", "symplectic"
-    if row_id == "thm5.2ii":
-        return F.grassl_spread(p["q"], p["k"], "ii"), "spread", "symplectic"
-    if row_id == "thm7.2":
-        return F.triality_pointset(F.orthovoid_bullet(p["q"], 1)), "spread", "orthogonal"
-    if row_id == "thm7.3":
-        return F.orthovoid_bullet(p["q"], p["s"]), "ovoid", "orthogonal"
-    if row_id == "thm7.3-n4":
-        return F.orthovoid_bullet(p["q"], p["s"], "A6ii"), "ovoid", "orthogonal"
-    if row_id == "ex7.4":
-        return (
-            F.triality_pointset(F.elliptic_or_o5_partial_ovoid(p["q"], "elliptic_quadric")),
-            "spread",
-            "orthogonal",
-        )
-    if row_id == "lem7.8":
-        return F.triality_pointset(F.two_quadrics_ovoid(p["q"])), "spread", "orthogonal"
-    if row_id == "thm7.10":
-        return F.st_pencil_replace(p["q"]), "ovoid", "orthogonal"
-    if row_id == "thm7.11":
-        return F.st_section_replace(p["q"]), "ovoid", "orthogonal"
-    if row_id == "thm7.12":
-        return F.st_circle_replace(p["q"], p["s"]), "ovoid", "orthogonal"
-    if row_id == "thm8.1":
-        return F.sp6_line_replace(p["q"]), "spread", "symplectic"
-    raise FamilyError(f"unknown table row {row_id}")
 
 
 def cmd_table(a) -> int:
     rows = TABLE_ROWS
     if a.rows:
-        wanted = set(a.rows.split(","))
-        rows = [r for r in TABLE_ROWS if r[0] in wanted]
-        if not rows:
-            print("error: no matching rows", file=sys.stderr)
+        wanted = a.rows.split(",")
+        unknown = [r for r in wanted if r not in {row[0] for row in TABLE_ROWS}]
+        if unknown:
+            print(f"error: unknown table rows {','.join(unknown)}", file=sys.stderr)
             return EXIT_USAGE
+        rows = [r for r in TABLE_ROWS if r[0] in wanted]
     failures = 0
-    for row_id, params in rows:
+    for row_id, family_id, params, flavor, triality in rows:
+        # the scheme is named by the row id
+        pstr = ",".join(f"{k}={v}" for k, v in sorted(params.items()) if k != "scheme")
         t0 = time.perf_counter()
         try:
-            fam, shape, flavor = _table_build(row_id, params)
+            fam = build(family_id, **params)
+            if triality:
+                fam = F.triality_pointset(fam)
         except (FamilyError, FieldError) as e:
             print(f"{row_id} {params} -- -- FAILED({e}) --")
             failures += 1
             continue
-        fid = fam.provenance.family
-        try:
-            expected = V.expected_size(fid, fam.provenance.params)
-        except KeyError:
-            expected = fam.expected_size
         verdict = "partial"
         note = ""
         try:
-            if shape == "ovoid":
+            if isinstance(fam, PointFamily):
                 universe = fam.space.singular_count()
                 if universe * len(fam) <= a.ovoid_maxtests:
                     cert = V.check_maximal_ovoid(fam, flavor)
@@ -329,11 +285,12 @@ def cmd_table(a) -> int:
         except OutOfDeskScale:
             note = " (maximality skipped: out of desk scale)"
         ms = (time.perf_counter() - t0) * 1000
-        ok = len(fam) == expected and verdict in ("partial", "maximal")
-        if not ok:
+        # the constructor has checked the size against `expected_size`
+        if verdict not in ("partial", "maximal"):
             failures += 1
-        pstr = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        print(f"{row_id} {pstr} expected={expected} actual={len(fam)} {verdict}{note} {ms:.0f}ms")
+        print(
+            f"{row_id} {pstr} expected={fam.expected_size} actual={len(fam)} {verdict}{note} {ms:.0f}ms"
+        )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
@@ -348,7 +305,7 @@ def main(argv=None) -> int:
     c.add_argument("--k", type=int)
     c.add_argument("--s", type=int)
     c.add_argument("--n", type=int)
-    c.add_argument("--scheme", default="A6i", choices=["A6i", "A6ii"])
+    c.add_argument("--scheme", choices=["A6i", "A6ii"])
     c.add_argument("--variant", choices=["a", "b"])
     c.add_argument("--exploratory", action="store_true")
     c.add_argument("-o", "--output")

@@ -1,8 +1,9 @@
 """Deterministic constructors for every partial-spread / partial-ovoid family,
 each tagged with provenance (family id, parameters, proven validity window)
-and an expected size from the closed formulas in `verify.expected_size`.
+and an expected size from its closed formula, the only copy of it.
 
-Family ids follow a thmX.Y / lemX.Y / exX.Y naming scheme matching the CLI.
+Family ids follow a thmX.Y / lemX.Y / exX.Y naming scheme; `cli.FAMILIES`
+maps each to its constructor.
 Every "any choice" in a construction is resolved as the first qualifying
 object in canonical-index order, so artifacts are bit-for-bit reproducible.
 Constructors self-check: the partial-spread/ovoid predicate and the exact

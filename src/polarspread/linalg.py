@@ -116,16 +116,21 @@ class Subspace:
         return span_vectors(self.fv, self.mat, self.dim_ambient)
 
     def points(self) -> np.ndarray:
-        """Canonical projective points sorted by canonical index."""
-        vecs = self.vectors()
-        vecs = vecs[np.any(vecs != 0, axis=1)]
-        pts = canonicalize_points(self.fv, vecs)
-        keys = point_keys(self.fv, pts)
-        pts = pts[np.argsort(keys, kind="stable")]
-        keys = np.sort(keys)
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        return pts[keep]
+        """Canonical projective points sorted by canonical index, one row
+        each: the points led by basis row i are row i + span(rows i+1..).
+        Rows below i vanish left of their pivots, and at pivot column i only
+        row i is nonzero (= 1), so every such sum is already canonical."""
+        tw, n = self.fv.tower, self.dim_ambient
+        elems = self.fv.elements()
+        span = np.zeros((1, n), dtype=np.int64)  # span of the rows below row i
+        blocks = [span[:0]]
+        for i in range(self.dim - 1, -1, -1):
+            row = self.mat[i]
+            blocks.append(tw.vadd(row[None, :], span))
+            if i:
+                span = tw.vadd(tw.vmul(elems[:, None, None], row), span[None]).reshape(-1, n)
+        pts = np.vstack(blocks)
+        return pts[np.argsort(point_keys(self.fv, pts))]
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)

@@ -1,6 +1,6 @@
 """Verification engine: partial-spread/ovoid predicates, cover analysis,
 exhaustive maximality search with uncovered-point pruning, completeness
-checks, size formulas, hyperplane census, and fingerprints.
+checks, hyperplane census, and fingerprints.
 
 The partial-spread predicate needs no pairwise rank test.  Two members meet
 nontrivially iff they share a projective point, and every point has one
@@ -69,22 +69,12 @@ class CoverReport:
     mode: str
     total: int
     covered: int
-    uncovered_keys: np.ndarray
-    fv: object = None
-    dim: int = 0
+    uncovered_keys: np.ndarray  # ascending canonical keys
+    uncovered_points: np.ndarray  # the same points as rows, in the same order
 
     @property
     def uncovered(self) -> int:
         return self.total - self.covered
-
-    def uncovered_points(self) -> np.ndarray:
-        """Decode the uncovered canonical keys back to coordinate rows."""
-        width = int(self.fv.elements()[-1]).bit_length()
-        rows = np.zeros((len(self.uncovered_keys), self.dim), dtype=np.int64)
-        mask = (1 << width) - 1
-        for c in range(self.dim):
-            rows[:, self.dim - 1 - c] = (self.uncovered_keys >> (width * c)) & mask
-        return rows
 
 
 @dataclass
@@ -95,7 +85,6 @@ class MaximalityCertificate:
     millis: float
     flavor: str
     engine_version: str = ENGINE_VERSION
-    seed: int | None = None  # searches are seed-free; kept for the record
 
     @property
     def is_maximal(self) -> bool:
@@ -114,7 +103,6 @@ class MaximalityCertificate:
             "millis": round(self.millis, 3),
             "flavor": self.flavor,
             "engine_version": self.engine_version,
-            "seed": self.seed,
         }
 
 
@@ -157,12 +145,8 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
 def universe_points(space: FormedSpace, mode: str) -> np.ndarray:
     if mode == "singular":
         return space.singular_points()
-    pts = all_points(space.fv, space.dim)
     if mode == "any_point":
-        return pts
-    if mode == "isotropic":
-        keep = np.array([space.bform(p, p) == 0 for p in pts])
-        return pts[keep]
+        return all_points(space.fv, space.dim)
     raise ValueError(f"unknown mode {mode}")
 
 
@@ -184,8 +168,7 @@ def cover_report(fam: SubspaceFamily, mode: str = "singular") -> CoverReport:
         total=len(skeys),
         covered=int(covered.sum()),
         uncovered_keys=skeys[~covered],
-        fv=fv,
-        dim=space.dim,
+        uncovered_points=pts[order[~covered]],
     )
 
 
@@ -257,8 +240,8 @@ def check_maximal_ovoid(
 
 
 def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
+    """The uncovered universe points in ascending canonical order."""
     space = fam.space
-    fv = space.fv
     if flavor == "orthogonal":
         total = space.singular_count()
         mode = "singular"
@@ -269,14 +252,7 @@ def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
         raise OutOfDeskScale(
             f"{total} universe points x {len(fam)} members exceeds the guard"
         )
-    report = cover_report(fam, mode)
-    uncovered = report.uncovered_keys  # sorted canonical keys
-    pts = universe_points(space, mode)
-    keys = point_keys(fv, pts)
-    order = np.argsort(keys, kind="stable")
-    pts = pts[order]
-    keys = keys[order]
-    return pts[isin_sorted(keys, uncovered)]
+    return cover_report(fam, mode).uncovered_points
 
 
 def _build_search(space, flavor, pts, deadline) -> FlagSearch:
@@ -441,57 +417,6 @@ def all_subspaces_of_dim(fv, dim: int, k: int, block: int = 1 << 14):
 
 
 # ---------------------------------------------------------------------------
-# Size formulas
-# ---------------------------------------------------------------------------
-
-
-def expected_size(family_id: str, params: dict) -> int:
-    q = params.get("q")
-    s = params.get("s")
-    m = params.get("m")
-    k = params.get("k")
-    n = params.get("n")
-    gcd2 = 2 if q is not None and q % 2 else 1
-    if family_id == "desarguesian":
-        return q**n + 1
-    if family_id == "thm3.1":
-        return q ** (2 * m) - q**m + gcd2
-    if family_id == "prop4.1":
-        return q ** (2 * m - 1) + 1
-    if family_id == "thm4.3":
-        return q ** (2 * m * k - k) + 1
-    if family_id == "ex5.1":
-        return q + 1
-    if family_id == "thm5.2i":
-        return q**k + 1
-    if family_id == "thm5.2ii":
-        return 2 * q**k + 1
-    if family_id == "appA":
-        return q**3 + 1
-    if family_id in ("thm7.2", "thm8.1"):
-        return q**3 - q**2 + 1
-    if family_id == "thm7.3":
-        from .families import expected_bullet_size
-
-        return expected_bullet_size(q, s, params.get("scheme", "A6i"))
-    if family_id in ("ex7.4", "lem7.5-st", "lem7.5-o5", "appB-st"):
-        return q**2 + 1
-    if family_id in ("lem7.8", "thm7.9"):
-        return 2 * q**2 + 1
-    if family_id == "thm7.10":
-        return q**2 + q + 1
-    if family_id == "thm7.11":
-        return q**2 - q + 1
-    if family_id == "thm7.12":
-        return q**2 - s * q + 2 * s - 1
-    if family_id == "thm9.1":
-        return q**2 - s * q + (3 if q % 2 else 2) * s - 1
-    if family_id == "ex9.2":
-        return 3 * q - 1
-    raise KeyError(f"no size formula for {family_id}")
-
-
-# ---------------------------------------------------------------------------
 # Hyperplane census (5-dimensional parabolic spaces)
 # ---------------------------------------------------------------------------
 
@@ -573,7 +498,6 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         space = fam.space
         sing = space.singular_points()
         counts = np.zeros(len(sing), dtype=np.int64)
-        inside = np.zeros(len(sing), dtype=bool)
         fam_keys = np.sort(point_keys(space.fv, fam.points))
         keys = point_keys(space.fv, sing)
         inside = isin_sorted(keys, fam_keys)
@@ -581,7 +505,6 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
             counts += (space.vbform(sing, p) == 0).astype(np.int64)
         return tuple(sorted(counts[~inside].tolist()))
     space = fam.space
-    n = space.dim // 2
     expected = _maximal_ts_count(space)
     if expected is not None and expected <= enum_cap:
         todo = space.maximal_totally_singular()

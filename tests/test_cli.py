@@ -1,9 +1,12 @@
 """CLI surface: construct/verify exit codes, artifact round-trips, chained
 transforms, table rows, census."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from polarspread import artifacts
+from polarspread import artifacts, cli
 from polarspread.cli import main
 
 
@@ -115,8 +118,11 @@ def test_table_subset(capsys):
     assert "thm3.1" in out and "thm8.1" in out and "maximal" in out
 
 
-def test_table_unknown_rows():
+def test_table_unknown_rows(capsys):
     assert run(["table", "--rows", "zzz"]) == 2
+    assert run(["table", "--rows", "thm3.1,zzz"]) == 2
+    out, err = capsys.readouterr()
+    assert "zzz" in err and "thm3.1" not in out
 
 
 def test_construct_rejects_nonpositive_parameters(tmp_path, capsys):
@@ -125,6 +131,37 @@ def test_construct_rejects_nonpositive_parameters(tmp_path, capsys):
         assert run(["construct", "thm3.1", "--q", "3", flag, value, "-o", str(out)]) == 2
         assert f"{flag[2:]} must be ≥ 1" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family,flag",
+    [("appA", ["--m", "3"]), ("thm3.1", ["--k", "2"]), ("thm7.10", ["--scheme", "A6ii"]),
+     ("thm8.1", ["--variant", "b"])],
+)
+def test_construct_rejects_flags_the_family_does_not_take(tmp_path, capsys, family, flag):
+    out = tmp_path / "x.json"
+    assert run(["construct", family, "--q", "4", *flag, "-o", str(out)]) == 2
+    assert f"error: {family} takes no {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a small field each family can be built over (with --exploratory)
+SMALL_Q = {
+    "desarguesian": 2, "thm3.1": 3, "prop4.1": 2, "thm4.3": 2, "ex5.1": 4, "thm5.2i": 2,
+    "thm5.2ii": 2, "appA": 4, "thm7.2": 4, "thm7.3": 8, "ex7.4": 3, "lem7.5-st": 8,
+    "lem7.5-o5": 4, "lem7.8": 2, "thm7.10": 8, "thm7.11": 8, "thm7.12": 8, "thm8.1": 2,
+    "thm9.1": 5, "ex9.2": 4, "appB-st": 8,
+}
+
+
+def test_every_family_id_constructs_and_is_documented(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^\| `([^`]+)` \|", readme, flags=re.M))
+    assert set(cli.FAMILIES) == set(SMALL_Q) == documented
+    for family, q in SMALL_Q.items():
+        out = tmp_path / f"{family}.json"
+        assert run(["construct", family, "--q", str(q), "--exploratory", "-o", str(out)]) == 0
+        assert artifacts.load(out)["provenance"]["params"]["q"] == q
 
 
 def test_construct_default_applies_only_when_flag_omitted(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarspread.gf import standalone
+from polarspread import gf
+from polarspread.gf import PRIMITIVE_POLYS, FieldView, standalone
 from polarspread.linalg import (
     AmbientMismatch,
     Subspace,
@@ -118,6 +119,60 @@ def test_points_counts_and_uniqueness():
     canon = canonicalize_points(FV4, nz)
     assert set(point_keys(FV4, canon).tolist()) == set(keys.tolist())
     assert len(nz) == 5 * 3
+
+
+def points_oracle(sub: Subspace) -> np.ndarray:
+    """The former `Subspace.points`: all q^k vectors, canonicalized, sorted,
+    and one row kept per point."""
+    vecs = sub.vectors()
+    vecs = vecs[np.any(vecs != 0, axis=1)]
+    pts = canonicalize_points(sub.fv, vecs)
+    keys = point_keys(sub.fv, pts)
+    pts = pts[np.argsort(keys, kind="stable")]
+    keys = np.sort(keys)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return pts[keep]
+
+
+def random_subspace(fv, k: int, n: int, rng) -> Subspace:
+    elems = fv.elements()
+    while True:
+        sub = canonicalize(fv, elems[rng.integers(0, len(elems), size=(k, n))], n)
+        if sub.dim == k:
+            return sub
+
+
+def small_views():
+    for p, d in sorted(PRIMITIVE_POLYS):
+        if p**d <= 256:
+            degrees = tuple(e for e in range(1, d + 1) if d % e == 0)
+            tw = gf.tower(p, d, degrees)
+            yield from ((p, d, FieldView(tw, e)) for e in degrees)
+
+
+@pytest.mark.parametrize("p,d,fv", list(small_views()), ids=lambda v: str(getattr(v, "degree", v)))
+def test_points_match_the_vector_oracle(p, d, fv):
+    """One random k-subspace of fv^n for every 1 <= k <= 3, k <= n <= 6
+    whose q^k vectors the oracle can hold."""
+    rng = np.random.default_rng(p * 1000 + d * 10 + fv.degree)
+    q = len(fv.elements())
+    for n in range(2, 7):
+        for k in range(1, min(3, n) + 1):
+            if q**k > 1 << 16:
+                continue
+            sub = random_subspace(fv, k, n, rng)
+            got, want = sub.points(), points_oracle(sub)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, k)
+
+
+def test_points_match_the_vector_oracle_gf2048():
+    fv = standalone(2048)
+    rng = np.random.default_rng(2048)
+    for n, k in [(2, 1), (4, 1), (5, 1), (3, 2)]:
+        sub = random_subspace(fv, k, n, rng)
+        got, want = sub.points(), points_oracle(sub)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, k)
 
 
 def test_contains():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polarspread import families as F
 from polarspread import verify as V
+from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
 from polarspread.linalg import canonicalize, point_keys, rref
 from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
@@ -51,7 +52,8 @@ def test_cover_report_modes():
     # decoded uncovered rows really are the uncovered points
     from polarspread.linalg import reduce_rows as _rr
 
-    for row in rep.uncovered_points():
+    assert len(rep.uncovered_points) == rep.uncovered
+    for row in rep.uncovered_points:
         assert not any(_rr(fam.space.fv, m.mat, row[None, :])[0] for m in fam.members)
     # oracle: enumerate points, test membership in each member directly
     from polarspread.linalg import all_points, reduce_rows
@@ -130,16 +132,17 @@ def test_engine_agrees_with_brute_force_sampled():
 
 
 def test_expected_size_values():
-    assert V.expected_size("thm3.1", {"q": 3, "m": 1}) == 8
-    assert V.expected_size("thm3.1", {"q": 2, "m": 2}) == 13
-    assert V.expected_size("thm7.3", {"q": 8, "s": 1}) == 449
-    assert V.expected_size("thm7.12", {"q": 32, "s": 2}) == 963
-    assert V.expected_size("thm9.1", {"q": 5, "s": 2}) == 20
-    assert V.expected_size("thm9.1", {"q": 4, "s": 1}) == 13
-    assert V.expected_size("ex9.2", {"q": 4}) == 11
-    assert V.expected_size("prop4.1", {"q": 2, "m": 2}) == 9
-    assert V.expected_size("thm4.3", {"q": 2, "m": 2, "k": 2}) == 65
-    assert V.expected_size("thm7.3", {"q": 16, "s": 4, "scheme": "A6ii"}) == 3210
+    """The constructors' own closed-form sizes, through the CLI registry."""
+    assert build("thm3.1", 3, m=1).expected_size == 8
+    assert build("thm3.1", 2, m=2).expected_size == 13
+    assert build("thm7.3", 8, s=1).expected_size == 449
+    assert build("thm7.12", 32, s=2).expected_size == 963
+    assert build("thm9.1", 5, s=2).expected_size == 20
+    assert build("thm9.1", 4, s=1).expected_size == 13
+    assert build("ex9.2", 4).expected_size == 11
+    assert build("prop4.1", 2, m=2).expected_size == 9
+    assert build("thm4.3", 2, m=2, k=2).expected_size == 65
+    assert build("thm7.3", 16, s=4, scheme="A6ii").expected_size == 3210
 
 
 def test_guard_refuses_big_universes():
