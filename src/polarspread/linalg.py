@@ -1,4 +1,4 @@
-"""Exact linear algebra over a FieldView: RREF subspaces, points, quotients.
+"""Exact linear algebra over a FieldView: RREF subspaces, points, keys.
 
 Vectors are numpy int64 rows of field-element indices.  A subspace is stored
 as its unique reduced-row-echelon basis, so two equal subspaces compare equal
@@ -108,9 +108,6 @@ class Subspace:
         v = np.asarray(v, dtype=np.int64)
         return bool(reduce_rows(self.fv, self.mat, v[None, :])[0])
 
-    def contains_all(self, rows: np.ndarray) -> bool:
-        return bool(reduce_rows(self.fv, self.mat, rows).all())
-
     def vectors(self) -> np.ndarray:
         """All q^dim vectors as rows (includes zero)."""
         return span_vectors(self.fv, self.mat, self.dim_ambient)
@@ -166,10 +163,6 @@ def canonicalize(fv: FieldView, vectors, dim_ambient: int | None = None) -> Subs
         dim_ambient = vecs.shape[-1]
     m = as_matrix(list(vectors), dim_ambient)
     return Subspace(fv, dim_ambient, rref(fv, m) if len(m) else m)
-
-
-def zero_subspace(fv: FieldView, dim_ambient: int) -> Subspace:
-    return Subspace(fv, dim_ambient, np.zeros((0, dim_ambient), dtype=np.int64))
 
 
 def span_vectors(fv: FieldView, rows: np.ndarray, dim_ambient: int) -> np.ndarray:
@@ -356,46 +349,6 @@ def mat_mul(fv: FieldView, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if hit.any():
             out[hit] = tw.vadd(out[hit], tw.vmul(col[hit][:, None], b[k][None, :]))
     return out
-
-
-def quotient_coords(
-    fv: FieldView, sub: Subspace, z: Subspace, basis: np.ndarray
-) -> "QuotientMap":
-    """Coordinates modulo z in a fixed complement basis of z inside sub."""
-    if not sub.contains_all(z.mat):
-        raise AmbientMismatch("z is not contained in the subspace")
-    stacked = np.vstack([basis, z.mat])
-    if rref(fv, stacked).shape[0] != stacked.shape[0]:
-        raise FieldError("basis is not a complement of z")
-    if basis.shape[0] + z.dim != sub.dim:
-        raise FieldError("basis is not a complement of z in the subspace")
-    return QuotientMap(fv, stacked, basis.shape[0])
-
-
-class QuotientMap:
-    """Linear map v -> coordinates of v mod z, kernel exactly z."""
-
-    def __init__(self, fv: FieldView, stacked: np.ndarray, ncoords: int):
-        self.fv = fv
-        self.stacked = stacked
-        self.ncoords = ncoords
-
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        single = rows.ndim == 1
-        if single:
-            rows = rows[None, :]
-        c = express(self.fv, self.stacked, rows)[:, : self.ncoords]
-        return c[0] if single else c
-
-    def lift(self, coord_rows: np.ndarray) -> np.ndarray:
-        """A preimage for each coordinate row (the complement-basis combo)."""
-        coord_rows = np.asarray(coord_rows, dtype=np.int64)
-        single = coord_rows.ndim == 1
-        if single:
-            coord_rows = coord_rows[None, :]
-        out = mat_mul(self.fv, coord_rows, self.stacked[: self.ncoords])
-        return out[0] if single else out
 
 
 def canonical_point_blocks(fv: FieldView, dim: int, chunk: int = 1 << 19):

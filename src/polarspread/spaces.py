@@ -21,11 +21,25 @@ The DFS never touches coordinate rows.  Every vector is one int64 key
 as base-p digits.  A subfield's sorted indices count through its echelon
 coordinates, so the packing is GF(p)-linear and order-preserving: the key of
 a sum is the digitwise sum mod p of the keys (XOR for p = 2, a SWAR add and
-reduce for odd p), and the least key among the nonzero multiples of a vector
-is the key of its canonical point.  A span is kept as the keys of all its
-vectors, and the coset test for all candidates is one array expression: the
-keys of lambda p + s over lambda != 0 and s in S, minimized per candidate and
-compared with the key of p.
+reduce for odd p), and keys order vectors lexicographically by coordinate
+rank, where 0 has rank 0 and 1 rank 1.
+
+Pivot-column test.  Let S have the reduced echelon basis b_j, pivot columns
+j.  Every vector of the coset lambda c + S (lambda != 0) is lambda v + s with
+v the reduction of c against the b_j, scaled to leading coefficient 1, so v
+is zero at every pivot column.  For s != 0 let j be the pivot of the first
+b_j in s, the first nonzero coordinate of s.  If j precedes v's leading
+column, lambda v + s is nonzero at j where v is zero; otherwise it agrees
+with lambda v up to j and exceeds v at v's leading column (lambda != 1) or
+at j.  So v is the coset minimum, and a canonical c is the minimum iff
+c = v, i.e. iff c is zero at every pivot column of S.  Each flag point passed
+this test, so it is zero at the leading columns of the points before it, and
+the pivot columns of S are exactly the flag points' leading columns.  The
+test is therefore one AND, in every characteristic: of c's support bits (its
+nonzero coordinates) with the OR of the flag points' leading-column bits.
+Only the engine's uncovered test needs the coset itself.  It keeps the span
+as the keys of all its vectors and checks the keys of c + s, s in S: the
+rest of the coset are their multiples, lambda c + s = lambda (c + s/lambda).
 
 Count bound.  Let W, of dimension t, complete a node of depth d: the flag
 p_1..p_d is an initial segment of W's greedy chain, with span S_d.  Every
@@ -879,7 +893,7 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     return adj
 
 
-# coset keys evaluated per block of candidates, bounding the scratch array
+# keys of the uncovered test evaluated per block of candidates
 COSET_BLOCK = 1 << 22
 
 
@@ -887,11 +901,13 @@ COSET_BLOCK = 1 << 22
 class FlagSearch:
     """The canonical-augmentation DFS over `pts`, canonical points in
     ascending canonical index.  `flags()` yields, in DFS order, the index
-    list of every greedy flag of `target` points.  A set `space` keeps only
-    candidates perpendicular to every flag point (through `adj` when given,
-    else the space's kernel masks for p = 2, else `vbform`).  `within` also
-    requires every vector of an accepted coset to be a multiple of one of
-    `pts`, the engine's uncovered test.
+    list of every greedy flag of `target` points.  A point is eligible when
+    it is zero at the leading columns of the flag points (the pivot-column
+    test of the module docstring).  A set `space` keeps only candidates
+    perpendicular to every flag point (through `adj` when given, else the
+    space's kernel masks for p = 2, else `vbform`).  `within` also requires
+    every vector of an accepted coset to be a multiple of one of `pts`, the
+    engine's uncovered test; only then are span keys kept.
     `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
     and a `stop` predicate that turns true raises SearchStopped, both at the
     next node visited."""
@@ -907,8 +923,12 @@ class FlagSearch:
     nodes: int = 0
 
     def __post_init__(self):
+        # bit c stands for coordinate c: every nonzero one, and the leading one
+        nz = self.pts != 0
+        self.support = nz @ (np.int64(1) << np.arange(nz.shape[1], dtype=np.int64))
+        self.lead = np.int64(1) << np.argmax(nz, axis=1)
         self.keys = self.packing.pack(self.pts)
-        self.skeys = self.packing.multiples(self.pts)
+        self.skeys = self.packing.multiples(self.pts) if self.within else None
         self.allowed = np.sort(self.skeys.ravel()) if self.within else None
         # keys and kernel masks of B(., pts[i]) in the space's p = 2 packing
         self.perp_bits = None
@@ -923,7 +943,7 @@ class FlagSearch:
         if self.space is None or len(rest) == 0:
             return rest
         if self.adj is not None:
-            return rest[self.adj[i, rest]]
+            return rest[self.adj[i][rest]]
         if self.perp_bits is not None:
             keys, masks = self.perp_bits
             return rest[in_kernel(keys[rest], masks[i])]
@@ -937,11 +957,17 @@ class FlagSearch:
         added = self.packing.kadd(self.skeys[i][:, None], span[None, :])
         return np.concatenate([span, added.ravel()])
 
-    def flags(self, flag: list[int] | None = None, span=None, cand=None):
-        """Greedy flags below the node (flag, span keys, candidates); the
-        root by default."""
+    def flags(self, flag: list[int] | None = None, cand: np.ndarray | None = None):
+        """Greedy flags below the node (flag, candidates); the root by
+        default."""
         if flag is None:
-            flag, span, cand = [], np.zeros(1, dtype=np.int64), np.arange(len(self.pts))
+            flag, cand = [], np.arange(len(self.pts))
+        span = np.zeros(1, dtype=np.int64) if self.within else None
+        for i in flag if self.within else ():
+            span = self.grow(span, i)
+        yield from self._below(flag, np.bitwise_or.reduce(self.lead[flag]), span, cand)
+
+    def _below(self, flag: list[int], piv: np.int64, span: np.ndarray | None, cand: np.ndarray):
         self.nodes += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout("maximality search exceeded its budget")
@@ -953,24 +979,25 @@ class FlagSearch:
             return
         if len(cand) < self.need[depth]:
             return
-        for pos in self._eligible(cand, span):
+        for pos in self._eligible(cand, piv, span):
             i = int(cand[pos])
             rest = self.rest_after(i, cand[pos + 1 :])
-            yield from self.flags(flag + [i], self.grow(span, i), rest)
+            grown = None if span is None else self.grow(span, i)
+            yield from self._below(flag + [i], piv | self.lead[i], grown, rest)
 
-    def _eligible(self, cand: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """Positions in cand of the points that are the minimum of their
-        coset, the keys kadd(lambda p, s) over lambda != 0 and s in span."""
-        step = max(1, COSET_BLOCK // (self.skeys.shape[1] * len(span)))
-        if len(cand) > step:
-            starts = range(0, len(cand), step)
-            return np.concatenate([lo + self._eligible(cand[lo : lo + step], span) for lo in starts])
-        coset = self.packing.kadd(self.skeys[cand][:, :, None], span[None, None, :])
-        coset = coset.reshape(len(cand), -1)
-        ok = (coset.min(axis=1) == self.keys[cand]).nonzero()[0]
-        if self.allowed is not None and len(ok):
-            ok = ok[isin_sorted(coset[ok], self.allowed).all(axis=1)]
-        return ok
+    def _eligible(self, cand: np.ndarray, piv: np.int64, span: np.ndarray | None) -> np.ndarray:
+        """Positions in cand of the points zero at the pivot columns `piv`,
+        the minima of their cosets; given the span keys, only those whose
+        vectors p + s, s in span, are all multiples of `pts` (the other
+        vectors of the coset are multiples of these)."""
+        ok = ((self.support[cand] & piv) == 0).nonzero()[0]
+        if span is None:
+            return ok
+        step = max(1, COSET_BLOCK // len(span))
+        parts = (cand[ok[lo : lo + step]] for lo in range(0, len(ok), step))
+        keys = (self.packing.kadd(self.keys[part][:, None], span) for part in parts)
+        keep = [isin_sorted(k, self.allowed).all(axis=1) for k in keys]
+        return ok[np.concatenate(keep)] if keep else ok
 
 
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):

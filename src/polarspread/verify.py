@@ -21,10 +21,11 @@ keeps the witness from the lowest-ranked branch.
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
 live candidates is narrowed once per member, so the first index left is the
-first witness in canonical order.  For p = 2 each narrowing is the kernel-
-mask test of the `spaces` docstring: rank(B(x, p)) is GF(2)-linear in
-key(x), so B(x, p) = 0 iff every parity of key(x) & mask_j is even; odd p
-keeps `vbform`.  The hyperplane census counts the zeros of x . phi for all
+first witness in canonical order; like a spread witness, it is re-checked
+by the partial-ovoid predicate before it is returned.  For p = 2 each
+narrowing is the kernel-mask test of the `spaces` docstring: rank(B(x, p))
+is GF(2)-linear in key(x), so B(x, p) = 0 iff every parity of
+key(x) & mask_j is even; odd p keeps `vbform`.  The hyperplane census counts the zeros of x . phi for all
 hyperplanes phi at once, as a blocked field product hyperplanes x points.
 """
 
@@ -230,7 +231,11 @@ def check_maximal_ovoid(
     nodes = len(cands)
     ms = (time.perf_counter() - t0) * 1000
     if len(alive):
-        return MaximalityCertificate("extendable", cands[alive[0]], nodes, ms, flavor)
+        witness = cands[alive[0]]
+        grown = PointFamily(space, np.vstack([fam.points, witness]), fam.provenance)
+        if not is_partial_ovoid(grown, flavor):
+            raise FieldError("witness failed re-verification (engine bug)")
+        return MaximalityCertificate("extendable", witness, nodes, ms, flavor)
     return MaximalityCertificate("maximal", None, nodes, ms, flavor)
 
 
@@ -309,11 +314,10 @@ def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] 
     no longer matter."""
     if best is not None:
         search.stop = lambda: best.value < lo
-    root = np.zeros(1, dtype=np.int64)
     try:
         for pos in range(lo, hi):
             rest = search.rest_after(pos, np.arange(pos + 1, len(search.pts)))
-            flag = next(search.flags([pos], search.grow(root, pos), rest), None)
+            flag = next(search.flags([pos], rest), None)
             if flag is not None:
                 return flag
     except SearchStopped:
@@ -501,8 +505,11 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         fam_keys = np.sort(point_keys(space.fv, fam.points))
         keys = point_keys(space.fv, sing)
         inside = isin_sorted(keys, fam_keys)
-        for p in fam.points:
-            counts += (space.vbform(sing, p) == 0).astype(np.int64)
+        bits = space.bit_packing
+        if bits is not None:
+            packed, masks = bits.pack(sing), space.perp_masks(fam.points)
+        for k, p in enumerate(fam.points):
+            counts += in_kernel(packed, masks[k]) if bits is not None else space.vbform(sing, p) == 0
         return tuple(sorted(counts[~inside].tolist()))
     space = fam.space
     expected = _maximal_ts_count(space)

@@ -31,6 +31,50 @@ def cached(name, builder):
     return _CACHE[name]
 
 
+# one named builder per family the criteria share, so that each criterion
+# builds what it reads and runs on its own
+BUILDERS = {
+    **{
+        f"thm3.1({q},{m})": (lambda q=q, m=m: F.transversal_spread(q, m))
+        for q, m in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)]
+    },
+    "prop4.1(2,2)": lambda: F.orthogonal_spread(2, 2),
+    "thm4.3(2,2,2)": lambda: F.descended_spread(2, 2, 2),
+    "thm5.2i": lambda: F.grassl_spread(2, 2, "i"),
+    "thm5.2ii": lambda: F.grassl_spread(2, 2, "ii"),
+    "proj-prop4.1": lambda: F.project_family(family("prop4.1(2,2)")),
+    "proj-thm5.2i": lambda: F.project_family(family("thm5.2i")),
+    "appA(4)": lambda: F.desarguesian_ovoid(4),
+    "thm7.2(4)": lambda: F.orthovoid_bullet(4, 1),
+    "thm7.2(4)-triality": lambda: F.triality_pointset(family("thm7.2(4)")),
+    "thm7.3(8,1)": lambda: F.orthovoid_bullet(8, 1),
+    **{
+        f"ex7.4({q})": (lambda q=q: F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric"))
+        for q in (2, 3, 4)
+    },
+    "lem7.5-st(8)": lambda: F.elliptic_or_o5_partial_ovoid(8, "suzuki_tits"),
+    **{f"lem7.8({q})": (lambda q=q: F.two_quadrics_ovoid(q)) for q in (2, 3, 4)},
+    **{
+        f"lem7.8({q})-triality": (lambda q=q: F.triality_pointset(family(f"lem7.8({q})")))
+        for q in (2, 3, 4)
+    },
+    "thm7.10(8)": lambda: F.st_pencil_replace(8),
+    "thm7.11(8)": lambda: F.st_section_replace(8),
+    "appB-st(8)": lambda: F.suzuki_tits_ovoid(8),
+    **{f"thm8.1({q})": (lambda q=q: F.sp6_line_replace(q)) for q in (2, 3, 4)},
+    **{
+        f"thm9.1({q},{s})": (lambda q=q, s=s: F.conic_replace(q, s))
+        for q, s in [(3, 1), (5, 1), (5, 2), (4, 1)]
+    },
+    "ex9.2(4,2)": lambda: F.three_lines(4, 2),
+    "ex9.2(4,3)": lambda: F.three_lines(4, 3),
+}
+
+
+def family(name):
+    return cached(name, BUILDERS[name])
+
+
 def report(num, detail):
     print(f"criterion {num:>2}: PASS - {detail}")
 
@@ -41,7 +85,7 @@ def report(num, detail):
 def test_c01_transversal_sizes_and_maximality():
     sizes = {}
     for (q, m), want in [((2, 1), 3), ((3, 1), 8), ((4, 1), 13), ((5, 1), 22), ((2, 2), 13)]:
-        fam = cached(f"thm3.1({q},{m})", lambda q=q, m=m: F.transversal_spread(q, m))
+        fam = family(f"thm3.1({q},{m})")
         assert len(fam) == want, (q, m)
         cert = V.check_maximal_spread(fam, "symplectic")
         assert cert.is_maximal, (q, m)
@@ -66,7 +110,7 @@ def test_c02_transversal_counts():
 
 
 def test_c03_orthogonal_spread_cover_and_plain_maximality():
-    fam = cached("prop4.1(2,2)", lambda: F.orthogonal_spread(2, 2))
+    fam = family("prop4.1(2,2)")
     assert len(fam) == 9
     rep = V.cover_report(fam, "singular")
     assert rep.total == 135 and rep.uncovered == 0
@@ -131,7 +175,7 @@ def test_c04_random_subspaces_contain_singular_vectors():
 
 
 def test_c05_descended_spread_with_budgeted_maximality():
-    fam = cached("thm4.3(2,2,2)", lambda: F.descended_spread(2, 2, 2))
+    fam = family("thm4.3(2,2,2)")
     assert len(fam) == 65 and fam.space.dim == 16
     assert V.is_partial_spread(fam, "orthogonal")
     budget = float(os.environ.get("POLARSPREAD_C5_BUDGET", "600"))
@@ -149,8 +193,8 @@ def test_c05_descended_spread_with_budgeted_maximality():
 
 
 def test_c06_grassl_variants():
-    g1 = cached("thm5.2i", lambda: F.grassl_spread(2, 2, "i"))
-    g2 = cached("thm5.2ii", lambda: F.grassl_spread(2, 2, "ii"))
+    g1 = family("thm5.2i")
+    g2 = family("thm5.2ii")
     assert len(g1) == 5 and len(g2) == 9
     assert V.check_maximal_spread(g1, "symplectic").is_maximal
     assert V.check_maximal_spread(g1, "orthogonal").is_maximal
@@ -160,8 +204,8 @@ def test_c06_grassl_variants():
 
 
 def test_c07_projections_to_sp6():
-    p1 = cached("proj-prop4.1", lambda: F.project_family(_CACHE["prop4.1(2,2)"]))
-    p2 = cached("proj-thm5.2i", lambda: F.project_family(_CACHE["thm5.2i"]))
+    p1 = family("proj-prop4.1")
+    p2 = family("proj-thm5.2i")
     assert len(p1) == 9 and len(p2) == 5
     for fam in (p1, p2):
         assert fam.space.dim == 6 and fam.space.q == 2
@@ -191,7 +235,7 @@ def _ovoid_q4_masks():
     """Perp-intersection bitmasks of the 65-point ovoid over all singular
     points of the Appendix-style O+(8,4) space."""
     ctx = _ovoid_context(4)
-    ov = cached("appA(4)", lambda: F.desarguesian_ovoid(4))
+    ov = family("appA(4)")
     sing = ctx.space.singular_points()
     lo = np.zeros(len(sing), dtype=np.int64)
     hi = np.zeros(len(sing), dtype=np.int64)
@@ -279,10 +323,10 @@ def test_c09_appendix_ovoid_properties():
 
 def test_c10_bullet_ovoid_and_triality_spread_q4():
     t0 = time.perf_counter()
-    b1 = cached("thm7.2(4)", lambda: F.orthovoid_bullet(4, 1))
+    b1 = family("thm7.2(4)")
     assert len(b1) == 49
     assert V.check_maximal_ovoid(b1, "orthogonal").is_maximal
-    tr = cached("thm7.2(4)-triality", lambda: F.triality_pointset(b1))
+    tr = family("thm7.2(4)-triality")
     assert len(tr) == 49
     assert V.is_partial_spread(tr, "orthogonal")
     count = len(tr.space.maximal_totally_singular())
@@ -295,7 +339,7 @@ def test_c10_bullet_ovoid_and_triality_spread_q4():
 
 
 def test_c11_bullet_q8():
-    fam = cached("thm7.3(8,1)", lambda: F.orthovoid_bullet(8, 1))
+    fam = family("thm7.3(8,1)")
     assert len(fam) == 449
     cert = V.check_maximal_ovoid(fam, "orthogonal")
     assert cert.is_maximal
@@ -305,11 +349,11 @@ def test_c11_bullet_q8():
 def test_c12_small_ovoid_families():
     got = {}
     for q, want in [(2, 5), (3, 10), (4, 17)]:
-        fam = cached(f"ex7.4({q})", lambda q=q: F.elliptic_or_o5_partial_ovoid(q, "elliptic_quadric"))
+        fam = family(f"ex7.4({q})")
         assert len(fam) == want
         assert V.check_maximal_ovoid(fam, "orthogonal").is_maximal
         got[q] = want
-    st8 = cached("lem7.5-st(8)", lambda: F.elliptic_or_o5_partial_ovoid(8, "suzuki_tits"))
+    st8 = family("lem7.5-st(8)")
     assert len(st8) == 65
     assert V.check_maximal_ovoid(st8, "orthogonal").is_maximal
     report(12, f"elliptic sizes {got} and the 65-point lift at q=8, all maximal")
@@ -318,10 +362,10 @@ def test_c12_small_ovoid_families():
 def test_c13_two_quadrics_and_triality():
     t0 = time.perf_counter()
     for q, want in [(2, 9), (3, 19), (4, 33)]:
-        fam = cached(f"lem7.8({q})", lambda q=q: F.two_quadrics_ovoid(q))
+        fam = family(f"lem7.8({q})")
         assert len(fam) == want
         assert V.check_maximal_ovoid(fam, "orthogonal").is_maximal
-        tr = cached(f"lem7.8({q})-triality", lambda fam=fam: F.triality_pointset(fam))
+        tr = family(f"lem7.8({q})-triality")
         assert len(tr) == want
         verdict, _w = V.brute_force_spread_verdict(tr, "orthogonal")
         assert verdict == "maximal"
@@ -330,8 +374,8 @@ def test_c13_two_quadrics_and_triality():
 
 
 def test_c14_st_replacements_q8():
-    f10 = cached("thm7.10(8)", lambda: F.st_pencil_replace(8))
-    f11 = cached("thm7.11(8)", lambda: F.st_section_replace(8))
+    f10 = family("thm7.10(8)")
+    f11 = family("thm7.11(8)")
     assert len(f10) == 73 and len(f11) == 57
     assert V.check_maximal_ovoid(f10, "orthogonal").is_maximal
     assert V.check_maximal_ovoid(f11, "orthogonal").is_maximal
@@ -364,7 +408,7 @@ def test_c15_circle_replacement():
 
 
 def test_c16_hyperplane_census_q8():
-    st = cached("appB-st(8)", lambda: F.suzuki_tits_ovoid(8))
+    st = family("appB-st(8)")
     rep = V.hyperplane_census(st.space, st)
     assert rep.hyperplanes == 4681
     assert set(rep.sizes) <= {1, 5, 9, 13}
@@ -377,7 +421,7 @@ def test_c17_sp6_replacement():
     t0 = time.perf_counter()
     counts = {2: 135, 3: 1120, 4: 5525}
     for q, want in [(2, 5), (3, 19), (4, 49)]:
-        fam = cached(f"thm8.1({q})", lambda q=q: F.sp6_line_replace(q))
+        fam = family(f"thm8.1({q})")
         assert len(fam) == want
         assert len(fam.space.maximal_totally_singular()) == counts[q]
         verdict, _w = V.brute_force_spread_verdict(fam, "symplectic")
@@ -390,7 +434,7 @@ def test_c18_conic_replacement_and_klein():
     # (5,1) evaluates to 22 = q^2 - sq + 3s - 1; the construction agrees
     got = {}
     for (q, s), want in [((3, 1), 8), ((5, 1), 22), ((5, 2), 20), ((4, 1), 13)]:
-        fam = cached(f"thm9.1({q},{s})", lambda q=q, s=s: F.conic_replace(q, s))
+        fam = family(f"thm9.1({q},{s})")
         assert len(fam) == want
         assert V.check_maximal_ovoid(fam, "orthogonal").is_maximal
         got[(q, s)] = want
@@ -403,8 +447,8 @@ def test_c18_conic_replacement_and_klein():
 
 
 def test_c19_three_lines_q4():
-    f4 = cached("ex9.2(4,2)", lambda: F.three_lines(4, 2))
-    f6 = cached("ex9.2(4,3)", lambda: F.three_lines(4, 3))
+    f4 = family("ex9.2(4,2)")
+    f6 = family("ex9.2(4,3)")
     assert len(f4) == len(f6) == 11
     assert V.check_maximal_ovoid(f4, "symplectic").is_maximal
     assert V.check_maximal_ovoid(f6, "symplectic").is_maximal
@@ -417,16 +461,16 @@ def test_c20_engine_matches_brute_force():
     t0 = time.perf_counter()
     cases = []
     for q, m in [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)]:
-        cases.append((f"thm3.1({q},{m})", _CACHE[f"thm3.1({q},{m})"], "symplectic"))
-    cases.append(("thm5.2i", _CACHE["thm5.2i"], "symplectic"))
-    cases.append(("thm5.2ii", _CACHE["thm5.2ii"], "symplectic"))
-    cases.append(("proj-prop4.1", _CACHE["proj-prop4.1"], "symplectic"))
-    cases.append(("proj-thm5.2i", _CACHE["proj-thm5.2i"], "symplectic"))
-    cases.append(("thm7.2(4)-triality", _CACHE["thm7.2(4)-triality"], "orthogonal"))
+        cases.append((f"thm3.1({q},{m})", family(f"thm3.1({q},{m})"), "symplectic"))
+    cases.append(("thm5.2i", family("thm5.2i"), "symplectic"))
+    cases.append(("thm5.2ii", family("thm5.2ii"), "symplectic"))
+    cases.append(("proj-prop4.1", family("proj-prop4.1"), "symplectic"))
+    cases.append(("proj-thm5.2i", family("proj-thm5.2i"), "symplectic"))
+    cases.append(("thm7.2(4)-triality", family("thm7.2(4)-triality"), "orthogonal"))
     for q in (2, 3, 4):
-        cases.append((f"lem7.8({q})-triality", _CACHE[f"lem7.8({q})-triality"], "orthogonal"))
-        cases.append((f"thm8.1({q})", _CACHE[f"thm8.1({q})"], "symplectic"))
-    cases.append(("prop4.1(2,2)", _CACHE["prop4.1(2,2)"], "orthogonal"))
+        cases.append((f"lem7.8({q})-triality", family(f"lem7.8({q})-triality"), "orthogonal"))
+        cases.append((f"thm8.1({q})", family(f"thm8.1({q})"), "symplectic"))
+    cases.append(("prop4.1(2,2)", family("prop4.1(2,2)"), "orthogonal"))
     checked = 0
     for name, fam, flavor in cases:
         ev = V.check_maximal_spread(fam, flavor).verdict
@@ -443,7 +487,7 @@ def test_c20_engine_matches_brute_force():
             checked += 1
     # plain-flavor cross-check for the O+(8,2) spread: enumerate all 200787
     # 4-subspaces of GF(2)^8 and confirm none consists of uncovered points
-    fam = _CACHE["prop4.1(2,2)"]
+    fam = family("prop4.1(2,2)")
     assert V.check_maximal_spread(fam, "plain").is_maximal
     rep = V.cover_report(fam, "any_point")
     uncovered = set(rep.uncovered_keys.tolist())

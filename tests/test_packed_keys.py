@@ -5,6 +5,8 @@ of a vector sum) on every view of every small tower, and for width on every
 view and dimension the enumerator accepts.  The kernel is checked against
 the former row-vector search, kept here as the oracle: it built cosets as
 coordinate rows, canonicalized them by scaling, and pruned by a full RREF.
+Its pivot-column eligibility test is checked against the former packed-key
+coset minimum at every node.
 """
 
 from itertools import islice
@@ -26,7 +28,9 @@ from polarspread.linalg import (
 )
 from polarspread.spaces import (
     MAX_ENUM_POINTS,
+    FlagSearch,
     iter_subspaces,
+    ominus4_space,
     oplus_space,
     parabolic_space,
     perp_adjacency,
@@ -165,12 +169,26 @@ def row_vector_flags(fv, pts, target, rest_after, admissible=None, on_node=None)
 
 
 def enumeration_oracle(space):
+    """The subspaces, and the nodes visited under the count bound."""
     pts = space.singular_points()
     adj = perp_adjacency(space, pts)
-    flags = row_vector_flags(
-        space.fv, pts, space.witt_index, lambda i, rest: rest[adj[i, rest]]
-    )
-    return [canonicalize(space.fv, pts[f], space.dim) for f in flags]
+    q, t = space.q, space.witt_index
+    nodes = 0
+
+    def counted(flag, cand):
+        nonlocal nodes
+        nodes += 1
+        return len(flag) < t and len(cand) < (q**t - q ** len(flag)) // (q - 1)
+
+    flags = row_vector_flags(space.fv, pts, t, lambda i, rest: rest[adj[i, rest]], on_node=counted)
+    return [canonicalize(space.fv, pts[f], space.dim) for f in flags], nodes
+
+
+def enumerator_search(space):
+    """The FlagSearch that `maximal_totally_singular` runs."""
+    pts = space.singular_points()
+    packing = KeyPacking(space.fv, space.dim)
+    return FlagSearch(packing, pts, space.witt_index, space=space, adj=perp_adjacency(space, pts))
 
 
 def engine_oracle(fam, flavor):
@@ -222,6 +240,12 @@ ENUM_SPACES = {
     "O+(6,3)": lambda: oplus_space(3, 3),
     "O+(6,5)": lambda: oplus_space(5, 3),
     "O(5,3)": lambda: parabolic_space(3),
+    "Sp(6,2)": lambda: sp_space(2, 3),
+    "Sp(4,4)": lambda: sp_space(4, 2),
+    "Sp(4,8)": lambda: sp_space(8, 2),
+    "O(5,4)": lambda: parabolic_space(4),
+    "O+(6,4)": lambda: oplus_space(4, 3),
+    "O-(4,8)": lambda: ominus4_space(8),
 }
 
 
@@ -229,8 +253,62 @@ ENUM_SPACES = {
 def test_enumeration_matches_row_vector_oracle_in_order(name):
     space = ENUM_SPACES[name]()
     got = space.maximal_totally_singular()
+    want, nodes = enumeration_oracle(space)
     assert len(got) > 0
-    assert [w.mat.tolist() for w in got] == [w.mat.tolist() for w in enumeration_oracle(space)]
+    assert [w.mat.tolist() for w in got] == [w.mat.tolist() for w in want]
+    search = enumerator_search(space)
+    assert sum(1 for _ in search.flags()) == len(got)
+    assert search.nodes == nodes
+
+
+def coset_minimum_positions(search, cand, span):
+    """The former eligibility test: positions in cand of the points that are
+    the minimum of their coset, keys kadd(lambda p, s) over lambda != 0 and
+    s in span."""
+    pk = search.packing
+    coset = pk.kadd(pk.multiples(search.pts[cand])[:, :, None], span[None, None, :])
+    return np.flatnonzero(coset.min(axis=(1, 2)) == search.keys[cand])
+
+
+PIVOT_CASES = {
+    2: lambda: oplus_space(2, 4),
+    3: lambda: sp_space(3, 3),
+    4: lambda: oplus_space(4, 3),
+    5: lambda: sp_space(5, 2),
+    8: lambda: sp_space(8, 2),
+    9: lambda: parabolic_space(9),
+}
+
+
+@pytest.mark.parametrize("q", list(PIVOT_CASES))
+def test_pivot_columns_match_the_coset_minimum_at_every_node(q):
+    """A DFS driven by the former coset minimum, with span keys grown as the
+    former kernel grew them, compares the pivot-column test with it at every
+    node it reaches (also those the count bound cuts), and reaches every
+    maximal subspace in the enumerator's order."""
+    space = PIVOT_CASES[q]()
+    search = enumerator_search(space)
+    pk, found, compared = search.packing, [], 0
+
+    def walk(flag, span, cand):
+        nonlocal compared
+        if len(flag) == search.target:
+            found.append(search.subspace(flag))
+            return
+        want = coset_minimum_positions(search, cand, span)
+        got = search._eligible(cand, np.bitwise_or.reduce(search.lead[flag]), None)
+        assert np.array_equal(got, want), flag
+        compared += 1
+        if len(cand) < search.need[len(flag)]:
+            return
+        for pos in want:
+            i = int(cand[pos])
+            grown = np.concatenate([span, pk.kadd(pk.multiples(search.pts[[i]])[0][:, None], span).ravel()])
+            walk(flag + [i], grown, search.rest_after(i, cand[pos + 1 :]))
+
+    walk([], np.zeros(1, dtype=np.int64), np.arange(len(search.pts)))
+    assert compared > len(found)
+    assert found == space.maximal_totally_singular()
 
 
 def _short(fam, drop=1):

@@ -12,7 +12,8 @@ from polarspread import families as F
 from polarspread import verify as V
 from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
-from polarspread.linalg import canonicalize, point_keys, rref
+from polarspread.gf import FieldError
+from polarspread.linalg import canonicalize, isin_sorted, point_keys, rref
 from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
 
 
@@ -89,6 +90,19 @@ def test_ovoid_deletion_witness():
     cert = V.check_maximal_ovoid(short, "orthogonal")
     assert cert.verdict == "extendable"
     assert np.array_equal(cert.witness, e.points[0])
+
+
+def test_ovoid_witness_is_reverified(monkeypatch):
+    """The witness for a partial ovoid less one point is that point and
+    passes the re-check; a scan that removes no candidate hands back the
+    first singular point, which is perpendicular to a member and refused."""
+    e = F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric")
+    short = PointFamily(e.space, e.points[1:], Provenance("t", {}), expected_size=None)
+    cert = V.check_maximal_ovoid(short, "orthogonal")
+    assert cert.verdict == "extendable" and np.array_equal(cert.witness, e.points[0])
+    monkeypatch.setattr(V, "in_kernel", lambda keys, masks: np.zeros(len(keys), dtype=bool))
+    with pytest.raises(FieldError, match="witness failed re-verification"):
+        V.check_maximal_ovoid(short, "orthogonal")
 
 
 @given(st.sampled_from([2, 3]), st.data())
@@ -180,6 +194,29 @@ def test_fingerprint_separates_the_two_q8_ovoid_types():
     fs = V.fingerprint(st)
     # recorded expectation: the perp-count multisets differ
     assert fe != fs
+
+
+def fingerprint_by_vbform(fam):
+    """The point-family fingerprint with one `vbform` per member."""
+    space = fam.space
+    sing = space.singular_points()
+    counts = sum((space.vbform(sing, p) == 0).astype(np.int64) for p in fam.points)
+    inside = isin_sorted(point_keys(space.fv, sing), np.sort(point_keys(space.fv, fam.points)))
+    return tuple(sorted(counts[~inside].tolist()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: F.elliptic_or_o5_partial_ovoid(8, "elliptic_quadric"),
+        lambda: F.two_quadrics_ovoid(8),
+        lambda: F.two_quadrics_ovoid(3),
+    ],
+    ids=["ex7.4(8)", "lem7.8(8)", "lem7.8(3)"],
+)
+def test_fingerprint_matches_the_vbform_count(build):
+    fam = build()
+    assert V.fingerprint(fam) == fingerprint_by_vbform(fam)
 
 
 def test_parallel_search_matches_serial():
