@@ -244,6 +244,7 @@ def cmd_table(a) -> int:
         t0 = time.perf_counter()
         try:
             fam = build(family_id, **params)
+            mark = " [exploratory]" if fam.provenance.exploratory else ""
             if triality:
                 fam = F.triality_pointset(fam)
         except (FamilyError, FieldError) as e:
@@ -289,7 +290,7 @@ def cmd_table(a) -> int:
         if verdict not in ("partial", "maximal"):
             failures += 1
         print(
-            f"{row_id} {pstr} expected={fam.expected_size} actual={len(fam)} {verdict}{note} {ms:.0f}ms"
+            f"{row_id} {pstr} expected={fam.expected_size} actual={len(fam)} {verdict}{note}{mark} {ms:.0f}ms"
         )
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 

@@ -4,12 +4,14 @@ Vectors are numpy int64 rows of field-element indices.  A subspace is stored
 as its unique reduced-row-echelon basis, so two equal subspaces compare equal
 byte-for-byte.  Projective points are canonicalized by scaling the first
 nonzero coordinate to 1, and are ordered by their *canonical index*: the
-integer formed by reading the coordinate tuple as base-|tower| digits, most
-significant first.  Every "first point such that ..." rule in the package
-uses this order.
+integer formed by reading the coordinate tuple as digits, most significant
+first, each digit the coordinate's rank in the view's sorted elements.
+Every "first point such that ..." rule in the package uses this order.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,10 +115,15 @@ class Subspace:
         return span_vectors(self.fv, self.mat, self.dim_ambient)
 
     def points(self) -> np.ndarray:
-        """Canonical projective points sorted by canonical index, one row
+        """Canonical projective points in ascending canonical index, one row
         each: the points led by basis row i are row i + span(rows i+1..).
         Rows below i vanish left of their pivots, and at pivot column i only
-        row i is nonzero (= 1), so every such sum is already canonical."""
+        row i is nonzero (= 1), so every such sum is already canonical.  Blocks
+        run from the last row up, so from the latest leading column, the
+        smallest keys.  Within a block the coefficient of row j is the entry
+        at its pivot and the span takes the first row's coefficient as its
+        most significant digit; every entry between two pivots depends only
+        on the coefficients before it, so the order is lexicographic."""
         tw, n = self.fv.tower, self.dim_ambient
         elems = self.fv.elements()
         span = np.zeros((1, n), dtype=np.int64)  # span of the rows below row i
@@ -126,8 +133,7 @@ class Subspace:
             blocks.append(tw.vadd(row[None, :], span))
             if i:
                 span = tw.vadd(tw.vmul(elems[:, None, None], row), span[None]).reshape(-1, n)
-        pts = np.vstack(blocks)
-        return pts[np.argsort(point_keys(self.fv, pts))]
+        return np.vstack(blocks)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
@@ -189,22 +195,24 @@ def canonicalize_points(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     return tw.vmul(rows, scale[:, None])
 
 
-def key_weights(fv: FieldView, dim: int) -> np.ndarray:
-    """Per-coordinate weights packing element indices into an int64, first
-    coordinate most significant.  The field of the packing is the bit width
-    of the largest element index of the view, so keys respect coordinate-lex
-    order, and for characteristic 2 the XOR of two keys is the key of the
-    vector sum."""
-    width = int(fv.elements()[-1]).bit_length()
-    if dim * width > 62:
-        raise FieldError("coordinate packing exceeds int64; space too wide")
-    b = np.int64(1) << width
-    return b ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _ranks(fv: FieldView) -> np.ndarray:
+    """rank[x]: the position of tower index x in the sorted fv.elements()."""
+    ranks = np.zeros(fv.tower.order, dtype=np.int64)
+    ranks[fv.elements()] = np.arange(fv.q, dtype=np.int64)
+    return ranks
 
 
 def point_keys(fv: FieldView, rows: np.ndarray) -> np.ndarray:
-    """Canonical index of each row (packed coordinate tuple)."""
-    return rows @ key_weights(fv, rows.shape[1])
+    """Canonical index of each row: its coordinates' ranks in the view,
+    bit_length(q - 1) bits each, first coordinate most significant.  Ranks
+    keep the order of the elements, so keys order rows lexicographically."""
+    width = (fv.q - 1).bit_length()
+    dim = rows.shape[1]
+    if dim * width > 62:
+        raise FieldError("coordinate packing exceeds int64; space too wide")
+    weights = np.int64(1) << (width * np.arange(dim - 1, -1, -1, dtype=np.int64))
+    return _ranks(fv)[rows] @ weights
 
 
 class KeyPacking:
@@ -239,9 +247,8 @@ class KeyPacking:
         self.q = fv.q
         self.width = width
         # the rank's base-p digits, W bits apart, by tower index
-        ranks = np.arange(fv.q, dtype=np.int64)
-        self.code = np.zeros(fv.tower.order, dtype=np.int64)
-        self.code[fv.elements()] = sum(((ranks // p**k) % p) << (k * width) for k in range(e))
+        ranks = _ranks(fv)
+        self.code = sum(((ranks // p**k) % p) << (k * width) for k in range(e))
         self.weights = np.int64(1) << (e * width * np.arange(dim - 1, -1, -1, dtype=np.int64))
         self.ones = np.int64(sum(1 << (k * width) for k in range(dim * e)))
         self.off = ((1 << (width - 1)) - p) * self.ones

@@ -52,15 +52,20 @@ fewer than (q^t - q^d)/(q - 1) candidates has no completion and is cut.  The
 cut removes only fruitless subtrees, so results and their order do not
 change.
 
-Perpendicularity in characteristic 2 is a bit test on the same keys.  For
-p = 2 a key is the n*e bits of the coordinates' ranks, and ranking is GF(2)-
-linear, so key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f
-is GF(2)-linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the
-parity of key(x) & mask_j, where mask_j marks the key bits b for which the
-basis vector u_b with key 1 << b has bit j set in rank(f(u_b))
+Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
+test, the partial-ovoid test, the ovoid scan, fingerprints and the search's
+filter all ask it.  It reads rows of the dense adjacency matrix
+(`perp_adjacency`) when its caller asks for them: the enumerator always, the
+maximality engine iff it searches at most 4,096 points.  Otherwise, for
+p = 2 keys within 62 bits, it is a bit test on the keys.  For p = 2 a key is
+the n*e bits of the coordinates' ranks, and ranking is GF(2)-linear, so
+key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f is GF(2)-
+linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the parity
+of key(x) & mask_j, where mask_j marks the key bits b for which the basis
+vector u_b with key 1 << b has bit j set in rank(f(u_b))
 (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is even.  The
-functional B(., v) has coefficient row v G^T, so `perp_masks` gives e masks
-per point and a perpendicularity test over many keys is e AND-popcount
+functional B(., v) has coefficient row v G^T, so `Perp` keeps e masks per
+point and a perpendicularity test over many keys is e AND-popcount
 passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
 spaces whose keys need more than 62 bits, use `vbform`.
 
@@ -250,21 +255,9 @@ class FormedSpace:
         except FieldError:
             return None
 
-    def perp_masks(self, vs: np.ndarray) -> np.ndarray:
-        """(len(vs), e) kernel masks of B(., v), coefficient row v G^T, for
-        each row v; needs `bit_packing`.  Blocked to PERP_BLOCK temporaries."""
-        vs = np.atleast_2d(vs)
-        e = self.fv.degree
-        step = max(1, PERP_BLOCK // (self.dim * e * e))
-        blocks = [
-            self.bit_packing.kernel_masks(mat_mul(self.fv, vs[lo : lo + step], self.gram.T))
-            for lo in range(0, max(1, len(vs)), step)
-        ]
-        return np.concatenate(blocks)
-
     # -- predicates ---------------------------------------------------------
     def is_ti(self, sub: Subspace) -> bool:
-        return all(block.all() for _, block in perp_blocks(self, sub.mat))
+        return all(block.all() for _, block in Perp(self, sub.mat).blocks())
 
     def is_ts(self, sub: Subspace) -> bool:
         if self.qcoef is None:
@@ -865,30 +858,59 @@ def klein_point_of_line(space: FormedSpace, line: Subspace) -> np.ndarray:
 # -- canonical-augmentation enumeration ------------------------------------------
 
 
-def perp_blocks(space: FormedSpace, pts: np.ndarray, upper: bool = False):
-    """Yield (lo, block) over row blocks of pts: block[r, c] tells whether
-    pts[lo + r] is perpendicular to pts[c], or, when `upper`, whether
-    pts[lo + r] and pts[lo + 1 + c] are a perpendicular pair i < j.  For
-    p = 2 each block is one kernel-mask test; otherwise each row is one
-    `vbform`."""
-    n = len(pts)
-    bits = space.bit_packing
-    if bits is None:
-        for i in range(n):
-            yield i, (space.vbform(pts[i + 1 if upper else 0 :], pts[i]) == 0)[None, :]
-        return
-    keys, masks = bits.pack(pts), space.perp_masks(pts)
-    step = max(1, PERP_BLOCK // max(1, n))
-    for lo in range(0, n, step):
-        block = in_kernel(keys[None, lo + 1 if upper else 0 :], masks[lo : lo + step, None, :])
-        yield lo, np.triu(block) if upper else block
+class Perp:
+    """B(x, v) = 0 for the points x of `pts` and the vectors v of `vs` (by
+    default `pts`); the only code that chooses how to test it (module
+    docstring): rows of `perp_adjacency(space, pts)` when `dense` (then `vs`
+    is `pts`), else kernel masks of `vs` against the packed keys of `pts`
+    when the space has a `bit_packing`, else `vbform`."""
+
+    def __init__(
+        self, space: FormedSpace, pts: np.ndarray, vs: np.ndarray | None = None, dense: bool = False
+    ):
+        self.space, self.pts = space, pts
+        self.vs = pts if vs is None else vs
+        self.adj = perp_adjacency(space, pts) if dense else None
+        bits = None if dense else space.bit_packing
+        self.keys = self.masks = None
+        if bits is not None:
+            # (len(vs), e) kernel masks of B(., v), coefficient row v G^T, in
+            # blocks of PERP_BLOCK temporaries
+            step = max(1, PERP_BLOCK // (space.dim * space.fv.degree**2))
+            los = range(0, max(1, len(self.vs)), step)
+            coefs = (mat_mul(space.fv, self.vs[lo : lo + step], space.gram.T) for lo in los)
+            self.keys = bits.pack(pts)
+            self.masks = np.concatenate([bits.kernel_masks(c) for c in coefs])
+
+    def to(self, k: int, idx=slice(None)) -> np.ndarray:
+        """Whether each of pts[idx] is perpendicular to vs[k]."""
+        if self.adj is not None:
+            return self.adj[k][idx]
+        if self.keys is not None:
+            return in_kernel(self.keys[idx], self.masks[k])
+        return self.space.vbform(self.pts[idx], self.vs[k]) == 0
+
+    def blocks(self, upper: bool = False):
+        """Yield (lo, block) over row blocks of pts (`vs` is `pts`): block[r, c]
+        tells whether pts[lo + r] is perpendicular to pts[c], or, when
+        `upper`, whether pts[lo + r] and pts[lo + 1 + c] are a perpendicular
+        pair i < j.  A block is one kernel-mask test, otherwise one row."""
+        n = len(self.pts)
+        if self.keys is None:
+            for i in range(n):
+                yield i, self.to(i, slice(i + 1 if upper else 0, None))[None, :]
+            return
+        step = max(1, PERP_BLOCK // max(1, n))
+        for lo in range(0, n, step):
+            keys = self.keys[None, lo + 1 if upper else 0 :]
+            block = in_kernel(keys, self.masks[lo : lo + step, None, :])
+            yield lo, np.triu(block) if upper else block
 
 
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     """Boolean matrix: adj[i, j] iff pts[i] and pts[j] are perpendicular."""
-    n = len(pts)
-    adj = np.zeros((n, n), dtype=bool)
-    for lo, block in perp_blocks(space, pts):
+    adj = np.zeros((len(pts), len(pts)), dtype=bool)
+    for lo, block in Perp(space, pts).blocks():
         adj[lo : lo + len(block)] = block
     return adj
 
@@ -900,23 +922,22 @@ COSET_BLOCK = 1 << 22
 @dataclass
 class FlagSearch:
     """The canonical-augmentation DFS over `pts`, canonical points in
-    ascending canonical index.  `flags()` yields, in DFS order, the index
-    list of every greedy flag of `target` points.  A point is eligible when
-    it is zero at the leading columns of the flag points (the pivot-column
-    test of the module docstring).  A set `space` keeps only candidates
-    perpendicular to every flag point (through `adj` when given, else the
-    space's kernel masks for p = 2, else `vbform`).  `within` also requires
-    every vector of an accepted coset to be a multiple of one of `pts`, the
-    engine's uncovered test; only then are span keys kept.
-    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
-    and a `stop` predicate that turns true raises SearchStopped, both at the
-    next node visited."""
+    ascending canonical index, on keys packed over `fv` in pts.shape[1]
+    coordinates.  `flags()` yields, in DFS order, the index list of every
+    greedy flag of `target` points.  A point is eligible when it is zero at
+    the leading columns of the flag points (the pivot-column test of the
+    module docstring).  A `perp` filter over `pts` keeps only candidates
+    perpendicular to every flag point; the caller picks its dense rule.
+    `within` also requires every vector of an accepted coset to be a
+    multiple of one of `pts`, the engine's uncovered test; only then are
+    span keys kept.  `nodes` counts visited nodes; passing `deadline` raises
+    SearchTimeout, and a `stop` predicate that turns true raises
+    SearchStopped, both at the next node visited."""
 
-    packing: KeyPacking
+    fv: FieldView
     pts: np.ndarray
     target: int
-    space: FormedSpace | None = None
-    adj: np.ndarray | None = None
+    perp: Perp | None = None
     within: bool = False
     deadline: float | None = None
     stop: Callable[[], bool] | None = None
@@ -927,30 +948,21 @@ class FlagSearch:
         nz = self.pts != 0
         self.support = nz @ (np.int64(1) << np.arange(nz.shape[1], dtype=np.int64))
         self.lead = np.int64(1) << np.argmax(nz, axis=1)
+        self.packing = KeyPacking(self.fv, self.pts.shape[1])
         self.keys = self.packing.pack(self.pts)
         self.skeys = self.packing.multiples(self.pts) if self.within else None
         self.allowed = np.sort(self.skeys.ravel()) if self.within else None
-        # keys and kernel masks of B(., pts[i]) in the space's p = 2 packing
-        self.perp_bits = None
-        bits = None if self.space is None else self.space.bit_packing
-        if bits is not None and self.adj is None:
-            self.perp_bits = (bits.pack(self.pts), self.space.perp_masks(self.pts))
-        q = self.packing.q
+        q = self.fv.q
         self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target)]
 
     def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
         """The candidates after point i that survive its filter."""
-        if self.space is None or len(rest) == 0:
+        if self.perp is None or len(rest) == 0:
             return rest
-        if self.adj is not None:
-            return rest[self.adj[i][rest]]
-        if self.perp_bits is not None:
-            keys, masks = self.perp_bits
-            return rest[in_kernel(keys[rest], masks[i])]
-        return rest[self.space.vbform(self.pts[rest], self.pts[i]) == 0]
+        return rest[self.perp.to(i, rest)]
 
     def subspace(self, flag: list[int]) -> Subspace:
-        return canonicalize(self.packing.fv, self.pts[flag], self.pts.shape[1])
+        return canonicalize(self.fv, self.pts[flag], self.pts.shape[1])
 
     def grow(self, span: np.ndarray, i: int) -> np.ndarray:
         """Keys of <span, pts[i]>: span plus every lambda pts[i] + s."""
@@ -979,10 +991,11 @@ class FlagSearch:
             return
         if len(cand) < self.need[depth]:
             return
+        leaf = depth + 1 == self.target  # a leaf child reads neither its candidates nor its span
         for pos in self._eligible(cand, piv, span):
             i = int(cand[pos])
-            rest = self.rest_after(i, cand[pos + 1 :])
-            grown = None if span is None else self.grow(span, i)
+            rest = cand[pos + 1 :] if leaf else self.rest_after(i, cand[pos + 1 :])
+            grown = None if span is None or leaf else self.grow(span, i)
             yield from self._below(flag + [i], piv | self.lead[i], grown, rest)
 
     def _eligible(self, cand: np.ndarray, piv: np.int64, span: np.ndarray | None) -> np.ndarray:
@@ -1003,8 +1016,7 @@ class FlagSearch:
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
     if len(pts) == 0:
         return []
-    packing = KeyPacking(space.fv, space.dim)
-    search = FlagSearch(packing, pts, target, space=space, adj=perp_adjacency(space, pts))
+    search = FlagSearch(space.fv, pts, target, perp=Perp(space, pts, dense=True))
     results: list[Subspace] = []
     for flag in search.flags():
         results.append(search.subspace(flag))
@@ -1025,6 +1037,6 @@ def iter_subspaces(fv: FieldView, container: Subspace, k: int):
     same as a search over ambient keys."""
     pts = container.points()
     pivots = np.argmax(container.mat != 0, axis=1)
-    search = FlagSearch(KeyPacking(fv, container.dim), pts[:, pivots], k)
+    search = FlagSearch(fv, pts[:, pivots], k)
     for flag in search.flags():
         yield canonicalize(fv, pts[flag], container.dim_ambient)

@@ -20,13 +20,11 @@ keeps the witness from the lowest-ranked branch.
 
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
-live candidates is narrowed once per member, so the first index left is the
-first witness in canonical order; like a spread witness, it is re-checked
-by the partial-ovoid predicate before it is returned.  For p = 2 each
-narrowing is the kernel-mask test of the `spaces` docstring: rank(B(x, p))
-is GF(2)-linear in key(x), so B(x, p) = 0 iff every parity of
-key(x) & mask_j is even; odd p keeps `vbform`.  The hyperplane census counts the zeros of x . phi for all
-hyperplanes phi at once, as a blocked field product hyperplanes x points.
+live candidates is narrowed once per member by `spaces.Perp`, so the first
+index left is the first witness in canonical order; like a spread witness,
+it is re-checked by the partial-ovoid predicate before it is returned.  The
+hyperplane census counts the zeros of x . phi for all hyperplanes phi at
+once, as a blocked field product hyperplanes x points.
 """
 
 from __future__ import annotations
@@ -40,25 +38,15 @@ import numpy as np
 
 from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
-from .linalg import (
-    KeyPacking,
-    Subspace,
-    all_points,
-    canonicalize,
-    in_kernel,
-    isin_sorted,
-    mat_mul,
-    point_keys,
-)
+from .linalg import Subspace, all_points, canonicalize, isin_sorted, mat_mul, point_keys
 from .spaces import (
     PERP_BLOCK,
     FlagSearch,
     FormedSpace,
     OutOfDeskScale,
+    Perp,
     SearchStopped,
     SearchTimeout,
-    perp_adjacency,
-    perp_blocks,
 )
 
 ENGINE_VERSION = "1"
@@ -140,7 +128,7 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
             return False
         if np.any(space.vqform(pts)):
             return False
-    return not any(block.any() for _, block in perp_blocks(space, pts, upper=True))
+    return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
 
 
 def universe_points(space: FormedSpace, mode: str) -> np.ndarray:
@@ -218,16 +206,11 @@ def check_maximal_ovoid(
         )
     cands = universe_points(space, "singular" if flavor == "orthogonal" else "any_point")
     alive = np.arange(len(cands))  # ascending: alive[0] is the first witness
-    bits = space.bit_packing
-    if bits is not None:
-        keys, masks = bits.pack(cands), space.perp_masks(fam.points)
-    for k, p in enumerate(fam.points):
+    perp = Perp(space, cands, fam.points)
+    for k in range(len(fam.points)):
         if len(alive) == 0:
             break
-        if bits is not None:
-            alive = alive[~in_kernel(keys[alive], masks[k])]
-        else:
-            alive = alive[space.vbform(cands[alive], p) != 0]
+        alive = alive[~perp.to(k, alive)]
     nodes = len(cands)
     ms = (time.perf_counter() - t0) * 1000
     if len(alive):
@@ -261,16 +244,11 @@ def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
 
 
 def _build_search(space, flavor, pts, deadline) -> FlagSearch:
-    use_form = flavor in ("symplectic", "orthogonal")
-    return FlagSearch(
-        KeyPacking(space.fv, space.dim),
-        pts,
-        space.dim // 2,
-        space=space if use_form else None,
-        adj=perp_adjacency(space, pts) if use_form and 0 < len(pts) <= 4096 else None,
-        within=True,
-        deadline=deadline,
-    )
+    perp = None
+    if flavor in ("symplectic", "orthogonal"):
+        # dense rows take n^2 bytes, copied to every --jobs worker
+        perp = Perp(space, pts, dense=0 < len(pts) <= 4096)
+    return FlagSearch(space.fv, pts, space.dim // 2, perp=perp, within=True, deadline=deadline)
 
 
 def check_maximal_spread(
@@ -505,11 +483,9 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         fam_keys = np.sort(point_keys(space.fv, fam.points))
         keys = point_keys(space.fv, sing)
         inside = isin_sorted(keys, fam_keys)
-        bits = space.bit_packing
-        if bits is not None:
-            packed, masks = bits.pack(sing), space.perp_masks(fam.points)
-        for k, p in enumerate(fam.points):
-            counts += in_kernel(packed, masks[k]) if bits is not None else space.vbform(sing, p) == 0
+        perp = Perp(space, sing, fam.points)
+        for k in range(len(fam.points)):
+            counts += perp.to(k)
         return tuple(sorted(counts[~inside].tolist()))
     space = fam.space
     expected = _maximal_ts_count(space)

@@ -17,6 +17,7 @@ from polarspread.spaces import (
     MAX_ENUM_POINTS,
     FormedSpace,
     OutOfDeskScale,
+    Perp,
     ominus4_space,
     oplus_space,
     parabolic_space,
@@ -60,9 +61,8 @@ def vectors(fv, dim, rng, limit=256):
 
 
 def assert_masks_match_vbform(space, vecs):
-    keys = space.bit_packing.pack(vecs)
-    masks = space.perp_masks(vecs)
-    got = in_kernel(keys[None, :], masks[:, None, :])
+    perp = Perp(space, vecs)
+    got = in_kernel(perp.keys[None, :], perp.masks[:, None, :])
     want = np.array([space.vbform(vecs, v) == 0 for v in vecs])
     assert np.array_equal(got, want)
 

@@ -118,6 +118,31 @@ def test_table_subset(capsys):
     assert "thm3.1" in out and "thm8.1" in out and "maximal" in out
 
 
+def test_table_marks_exploratory_rows(capsys):
+    """thm7.2 at q = 4 lies outside its proven window, as `construct`
+    says; a row inside its window carries no mark."""
+    assert run(["table", "--rows", "thm7.2,thm3.1"]) == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    assert "maximal [exploratory]" in rows["thm7.2"]
+    assert "[exploratory]" not in rows["thm3.1"]
+    assert run(["construct", "thm7.2", "--q", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        (["prop4.1", "--q", "8", "--m", "2"], 513),
+        (["thm3.1", "--q", "4", "--m", "2"], 241),
+        (["desarguesian", "--q", "4", "--n", "4"], 257),
+    ],
+)
+def test_construct_in_spaces_keyed_by_view_ranks(capsys, argv, size):
+    """Point keys take bit_length(q - 1) bits a coordinate, not the width of
+    the tower's largest index, so these spaces over subfield views fit."""
+    assert run(["construct", *argv]) == 0
+    assert f"size={size} expected={size}" in capsys.readouterr().out
+
+
 def test_table_unknown_rows(capsys):
     assert run(["table", "--rows", "zzz"]) == 2
     assert run(["table", "--rows", "thm3.1,zzz"]) == 2

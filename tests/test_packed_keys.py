@@ -22,13 +22,13 @@ from polarspread.gf import PRIMITIVE_POLYS, FieldView, standalone
 from polarspread.linalg import (
     KeyPacking,
     canonicalize,
-    key_weights,
     point_keys,
     rref,
 )
 from polarspread.spaces import (
     MAX_ENUM_POINTS,
     FlagSearch,
+    Perp,
     iter_subspaces,
     ominus4_space,
     oplus_space,
@@ -134,7 +134,7 @@ def coset_canonical_keys(fv, cands, span_vecs):
     lead = np.argmax(flat != 0, axis=1)
     vals = flat[np.arange(len(flat)), lead]
     flat = tw.vmul(flat, tw.vinv(np.where(vals == 0, 1, vals))[:, None])
-    return (flat @ key_weights(fv, dim)).reshape(len(cands), -1)
+    return point_keys(fv, flat).reshape(len(cands), -1)
 
 
 def grow_rows(fv, span_vecs, p):
@@ -187,8 +187,7 @@ def enumeration_oracle(space):
 def enumerator_search(space):
     """The FlagSearch that `maximal_totally_singular` runs."""
     pts = space.singular_points()
-    packing = KeyPacking(space.fv, space.dim)
-    return FlagSearch(packing, pts, space.witt_index, space=space, adj=perp_adjacency(space, pts))
+    return FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=True))
 
 
 def engine_oracle(fam, flavor):
@@ -342,6 +341,67 @@ def test_engine_matches_row_vector_oracle(name):
     cert = V.check_maximal_spread(fam, flavor)
     verdict, witness, nodes = engine_oracle(fam, flavor)
     assert (cert.verdict, cert.witness, cert.nodes) == (verdict, witness, nodes)
+
+
+DENSE_CASES = {
+    # 4,165 uncovered points in characteristic 2: the engine uses kernel masks
+    "ex7.4(4)-triality-last": (
+        lambda: _short(F.triality_pointset(F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric"))),
+        "orthogonal",
+    ),
+    # the engine uses dense rows; the alternative is vbform for odd p, else masks
+    "lem7.8(3)-triality-last": (
+        lambda: _short(F.triality_pointset(F.two_quadrics_ovoid(3))),
+        "orthogonal",
+    ),
+    "lem7.8(3)-triality": (lambda: F.triality_pointset(F.two_quadrics_ovoid(3)), "orthogonal"),
+    "thm5.2i(2,2)": (lambda: F.grassl_spread(2, 2, "i"), "symplectic"),
+}
+
+
+@pytest.mark.parametrize("name", list(DENSE_CASES))
+def test_engine_is_the_same_with_and_without_dense_rows(name):
+    build, flavor = DENSE_CASES[name]
+    fam = build()
+    space = fam.space
+    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    cert = V.check_maximal_spread(fam, flavor)
+    for dense in (True, False):
+        search = FlagSearch(
+            space.fv, pts, space.dim // 2, perp=Perp(space, pts, dense=dense), within=True
+        )
+        flag = next(search.flags(), None)
+        witness = None if flag is None else search.subspace(flag)
+        assert (witness, search.nodes) == (cert.witness, cert.nodes), dense
+
+
+@pytest.mark.parametrize("space", [oplus_space(2, 4), oplus_space(3, 3)], ids=repr)
+def test_rest_after_is_the_same_with_and_without_dense_rows(space):
+    """At every node the enumerator visits, dense rows and the kernel-mask
+    (p = 2) or vbform (odd p) filter keep the same candidates."""
+    pts = space.singular_points()
+    dense, sparse = (
+        FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=d))
+        for d in (True, False)
+    )
+    assert sparse.perp.adj is None and (sparse.perp.keys is None) == (space.fv.p != 2)
+    compared = 0
+
+    def walk(flag, cand):
+        nonlocal compared
+        if len(flag) == dense.target or len(cand) < dense.need[len(flag)]:
+            return
+        for pos in dense._eligible(cand, np.bitwise_or.reduce(dense.lead[flag]), None):
+            i = int(cand[pos])
+            rest = dense.rest_after(i, cand[pos + 1 :])
+            assert np.array_equal(sparse.rest_after(i, cand[pos + 1 :]), rest), flag + [i]
+            compared += 1
+            walk(flag + [i], rest)
+
+    walk([], np.arange(len(pts)))
+    assert compared > len(space.maximal_totally_singular())
+    assert list(dense.flags()) == list(sparse.flags())
+    assert dense.nodes == sparse.nodes
 
 
 @pytest.mark.parametrize(

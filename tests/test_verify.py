@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarspread import families as F
+from polarspread import spaces
 from polarspread import verify as V
 from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
@@ -100,7 +101,8 @@ def test_ovoid_witness_is_reverified(monkeypatch):
     short = PointFamily(e.space, e.points[1:], Provenance("t", {}), expected_size=None)
     cert = V.check_maximal_ovoid(short, "orthogonal")
     assert cert.verdict == "extendable" and np.array_equal(cert.witness, e.points[0])
-    monkeypatch.setattr(V, "in_kernel", lambda keys, masks: np.zeros(len(keys), dtype=bool))
+    # the scan asks Perp.to; the p = 2 re-check reads Perp.blocks, which it leaves alone
+    monkeypatch.setattr(spaces.Perp, "to", lambda self, k, idx: np.zeros(len(idx), dtype=bool))
     with pytest.raises(FieldError, match="witness failed re-verification"):
         V.check_maximal_ovoid(short, "orthogonal")
 
