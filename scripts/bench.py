@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Record a benchmark delta as BENCH_<n>.json.
+
+    python3 scripts/bench.py --n 8 --parent ../parent --pairs 10 --seconds 30
+
+Runs each checkout's own ``perfbench/run.py`` (unchanged, ``--trace 0``) in
+alternating pairs, the parent first in odd pairs, with one seed per pair,
+and writes for every workload and column the median and quartiles of the
+five end-to-end metrics, every run's values, and in how many pairs the
+change read lower.  It also times criterion 5 (``pytest
+tests/test_acceptance.py -k c05``) in each checkout and records which line
+it printed.  Without ``--parent`` only the change column is written.
+
+Give each side a fresh ``git clone``: runs set PYTHONDONTWRITEBYTECODE, so
+neither side reads or writes bytecode caches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb", "ok_frac")
+WORKLOADS = ("engine", "enumerate", "ovoid", "construct")
+
+
+def env(extra: dict | None = None) -> dict:
+    out = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out.pop("PYTHONPATH", None)
+    out.update(extra or {})
+    return out
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env(), capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": res["correct"], **{m: res["metrics"][m]["value"] for m in METRICS}}
+
+
+def run_c5(checkout: Path, budget: str | None) -> dict:
+    extra = {"PYTHONPATH": "src"} | ({"POLARSPREAD_C5_BUDGET": budget} if budget else {})
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+           "tests/test_acceptance.py", "-k", "c05", "--durations=0"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env(extra), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    call = re.search(r"([\d.]+)s call\s+\S*test_c05", proc.stdout)
+    line = next((ln.strip() for ln in proc.stdout.splitlines() if "O+(16,2)" in ln), None)
+    return {"exit": proc.returncode, "call_s": float(call.group(1)) if call else None,
+            "wall_s": round(wall, 2), "budget_s": budget or "default", "report": line}
+
+
+def summary(values: list[float]) -> dict:
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return {"median": statistics.median(values), "q1": q[0], "q3": q[2], "runs": values}
+
+
+def revision(checkout: Path) -> dict:
+    """The checkout's commit and the tree of its src/, which outlives an
+    amended commit message."""
+    def rev(name):
+        proc = subprocess.run(["git", "rev-parse", name], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() or None
+
+    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src")}
+
+
+def machine() -> dict:
+    model = None
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        model = next((ln.split(":", 1)[1].strip() for ln in cpuinfo.read_text().splitlines()
+                      if ln.startswith("model name")), None)
+    import numpy
+
+    return {"platform": platform.platform(), "cpu": model or platform.processor(),
+            "cpus": os.cpu_count(), "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n", type=int, required=True, help="writes BENCH_<n>.json")
+    ap.add_argument("--change", type=Path, default=ROOT, help="checkout of the change")
+    ap.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--workloads", default=",".join(WORKLOADS))
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
+    ap.add_argument("--c5-budget", help="POLARSPREAD_C5_BUDGET for criterion 5 (default: none)")
+    ap.add_argument("--no-c5", action="store_true")
+    ap.add_argument("--out", type=Path, help="default: BENCH_<n>.json in the change checkout")
+    a = ap.parse_args(argv)
+
+    sides = {"change": a.change.resolve()}
+    if a.parent:
+        sides = {"parent": a.parent.resolve(), **sides}
+    out = {
+        "n": a.n,
+        "machine": machine(),
+        "settings": {"pairs": a.pairs, "seconds": a.seconds, "first_seed": a.seed,
+                     "command": "perfbench/run.py --trace 0"},
+        "columns": {name: revision(path) for name, path in sides.items()},
+        "workloads": {},
+    }
+    for workload in a.workloads.split(","):
+        runs: dict[str, list[dict]] = {name: [] for name in sides}
+        for i in range(a.pairs):
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            for name in order:
+                res = run_bench(sides[name], workload, a.seed + i, a.seconds)
+                runs[name].append(res)
+                print(f"{workload} pair {i + 1} {name}: {res}", file=sys.stderr)
+        entry = {name: {"correct": all(r["correct"] for r in rs),
+                        **{m: summary([r[m] for r in rs]) for m in METRICS}}
+                 for name, rs in runs.items()}
+        if "parent" in runs:
+            entry["change_lower"] = {
+                m: f"{sum(c[m] < p[m] for p, c in zip(runs['parent'], runs['change']))}/{a.pairs}"
+                for m in METRICS
+            }
+        out["workloads"][workload] = entry
+    if not a.no_c5:
+        out["c5"] = {name: run_c5(path, a.c5_budget) for name, path in sides.items()}
+    path = a.out or sides["change"] / f"BENCH_{a.n}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -131,21 +131,25 @@ def _require_partial_spread(fam: SubspaceFamily, flavor: str) -> SubspaceFamily:
 
 
 @lru_cache(maxsize=None)
-def trace_tower(q: int, n: int, mid: int | None = None) -> gf.FieldTower:
+def trace_tower(q: int, n: int, mid: int | None = None, base: int | None = None) -> gf.FieldTower:
+    """GF(q^n) designating GF(p), GF(q), GF(q^mid) and GF(p^base) (a
+    descent target)."""
     p, e = gf._factor_prime_power(q)
     degs = {1, e, e * n}
     if mid:
         degs.add(e * mid)
+    if base:
+        degs.add(base)
     return gf.tower(p, e * n, tuple(sorted(degs)))
 
 
 class TraceSymplecticSpace:
     """The K-space F + F with f((x,y),(x',y')) = T(xy') - T(x'y)."""
 
-    def __init__(self, q: int, n: int, mid: int | None = None):
+    def __init__(self, q: int, n: int, mid: int | None = None, base: int | None = None):
         self.q = q
         self.n = n
-        tw = trace_tower(q, n, mid)
+        tw = trace_tower(q, n, mid, base)
         p, e = gf._factor_prime_power(q)
         self.tw = tw
         self.kdeg = e
@@ -180,13 +184,18 @@ class TraceSymplecticSpace:
 
 
 @lru_cache(maxsize=None)
-def _trace_space(q: int, n: int, mid: int | None = None) -> TraceSymplecticSpace:
-    return TraceSymplecticSpace(q, n, mid)
+def _trace_space(
+    q: int, n: int, mid: int | None = None, base: int | None = None
+) -> TraceSymplecticSpace:
+    return TraceSymplecticSpace(q, n, mid, base)
 
 
-def desarguesian_symplectic_spread(q: int, n: int, mid: int | None = None) -> SubspaceFamily:
-    """The t.i. n-spaces [x=0] and [y=ax] of Sp(2n,q) in trace coordinates."""
-    ts = _trace_space(q, n, mid)
+def desarguesian_symplectic_spread(
+    q: int, n: int, mid: int | None = None, base: int | None = None
+) -> SubspaceFamily:
+    """The t.i. n-spaces [x=0] and [y=ax] of Sp(2n,q) in trace coordinates,
+    over `trace_tower(q, n, mid, base)`."""
+    ts = _trace_space(q, n, mid, base)
     members = [ts.member_x0()]
     for a in ts.tw.subfield_elements(ts.fdeg).tolist():
         members.append(ts.member_slope(a))
@@ -265,15 +274,14 @@ def _orthogonal_spread_cached(q: int, m: int, base_deg: int | None) -> SubspaceF
         raise FamilyError("orthogonal spreads require even q")
     if m < 2:
         raise FamilyError("need 4m >= 8")
-    ts = _trace_space(q, 2 * m - 1)
-    fv = ts.kview if base_deg is None else FieldView(ts.tw, base_deg)
+    ts = _trace_space(q, 2 * m - 1, base=base_deg)
     space = oplus_space_over(ts.kview, 2 * m)
     z = space.first_nonsingular_point()
     proj = ZProjection(space, z)
     from .spaces import find_isometry
 
     iso = find_isometry(ts.space, proj.quotient)
-    spread = desarguesian_symplectic_spread(q, 2 * m - 1)
+    spread = desarguesian_symplectic_spread(q, 2 * m - 1, base=base_deg)
     members = [proj.lift(iso.subspace(x), TsType.SAME) for x in spread.members]
     fam = SubspaceFamily(
         space,
@@ -284,10 +292,14 @@ def _orthogonal_spread_cached(q: int, m: int, base_deg: int | None) -> SubspaceF
     return _require_partial_spread(fam, "orthogonal")
 
 
-def orthogonal_spread(q: int, m: int) -> SubspaceFamily:
+def orthogonal_spread(q: int, m: int, base_deg: int | None = None) -> SubspaceFamily:
     """O+(4m,q) spread of size q^(2m-1)+1, even q: the desarguesian
-    Sp(4m-2,q) spread lifted through a nonsingular point."""
-    return _orthogonal_spread_cached(q, m, None)
+    Sp(4m-2,q) spread lifted through a nonsingular point.  Its field tower
+    also designates degree `base_deg`, a descent target; a tower that
+    designates it anyway is the one built without it."""
+    if base_deg is not None and base_deg in trace_tower(q, 2 * m - 1).designated:
+        base_deg = None
+    return _orthogonal_spread_cached(q, m, base_deg)
 
 
 def descended_spread(q: int, m: int, k: int) -> SubspaceFamily:
@@ -306,7 +318,7 @@ def descended_spread(q: int, m: int, k: int) -> SubspaceFamily:
         dm = field_descend(ctx.fspace, e)
         members = [dm.subspace(x) for x in ctx.sigma_members()]
     else:
-        big = _orthogonal_spread_cached(q**k, m, None)
+        big = orthogonal_spread(q**k, m, e)
         dm = field_descend(big.space, e)
         members = [dm.subspace(x) for x in big.members]
     fam = SubspaceFamily(

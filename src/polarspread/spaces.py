@@ -37,9 +37,25 @@ this test, so it is zero at the leading columns of the points before it, and
 the pivot columns of S are exactly the flag points' leading columns.  The
 test is therefore one AND, in every characteristic: of c's support bits (its
 nonzero coordinates) with the OR of the flag points' leading-column bits.
-Only the engine's uncovered test needs the coset itself.  It keeps the span
-as the keys of all its vectors and checks the keys of c + s, s in S: the
-rest of the coset are their multiples, lambda c + s = lambda (c + s/lambda).
+
+Line rows.  The maximality engine lists the uncovered points and accepts c
+only if every point of <S, c> outside S is listed.  Every vector
+lambda c + s (lambda != 0) is a multiple of c + s/lambda, so the points of
+<S, c> outside S are the q^d points c + s, s in S.  Row G[x] of the
+line-compatibility graph holds the listed j such that every point of the
+line xj other than x is listed: the keys of j + lambda x, lambda != 0, are
+multiples of listed points.  Let c have its coset modulo S listed and let j
+be a child.  A point of <S, j, c> outside <S, j> is c + s or
+c + mu (j + s/mu) with mu != 0, a point of the line from c to the point
+j + s/mu; so c has its coset modulo <S, j> listed iff c lies in G[j + s]
+for every s in S.  A node therefore keeps as its candidates exactly the
+points whose coset is listed, as a bitset: a child's are the parent's after
+j, ANDed with the q^d rows G[j + s].  The eligible children are the ones a
+per-coset test would accept, in the same order.  For the symplectic flavor
+G[x] also requires j perpendicular to x, which keeps every candidate
+perpendicular to every flag point.  The orthogonal flavor needs no such
+test: for singular x and j, Q(j + lambda x) = lambda B(x, j), so a listed
+line through x and j has B(x, j) = 0.
 
 Count bound.  Let W, of dimension t, complete a node of depth d: the flag
 p_1..p_d is an initial segment of W's greedy chain, with span S_d.  Every
@@ -47,17 +63,18 @@ point of W lies in the search's point list (W is totally singular, or
 uncovered in the engine).  By induction on d, every point x of W outside S_d
 is a candidate: x lies outside S_(d-1), so it was a candidate one level up;
 x is larger than p_d, the minimum of W outside S_(d-1); and x passes p_d's
-filter, perpendicularity, because W is totally isotropic.  So a node with
-fewer than (q^t - q^d)/(q - 1) candidates has no completion and is cut.  The
-cut removes only fruitless subtrees, so results and their order do not
-change.
+filter, perpendicularity (W is totally isotropic) or, in the engine, the
+rows G[p_d + s] (every point of W is listed).  So a node with fewer than
+(q^t - q^d)/(q - 1) candidates has no completion and is cut.  The cut
+removes only fruitless subtrees, so results and their order do not change;
+the engine's candidate sets are smaller, so it cuts more.
 
 Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
-test, the partial-ovoid test, the ovoid scan, fingerprints and the search's
-filter all ask it.  It reads rows of the dense adjacency matrix
-(`perp_adjacency`) when its caller asks for them: the enumerator always, the
-maximality engine iff it searches at most 4,096 points.  Otherwise, for
-p = 2 keys within 62 bits, it is a bit test on the keys.  For p = 2 a key is
+test, the partial-ovoid test, the ovoid scan, fingerprints, the symplectic
+line rows and the enumerator's filter all ask it.  It reads rows of the
+dense adjacency matrix (`perp_adjacency`) when its caller asks for them, as
+the enumerator does.  Otherwise, for p = 2 keys within 62 bits, it is a bit
+test on the keys.  For p = 2 a key is
 the n*e bits of the coordinates' ranks, and ranking is GF(2)-linear, so
 key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f is GF(2)-
 linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the parity
@@ -99,7 +116,6 @@ from .linalg import (
     canonicalize_points,
     express,
     in_kernel,
-    isin_sorted,
     mat_mul,
     rref,
 )
@@ -890,6 +906,15 @@ class Perp:
             return in_kernel(self.keys[idx], self.masks[k])
         return self.space.vbform(self.pts[idx], self.vs[k]) == 0
 
+    def rows(self, ks: np.ndarray) -> np.ndarray:
+        """(len(ks), len(pts)): whether each point is perpendicular to vs[k]."""
+        if self.adj is not None:
+            return self.adj[ks]
+        if self.keys is not None:
+            return in_kernel(self.keys[None, :], self.masks[ks, None, :])
+        fv = self.space.fv
+        return mat_mul(fv, mat_mul(fv, self.vs[ks], self.space.gram.T), self.pts.T) == 0
+
     def blocks(self, upper: bool = False):
         """Yield (lo, block) over row blocks of pts (`vs` is `pts`): block[r, c]
         tells whether pts[lo + r] is perpendicular to pts[c], or, when
@@ -915,8 +940,160 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     return adj
 
 
-# keys of the uncovered test evaluated per block of candidates
-COSET_BLOCK = 1 << 22
+# int64 keys per block of line-graph rows built at once
+LINE_BLOCK = 1 << 18
+# largest vector count q^dim whose keys are looked up in a dense table
+DENSE_KEYS = 1 << 20
+# uint64 words of the candidate bitsets of one chunk of children
+CHUNK_WORDS = 1 << 18
+ALL_BITS = np.uint64(2**64 - 1)
+
+
+class LineGraph:
+    """Line-compatibility rows over `pts`, the listed points of a search, on
+    their keys packed by `packing` (module docstring).  Row G[x] is the
+    bitset of the j in pts such that every point of the line xj other than x
+    is listed: the keys of j + lambda x, lambda != 0, are multiples of listed
+    points.  With a `perp` over pts, G[x] also requires j perpendicular to x.
+    Bit j of a bitset is bit j % 64 of uint64 word j // 64.
+
+    A key is mapped to its point by a dense table indexed by
+    `KeyPacking.number` when fv^dim has at most DENSE_KEYS vectors, otherwise
+    by a sorted array of the points' multiples.
+    Rows are built on first use, in blocks of at most LINE_BLOCK keys, into
+    a slot matrix that grows on demand.  A pickled graph carries no rows or
+    table, so each worker process builds its own."""
+
+    def __init__(self, packing: KeyPacking, pts: np.ndarray, keys: np.ndarray, perp: Perp | None):
+        self.packing, self.pts, self.keys, self.perp = packing, pts, keys, perp
+        self.words = (len(pts) + 63) // 64
+        self.built, self.build_s = 0, 0.0
+        self._reset()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for name in ("mult", "table", "owner", "sorted", "slot", "store", "used"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._reset()
+
+    def _reset(self):
+        pk, n = self.packing, len(self.pts)
+        self.mult = pk.multiples(self.pts)  # (n, q - 1): the keys of each point's multiples
+        self.table = self.sorted = self.owner = None
+        flat = self.mult.ravel()
+        owner = np.repeat(np.arange(n, dtype=np.int64), self.mult.shape[1])
+        span = pk.q ** len(pk.weights)
+        if span <= DENSE_KEYS:
+            self.table = np.full(span, -1, dtype=np.int32)
+            self.table[pk.number(flat)] = owner
+        else:
+            order = np.argsort(flat)
+            self.sorted, self.owner = flat[order], owner[order]
+        self.slot = np.full(n, -1, dtype=np.int64)
+        self.store = np.zeros((0, self.words), dtype=np.uint64)
+        self.used = 0
+
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        """The index of the listed point each key is a multiple of, else -1."""
+        if self.table is not None:
+            return self.table[self.packing.number(keys)]
+        if len(self.sorted) == 0:
+            return np.full(np.shape(keys), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
+        return np.where(self.sorted[pos] == keys, self.owner[pos], -1)
+
+    def rows(self, idx: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """(len(idx), hi - lo) words lo..hi-1, by default all, of the rows of
+        the points idx."""
+        slots = self.slot[idx]
+        if (slots < 0).any():
+            self._build(np.unique(idx[slots < 0]))
+            slots = self.slot[idx]
+        return self.store[slots, lo:hi]
+
+    def _build(self, xs: np.ndarray) -> None:
+        t0 = time.perf_counter()
+        n, mult = len(self.pts), self.mult
+        step = max(1, LINE_BLOCK // (n * mult.shape[1]))
+        for lo in range(0, len(xs), step):
+            x = xs[lo : lo + step]
+            line = self.packing.kadd(self.keys[None, :, None], mult[x][:, None, :])
+            ok = (self.index(line) >= 0).all(axis=2)
+            if self.perp is not None:
+                ok &= self.perp.rows(x)
+            self._store(x, self.pack(ok))
+        self.built += len(xs)
+        self.build_s += time.perf_counter() - t0
+
+    def _store(self, x: np.ndarray, rows: np.ndarray) -> None:
+        used, top = self.used, self.used + len(x)
+        if top > len(self.store):
+            grown = np.empty((max(top, 2 * len(self.store), 64), self.words), dtype=np.uint64)
+            grown[:used] = self.store[:used]
+            self.store = grown
+        self.store[used:top] = rows
+        self.slot[x] = np.arange(used, top)
+        self.used = top
+
+    def pack(self, ok: np.ndarray) -> np.ndarray:
+        """Bitsets of the rows of a (m, len(pts)) bool array."""
+        out = np.zeros((len(ok), self.words * 8), dtype=np.uint8)
+        out[:, : (ok.shape[1] + 7) // 8] = np.packbits(ok, axis=1, bitorder="little")
+        return out.view("<u8")
+
+    def members(self, bits: np.ndarray, lo: int) -> np.ndarray:
+        """Ascending indices of the set bits of a bitset window that starts
+        at word lo."""
+        return np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little")) + 64 * lo
+
+    def after(self, idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """(len(idx), hi - lo) words lo..hi-1 of the bitsets of the indices
+        above each of idx (each at or after word lo)."""
+        word = idx // 64 - lo
+        out = np.where(np.arange(hi - lo) > word[:, None], ALL_BITS, np.uint64(0))
+        low = (np.uint64(2) << (idx % 64).astype(np.uint64)) - np.uint64(1)
+        out[np.arange(len(idx)), word] = ~low
+        return out
+
+    def coset(self, idx: np.ndarray, span: np.ndarray) -> np.ndarray:
+        """(len(idx), q^d) indices of the points j + s, s in a d-dimensional
+        span given by the indices of its points: j itself, then the points
+        j + lambda p of the lines from j through the span's points p."""
+        if len(span) == 0:
+            return idx[:, None]
+        line = self.packing.kadd(self.keys[idx][:, None], self.mult[span].ravel()[None, :])
+        return np.concatenate([idx[:, None], self.index(line)], axis=1)
+
+
+@dataclass
+class SearchStats:
+    """Counters of a FlagSearch: nodes visited by depth (a child skipped by
+    the one-pass count is counted as visited), children skipped, line-graph
+    rows built and the seconds spent building them."""
+
+    depth_nodes: np.ndarray
+    skipped: int = 0
+    rows: int = 0
+    rows_s: float = 0.0
+
+    def __add__(self, other: "SearchStats") -> "SearchStats":
+        return SearchStats(
+            self.depth_nodes + other.depth_nodes,
+            self.skipped + other.skipped,
+            self.rows + other.rows,
+            self.rows_s + other.rows_s,
+        )
+
+    def __sub__(self, other: "SearchStats") -> "SearchStats":
+        return self + SearchStats(-other.depth_nodes, -other.skipped, -other.rows, -other.rows_s)
+
+    @property
+    def nodes(self) -> int:
+        return int(self.depth_nodes.sum())
 
 
 @dataclass
@@ -928,20 +1105,24 @@ class FlagSearch:
     the leading columns of the flag points (the pivot-column test of the
     module docstring).  A `perp` filter over `pts` keeps only candidates
     perpendicular to every flag point; the caller picks its dense rule.
-    `within` also requires every vector of an accepted coset to be a
-    multiple of one of `pts`, the engine's uncovered test; only then are
-    span keys kept.  `nodes` counts visited nodes; passing `deadline` raises
-    SearchTimeout, and a `stop` predicate that turns true raises
-    SearchStopped, both at the next node visited."""
+
+    With `lines` (the maximality engine), a node's candidates are also
+    those whose whole coset <S, c> minus S is listed, kept as a bitset and
+    narrowed by the rows of a `LineGraph`, into which `perp` is folded.  A
+    node then counts its children's candidates in one pass, chunk by chunk,
+    and skips, counted as visited, each child below the count bound.
+
+    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
+    and a `stop` predicate that turns true raises SearchStopped, both at the
+    next node entered."""
 
     fv: FieldView
     pts: np.ndarray
     target: int
     perp: Perp | None = None
-    within: bool = False
+    lines: bool = False
     deadline: float | None = None
     stop: Callable[[], bool] | None = None
-    nodes: int = 0
 
     def __post_init__(self):
         # bit c stands for coordinate c: every nonzero one, and the leading one
@@ -950,10 +1131,24 @@ class FlagSearch:
         self.lead = np.int64(1) << np.argmax(nz, axis=1)
         self.packing = KeyPacking(self.fv, self.pts.shape[1])
         self.keys = self.packing.pack(self.pts)
-        self.skeys = self.packing.multiples(self.pts) if self.within else None
-        self.allowed = np.sort(self.skeys.ravel()) if self.within else None
+        self.graph = LineGraph(self.packing, self.pts, self.keys, self.perp) if self.lines else None
         q = self.fv.q
-        self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target)]
+        self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target + 1)]
+        self.depth_nodes = [0] * (self.target + 1)
+        self.skipped = 0
+
+    @property
+    def nodes(self) -> int:
+        return sum(self.depth_nodes)
+
+    def stats(self) -> SearchStats:
+        g = self.graph
+        return SearchStats(
+            np.array(self.depth_nodes, dtype=np.int64),
+            self.skipped,
+            0 if g is None else g.built,
+            0.0 if g is None else g.build_s,
+        )
 
     def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
         """The candidates after point i that survive its filter."""
@@ -964,53 +1159,109 @@ class FlagSearch:
     def subspace(self, flag: list[int]) -> Subspace:
         return canonicalize(self.fv, self.pts[flag], self.pts.shape[1])
 
-    def grow(self, span: np.ndarray, i: int) -> np.ndarray:
-        """Keys of <span, pts[i]>: span plus every lambda pts[i] + s."""
-        added = self.packing.kadd(self.skeys[i][:, None], span[None, :])
-        return np.concatenate([span, added.ravel()])
+    def flags(self, first: range | None = None):
+        """Greedy flags in DFS order; given `first` (a `lines` search only),
+        those whose first point has its index in that range, without
+        visiting the root."""
+        cand = np.arange(len(self.pts))
+        if self.graph is None:
+            if first is not None:
+                raise ValueError("first-point ranges need a lines search")
+            yield from self._below([], np.int64(0), cand)
+            return
+        bits = self.graph.pack(np.ones((1, len(cand)), dtype=bool))[0]
+        if first is None:
+            yield from self._below_lines([], np.int64(0), cand, bits, 0, cand[:0])
+        else:
+            kids = cand[max(0, first.start) : first.stop]
+            yield from self._children_lines([], np.int64(0), bits, 0, cand[:0], kids)
 
-    def flags(self, flag: list[int] | None = None, cand: np.ndarray | None = None):
-        """Greedy flags below the node (flag, candidates); the root by
-        default."""
-        if flag is None:
-            flag, cand = [], np.arange(len(self.pts))
-        span = np.zeros(1, dtype=np.int64) if self.within else None
-        for i in flag if self.within else ():
-            span = self.grow(span, i)
-        yield from self._below(flag, np.bitwise_or.reduce(self.lead[flag]), span, cand)
-
-    def _below(self, flag: list[int], piv: np.int64, span: np.ndarray | None, cand: np.ndarray):
-        self.nodes += 1
+    def _enter(self, depth: int) -> None:
+        self.depth_nodes[depth] += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout("maximality search exceeded its budget")
         if self.stop is not None and self.stop():
             raise SearchStopped("the search was stopped")
+
+    def _below(self, flag: list[int], piv: np.int64, cand: np.ndarray):
         depth = len(flag)
+        self.depth_nodes[depth] += 1  # `_enter` inlined: the enumerator's hot path
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SearchTimeout("maximality search exceeded its budget")
+        if self.stop is not None and self.stop():
+            raise SearchStopped("the search was stopped")
         if depth == self.target:
             yield flag
             return
         if len(cand) < self.need[depth]:
             return
-        leaf = depth + 1 == self.target  # a leaf child reads neither its candidates nor its span
-        for pos in self._eligible(cand, piv, span):
+        leaf = depth + 1 == self.target  # a leaf child reads no candidates
+        for pos in self._eligible(cand, piv):
             i = int(cand[pos])
             rest = cand[pos + 1 :] if leaf else self.rest_after(i, cand[pos + 1 :])
-            grown = None if span is None or leaf else self.grow(span, i)
-            yield from self._below(flag + [i], piv | self.lead[i], grown, rest)
+            yield from self._below(flag + [i], piv | self.lead[i], rest)
 
-    def _eligible(self, cand: np.ndarray, piv: np.int64, span: np.ndarray | None) -> np.ndarray:
+    def _eligible(self, cand: np.ndarray, piv: np.int64) -> np.ndarray:
         """Positions in cand of the points zero at the pivot columns `piv`,
-        the minima of their cosets; given the span keys, only those whose
-        vectors p + s, s in span, are all multiples of `pts` (the other
-        vectors of the coset are multiples of these)."""
-        ok = ((self.support[cand] & piv) == 0).nonzero()[0]
-        if span is None:
-            return ok
-        step = max(1, COSET_BLOCK // len(span))
-        parts = (cand[ok[lo : lo + step]] for lo in range(0, len(ok), step))
-        keys = (self.packing.kadd(self.keys[part][:, None], span) for part in parts)
-        keep = [isin_sorted(k, self.allowed).all(axis=1) for k in keys]
-        return ok[np.concatenate(keep)] if keep else ok
+        the minima of their cosets."""
+        return ((self.support[cand] & piv) == 0).nonzero()[0]
+
+    def _below_lines(self, flag, piv, cand, bits, lo, span):
+        """The node (flag, cand) of a `lines` search: `bits` holds cand as a
+        bitset from word lo on, and `span` the indices of the points of the
+        flag's span."""
+        depth = len(flag)
+        self._enter(depth)
+        if depth == self.target:
+            yield flag
+            return
+        if len(cand) < self.need[depth]:
+            return
+        kids = cand[self._eligible(cand, piv)]
+        if depth + 1 == self.target:  # every eligible child completes the flag
+            for i in kids:
+                self._enter(depth + 1)
+                yield flag + [int(i)]
+            return
+        yield from self._children_lines(flag, piv, bits, lo, span, kids)
+
+    def _children_lines(self, flag, piv, bits, lo, span, kids):
+        """Visit the eligible children `kids` in order; `bits`, the node's
+        candidates, starts at word lo.  A chunk of children gets its
+        candidate bitsets, bits after j ANDed with the rows of the q^d points
+        j + s (s in the span), and their counts in one pass; chunks grow from
+        16 to 1,024 children, so a witness found early builds few rows.  A
+        child's candidates lie after it, so its bitset starts at its word."""
+        g, depth = self.graph, len(flag)
+        need = self.need[depth + 1]
+        top = max(1, min(1024, CHUNK_WORDS // max(1, g.words)))
+        hi = lo + len(bits)
+        at, size = 0, min(16, top)
+        while at < len(kids):
+            chunk = kids[at : at + size]
+            at += len(chunk)
+            size = min(2 * size, top)
+            start = int(chunk[0]) // 64  # no child's candidates lie before its word
+            coset = g.coset(chunk, span)
+            acc = bits[start - lo :] & g.after(chunk, start, hi)
+            for col in coset.T:
+                acc &= g.rows(col, start, hi)
+            fit = np.flatnonzero(np.bitwise_count(acc).sum(axis=1) >= need).tolist()
+            done = 0
+            for r in fit:
+                self._skip(depth + 1, r - done)
+                done = r + 1
+                i = int(chunk[r])
+                first = i // 64 - start
+                yield from self._below_lines(
+                    flag + [i], piv | self.lead[i], g.members(acc[r, first:], start + first),
+                    acc[r, first:], start + first, np.concatenate([span, coset[r]]),
+                )
+            self._skip(depth + 1, len(chunk) - done)
+
+    def _skip(self, depth: int, count: int) -> None:
+        self.depth_nodes[depth] += count
+        self.skipped += count
 
 
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):

@@ -14,9 +14,11 @@ The engine runs the package's one canonical-augmentation DFS,
 extension p only when the whole coset p + span is uncovered and p is the
 minimum of that coset (so each candidate subspace is visited once), and it
 cuts a node whose candidates are fewer than the points a completion would
-still need.  Serial and parallel runs return the same verdict and witness:
-parallel workers own disjoint ranges of first-flag points, and the merge
-keeps the witness from the lowest-ranked branch.
+still need.  Candidates are bitsets narrowed by the rows of a
+line-compatibility graph (`spaces.LineGraph`).  Serial and parallel runs
+return the same verdict, witness and node counts: parallel workers own
+disjoint ranges of first-flag points, the merge keeps the witness from the
+lowest-ranked branch, and only the ranges at or below it are counted.
 
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
@@ -45,11 +47,12 @@ from .spaces import (
     FormedSpace,
     OutOfDeskScale,
     Perp,
+    SearchStats,
     SearchStopped,
     SearchTimeout,
 )
 
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 DEFAULT_TEST_GUARD = 2_000_000_000
 
 
@@ -73,6 +76,9 @@ class MaximalityCertificate:
     nodes: int
     millis: float
     flavor: str
+    # a spread search's counters: nodes by depth, children skipped by the
+    # one-pass count, line-graph rows built, and per-phase ms
+    stats: dict | None = None
     engine_version: str = ENGINE_VERSION
 
     @property
@@ -91,6 +97,7 @@ class MaximalityCertificate:
             "nodes": self.nodes,
             "millis": round(self.millis, 3),
             "flavor": self.flavor,
+            "stats": self.stats,
             "engine_version": self.engine_version,
         }
 
@@ -244,11 +251,9 @@ def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
 
 
 def _build_search(space, flavor, pts, deadline) -> FlagSearch:
-    perp = None
-    if flavor in ("symplectic", "orthogonal"):
-        # dense rows take n^2 bytes, copied to every --jobs worker
-        perp = Perp(space, pts, dense=0 < len(pts) <= 4096)
-    return FlagSearch(space.fv, pts, space.dim // 2, perp=perp, within=True, deadline=deadline)
+    # the line rows of singular points already imply perpendicularity
+    perp = Perp(space, pts) if flavor == "symplectic" else None
+    return FlagSearch(space.fv, pts, space.dim // 2, perp=perp, lines=True, deadline=deadline)
 
 
 def check_maximal_spread(
@@ -265,42 +270,52 @@ def check_maximal_spread(
     if not is_partial_spread(fam, flavor):
         raise FieldError(f"family is not a {flavor} partial spread")
     space = fam.space
+    tc = time.perf_counter()
     pts = _prepare_spread_search(fam, flavor, guard)
+    t1 = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     search = _build_search(space, flavor, pts, deadline)
     if jobs > 1 and len(pts):
-        witness, nodes = _parallel_search(search, jobs)
+        witness, stats = _parallel_search(search, jobs)
     else:
         flag = next(search.flags(), None)
         witness = None if flag is None else search.subspace(flag)
-        nodes = search.nodes
-    ms = (time.perf_counter() - t0) * 1000
+        stats = search.stats()
+    t2 = time.perf_counter()
+    ms = (t2 - t0) * 1000
+    # parallel workers build their rows beside the search's wall time
+    search_s = t2 - t1 - (0.0 if jobs > 1 and len(pts) else stats.rows_s)
+    described = {
+        "nodes_by_depth": stats.depth_nodes.tolist(),
+        "skipped": stats.skipped,
+        "rows": stats.rows,
+        "ms": {
+            "cover": round((t1 - tc) * 1000, 3),
+            "rows": round(stats.rows_s * 1000, 3),
+            "search": round(search_s * 1000, 3),
+        },
+    }
     if witness is not None:
         checked = SubspaceFamily(
             space, fam.members + [witness], fam.provenance, expected_size=None
         )
         if not is_partial_spread(checked, flavor):
             raise FieldError("witness failed re-verification (engine bug)")
-        return MaximalityCertificate("extendable", witness, nodes, ms, flavor)
-    return MaximalityCertificate("maximal", None, nodes, ms, flavor)
+        return MaximalityCertificate("extendable", witness, stats.nodes, ms, flavor, described)
+    return MaximalityCertificate("maximal", None, stats.nodes, ms, flavor, described)
 
 
 def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
     """The first flag found among first-flag points with index in [lo, hi).
     A shared `best` below lo (a lower range holds a witness) ends the range
-    at the next node it visits, inside a subtree too, since its outcome can
+    at the next node it enters, inside a subtree too, since its outcome can
     no longer matter."""
     if best is not None:
         search.stop = lambda: best.value < lo
     try:
-        for pos in range(lo, hi):
-            rest = search.rest_after(pos, np.arange(pos + 1, len(search.pts)))
-            flag = next(search.flags([pos], rest), None)
-            if flag is not None:
-                return flag
+        return next(search.flags(range(lo, hi)), None)
     except SearchStopped:
-        pass
-    return None
+        return None
 
 
 _WORKER_STATE: dict = {}
@@ -313,25 +328,28 @@ def _worker_init(search, best):
 
 def _worker_run(lo: int, hi: int):
     search: FlagSearch = _WORKER_STATE["search"]
-    before = search.nodes  # a worker process runs several ranges
+    before = search.stats()  # a worker process runs several ranges
     try:
         flag = _branch_range(search, lo, hi, _WORKER_STATE["best"])
     except SearchTimeout:
-        return "timeout", None, search.nodes - before
-    return "done", flag, search.nodes - before
+        return "timeout", None, search.stats() - before
+    return "done", flag, search.stats() - before
 
 
 def _parallel_search(search: FlagSearch, jobs: int):
     """Ranges of first-flag points are queued in order.  A witness in one
     range lowers the shared `best`, and every range above it stops at the
-    next node it visits; the run waits only for the ranges below, so the
+    next node it enters; the run waits only for the ranges below, so the
     lowest-ranked witness wins as in a serial run.  A timeout below `best`
-    ends the run and cancels the ranges still queued.  The node count takes
-    in every range that ran, the stopped ones too."""
+    ends the run and cancels the ranges still queued.  The node counts take
+    in the root and the ranges at or below the winning one, which ran to
+    the end or to the witness, so they equal a serial run's; rows built and
+    their time take in every range that ran, as each worker builds its own
+    rows."""
     n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
     best = multiprocessing.RawValue("q", n)  # written by this process only
-    best_flag, nodes = None, 0
+    best_flag, ranges = None, {}
     ex = ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(search, best))
     try:
         pending = {ex.submit(_worker_run, lo, min(n, lo + chunk)): lo for lo in range(0, n, chunk)}
@@ -339,8 +357,7 @@ def _parallel_search(search: FlagSearch, jobs: int):
             done, _ = wait(pending, return_when=FIRST_COMPLETED)
             for fut in done:
                 lo = pending.pop(fut)
-                status, flag, nd = fut.result()
-                nodes += nd
+                status, flag, ranges[lo] = fut.result()
                 if lo > best.value:
                     continue
                 if status == "timeout":
@@ -349,8 +366,16 @@ def _parallel_search(search: FlagSearch, jobs: int):
                     best.value, best_flag = lo, flag
     finally:
         ex.shutdown(cancel_futures=True)
-    nodes += sum(fut.result()[2] for fut in pending if not fut.cancelled())
-    return (None if best_flag is None else search.subspace(best_flag)), nodes
+    for fut, lo in pending.items():
+        if not fut.cancelled():
+            ranges[lo] = fut.result()[2]
+    stats = SearchStats(np.array([1] + [0] * search.target))  # the root
+    for lo, st in ranges.items():
+        if lo <= best.value:
+            stats += st
+        else:  # a stopped range's rows still took their time
+            stats.rows, stats.rows_s = stats.rows + st.rows, stats.rows_s + st.rows_s
+    return (None if best_flag is None else search.subspace(best_flag)), stats
 
 
 # ---------------------------------------------------------------------------

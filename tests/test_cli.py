@@ -21,7 +21,10 @@ def test_construct_and_verify(tmp_path):
     assert run(["verify", str(out), "--check", "maximal", "--flavor", "symplectic"]) == 0
     d = artifacts.load(out)
     assert d["certificate"]["verdict"] == "maximal"
-    assert d["certificate"]["engine_version"]
+    assert d["certificate"]["engine_version"] == "2"
+    stats = d["certificate"]["stats"]
+    assert sum(stats["nodes_by_depth"]) == d["certificate"]["nodes"]
+    assert set(stats) == {"nodes_by_depth", "skipped", "rows", "ms"}
 
 
 def test_construct_unknown_family():

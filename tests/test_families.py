@@ -54,6 +54,18 @@ def test_descended_members_disjoint():
     assert V.is_partial_spread(fam, "orthogonal")
 
 
+def test_orthogonal_spread_tower_designates_the_descent_degree():
+    """thm4.3 at q = 4, k = 2 descends O+(8,16) to GF(4): its trace tower
+    GF(2^12) must designate degree 2 beside (1, 4, 12).  A tower that
+    designates the degree anyway is the one built without it, so the
+    spread is the same cached object."""
+    assert F.trace_tower(16, 3).designated == (1, 4, 12)
+    assert F.trace_tower(16, 3, base=2).designated == (1, 2, 4, 12)
+    assert F.trace_tower(4, 3, base=1) is F.trace_tower(4, 3)
+    assert F.orthogonal_spread(4, 2, 1) is F.orthogonal_spread(4, 2)
+    assert F.orthogonal_spread(4, 2, 2) is F.orthogonal_spread(4, 2)
+
+
 def test_folklore_pair():
     for q in (2, 4):
         f1, f2 = F.folklore_pair(q)

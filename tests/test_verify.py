@@ -234,26 +234,45 @@ def test_parallel_search_matches_serial():
 
 def test_parallel_search_stops_at_the_lowest_witness():
     """thm4.3(2,2,2) less one member: the witness lies in the first range of
-    2072 first-flag points, found in 1617 nodes.  The second range opens
-    with a first-flag subtree of 8369 nodes and no witness, and every range
-    after it is a search of hours, so the worker on the second range must
-    stop inside that subtree once the first range reports.  The parallel
-    node count takes in the stopped ranges, so it shows where they ended."""
+    2072 first-flag points, found in 33 nodes.  The ranges above it hold
+    first-flag subtrees of up to 485,881 nodes, so their workers must stop
+    once the first range reports.  The parallel node count takes in only
+    the root and the ranges at or below the winning one, so it equals the
+    serial count."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     serial = V.check_maximal_spread(short, "orthogonal")
     par = V.check_maximal_spread(short, "orthogonal", jobs=2, time_budget=120)
     assert par.verdict == "extendable"
     assert par.witness == serial.witness
-    assert serial.nodes == 1617
-    assert par.nodes < serial.nodes + 8369
+    assert serial.nodes == 33
+    assert par.nodes == serial.nodes
+    assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
     assert par.millis < 60_000  # backstop only
+
+
+def test_parallel_node_counts_are_reproducible():
+    """Two jobs=2 runs count the same nodes by depth as a serial run, on
+    families whose witness lies past the first range and on a maximal one."""
+    cases = [
+        (spread_of(F.transversal_spread(2, 2).space, F.transversal_spread(2, 2).members[:-1]), "symplectic"),
+        (F.grassl_spread(2, 2, "i"), "orthogonal"),
+        (spread_of(F.transversal_spread(3, 1).space, F.transversal_spread(3, 1).members[:-1]), "symplectic"),
+    ]
+    for fam, flavor in cases:
+        serial = V.check_maximal_spread(fam, flavor)
+        runs = [V.check_maximal_spread(fam, flavor, jobs=2) for _ in range(2)]
+        for par in runs:
+            assert (par.verdict, par.witness, par.nodes) == (serial.verdict, serial.witness, serial.nodes)
+            assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
+            assert par.stats["skipped"] == serial.stats["skipped"]
 
 
 def test_branch_range_stops_inside_a_first_flag_subtree():
     """A `best` that drops below the range while the search is deep in the
-    first first-flag subtree (8369 nodes, see above) ends the range at the
-    next node visited, not at the next first-flag point."""
+    first first-flag subtree of [60, 68) (13,650 nodes, 252 of them
+    entered) ends the range at the next node entered, not at the next
+    first-flag point."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     pts = V._prepare_spread_search(short, "orthogonal", V.DEFAULT_TEST_GUARD)
@@ -264,8 +283,22 @@ def test_branch_range_stops_inside_a_first_flag_subtree():
         def value(self):
             return len(pts) if search.nodes < 50 else 0
 
-    assert V._branch_range(search, 2072, 2080, Best()) is None
+    assert V._branch_range(search, 60, 68, Best()) is None
     assert search.nodes == 50
+    assert search.depth_nodes[:5] == [0, 1, 36, 7, 6]
+
+
+def test_certificate_stats():
+    """A serial certificate's stats add up to its node count, and `verify`
+    writes them into the artifact with engine version 2."""
+    fam = F.grassl_spread(2, 2, "i")
+    cert = V.check_maximal_spread(fam, "symplectic")
+    st = cert.stats
+    assert sum(st["nodes_by_depth"]) == cert.nodes and st["nodes_by_depth"][0] == 1
+    assert 0 < st["skipped"] < cert.nodes and 0 < st["rows"] <= 255
+    assert set(st["ms"]) == {"cover", "rows", "search"}
+    assert cert.descriptor()["stats"] == st
+    assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
 
 
 def test_is_ovoid_small():
