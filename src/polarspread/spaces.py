@@ -940,9 +940,9 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     return adj
 
 
-# int64 keys per block of line-graph rows built at once
+# int64 keys per block of a line-graph row build
 LINE_BLOCK = 1 << 18
-# largest vector count q^dim whose keys are looked up in a dense table
+# largest p = 2 vector count q^dim whose keys are looked up in a dense table
 DENSE_KEYS = 1 << 20
 # uint64 words of the candidate bitsets of one chunk of children
 CHUNK_WORDS = 1 << 18
@@ -957,12 +957,14 @@ class LineGraph:
     points.  With a `perp` over pts, G[x] also requires j perpendicular to x.
     Bit j of a bitset is bit j % 64 of uint64 word j // 64.
 
-    A key is mapped to its point by a dense table indexed by
-    `KeyPacking.number` when fv^dim has at most DENSE_KEYS vectors, otherwise
-    by a sorted array of the points' multiples.
-    Rows are built on first use, in blocks of at most LINE_BLOCK keys, into
-    a slot matrix that grows on demand.  A pickled graph carries no rows or
-    table, so each worker process builds its own."""
+    A key is mapped to its point by a dense table indexed by the key when p
+    is 2 and fv^dim has at most DENSE_KEYS vectors, otherwise by a sorted
+    array of the points' multiples.  Rows are built on first use, from
+    blocks of at most LINE_BLOCK keys (a block of rows, or of one row's
+    columns), into a slot matrix that grows on demand: r built rows take
+    r * len(pts) / 8 bytes, 33 MB for all 16,320 rows of criterion 5.  A
+    pickled graph carries no rows or table, so each worker process builds
+    its own."""
 
     def __init__(self, packing: KeyPacking, pts: np.ndarray, keys: np.ndarray, perp: Perp | None):
         self.packing, self.pts, self.keys, self.perp = packing, pts, keys, perp
@@ -987,9 +989,9 @@ class LineGraph:
         flat = self.mult.ravel()
         owner = np.repeat(np.arange(n, dtype=np.int64), self.mult.shape[1])
         span = pk.q ** len(pk.weights)
-        if span <= DENSE_KEYS:
+        if pk.p == 2 and span <= DENSE_KEYS:  # a p = 2 key is below q^dim
             self.table = np.full(span, -1, dtype=np.int32)
-            self.table[pk.number(flat)] = owner
+            self.table[flat] = owner
         else:
             order = np.argsort(flat)
             self.sorted, self.owner = flat[order], owner[order]
@@ -1000,7 +1002,7 @@ class LineGraph:
     def index(self, keys: np.ndarray) -> np.ndarray:
         """The index of the listed point each key is a multiple of, else -1."""
         if self.table is not None:
-            return self.table[self.packing.number(keys)]
+            return self.table[keys]
         if len(self.sorted) == 0:
             return np.full(np.shape(keys), -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)
@@ -1018,11 +1020,14 @@ class LineGraph:
     def _build(self, xs: np.ndarray) -> None:
         t0 = time.perf_counter()
         n, mult = len(self.pts), self.mult
-        step = max(1, LINE_BLOCK // (n * mult.shape[1]))
+        cols = max(1, LINE_BLOCK // mult.shape[1])  # columns of one row per block
+        step = max(1, cols // n)
         for lo in range(0, len(xs), step):
             x = xs[lo : lo + step]
-            line = self.packing.kadd(self.keys[None, :, None], mult[x][:, None, :])
-            ok = (self.index(line) >= 0).all(axis=2)
+            ok = np.empty((len(x), n), dtype=bool)
+            for c in range(0, n, cols):
+                line = self.packing.kadd(self.keys[None, c : c + cols, None], mult[x][:, None, :])
+                ok[:, c : c + cols] = (self.index(line) >= 0).all(axis=2)
             if self.perp is not None:
                 ok &= self.perp.rows(x)
             self._store(x, self.pack(ok))
@@ -1073,12 +1078,15 @@ class LineGraph:
 class SearchStats:
     """Counters of a FlagSearch: nodes visited by depth (a child skipped by
     the one-pass count is counted as visited), children skipped, line-graph
-    rows built and the seconds spent building them."""
+    rows built and the seconds spent building them.  A parallel search also
+    counts, as `discarded`, the nodes of the ranges above the winning one,
+    which a serial run never visits and `depth_nodes` leaves out."""
 
     depth_nodes: np.ndarray
     skipped: int = 0
     rows: int = 0
     rows_s: float = 0.0
+    discarded: int = 0
 
     def __add__(self, other: "SearchStats") -> "SearchStats":
         return SearchStats(
@@ -1086,10 +1094,13 @@ class SearchStats:
             self.skipped + other.skipped,
             self.rows + other.rows,
             self.rows_s + other.rows_s,
+            self.discarded + other.discarded,
         )
 
     def __sub__(self, other: "SearchStats") -> "SearchStats":
-        return self + SearchStats(-other.depth_nodes, -other.skipped, -other.rows, -other.rows_s)
+        return self + SearchStats(
+            -other.depth_nodes, -other.skipped, -other.rows, -other.rows_s, -other.discarded
+        )
 
     @property
     def nodes(self) -> int:
@@ -1172,7 +1183,7 @@ class FlagSearch:
         bits = self.graph.pack(np.ones((1, len(cand)), dtype=bool))[0]
         if first is None:
             yield from self._below_lines([], np.int64(0), cand, bits, 0, cand[:0])
-        else:
+        elif len(cand) >= self.need[0]:  # the root's cut
             kids = cand[max(0, first.start) : first.stop]
             yield from self._children_lines([], np.int64(0), bits, 0, cand[:0], kids)
 
@@ -1185,11 +1196,7 @@ class FlagSearch:
 
     def _below(self, flag: list[int], piv: np.int64, cand: np.ndarray):
         depth = len(flag)
-        self.depth_nodes[depth] += 1  # `_enter` inlined: the enumerator's hot path
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout("maximality search exceeded its budget")
-        if self.stop is not None and self.stop():
-            raise SearchStopped("the search was stopped")
+        self._enter(depth)
         if depth == self.target:
             yield flag
             return

@@ -289,6 +289,7 @@ def check_maximal_spread(
         "nodes_by_depth": stats.depth_nodes.tolist(),
         "skipped": stats.skipped,
         "rows": stats.rows,
+        "discarded": stats.discarded,
         "ms": {
             "cover": round((t1 - tc) * 1000, 3),
             "rows": round(stats.rows_s * 1000, 3),
@@ -343,9 +344,9 @@ def _parallel_search(search: FlagSearch, jobs: int):
     lowest-ranked witness wins as in a serial run.  A timeout below `best`
     ends the run and cancels the ranges still queued.  The node counts take
     in the root and the ranges at or below the winning one, which ran to
-    the end or to the witness, so they equal a serial run's; rows built and
-    their time take in every range that ran, as each worker builds its own
-    rows."""
+    the end or to the witness, so they equal a serial run's; the nodes of
+    the ranges above it are counted as `discarded`.  Rows built and their
+    time take in every range that ran, as each worker builds its own rows."""
     n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
     best = multiprocessing.RawValue("q", n)  # written by this process only
@@ -373,8 +374,9 @@ def _parallel_search(search: FlagSearch, jobs: int):
     for lo, st in ranges.items():
         if lo <= best.value:
             stats += st
-        else:  # a stopped range's rows still took their time
+        else:  # a range above the witness: its nodes are discarded, its rows were built
             stats.rows, stats.rows_s = stats.rows + st.rows, stats.rows_s + st.rows_s
+            stats.discarded += st.nodes
     return (None if best_flag is None else search.subspace(best_flag)), stats
 
 

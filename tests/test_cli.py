@@ -24,7 +24,7 @@ def test_construct_and_verify(tmp_path):
     assert d["certificate"]["engine_version"] == "2"
     stats = d["certificate"]["stats"]
     assert sum(stats["nodes_by_depth"]) == d["certificate"]["nodes"]
-    assert set(stats) == {"nodes_by_depth", "skipped", "rows", "ms"}
+    assert set(stats) == {"nodes_by_depth", "skipped", "rows", "discarded", "ms"}
 
 
 def test_construct_unknown_family():

@@ -234,11 +234,13 @@ def test_parallel_search_matches_serial():
 
 def test_parallel_search_stops_at_the_lowest_witness():
     """thm4.3(2,2,2) less one member: the witness lies in the first range of
-    2072 first-flag points, found in 33 nodes.  The ranges above it hold
-    first-flag subtrees of up to 485,881 nodes, so their workers must stop
-    once the first range reports.  The parallel node count takes in only
-    the root and the ranges at or below the winning one, so it equals the
-    serial count."""
+    2072 first-flag points, found in 33 nodes.  Run to its end, the second
+    range counts millions of nodes, 4,017 in each of its first-flag
+    subtrees (the first ten measured), so its worker must stop once the
+    first range reports: the nodes the run discards stay below one such
+    subtree (about 200 measured).  The parallel node count takes in only the
+    root and the ranges at or below the winning one, so it equals the serial
+    count."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     serial = V.check_maximal_spread(short, "orthogonal")
@@ -248,12 +250,15 @@ def test_parallel_search_stops_at_the_lowest_witness():
     assert serial.nodes == 33
     assert par.nodes == serial.nodes
     assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
+    assert serial.stats["discarded"] == 0
+    assert par.stats["discarded"] < 4017
     assert par.millis < 60_000  # backstop only
 
 
 def test_parallel_node_counts_are_reproducible():
     """Two jobs=2 runs count the same nodes by depth as a serial run, on
-    families whose witness lies past the first range and on a maximal one."""
+    families whose witness lies past the first range, on a maximal one, and
+    on a search cut at its root."""
     cases = [
         (spread_of(F.transversal_spread(2, 2).space, F.transversal_spread(2, 2).members[:-1]), "symplectic"),
         (F.grassl_spread(2, 2, "i"), "orthogonal"),
@@ -266,6 +271,15 @@ def test_parallel_node_counts_are_reproducible():
             assert (par.verdict, par.witness, par.nodes) == (serial.verdict, serial.witness, serial.nodes)
             assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
             assert par.stats["skipped"] == serial.stats["skipped"]
+    # fewer points than one t-space holds, which no partial spread leaves:
+    # the ranges keep the root's cut and visit nothing
+    space = oplus_space(2, 4)  # O+(8,2): a t-space holds 15 points
+    pts = space.singular_points()[:2]
+    serial = V._build_search(space, "orthogonal", pts, None)
+    assert next(serial.flags(), None) is None
+    witness, stats = V._parallel_search(V._build_search(space, "orthogonal", pts, None), 2)
+    assert witness is None and serial.nodes == 1
+    assert stats.depth_nodes.tolist() == serial.depth_nodes
 
 
 def test_branch_range_stops_inside_a_first_flag_subtree():
