@@ -269,6 +269,18 @@ class KeyPacking:
         s = a + b
         return s - self.p * (((s + self.off) >> (self.width - 1)) & self.ones)
 
+    def number(self, keys: np.ndarray) -> np.ndarray:
+        """The integer whose base-p digits are the key's digits: a bijection
+        of the keys of fv^dim onto range(q^dim); the key itself for p = 2."""
+        if self.p == 2:
+            return keys
+        per, value = _digit_values(self.p, self.width)
+        bits, mask = per * self.width, (1 << per * self.width) - 1
+        out = value[keys & mask]
+        for c in range(1, -(-len(self.weights) * self.fv.degree // per)):
+            out += value[(keys >> (c * bits)) & mask] * self.p ** (c * per)
+        return out
+
     def multiples(self, rows: np.ndarray) -> np.ndarray:
         """(n, q - 1) keys of the nonzero scalar multiples of each row."""
         nz = self.fv.elements()[1:]
@@ -290,6 +302,15 @@ class KeyPacking:
         pos = e * np.arange(dim - 1, -1, -1)[:, None] + np.arange(e)  # key bit of (i, k)
         bits = (ranks[..., None] >> np.arange(e)) & 1  # (m, dim, k, j)
         return (bits << pos[:, :, None]).sum(axis=(1, 2))
+
+
+@lru_cache(maxsize=None)
+def _digit_values(p: int, width: int) -> tuple[int, np.ndarray]:
+    """(per, value): value[f] = sum_k d_k p^k over the `per` width-bit digit
+    fields d_k of f, for every f of per * width <= 16 bits."""
+    per = 16 // width
+    fields = np.arange(1 << (per * width), dtype=np.int64)
+    return per, sum(((fields >> (k * width)) & ((1 << width) - 1)) * p**k for k in range(per))
 
 
 def in_kernel(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:

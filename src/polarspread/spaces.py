@@ -942,7 +942,7 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
 
 # int64 keys per block of a line-graph row build
 LINE_BLOCK = 1 << 18
-# largest p = 2 vector count q^dim whose keys are looked up in a dense table
+# largest vector count q^dim whose keys are looked up in a dense table
 DENSE_KEYS = 1 << 20
 # uint64 words of the candidate bitsets of one chunk of children
 CHUNK_WORDS = 1 << 18
@@ -957,9 +957,9 @@ class LineGraph:
     points.  With a `perp` over pts, G[x] also requires j perpendicular to x.
     Bit j of a bitset is bit j % 64 of uint64 word j // 64.
 
-    A key is mapped to its point by a dense table indexed by the key when p
-    is 2 and fv^dim has at most DENSE_KEYS vectors, otherwise by a sorted
-    array of the points' multiples.  Rows are built on first use, from
+    A key is mapped to its point by a dense table indexed by
+    `KeyPacking.number` when fv^dim has at most DENSE_KEYS vectors, otherwise
+    by a sorted array of the points' multiples.  Rows are built on first use, from
     blocks of at most LINE_BLOCK keys (a block of rows, or of one row's
     columns), into a slot matrix that grows on demand: r built rows take
     r * len(pts) / 8 bytes, 33 MB for all 16,320 rows of criterion 5.  A
@@ -989,9 +989,9 @@ class LineGraph:
         flat = self.mult.ravel()
         owner = np.repeat(np.arange(n, dtype=np.int64), self.mult.shape[1])
         span = pk.q ** len(pk.weights)
-        if pk.p == 2 and span <= DENSE_KEYS:  # a p = 2 key is below q^dim
+        if span <= DENSE_KEYS:
             self.table = np.full(span, -1, dtype=np.int32)
-            self.table[flat] = owner
+            self.table[pk.number(flat)] = owner
         else:
             order = np.argsort(flat)
             self.sorted, self.owner = flat[order], owner[order]
@@ -1002,7 +1002,7 @@ class LineGraph:
     def index(self, keys: np.ndarray) -> np.ndarray:
         """The index of the listed point each key is a multiple of, else -1."""
         if self.table is not None:
-            return self.table[keys]
+            return self.table[self.packing.number(keys)]
         if len(self.sorted) == 0:
             return np.full(np.shape(keys), -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(self.sorted, keys), len(self.sorted) - 1)

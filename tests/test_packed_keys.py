@@ -1,14 +1,14 @@
 """Packed vector keys and the one canonical-augmentation kernel.
 
 The keys are checked against their definition (order of `point_keys`, key
-of a vector sum) on every view of every small tower, and for width on every
-view and dimension the enumerator accepts.  The kernel is checked against
-the former row-vector search, kept here as the oracle: it built cosets as
-coordinate rows and canonicalized them by scaling.  Its pivot-column
-eligibility test is checked against the former packed-key coset minimum at
-every node.  The engine's line-compatibility rows are checked against
-their definition, and its verdicts and witnesses against the former
-span-key uncovered test, also kept here.
+of a vector sum, key numbers) on every view of every small tower, and for
+width on every view and dimension the enumerator accepts.  The kernel is
+checked against the former row-vector search, kept here as the oracle: it
+built cosets as coordinate rows and canonicalized them by scaling.  Its
+pivot-column eligibility test is checked against the former packed-key
+coset minimum at every node.  The engine's line-compatibility rows are
+checked against their definition, and its verdicts and witnesses against
+the former span-key uncovered test, also kept here.
 """
 
 from itertools import islice
@@ -78,6 +78,26 @@ def test_packed_order_and_addition_on_all_pairs(p, d, e):
     got = one.kadd(k1[:, None], k1[None, :])
     want = one.pack(tw.vadd(elems[:, None], elems[None, :])[..., None])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,d,e", SMALL_VIEWS)
+def test_key_numbers_count_vectors_in_base_q(p, d, e):
+    """number(key) is sum_i rank(x_i) q^(dim - 1 - i), on every vector of
+    fv^dim for small dim and on random vectors of the widest packing."""
+    fv = view_of(p, d, e)
+    rank = {int(x): r for r, x in enumerate(fv.elements())}
+    rng = np.random.default_rng(p * 1000 + d * 10 + e)
+    for dim in range(1, 64):
+        try:
+            pk = KeyPacking(fv, dim)
+        except gf.FieldError:
+            break
+        if fv.q**dim <= 4096:
+            vecs = fv.elements()[np.indices((fv.q,) * dim).reshape(dim, -1).T]
+        else:
+            vecs = fv.elements()[rng.integers(0, fv.q, size=(300, dim))]
+        want = [sum(rank[int(x)] * fv.q ** (dim - 1 - i) for i, x in enumerate(v)) for v in vecs]
+        assert pk.number(pk.pack(vecs)).tolist() == want, dim
 
 
 @pytest.mark.parametrize("p,d,e", SMALL_VIEWS)
@@ -469,8 +489,8 @@ def test_row_blocks_chunks_and_lookup_do_not_change_results(monkeypatch, build, 
     """Line rows built from blocks of 1,000 keys (several rows per block for
     the 12 and 180 points of the first and last case, one row over 17
     column blocks for the 16,830 of thm4.3), children counted one per
-    chunk, and keys looked up in the sorted multiples also for p = 2, give
-    the same verdict, witness and nodes; the enumeration is untouched."""
+    chunk, and keys looked up in the sorted multiples for every p, give the
+    same verdict, witness and nodes; the enumeration is untouched."""
     from polarspread import spaces
 
     fam = build()
