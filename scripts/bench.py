@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Record a benchmark delta as BENCH_<n>.json.
 
-    python3 scripts/bench.py --n 8 --parent ../parent --pairs 10 --seconds 30
+    python3 scripts/bench.py --n 9 --parent ../parent --pairs 10 --seconds 30 \
+        --criteria c05,c09,c13
 
 Runs each checkout's own ``perfbench/run.py`` (unchanged, ``--trace 0``) in
 alternating pairs, the parent first in odd pairs, with one seed per pair,
 and writes for every workload and column the median and quartiles of the
 five end-to-end metrics, every run's values, and in how many pairs the
-change read lower.  It also times criterion 5 (``pytest
-tests/test_acceptance.py -k c05``) in each checkout and records which line
-it printed.  Without ``--parent`` only the change column is written.
+change read lower.  It also runs each listed acceptance criterion (``pytest
+tests/test_acceptance.py -k c05``, ...) once in each checkout, and records
+its pytest call time and the line it printed.  Without ``--parent`` only
+the change column is written.
 
 Give each side a fresh ``git clone``: runs set PYTHONDONTWRITEBYTECODE, so
 neither side reads or writes bytecode caches.
@@ -48,17 +50,24 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": res["correct"], **{m: res["metrics"][m]["value"] for m in METRICS}}
 
 
-def run_c5(checkout: Path, budget: str | None) -> dict:
+def run_criterion(checkout: Path, name: str, c5_budget: str | None) -> dict:
+    """One pytest run of criterion `name` (c05, c09, ...): exit code, call
+    and process seconds, and the ``criterion N:`` line it printed."""
+    budget = c5_budget if name == "c05" else None
     extra = {"PYTHONPATH": "src"} | ({"POLARSPREAD_C5_BUDGET": budget} if budget else {})
     cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-           "tests/test_acceptance.py", "-k", "c05", "--durations=0"]
+           "tests/test_acceptance.py", "-k", f"test_{name}_", "--durations=0"]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=checkout, env=env(extra), capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    call = re.search(r"([\d.]+)s call\s+\S*test_c05", proc.stdout)
-    line = next((ln.strip() for ln in proc.stdout.splitlines() if "O+(16,2)" in ln), None)
-    return {"exit": proc.returncode, "call_s": float(call.group(1)) if call else None,
-            "wall_s": round(wall, 2), "budget_s": budget or "default", "report": line}
+    call = re.search(rf"([\d.]+)s call\s+\S*test_{name}_", proc.stdout)
+    mark = re.compile(rf"criterion\s+{int(name[1:])}:")
+    line = next((ln.strip() for ln in proc.stdout.splitlines() if mark.search(ln)), None)
+    out = {"exit": proc.returncode, "call_s": float(call.group(1)) if call else None,
+           "wall_s": round(wall, 2), "report": line}
+    if name == "c05":
+        out["budget_s"] = budget or "default"
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -97,8 +106,9 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
+    ap.add_argument("--criteria", default="c05",
+                    help="comma-separated acceptance criteria to time once per side, '' for none")
     ap.add_argument("--c5-budget", help="POLARSPREAD_C5_BUDGET for criterion 5 (default: none)")
-    ap.add_argument("--no-c5", action="store_true")
     ap.add_argument("--out", type=Path, help="default: BENCH_<n>.json in the change checkout")
     a = ap.parse_args(argv)
 
@@ -130,8 +140,12 @@ def main(argv=None) -> int:
                 for m in METRICS
             }
         out["workloads"][workload] = entry
-    if not a.no_c5:
-        out["c5"] = {name: run_c5(path, a.c5_budget) for name, path in sides.items()}
+    criteria = [c for c in a.criteria.split(",") if c]
+    if criteria:
+        out["criteria"] = {
+            c: {name: run_criterion(path, c, a.c5_budget) for name, path in sides.items()}
+            for c in criteria
+        }
     path = a.out or sides["change"] / f"BENCH_{a.n}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}", file=sys.stderr)

@@ -116,24 +116,8 @@ class Subspace:
 
     def points(self) -> np.ndarray:
         """Canonical projective points in ascending canonical index, one row
-        each: the points led by basis row i are row i + span(rows i+1..).
-        Rows below i vanish left of their pivots, and at pivot column i only
-        row i is nonzero (= 1), so every such sum is already canonical.  Blocks
-        run from the last row up, so from the latest leading column, the
-        smallest keys.  Within a block the coefficient of row j is the entry
-        at its pivot and the span takes the first row's coefficient as its
-        most significant digit; every entry between two pivots depends only
-        on the coefficients before it, so the order is lexicographic."""
-        tw, n = self.fv.tower, self.dim_ambient
-        elems = self.fv.elements()
-        span = np.zeros((1, n), dtype=np.int64)  # span of the rows below row i
-        blocks = [span[:0]]
-        for i in range(self.dim - 1, -1, -1):
-            row = self.mat[i]
-            blocks.append(tw.vadd(row[None, :], span))
-            if i:
-                span = tw.vadd(tw.vmul(elems[:, None, None], row), span[None]).reshape(-1, n)
-        return np.vstack(blocks)
+        each (`stacked_points` of this one basis)."""
+        return stacked_points(self.fv, self.mat[None])[0]
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_mate(other)
@@ -158,6 +142,51 @@ class Subspace:
 
     def descriptor(self) -> dict:
         return {"dim_ambient": self.dim_ambient, "rows": self.mat.tolist()}
+
+
+def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
+    """(m, P, n): the canonical points of each of m subspaces given by their
+    RREF bases (m, k, n), in ascending canonical index, one row each.
+
+    These are the rows c B for the canonical coefficient vectors c.  The
+    points led by basis row i (c leading at i) are row i + span(rows i+1..):
+    rows below i vanish left of their pivots, and at pivot column i only row
+    i is nonzero (= 1), so every such sum is already canonical.  Blocks run
+    from the last row up, so from the latest leading column, the smallest
+    keys.  Within a block the coefficient of row j is the entry at its pivot
+    and the span takes the first row's coefficient as its most significant
+    digit; every entry between two pivots depends only on the coefficients
+    before it, so the order is lexicographic."""
+    tw, elems = fv.tower, fv.elements()
+    m, k, n = bases.shape
+    span = np.zeros((m, 1, n), dtype=np.int64)  # span of the rows below row i
+    blocks = [span[:, :0]]
+    for i in range(k - 1, -1, -1):
+        row = bases[:, i, None, :]
+        blocks.append(tw.vadd(row, span))
+        if i:
+            span = tw.vadd(tw.vmul(elems[:, None, None], row[:, None]), span[:, None]).reshape(m, -1, n)
+    return np.concatenate(blocks, axis=1)
+
+
+def flag_rref(fv: FieldView, rows: np.ndarray) -> np.ndarray:
+    """RREF of m stacked flags (m, t, n): canonical rows with distinct
+    leading columns, each zero at the leading columns of the rows before it
+    (a greedy flag; `spaces` docstring).  Pass i clears row i's leading
+    column from the rows before it, the only ones nonzero there.  It adds
+    multiples of row i, which is zero at the earlier leading columns, so no
+    earlier pass is undone and every leading entry stays 1; a row only
+    receives rows whose leading column follows its own, so it keeps its
+    leading column.  Sorting rows by leading column gives the RREF."""
+    tw = fv.tower
+    m, t, _ = rows.shape
+    out = np.array(rows, dtype=np.int64)
+    lead = np.argmax(out != 0, axis=2)  # (m, t)
+    at = np.arange(m)
+    for i in range(1, t):
+        coef = out[at[:, None], np.arange(i), lead[:, i, None]]  # (m, i)
+        out[:, :i] = tw.vadd(out[:, :i], tw.vmul(tw.vneg(coef)[:, :, None], out[:, i, None, :]))
+    return np.take_along_axis(out, np.argsort(lead, axis=1)[:, :, None], axis=1)
 
 
 def canonicalize(fv: FieldView, vectors, dim_ambient: int | None = None) -> Subspace:
@@ -368,8 +397,11 @@ def express(fv: FieldView, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def mat_mul(fv: FieldView, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the field (small sizes; used off the hot path)."""
+    """Matrix product over the field.  Over a prime field the indices are
+    the residues, so it is one integer product mod p."""
     tw = fv.tower
+    if tw.d == 1:
+        return (a @ b) % tw.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):
         col = a[:, k]

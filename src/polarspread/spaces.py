@@ -69,12 +69,30 @@ rows G[p_d + s] (every point of W is listed).  So a node with fewer than
 removes only fruitless subtrees, so results and their order do not change;
 the engine's candidate sets are smaller, so it cuts more.
 
+Batched expansion.  The enumerator and `iter_subspaces` do not walk nodes
+one Python frame at a time.  A node is its flag, the OR of its points'
+leading-column bits and its candidates as a bitset; the nodes of one depth
+are held as arrays, and one numpy pass expands a slice of them.  A node's
+children are the set bits of its candidates ANDed with the eligibility
+bitset of its pivot mask (one bitset per distinct mask), and reading the
+(node, child) pairs row-major lists them by parent, then by point: when the
+parents are in lexicographic order of their flags, so are the children.
+Each slice's surviving children are expanded before the next slice is
+read, so the flags come out in the node-by-node DFS order; every child is
+counted when read, as that DFS counts it on entering, and cut by the same
+count, the popcount of its candidates: its parent's after its point, ANDed
+with its point's perpendicularity row.  A leaf flag p_1..p_t has distinct
+leading columns, and p_i is zero at the leading columns of the points
+before it, so the flag rows reduce to RREF by one pass per point that
+clears its leading column from the rows before it (`linalg.flag_rref`),
+over a whole block of leaves at once.
+
 Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
 test, the partial-ovoid test, the ovoid scan, fingerprints, the symplectic
-line rows and the enumerator's filter all ask it.  It reads rows of the
-dense adjacency matrix (`perp_adjacency`) when its caller asks for them, as
-the enumerator does.  Otherwise, for p = 2 keys within 62 bits, it is a bit
-test on the keys.  For p = 2 a key is
+line rows and the enumerator's filter all ask it; the enumerator packs
+its rows into bitsets once (`Perp.bitsets`).  It reads rows of the dense
+adjacency matrix (`perp_adjacency`) when its caller asks for them.
+Otherwise, for p = 2 keys within 62 bits, it is a bit test on the keys.  For p = 2 a key is
 the n*e bits of the coordinates' ranks, and ranking is GF(2)-linear, so
 key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f is GF(2)-
 linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the parity
@@ -84,7 +102,8 @@ vector u_b with key 1 << b has bit j set in rank(f(u_b))
 functional B(., v) has coefficient row v G^T, so `Perp` keeps e masks per
 point and a perpendicularity test over many keys is e AND-popcount
 passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
-spaces whose keys need more than 62 bits, use `vbform`.
+spaces whose keys need more than 62 bits, use `vbform` for one vector and
+one field product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate.  Write a point as
 y + t e_n with y_n = 0; then Q(y + t e_n) = Q(y) + t B(y, e_n) + t^2 Q(e_n)
@@ -115,6 +134,7 @@ from .linalg import (
     canonicalize,
     canonicalize_points,
     express,
+    flag_rref,
     in_kernel,
     mat_mul,
     rref,
@@ -692,15 +712,14 @@ class ZProjection:
                 chosen.append(row)
         d0, d1 = comp
         found = []
-        for a in fv.elements().tolist():
-            for b in fv.elements().tolist():
-                if a == 0 and b == 0:
-                    continue
-                w = tw.vadd(tw.vmul(np.int64(a), d0), tw.vmul(np.int64(b), d1))
-                if space.qform(w) == 0 and not uprime.contains(w):
-                    cand = canonicalize(fv, np.vstack([uprime.mat, w[None, :]]), space.dim)
-                    if cand not in found:
-                        found.append(cand)
+        # the q + 1 points of <d0, d1>: every other pair (a, b) is a multiple
+        # of one of these, with the same Q = 0 test and the same span
+        for a, b in [(0, 1)] + [(1, b) for b in fv.elements().tolist()]:
+            w = tw.vadd(tw.vmul(np.int64(a), d0), tw.vmul(np.int64(b), d1))
+            if space.qform(w) == 0 and not uprime.contains(w):
+                cand = canonicalize(fv, np.vstack([uprime.mat, w[None, :]]), space.dim)
+                if cand not in found:
+                    found.append(cand)
         for cand in found:
             if space.ts_type(cand) == target_type:
                 return cand
@@ -879,7 +898,8 @@ class Perp:
     default `pts`); the only code that chooses how to test it (module
     docstring): rows of `perp_adjacency(space, pts)` when `dense` (then `vs`
     is `pts`), else kernel masks of `vs` against the packed keys of `pts`
-    when the space has a `bit_packing`, else `vbform`."""
+    when the space has a `bit_packing`, else `vbform` or, for many rows, a
+    field product."""
 
     def __init__(
         self, space: FormedSpace, pts: np.ndarray, vs: np.ndarray | None = None, dense: bool = False
@@ -919,17 +939,25 @@ class Perp:
         """Yield (lo, block) over row blocks of pts (`vs` is `pts`): block[r, c]
         tells whether pts[lo + r] is perpendicular to pts[c], or, when
         `upper`, whether pts[lo + r] and pts[lo + 1 + c] are a perpendicular
-        pair i < j.  A block is one kernel-mask test, otherwise one row."""
+        pair i < j.  A block is one kernel-mask test, otherwise one `rows`
+        call; either holds about PERP_BLOCK entries."""
         n = len(self.pts)
-        if self.keys is None:
-            for i in range(n):
-                yield i, self.to(i, slice(i + 1 if upper else 0, None))[None, :]
-            return
         step = max(1, PERP_BLOCK // max(1, n))
         for lo in range(0, n, step):
-            keys = self.keys[None, lo + 1 if upper else 0 :]
-            block = in_kernel(keys, self.masks[lo : lo + step, None, :])
+            if self.keys is None:
+                block = self.rows(np.arange(lo, min(n, lo + step)))[:, lo + 1 if upper else 0 :]
+            else:
+                keys = self.keys[None, lo + 1 if upper else 0 :]
+                block = in_kernel(keys, self.masks[lo : lo + step, None, :])
             yield lo, np.triu(block) if upper else block
+
+    def bitsets(self) -> np.ndarray:
+        """(len(pts), words): row i is the bitset of the points perpendicular
+        to pts[i] (`vs` is `pts`), packed block by block."""
+        out = np.empty((len(self.pts), (len(self.pts) + 63) // 64), dtype=np.uint64)
+        for lo, block in self.blocks():
+            out[lo : lo + len(block)] = pack_bits(block)
+        return out
 
 
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
@@ -946,7 +974,35 @@ LINE_BLOCK = 1 << 18
 DENSE_KEYS = 1 << 20
 # uint64 words of the candidate bitsets of one chunk of children
 CHUNK_WORDS = 1 << 18
+# uint64 words (or int64 flag entries) made by one pass of the batched expansion
+PASS_WORDS = 1 << 16
 ALL_BITS = np.uint64(2**64 - 1)
+
+# A bitset over a point list is a row of uint64 words: bit j is bit j % 64 of
+# word j // 64.
+
+
+def pack_bits(ok: np.ndarray) -> np.ndarray:
+    """Bitsets of the rows of a (m, n) bool array."""
+    out = np.zeros((len(ok), (ok.shape[1] + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (ok.shape[1] + 7) // 8] = np.packbits(ok, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def bit_members(bits: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Ascending indices of the set bits of a bitset window that starts at
+    word lo."""
+    return np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little")) + 64 * lo
+
+
+def bits_after(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(len(idx), hi - lo) words lo..hi-1 of the bitsets of the indices above
+    each of idx (each at or after word lo)."""
+    word = idx // 64 - lo
+    out = np.where(np.arange(hi - lo) > word[:, None], ALL_BITS, np.uint64(0))
+    low = (np.uint64(2) << (idx % 64).astype(np.uint64)) - np.uint64(1)
+    out[np.arange(len(idx)), word] = ~low
+    return out
 
 
 class LineGraph:
@@ -955,7 +1011,6 @@ class LineGraph:
     bitset of the j in pts such that every point of the line xj other than x
     is listed: the keys of j + lambda x, lambda != 0, are multiples of listed
     points.  With a `perp` over pts, G[x] also requires j perpendicular to x.
-    Bit j of a bitset is bit j % 64 of uint64 word j // 64.
 
     A key is mapped to its point by a dense table indexed by
     `KeyPacking.number` when fv^dim has at most DENSE_KEYS vectors, otherwise
@@ -1030,7 +1085,7 @@ class LineGraph:
                 ok[:, c : c + cols] = (self.index(line) >= 0).all(axis=2)
             if self.perp is not None:
                 ok &= self.perp.rows(x)
-            self._store(x, self.pack(ok))
+            self._store(x, pack_bits(ok))
         self.built += len(xs)
         self.build_s += time.perf_counter() - t0
 
@@ -1043,26 +1098,6 @@ class LineGraph:
         self.store[used:top] = rows
         self.slot[x] = np.arange(used, top)
         self.used = top
-
-    def pack(self, ok: np.ndarray) -> np.ndarray:
-        """Bitsets of the rows of a (m, len(pts)) bool array."""
-        out = np.zeros((len(ok), self.words * 8), dtype=np.uint8)
-        out[:, : (ok.shape[1] + 7) // 8] = np.packbits(ok, axis=1, bitorder="little")
-        return out.view("<u8")
-
-    def members(self, bits: np.ndarray, lo: int) -> np.ndarray:
-        """Ascending indices of the set bits of a bitset window that starts
-        at word lo."""
-        return np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little")) + 64 * lo
-
-    def after(self, idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """(len(idx), hi - lo) words lo..hi-1 of the bitsets of the indices
-        above each of idx (each at or after word lo)."""
-        word = idx // 64 - lo
-        out = np.where(np.arange(hi - lo) > word[:, None], ALL_BITS, np.uint64(0))
-        low = (np.uint64(2) << (idx % 64).astype(np.uint64)) - np.uint64(1)
-        out[np.arange(len(idx)), word] = ~low
-        return out
 
     def coset(self, idx: np.ndarray, span: np.ndarray) -> np.ndarray:
         """(len(idx), q^d) indices of the points j + s, s in a d-dimensional
@@ -1114,8 +1149,27 @@ class FlagSearch:
     coordinates.  `flags()` yields, in DFS order, the index list of every
     greedy flag of `target` points.  A point is eligible when it is zero at
     the leading columns of the flag points (the pivot-column test of the
-    module docstring).  A `perp` filter over `pts` keeps only candidates
-    perpendicular to every flag point; the caller picks its dense rule.
+    module docstring), a bitset per pivot mask (`eligible`).  A `perp`
+    filter over `pts` keeps only candidates perpendicular to every flag
+    point.
+
+    Without `lines` the search is a batched expansion (`flag_blocks`).  A
+    node is a flag, its pivot mask and its candidates as a bitset: the
+    points after its last point perpendicular to all of its points, which
+    the count bound reads.  The root's candidates are all points.  Nodes of
+    one depth are held as arrays, and a pass expands a slice of their
+    (node, child) pairs: the set bits of each node's candidates ANDed with
+    its eligibility bitset, read row-major.  Nodes are held in lexicographic
+    order of their flags, so row-major pairs are their children in that
+    order too, and a slice's children are expanded (a stack of frames, one
+    per depth) before the next slice is read: the flags come out in the DFS
+    order of a node-by-node search, and every child is counted when its
+    pass reads it, as that search counts it on entering.  A child's
+    candidates are its parent's ANDed with the row of the points after its
+    point and perpendicular to it (`later`, packed once), and the child is
+    cut when their popcount is below the count bound.  A pass holds at most
+    about PASS_WORDS words of bitsets, or of flag entries for the last
+    depth; passes start at 16 pairs and double, so a first flag costs few.
 
     With `lines` (the maximality engine), a node's candidates are also
     those whose whole coset <S, c> minus S is listed, kept as a bitset and
@@ -1125,7 +1179,7 @@ class FlagSearch:
 
     `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
     and a `stop` predicate that turns true raises SearchStopped, both at the
-    next node entered."""
+    next node entered (the next pass, without `lines`)."""
 
     fv: FieldView
     pts: np.ndarray
@@ -1143,6 +1197,8 @@ class FlagSearch:
         self.packing = KeyPacking(self.fv, self.pts.shape[1])
         self.keys = self.packing.pack(self.pts)
         self.graph = LineGraph(self.packing, self.pts, self.keys, self.perp) if self.lines else None
+        self.words = (len(self.pts) + 63) // 64
+        self._eligible: dict[int, np.ndarray] = {}
         q = self.fv.q
         self.need = [(q**self.target - q**d) // (q - 1) for d in range(self.target + 1)]
         self.depth_nodes = [0] * (self.target + 1)
@@ -1161,11 +1217,13 @@ class FlagSearch:
             0.0 if g is None else g.build_s,
         )
 
-    def rest_after(self, i: int, rest: np.ndarray) -> np.ndarray:
-        """The candidates after point i that survive its filter."""
-        if self.perp is None or len(rest) == 0:
-            return rest
-        return rest[self.perp.to(i, rest)]
+    def eligible(self, piv) -> np.ndarray:
+        """Bitset of the points zero at the pivot columns `piv`, the minima
+        of their cosets; made once per mask."""
+        bits = self._eligible.get(int(piv))
+        if bits is None:
+            bits = self._eligible[int(piv)] = pack_bits(((self.support & piv) == 0)[None, :])[0]
+        return bits
 
     def subspace(self, flag: list[int]) -> Subspace:
         return canonicalize(self.fv, self.pts[flag], self.pts.shape[1])
@@ -1174,44 +1232,71 @@ class FlagSearch:
         """Greedy flags in DFS order; given `first` (a `lines` search only),
         those whose first point has its index in that range, without
         visiting the root."""
-        cand = np.arange(len(self.pts))
         if self.graph is None:
             if first is not None:
                 raise ValueError("first-point ranges need a lines search")
-            yield from self._below([], np.int64(0), cand)
+            for block in self.flag_blocks():
+                yield from block.tolist()
             return
-        bits = self.graph.pack(np.ones((1, len(cand)), dtype=bool))[0]
+        cand = np.arange(len(self.pts))
+        bits = pack_bits(np.ones((1, len(cand)), dtype=bool))[0]
         if first is None:
             yield from self._below_lines([], np.int64(0), cand, bits, 0, cand[:0])
         elif len(cand) >= self.need[0]:  # the root's cut
             kids = cand[max(0, first.start) : first.stop]
             yield from self._children_lines([], np.int64(0), bits, 0, cand[:0], kids)
 
-    def _enter(self, depth: int) -> None:
-        self.depth_nodes[depth] += 1
+    def _enter(self, depth: int, count: int = 1) -> None:
+        self.depth_nodes[depth] += count
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout("maximality search exceeded its budget")
         if self.stop is not None and self.stop():
             raise SearchStopped("the search was stopped")
 
-    def _below(self, flag: list[int], piv: np.int64, cand: np.ndarray):
-        depth = len(flag)
-        self._enter(depth)
-        if depth == self.target:
-            yield flag
+    def flag_blocks(self):
+        """The greedy flags of a search without `lines`, as (m, target)
+        index arrays in DFS order (the batched expansion)."""
+        if self.graph is not None:
+            raise ValueError("a lines search yields its flags one by one")
+        n, t = len(self.pts), self.target
+        self._enter(0)
+        if t == 0:
+            yield np.zeros((1, 0), dtype=np.int64)
             return
-        if len(cand) < self.need[depth]:
+        if n < self.need[0]:
             return
-        leaf = depth + 1 == self.target  # a leaf child reads no candidates
-        for pos in self._eligible(cand, piv):
-            i = int(cand[pos])
-            rest = cand[pos + 1 :] if leaf else self.rest_after(i, cand[pos + 1 :])
-            yield from self._below(flag + [i], piv | self.lead[i], rest)
+        # pairs per pass by child depth: bitset words, then flag entries
+        top = [max(1, PASS_WORDS // self.words)] * t + [max(1, PASS_WORDS // (t * self.pts.shape[1]))]
+        size = [min(16, c) for c in top]
+        root = pack_bits(np.ones((1, n), dtype=bool))
+        stack = [_Frame(self, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), root)]
+        while stack:
+            frame = stack[-1]
+            d = frame.flags.shape[1] + 1
+            rows, kids = frame.take(size[d])
+            if len(kids) == 0:
+                stack.pop()
+                continue
+            size[d] = min(2 * size[d], top[d])
+            self._enter(d, len(kids))
+            flags = np.concatenate([frame.flags[rows], kids[:, None]], axis=1)
+            if d == t:
+                yield flags
+                continue
+            if self.perp is None:
+                bits = frame.bits[rows] & bits_after(kids, 0, self.words)
+            else:
+                bits = frame.bits[rows] & self.later[kids]
+            keep = np.bitwise_count(bits).sum(axis=1) >= self.need[d]
+            if keep.any():
+                piv = frame.piv[rows[keep]] | self.lead[kids[keep]]
+                stack.append(_Frame(self, flags[keep], piv, bits[keep]))
 
-    def _eligible(self, cand: np.ndarray, piv: np.int64) -> np.ndarray:
-        """Positions in cand of the points zero at the pivot columns `piv`,
-        the minima of their cosets."""
-        return ((self.support[cand] & piv) == 0).nonzero()[0]
+    @cached_property
+    def later(self) -> np.ndarray:
+        """Row j: the bitset of the points after j perpendicular to it, which
+        a child at point j keeps of its parent's candidates."""
+        return self.perp.bitsets() & bits_after(np.arange(len(self.pts)), 0, self.words)
 
     def _below_lines(self, flag, piv, cand, bits, lo, span):
         """The node (flag, cand) of a `lines` search: `bits` holds cand as a
@@ -1224,7 +1309,7 @@ class FlagSearch:
             return
         if len(cand) < self.need[depth]:
             return
-        kids = cand[self._eligible(cand, piv)]
+        kids = bit_members(bits & self.eligible(piv)[lo : lo + len(bits)], lo)
         if depth + 1 == self.target:  # every eligible child completes the flag
             for i in kids:
                 self._enter(depth + 1)
@@ -1250,7 +1335,7 @@ class FlagSearch:
             size = min(2 * size, top)
             start = int(chunk[0]) // 64  # no child's candidates lie before its word
             coset = g.coset(chunk, span)
-            acc = bits[start - lo :] & g.after(chunk, start, hi)
+            acc = bits[start - lo :] & bits_after(chunk, start, hi)
             for col in coset.T:
                 acc &= g.rows(col, start, hi)
             fit = np.flatnonzero(np.bitwise_count(acc).sum(axis=1) >= need).tolist()
@@ -1261,7 +1346,7 @@ class FlagSearch:
                 i = int(chunk[r])
                 first = i // 64 - start
                 yield from self._below_lines(
-                    flag + [i], piv | self.lead[i], g.members(acc[r, first:], start + first),
+                    flag + [i], piv | self.lead[i], bit_members(acc[r, first:], start + first),
                     acc[r, first:], start + first, np.concatenate([span, coset[r]]),
                 )
             self._skip(depth + 1, len(chunk) - done)
@@ -1271,13 +1356,45 @@ class FlagSearch:
         self.skipped += count
 
 
+class _Frame:
+    """Nodes of one depth of a batched expansion, in lexicographic order of
+    their flags: flags (k, d), pivot masks (k,) and candidate bitsets
+    (k, words), and the set words of their eligible children's bitsets,
+    whose (node, child) pairs `take` reads row-major."""
+
+    def __init__(self, search: FlagSearch, flags: np.ndarray, piv: np.ndarray, bits: np.ndarray):
+        masks, inv = np.unique(piv, return_inverse=True)
+        elig = (bits & np.stack([search.eligible(m) for m in masks])[inv]).ravel()
+        self.flags, self.piv, self.words = flags, piv, bits.shape[1]
+        # a frame whose children are leaves never reads their candidates
+        self.bits = bits if flags.shape[1] + 1 < search.target else None
+        self.at = np.flatnonzero(elig)
+        self.vals = elig[self.at]
+        self.ends = np.cumsum(np.bitwise_count(self.vals), dtype=np.int64)
+        self.next = 0
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, children) of the next pairs: whole words, at most `count`
+        pairs or the pairs of one word."""
+        lo = self.next
+        base = self.ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(self.ends, base + count, side="right")))
+        hi = self.next = min(hi, len(self.at))
+        bits = np.unpackbits(self.vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        word, bit = np.nonzero(bits)
+        at = self.at[lo:hi][word]
+        return at // self.words, at % self.words * 64 + bit
+
+
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
+    """The maximal t.s./t.i. subspaces, the leaves' flags reduced by one
+    batched `flag_rref` per block of leaves."""
     if len(pts) == 0:
         return []
-    search = FlagSearch(space.fv, pts, target, perp=Perp(space, pts, dense=True))
+    search = FlagSearch(space.fv, pts, target, perp=Perp(space, pts))
     results: list[Subspace] = []
-    for flag in search.flags():
-        results.append(search.subspace(flag))
+    for block in search.flag_blocks():
+        results.extend(Subspace(space.fv, space.dim, m) for m in flag_rref(space.fv, pts[block]))
         if len(results) > cap:
             raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
     return results
@@ -1292,9 +1409,12 @@ def iter_subspaces(fv: FieldView, container: Subspace, k: int):
     container's dimension, not the ambient one.  Every entry between two
     pivots depends only on the coordinates before it, so lexicographic order
     on these coordinates is canonical-index order and the yield order is the
-    same as a search over ambient keys."""
+    same as a search over ambient keys.  A point's ambient leading column
+    is the pivot column of its first nonzero coordinate, so the ambient rows
+    of a flag are a flag too and `flag_rref` reduces them."""
     pts = container.points()
     pivots = np.argmax(container.mat != 0, axis=1)
     search = FlagSearch(fv, pts[:, pivots], k)
-    for flag in search.flags():
-        yield canonicalize(fv, pts[flag], container.dim_ambient)
+    for block in search.flag_blocks():
+        for mat in flag_rref(fv, pts[block]):
+            yield Subspace(fv, container.dim_ambient, mat)

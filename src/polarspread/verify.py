@@ -40,8 +40,17 @@ import numpy as np
 
 from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
-from .linalg import Subspace, all_points, canonicalize, isin_sorted, mat_mul, point_keys
+from .linalg import (
+    Subspace,
+    all_points,
+    canonicalize,
+    isin_sorted,
+    mat_mul,
+    point_keys,
+    stacked_points,
+)
 from .spaces import (
+    PASS_WORDS,
     PERP_BLOCK,
     FlagSearch,
     FormedSpace,
@@ -390,12 +399,20 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     family extends iff some enumerated subspace has all points uncovered."""
     space = fam.space
     mode = "singular" if flavor == "orthogonal" else "any_point"
-    report = cover_report(fam, mode)
-    uncovered = report.uncovered_keys
-    for w in space.maximal_totally_singular():
-        wk = point_keys(space.fv, w.points())
-        if isin_sorted(wk, uncovered).all():
-            return "extendable", w
+    uncovered = cover_report(fam, mode).uncovered_keys
+    listed = space.maximal_totally_singular()
+    if not listed:
+        return "maximal", None
+    # the points of a block of subspaces at once, at most PASS_WORDS entries
+    q, t = space.q, listed[0].dim
+    step = max(1, PASS_WORDS // ((q**t - 1) // (q - 1) * space.dim))
+    for lo in range(0, len(listed), step):
+        block = np.stack([w.mat for w in listed[lo : lo + step]])
+        pts = stacked_points(space.fv, block).reshape(-1, space.dim)
+        keys = point_keys(space.fv, pts).reshape(len(block), -1)
+        hit = np.flatnonzero(isin_sorted(keys, uncovered).all(axis=1))
+        if len(hit):
+            return "extendable", listed[lo + int(hit[0])]
     return "maximal", None
 
 

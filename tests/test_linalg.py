@@ -15,6 +15,7 @@ from polarspread.linalg import (
     all_points,
     canonicalize,
     canonicalize_points,
+    mat_mul,
     point_keys,
 )
 
@@ -197,3 +198,19 @@ def test_all_points_order():
         [1, 1, 0],
         [1, 1, 1],
     ]
+
+
+@pytest.mark.parametrize("p,d,fv", list(small_views()), ids=lambda v: str(getattr(v, "degree", v)))
+def test_mat_mul_matches_scalar_field_ops(p, d, fv):
+    """The field product, one integer product mod p over a prime tower,
+    against sums of scalar `mul` and `add`."""
+    tw, elems = fv.tower, fv.elements()
+    rng = np.random.default_rng(p * 100 + d)
+    a = elems[rng.integers(0, fv.q, size=(5, 7))]
+    b = elems[rng.integers(0, fv.q, size=(7, 4))]
+    want = np.zeros((5, 4), dtype=np.int64)
+    for i in range(5):
+        for j in range(4):
+            for k in range(7):
+                want[i, j] = tw.add(int(want[i, j]), tw.mul(int(a[i, k]), int(b[k, j])))
+    assert np.array_equal(mat_mul(fv, a, b), want)

@@ -195,25 +195,31 @@ def row_vector_flags(fv, pts, target, rest_after, admissible=None, on_node=None)
 
 
 def enumeration_oracle(space):
-    """The subspaces, and the nodes visited under the count bound."""
+    """The subspaces, and the nodes visited under the count bound by depth."""
     pts = space.singular_points()
     adj = perp_adjacency(space, pts)
     q, t = space.q, space.witt_index
-    nodes = 0
+    nodes = [0] * (t + 1)
 
     def counted(flag, cand):
-        nonlocal nodes
-        nodes += 1
+        nodes[len(flag)] += 1
         return len(flag) < t and len(cand) < (q**t - q ** len(flag)) // (q - 1)
 
     flags = row_vector_flags(space.fv, pts, t, lambda i, rest: rest[adj[i, rest]], on_node=counted)
     return [canonicalize(space.fv, pts[f], space.dim) for f in flags], nodes
 
 
-def enumerator_search(space):
+def enumerator_search(space, dense=False):
     """The FlagSearch that `maximal_totally_singular` runs."""
     pts = space.singular_points()
-    return FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=True))
+    return FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=dense))
+
+
+def eligible_positions(search, cand, flag):
+    """Positions in cand of the points the search's eligibility bitset for
+    the flag's pivot columns holds."""
+    bits = search.eligible(np.bitwise_or.reduce(search.lead[flag]))
+    return np.flatnonzero((bits[cand // 64] >> (cand % 64).astype(np.uint64)) & np.uint64(1))
 
 
 def engine_oracle(fam, flavor):
@@ -283,7 +289,7 @@ def test_enumeration_matches_row_vector_oracle_in_order(name):
     assert [w.mat.tolist() for w in got] == [w.mat.tolist() for w in want]
     search = enumerator_search(space)
     assert sum(1 for _ in search.flags()) == len(got)
-    assert search.nodes == nodes
+    assert search.stats().depth_nodes.tolist() == nodes
 
 
 def coset_minimum_positions(search, cand, span):
@@ -308,11 +314,12 @@ PIVOT_CASES = {
 @pytest.mark.parametrize("q", list(PIVOT_CASES))
 def test_pivot_columns_match_the_coset_minimum_at_every_node(q):
     """A DFS driven by the former coset minimum, with span keys grown as the
-    former kernel grew them, compares the pivot-column test with it at every
-    node it reaches (also those the count bound cuts), and reaches every
-    maximal subspace in the enumerator's order."""
+    former kernel grew them, compares the search's eligibility bitsets with
+    it at every node it reaches (also those the count bound cuts), and
+    reaches every maximal subspace in the enumerator's order."""
     space = PIVOT_CASES[q]()
     search = enumerator_search(space)
+    adj = perp_adjacency(space, search.pts)
     pk, found, compared = search.packing, [], 0
 
     def walk(flag, span, cand):
@@ -321,15 +328,15 @@ def test_pivot_columns_match_the_coset_minimum_at_every_node(q):
             found.append(search.subspace(flag))
             return
         want = coset_minimum_positions(search, cand, span)
-        got = search._eligible(cand, np.bitwise_or.reduce(search.lead[flag]))
-        assert np.array_equal(got, want), flag
+        assert np.array_equal(eligible_positions(search, cand, flag), want), flag
         compared += 1
         if len(cand) < search.need[len(flag)]:
             return
         for pos in want:
             i = int(cand[pos])
             grown = np.concatenate([span, pk.kadd(pk.multiples(search.pts[[i]])[0][:, None], span).ravel()])
-            walk(flag + [i], grown, search.rest_after(i, cand[pos + 1 :]))
+            rest = cand[pos + 1 :]
+            walk(flag + [i], grown, rest[adj[i, rest]])
 
     walk([], np.zeros(1, dtype=np.int64), np.arange(len(search.pts)))
     assert compared > len(found)
@@ -407,29 +414,27 @@ def test_engine_is_the_same_on_every_perpendicularity_path(name):
 
 
 @pytest.mark.parametrize("space", [oplus_space(2, 4), oplus_space(3, 3)], ids=repr)
-def test_rest_after_is_the_same_with_and_without_dense_rows(space):
+def test_perp_filter_is_the_same_with_and_without_dense_rows(space):
     """At every node the enumerator visits, dense rows and the kernel-mask
-    (p = 2) or vbform (odd p) filter keep the same candidates."""
-    pts = space.singular_points()
-    dense, sparse = (
-        FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=d))
-        for d in (True, False)
-    )
+    (p = 2) or vbform (odd p) filter keep the same candidates after each
+    child, and the packed rows the batched expansion reads are the same."""
+    dense, sparse = enumerator_search(space, dense=True), enumerator_search(space)
     assert sparse.perp.adj is None and (sparse.perp.keys is None) == (space.fv.p != 2)
+    assert np.array_equal(dense.later, sparse.later)
     compared = 0
 
     def walk(flag, cand):
         nonlocal compared
         if len(flag) == dense.target or len(cand) < dense.need[len(flag)]:
             return
-        for pos in dense._eligible(cand, np.bitwise_or.reduce(dense.lead[flag])):
-            i = int(cand[pos])
-            rest = dense.rest_after(i, cand[pos + 1 :])
-            assert np.array_equal(sparse.rest_after(i, cand[pos + 1 :]), rest), flag + [i]
+        for pos in eligible_positions(dense, cand, flag):
+            i, after = int(cand[pos]), cand[pos + 1 :]
+            rest = after[dense.perp.to(i, after)]
+            assert np.array_equal(after[sparse.perp.to(i, after)], rest), flag + [i]
             compared += 1
             walk(flag + [i], rest)
 
-    walk([], np.arange(len(pts)))
+    walk([], np.arange(len(dense.pts)))
     assert compared > len(space.maximal_totally_singular())
     assert list(dense.flags()) == list(sparse.flags())
     assert dense.nodes == sparse.nodes
@@ -623,12 +628,12 @@ def span_key_engine(fam, flavor):
             return flag
         if len(cand) < search.need[len(flag)]:
             return None
-        for pos in search._eligible(cand, np.bitwise_or.reduce(search.lead[flag])):
-            i = int(cand[pos])
+        for pos in eligible_positions(search, cand, flag):
+            i, rest = int(cand[pos]), cand[pos + 1 :]
             if not isin_sorted(pk.kadd(search.keys[i], span), allowed).all():
                 continue
             grown = np.concatenate([span, pk.kadd(pk.multiples(pts[[i]])[0][:, None], span).ravel()])
-            found = walk(flag + [i], grown, search.rest_after(i, cand[pos + 1 :]))
+            found = walk(flag + [i], grown, rest if perp is None else rest[perp.to(i, rest)])
             if found is not None:
                 return found
         return None
@@ -670,3 +675,123 @@ def test_engine_matches_the_span_key_oracle(name):
         short = fam if drop == 0 else _short(fam, drop)
         cert = V.check_maximal_spread(short, flavor)
         assert (cert.verdict, cert.witness) == span_key_engine(short, flavor), drop
+
+
+# ---------------------------------------------------------------------------
+# The batched expansion: pass sizes, laziness, the cap, batched RREF and
+# stacked points
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space", [oplus_space(3, 4), sp_space(4, 3)], ids=repr)
+def test_tiny_passes_do_not_change_results(monkeypatch, space):
+    """Passes of 200 words (6 to 11 pairs, a set word often split over two
+    passes and a dense one taken whole) give the same lists, order and nodes
+    by depth as the default passes, and so do iter_subspaces orders."""
+    from polarspread import spaces
+
+    pts = space.singular_points()
+
+    def listing():
+        search = enumerator_search(space)
+        mats = [m.mat.tolist() for m in spaces._enumerate_maximal_flags(space, pts, search.target, 10**6)]
+        assert sum(1 for _ in search.flags()) == len(mats)
+        return mats, search.stats().depth_nodes.tolist()
+
+    fv = space.fv
+    container = canonicalize(fv, np.eye(space.dim, dtype=np.int64)[1:5], space.dim)
+    whole = listing(), [w.mat.tolist() for w in iter_subspaces(fv, container, 2)]
+    monkeypatch.setattr(spaces, "PASS_WORDS", 200)
+    tiny = listing(), [w.mat.tolist() for w in iter_subspaces(fv, container, 2)]
+    assert tiny == whole
+    assert whole[0][0] == [w.mat.tolist() for w in space.maximal_totally_singular()]
+
+
+def test_the_cap_still_raises():
+    from polarspread import spaces
+
+    space = sp_space(3, 3)
+    pts = space.singular_points()
+    with pytest.raises(spaces.OutOfDeskScale):
+        spaces._enumerate_maximal_flags(space, pts, space.witt_index, 1119)
+    assert len(spaces._enumerate_maximal_flags(space, pts, space.witt_index, 1120)) == 1120
+
+
+def test_a_first_flag_visits_few_nodes():
+    """The container of families._first_anisotropic_plane at q = 25 has
+    16,276 points and 16,926 lines: the first line comes from the first
+    small passes."""
+    fv = standalone(25)
+    middle = canonicalize(fv, np.eye(8, dtype=np.int64)[2:6], 8)
+    pts = middle.points()
+    search = FlagSearch(fv, pts[:, [2, 3, 4, 5]], 2)
+    flag = next(search.flags())
+    assert canonicalize(fv, pts[flag], 8) == next(iter_subspaces(fv, middle, 2))
+    # the root, one pass of children and one of leaves: 16 pairs, or one
+    # word's 64
+    assert search.nodes <= 1 + 64 + 64
+
+
+@pytest.mark.parametrize("name", ["O+(6,3)", "Sp(6,2)", "Sp(4,9)", "O(5,4)", "O-(4,8)"])
+def test_flag_rref_equals_canonicalize(name):
+    """On every enumerated flag, and on the ambient flags of iter_subspaces
+    in a proper container."""
+    from polarspread.linalg import flag_rref
+
+    space = ENUM_SPACES[name]()
+    fv, search = space.fv, enumerator_search(space)
+    blocks = list(search.flag_blocks())
+    assert sum(map(len, blocks)) == len(space.maximal_totally_singular())
+    for block in blocks:
+        got = flag_rref(fv, search.pts[block])
+        for mat, flag in zip(got, block):
+            assert np.array_equal(mat, canonicalize(fv, search.pts[flag], space.dim).mat)
+    rng = np.random.default_rng(fv.q)
+    container = canonicalize(fv, fv.elements()[rng.integers(0, fv.q, size=(3, space.dim))], space.dim)
+    pts = container.points()
+    pivots = np.argmax(container.mat != 0, axis=1)
+    flags = np.array(list(FlagSearch(fv, pts[:, pivots], 2).flags()))
+    for mat, flag in zip(flag_rref(fv, pts[flags]), flags):
+        assert np.array_equal(mat, canonicalize(fv, pts[flag], space.dim).mat)
+
+
+@pytest.mark.parametrize("name", ["O+(6,3)", "Sp(6,2)", "Sp(4,9)", "O(5,4)", "O-(4,8)"])
+def test_stacked_points_equal_subspace_points(name):
+    """For every enumerated W, stacked with the others and alone, against
+    W's canonicalized span vectors sorted by canonical index."""
+    from polarspread.linalg import stacked_points
+
+    space = ENUM_SPACES[name]()
+    fv, listed = space.fv, space.maximal_totally_singular()
+    stacked = stacked_points(fv, np.stack([w.mat for w in listed]))
+    for pts, w in zip(stacked, listed):
+        vecs = span_vectors(fv, w.mat, space.dim)[1:]
+        canon = np.unique(canonicalize_points(fv, vecs), axis=0)
+        want = canon[np.argsort(point_keys(fv, canon))]
+        assert np.array_equal(pts, w.points())
+        assert np.array_equal(pts, want)
+
+
+@pytest.mark.parametrize(
+    "space", [sp_space(5, 2), parabolic_space(3), sp_space(9, 2), oplus_space(3, 3)], ids=repr
+)
+def test_perp_row_blocks_match_the_per_point_rows(monkeypatch, space):
+    """Without kernel masks (odd p), `Perp.blocks` builds row blocks with
+    one product each, here of about 1,000 entries; whole and upper blocks
+    equal the former one-point rows, `vbform` of every point against one."""
+    from polarspread import spaces
+
+    monkeypatch.setattr(spaces, "PERP_BLOCK", 1000)
+    pts = space.singular_points()
+    perp = Perp(space, pts)
+    assert perp.keys is None
+    want = np.stack([space.vbform(pts, v) == 0 for v in pts])
+    whole = np.zeros_like(want)
+    upper = np.zeros_like(want)
+    for lo, block in perp.blocks():
+        whole[lo : lo + len(block)] = block
+    for lo, block in perp.blocks(upper=True):
+        upper[lo : lo + len(block), lo + 1 :] = block
+    assert len(list(perp.blocks())) > 1
+    assert np.array_equal(whole, want)
+    assert np.array_equal(upper, np.triu(want, 1))

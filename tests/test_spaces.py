@@ -9,7 +9,7 @@ import pytest
 from polarspread import gf
 from polarspread.families import _ovoid_context
 from polarspread.gf import FieldView
-from polarspread.linalg import all_points, canonicalize
+from polarspread.linalg import all_points, canonicalize, mat_mul
 from polarspread.spaces import (
     TsType,
     ZProjection,
@@ -103,17 +103,27 @@ def test_enumeration_sp42_brute_force():
 
 
 def test_enumeration_oplus82_brute_force():
+    """All 200,787 RREF 4-subspaces of GF(2)^8, a block at a time: a
+    subspace is t.s. iff Q vanishes on its basis rows and B on the six pairs
+    of them."""
     o = oplus_space(2, 4)
     mts = o.maximal_totally_singular()
     assert len(mts) == 270
-    brute = 0
-    seen = set()
+    tw = o.fv.tower
+    total, brute, seen = 0, 0, set()
     for block in all_subspaces_of_dim(o.fv, 8, 4):
-        for mat in block:
-            sub = canonicalize(o.fv, mat, 8)
-            if o.is_ts(sub):
-                brute += 1
-                seen.add(sub)
+        total += len(block)
+        ok = (o.vqform(block.reshape(-1, 8)) == 0).reshape(len(block), 4).all(axis=1)
+        rows_g = mat_mul(o.fv, block.reshape(-1, 8), o.gram).reshape(block.shape)
+        for i, j in itertools.combinations(range(4), 2):
+            b = np.zeros(len(block), dtype=np.int64)
+            for c in range(8):
+                b = tw.vadd(b, tw.vmul(rows_g[:, i, c], block[:, j, c]))
+            ok &= b == 0
+        for mat in block[ok]:
+            brute += 1
+            seen.add(canonicalize(o.fv, mat, 8))
+    assert total == 200_787
     assert brute == 270
     assert seen == set(mts)
 
