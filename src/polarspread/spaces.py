@@ -1167,9 +1167,11 @@ class FlagSearch:
     pass reads it, as that search counts it on entering.  A child's
     candidates are its parent's ANDed with the row of the points after its
     point and perpendicular to it (`later`, packed once), and the child is
-    cut when their popcount is below the count bound.  A pass holds at most
+    cut when their popcount is below the count bound.  A pass makes at most
     about PASS_WORDS words of bitsets, or of flag entries for the last
-    depth; passes start at 16 pairs and double, so a first flag costs few.
+    depth, and each of the at most `target` frames on the stack keeps the
+    bitsets of one pass and three words per set word of their eligible
+    part.  Passes start at 16 pairs and double, so a first flag costs few.
 
     With `lines` (the maximality engine), a node's candidates are also
     those whose whole coset <S, c> minus S is listed, kept as a bitset and
