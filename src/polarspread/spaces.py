@@ -1153,25 +1153,16 @@ class FlagSearch:
     filter over `pts` keeps only candidates perpendicular to every flag
     point.
 
-    Without `lines` the search is a batched expansion (`flag_blocks`).  A
-    node is a flag, its pivot mask and its candidates as a bitset: the
-    points after its last point perpendicular to all of its points, which
-    the count bound reads.  The root's candidates are all points.  Nodes of
-    one depth are held as arrays, and a pass expands a slice of their
-    (node, child) pairs: the set bits of each node's candidates ANDed with
-    its eligibility bitset, read row-major.  Nodes are held in lexicographic
-    order of their flags, so row-major pairs are their children in that
-    order too, and a slice's children are expanded (a stack of frames, one
-    per depth) before the next slice is read: the flags come out in the DFS
-    order of a node-by-node search, and every child is counted when its
-    pass reads it, as that search counts it on entering.  A child's
-    candidates are its parent's ANDed with the row of the points after its
-    point and perpendicular to it (`later`, packed once), and the child is
-    cut when their popcount is below the count bound.  A pass makes at most
-    about PASS_WORDS words of bitsets, or of flag entries for the last
-    depth, and each of the at most `target` frames on the stack keeps the
-    bitsets of one pass and three words per set word of their eligible
-    part.  Passes start at 16 pairs and double, so a first flag costs few.
+    Without `lines` the search is the batched expansion of the module
+    docstring (`flag_blocks`): a `_Frame` holds nodes of one depth, whose
+    candidates are the points after their last point perpendicular to all
+    of their points, and a pass expands a slice of their row-major (node,
+    child) pairs.  A child at point j keeps its parent's candidates ANDed
+    with `later[j]`.  A pass makes at most about PASS_WORDS words of
+    bitsets, or of flag entries for the last depth, and each of the at most
+    `target` frames on the stack keeps the bitsets of one pass and three
+    words per set word of their eligible part.  Passes start at 16 pairs
+    and double, so a first flag costs few.
 
     With `lines` (the maximality engine), a node's candidates are also
     those whose whole coset <S, c> minus S is listed, kept as a bitset and
