@@ -169,26 +169,6 @@ def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
-def flag_rref(fv: FieldView, rows: np.ndarray) -> np.ndarray:
-    """RREF of m stacked flags (m, t, n): canonical rows with distinct
-    leading columns, each zero at the leading columns of the rows before it
-    (a greedy flag; `spaces` docstring).  Pass i clears row i's leading
-    column from the rows before it, the only ones nonzero there.  It adds
-    multiples of row i, which is zero at the earlier leading columns, so no
-    earlier pass is undone and every leading entry stays 1; a row only
-    receives rows whose leading column follows its own, so it keeps its
-    leading column.  Sorting rows by leading column gives the RREF."""
-    tw = fv.tower
-    m, t, _ = rows.shape
-    out = np.array(rows, dtype=np.int64)
-    lead = np.argmax(out != 0, axis=2)  # (m, t)
-    at = np.arange(m)
-    for i in range(1, t):
-        coef = out[at[:, None], np.arange(i), lead[:, i, None]]  # (m, i)
-        out[:, :i] = tw.vadd(out[:, :i], tw.vmul(tw.vneg(coef)[:, :, None], out[:, i, None, :]))
-    return np.take_along_axis(out, np.argsort(lead, axis=1)[:, :, None], axis=1)
-
-
 def canonicalize(fv: FieldView, vectors, dim_ambient: int | None = None) -> Subspace:
     """Span of the given vectors in canonical form."""
     if dim_ambient is None:

@@ -81,11 +81,15 @@ Each slice's surviving children are expanded before the next slice is
 read, so the flags come out in the node-by-node DFS order; every child is
 counted when read, as that DFS counts it on entering, and cut by the same
 count, the popcount of its candidates: its parent's after its point, ANDed
-with its point's perpendicularity row.  A leaf flag p_1..p_t has distinct
-leading columns, and p_i is zero at the leading columns of the points
-before it, so the flag rows reduce to RREF by one pass per point that
-clears its leading column from the rows before it (`linalg.flag_rref`),
-over a whole block of leaves at once.
+with its point's perpendicularity row.
+
+A greedy flag read backwards is the RREF basis of its span, so a block of
+leaves needs no elimination.  A flag point p_j after p_i has the larger
+canonical index and is zero at p_i's leading column (the pivot-column
+test), so its leading column comes first (a later one would make p_j the
+smaller point): the leading columns fall along
+the flag, and p_i, zero before its own, is zero at p_j's.  Every point is 1
+at its leading column and zero at the others'.
 
 Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
 test, the partial-ovoid test, the ovoid scan, fingerprints, the symplectic
@@ -134,7 +138,6 @@ from .linalg import (
     canonicalize,
     canonicalize_points,
     express,
-    flag_rref,
     in_kernel,
     mat_mul,
     rref,
@@ -1380,14 +1383,14 @@ class _Frame:
 
 
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):
-    """The maximal t.s./t.i. subspaces, the leaves' flags reduced by one
-    batched `flag_rref` per block of leaves."""
+    """The maximal t.s./t.i. subspaces: each leaf's flag rows, read
+    backwards, are its RREF basis (module docstring)."""
     if len(pts) == 0:
         return []
     search = FlagSearch(space.fv, pts, target, perp=Perp(space, pts))
     results: list[Subspace] = []
     for block in search.flag_blocks():
-        results.extend(Subspace(space.fv, space.dim, m) for m in flag_rref(space.fv, pts[block]))
+        results.extend(Subspace(space.fv, space.dim, m) for m in pts[block[:, ::-1]])
         if len(results) > cap:
             raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
     return results
@@ -1403,11 +1406,12 @@ def iter_subspaces(fv: FieldView, container: Subspace, k: int):
     pivots depends only on the coordinates before it, so lexicographic order
     on these coordinates is canonical-index order and the yield order is the
     same as a search over ambient keys.  A point's ambient leading column
-    is the pivot column of its first nonzero coordinate, so the ambient rows
-    of a flag are a flag too and `flag_rref` reduces them."""
+    is the pivot column of its first nonzero coordinate, and there its
+    ambient entry is that coordinate, so a flag's ambient rows read
+    backwards are an RREF basis too."""
     pts = container.points()
     pivots = np.argmax(container.mat != 0, axis=1)
     search = FlagSearch(fv, pts[:, pivots], k)
     for block in search.flag_blocks():
-        for mat in flag_rref(fv, pts[block]):
+        for mat in pts[block[:, ::-1]]:
             yield Subspace(fv, container.dim_ambient, mat)

@@ -147,6 +147,41 @@ def test_engine_agrees_with_brute_force_sampled():
         )
 
 
+@pytest.mark.parametrize(
+    "build,flavor",
+    [
+        (lambda: F.sp6_line_replace(3), "symplectic"),
+        (lambda: F.triality_pointset(F.two_quadrics_ovoid(2)), "orthogonal"),
+        (lambda: F.triality_pointset(F.elliptic_or_o5_partial_ovoid(3, "elliptic_quadric")), "orthogonal"),
+    ],
+    ids=["thm8.1(3)", "lem7.8(2)-triality", "ex7.4(3)-triality"],
+)
+def test_brute_force_witness_is_the_first_uncovered_subspace(monkeypatch, build, flavor):
+    """Each family whole and less 1, 2 and 3 members, with blocks of one
+    and of several subspaces: the witness is the first enumerated subspace
+    whose points are all uncovered (the former one-subspace-at-a-time
+    scan), and the engine's witness."""
+    fam = build()
+    space = fam.space
+    for drop in range(4):
+        short = fam if drop == 0 else spread_of(space, fam.members[:-drop])
+        mode = "singular" if flavor == "orthogonal" else "any_point"
+        uncovered = V.cover_report(short, mode).uncovered_keys
+        want = next(
+            (
+                w
+                for w in space.maximal_totally_singular()
+                if isin_sorted(point_keys(space.fv, w.points()), uncovered).all()
+            ),
+            None,
+        )
+        assert V.check_maximal_spread(short, flavor).witness == want, drop
+        for words in (1, 1000, spaces.PASS_WORDS):
+            monkeypatch.setattr(V, "PASS_WORDS", words)
+            verdict, witness = V.brute_force_spread_verdict(short, flavor)
+            assert (verdict, witness) == ("maximal" if want is None else "extendable", want), (drop, words)
+
+
 def test_expected_size_values():
     """The constructors' own closed-form sizes, through the CLI registry."""
     assert build("thm3.1", 3, m=1).expected_size == 8
