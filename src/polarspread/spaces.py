@@ -87,27 +87,27 @@ A greedy flag read backwards is the RREF basis of its span, so a block of
 leaves needs no elimination.  A flag point p_j after p_i has the larger
 canonical index and is zero at p_i's leading column (the pivot-column
 test), so its leading column comes first (a later one would make p_j the
-smaller point): the leading columns fall along
-the flag, and p_i, zero before its own, is zero at p_j's.  Every point is 1
-at its leading column and zero at the others'.
+smaller point): the leading columns fall along the flag, and p_i, zero
+before its own, is zero at p_j's.  Every point is 1 at its leading column
+and zero at the others'.
 
 Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
 test, the partial-ovoid test, the ovoid scan, fingerprints, the symplectic
-line rows and the enumerator's filter all ask it; the enumerator packs
-its rows into bitsets once (`Perp.bitsets`).  It reads rows of the dense
+line rows and the enumerator's filter all ask it; the enumerator packs its
+rows into bitsets once (`Perp.bitsets`).  It reads rows of the dense
 adjacency matrix (`perp_adjacency`) when its caller asks for them.
-Otherwise, for p = 2 keys within 62 bits, it is a bit test on the keys.  For p = 2 a key is
-the n*e bits of the coordinates' ranks, and ranking is GF(2)-linear, so
-key(x) is a GF(2)-linear bijection.  A GF(q)-linear functional f is GF(2)-
-linear too, hence so is x -> rank(f(x)): bit j of rank(f(x)) is the parity
-of key(x) & mask_j, where mask_j marks the key bits b for which the basis
-vector u_b with key 1 << b has bit j set in rank(f(u_b))
-(`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is even.  The
-functional B(., v) has coefficient row v G^T, so `Perp` keeps e masks per
-point and a perpendicularity test over many keys is e AND-popcount
-passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
-spaces whose keys need more than 62 bits, use `vbform` for one vector and
-one field product (vs G^T) pts^T for a block of them.
+Otherwise, for p = 2 keys within 62 bits, it is a bit test on the keys.
+For p = 2 a key is the n*e bits of the coordinates' ranks, and ranking is
+GF(2)-linear, so key(x) is a GF(2)-linear bijection.  A GF(q)-linear
+functional f is GF(2)-linear too, hence so is x -> rank(f(x)): bit j of
+rank(f(x)) is the parity of key(x) & mask_j, where mask_j marks the key
+bits b for which the basis vector u_b with key 1 << b has bit j set in
+rank(f(u_b)) (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is
+even.  The functional B(., v) has coefficient row v G^T, so `Perp` keeps e
+masks per point and a perpendicularity test over many keys is e
+AND-popcount passes (`linalg.in_kernel`) with no field arithmetic.  Odd p,
+and p = 2 spaces whose keys need more than 62 bits, use `vbform` for one
+vector and one field product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate.  Write a point as
 y + t e_n with y_n = 0; then Q(y + t e_n) = Q(y) + t B(y, e_n) + t^2 Q(e_n)
@@ -992,7 +992,7 @@ def pack_bits(ok: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def bit_members(bits: np.ndarray, lo: int = 0) -> np.ndarray:
+def bit_members(bits: np.ndarray, lo: int) -> np.ndarray:
     """Ascending indices of the set bits of a bitset window that starts at
     word lo."""
     return np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little")) + 64 * lo
