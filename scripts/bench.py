@@ -7,7 +7,7 @@
 Runs each checkout's own ``perfbench/run.py`` (unchanged, ``--trace 0``) in
 alternating pairs, the parent first in odd pairs, with one seed per pair,
 and writes for every workload and column the median and quartiles of the
-five end-to-end metrics, every run's values, and in how many pairs the
+five end-to-end metrics, each checkout's `src/` line count, every run's values, and in how many pairs the
 change read lower.  It also runs each listed acceptance criterion (``pytest
 tests/test_acceptance.py -k c05``, ...) once in each checkout, and records
 its pytest call time and the line it printed.  Without ``--parent`` only
@@ -76,13 +76,15 @@ def summary(values: list[float]) -> dict:
 
 
 def revision(checkout: Path) -> dict:
-    """The checkout's commit and the tree of its src/, which outlives an
-    amended commit message."""
+    """The checkout's commit, the tree of its src/, which outlives an
+    amended commit message, and the line count of src/polarspread/*.py (as
+    ``wc -l`` totals it)."""
     def rev(name):
         proc = subprocess.run(["git", "rev-parse", name], cwd=checkout, capture_output=True, text=True)
         return proc.stdout.strip() or None
 
-    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src")}
+    src_lines = sum(f.read_bytes().count(b"\n") for f in (checkout / "src/polarspread").glob("*.py"))
+    return {"commit": rev("HEAD"), "src_tree": rev("HEAD:src"), "src_lines": src_lines}
 
 
 def machine() -> dict:

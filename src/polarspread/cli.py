@@ -255,32 +255,21 @@ def cmd_table(a) -> int:
         note = ""
         try:
             if isinstance(fam, PointFamily):
-                universe = fam.space.singular_count()
-                if universe * len(fam) <= a.ovoid_maxtests:
-                    cert = V.check_maximal_ovoid(fam, flavor)
-                    verdict = cert.verdict
-                else:
-                    note = " (maximality skipped: out of desk scale)"
+                verdict = V.check_maximal_ovoid(fam, flavor, guard=a.ovoid_maxtests).verdict
             else:
-                universe = (
-                    fam.space.singular_count()
-                    if flavor == "orthogonal"
-                    else fam.space.point_count()
-                )
-                if universe * len(fam) <= a.maxtests:
-                    try:
-                        cert = V.check_maximal_spread(fam, flavor, time_budget=a.budget)
-                        verdict = cert.verdict
-                    except SearchTimeout:
-                        count = V._maximal_ts_count(fam.space)
-                        if flavor != "plain" and count is not None and count <= 200_000:
-                            bv, _w = V.brute_force_spread_verdict(fam, flavor)
-                            verdict = bv
-                            note = " (by full enumeration after engine budget)"
-                        else:
-                            note = " (maximality attempt timed out)"
-                else:
-                    note = " (maximality skipped: out of desk scale)"
+                try:
+                    cert = V.check_maximal_spread(
+                        fam, flavor, time_budget=a.budget, guard=a.maxtests
+                    )
+                    verdict = cert.verdict
+                except SearchTimeout:
+                    count = V._maximal_ts_count(fam.space)
+                    if flavor != "plain" and count is not None and count <= 200_000:
+                        bv, _w = V.brute_force_spread_verdict(fam, flavor)
+                        verdict = bv
+                        note = " (by full enumeration after engine budget)"
+                    else:
+                        note = " (maximality attempt timed out)"
         except SearchTimeout:
             note = " (maximality attempt timed out)"
         except OutOfDeskScale:

@@ -69,19 +69,33 @@ rows G[p_d + s] (every point of W is listed).  So a node with fewer than
 removes only fruitless subtrees, so results and their order do not change;
 the engine's candidate sets are smaller, so it cuts more.
 
-Batched expansion.  The enumerator and `iter_subspaces` do not walk nodes
-one Python frame at a time.  A node is its flag, the OR of its points'
-leading-column bits and its candidates as a bitset; the nodes of one depth
-are held as arrays, and one numpy pass expands a slice of them.  A node's
-children are the set bits of its candidates ANDed with the eligibility
-bitset of its pivot mask (one bitset per distinct mask), and reading the
-(node, child) pairs row-major lists them by parent, then by point: when the
-parents are in lexicographic order of their flags, so are the children.
-Each slice's surviving children are expanded before the next slice is
-read, so the flags come out in the node-by-node DFS order; every child is
-counted when read, as that DFS counts it on entering, and cut by the same
-count, the popcount of its candidates: its parent's after its point, ANDed
-with its point's perpendicularity row.
+Batched expansion.  No search walks nodes one Python frame at a time.  A
+node is its flag, the OR of its points' leading-column bits, its candidates
+as a bitset and, in the engine, the indices of its span's points; the nodes
+of one depth are held as arrays, and one numpy pass expands a slice of them.
+A node's children are the set bits of its candidates ANDed with the
+eligibility bitset of its pivot mask (one bitset per distinct mask), and
+reading the (node, child) pairs row-major lists them by parent, then by
+point: when the parents are in lexicographic order of their flags, so are
+the children.  Each slice's surviving children are expanded before the next
+slice is read, so the flags come out in the node-by-node DFS order.  Every
+search narrows a child's candidates the same way: its parent's after its
+point, ANDed with the rows of its coset's points (the point's
+perpendicularity row in the enumerator, the q^d line rows G[j + s] in the
+engine, none in `iter_subspaces`); a child below the count bound is cut.
+
+Exact counts.  The node-by-node DFS counts a child when it enters it, cut
+or not, and walks a surviving child's subtree before it reads the next
+sibling.  A pass reads its pairs ahead of that order, so it counts them
+only up to and including its first survivor, and gives every survivor the
+gap from it to the next survivor (to the pass's end, after the last): the
+pairs the DFS counts once that survivor's subtree is done, all of them cut
+but the next survivor.  A frame credits a node's gap to its depth once the
+expansion has passed the node, and its parent frame up to the node's parent
+row in turn; a leaf is counted as it is yielded, after its parent's frame
+is credited up to it.  So whenever a flag is yielded, and at the end, the
+counts by depth equal the DFS's: the engine stops at its first witness, and
+the ranges of a parallel run sum to the serial count.
 
 A greedy flag read backwards is the RREF basis of its span, so a block of
 leaves needs no elimination.  A flag point p_j after p_i has the larger
@@ -91,23 +105,22 @@ smaller point): the leading columns fall along the flag, and p_i, zero
 before its own, is zero at p_j's.  Every point is 1 at its leading column
 and zero at the others'.
 
-Perpendicularity, B(x, v) = 0, is decided in one place, `Perp`: the t.i.
-test, the partial-ovoid test, the ovoid scan, fingerprints, the symplectic
-line rows and the enumerator's filter all ask it; the enumerator packs its
-rows into bitsets once (`Perp.bitsets`).  It reads rows of the dense
-adjacency matrix (`perp_adjacency`) when its caller asks for them.
-Otherwise, for p = 2 keys within 62 bits, it is a bit test on the keys.
-For p = 2 a key is the n*e bits of the coordinates' ranks, and ranking is
-GF(2)-linear, so key(x) is a GF(2)-linear bijection.  A GF(q)-linear
-functional f is GF(2)-linear too, hence so is x -> rank(f(x)): bit j of
-rank(f(x)) is the parity of key(x) & mask_j, where mask_j marks the key
-bits b for which the basis vector u_b with key 1 << b has bit j set in
+Perpendicularity, B(x, v) = 0, of points is decided in one place, `Perp`:
+the partial-ovoid test, the ovoid scan, fingerprints, the symplectic line
+rows and the enumerator's filter all ask it; the enumerator packs its rows
+into bitsets once (`Perp.bitsets`).  (The t.i. test of a basis M is the Gram
+product M G M^T.)  For p = 2 keys within 62 bits, it is a bit test on the
+keys.  For p = 2 a key is the n*e bits of the coordinates' ranks, and
+ranking is GF(2)-linear, so key(x) is a GF(2)-linear bijection.  A
+GF(q)-linear functional f is GF(2)-linear too, hence so is x -> rank(f(x)):
+bit j of rank(f(x)) is the parity of key(x) & mask_j, where mask_j marks the
+key bits b for which the basis vector u_b with key 1 << b has bit j set in
 rank(f(u_b)) (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is
 even.  The functional B(., v) has coefficient row v G^T, so `Perp` keeps e
-masks per point and a perpendicularity test over many keys is e
-AND-popcount passes (`linalg.in_kernel`) with no field arithmetic.  Odd p,
-and p = 2 spaces whose keys need more than 62 bits, use `vbform` for one
-vector and one field product (vs G^T) pts^T for a block of them.
+masks per point and a perpendicularity test over many keys is e AND-popcount
+passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
+spaces whose keys need more than 62 bits, use `vbform` for one vector and
+one field product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate.  Write a point as
 y + t e_n with y_n = 0; then Q(y + t e_n) = Q(y) + t B(y, e_n) + t^2 Q(e_n)
@@ -296,7 +309,13 @@ class FormedSpace:
 
     # -- predicates ---------------------------------------------------------
     def is_ti(self, sub: Subspace) -> bool:
-        return all(block.all() for _, block in Perp(self, sub.mat).blocks())
+        """B vanishes on every pair of basis rows: the Gram product M G M^T
+        is zero, summed over the nonzero entries of G."""
+        tw, m = self.fv.tower, sub.mat
+        acc = np.zeros((len(m), len(m)), dtype=np.int64)
+        for i, j in zip(*np.nonzero(self.gram)):
+            acc = tw.vadd(acc, tw.vmul(self.gram[i, j], tw.vmul(m[:, i, None], m[None, :, j])))
+        return not acc.any()
 
     def is_ts(self, sub: Subspace) -> bool:
         if self.qcoef is None:
@@ -899,18 +918,14 @@ def klein_point_of_line(space: FormedSpace, line: Subspace) -> np.ndarray:
 class Perp:
     """B(x, v) = 0 for the points x of `pts` and the vectors v of `vs` (by
     default `pts`); the only code that chooses how to test it (module
-    docstring): rows of `perp_adjacency(space, pts)` when `dense` (then `vs`
-    is `pts`), else kernel masks of `vs` against the packed keys of `pts`
-    when the space has a `bit_packing`, else `vbform` or, for many rows, a
-    field product."""
+    docstring): kernel masks of `vs` against the packed keys of `pts` when
+    the space has a `bit_packing`, else `vbform` or, for many rows, a field
+    product."""
 
-    def __init__(
-        self, space: FormedSpace, pts: np.ndarray, vs: np.ndarray | None = None, dense: bool = False
-    ):
+    def __init__(self, space: FormedSpace, pts: np.ndarray, vs: np.ndarray | None = None):
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
-        self.adj = perp_adjacency(space, pts) if dense else None
-        bits = None if dense else space.bit_packing
+        bits = space.bit_packing
         self.keys = self.masks = None
         if bits is not None:
             # (len(vs), e) kernel masks of B(., v), coefficient row v G^T, in
@@ -923,16 +938,12 @@ class Perp:
 
     def to(self, k: int, idx=slice(None)) -> np.ndarray:
         """Whether each of pts[idx] is perpendicular to vs[k]."""
-        if self.adj is not None:
-            return self.adj[k][idx]
         if self.keys is not None:
             return in_kernel(self.keys[idx], self.masks[k])
         return self.space.vbform(self.pts[idx], self.vs[k]) == 0
 
     def rows(self, ks: np.ndarray) -> np.ndarray:
         """(len(ks), len(pts)): whether each point is perpendicular to vs[k]."""
-        if self.adj is not None:
-            return self.adj[ks]
         if self.keys is not None:
             return in_kernel(self.keys[None, :], self.masks[ks, None, :])
         fv = self.space.fv
@@ -975,11 +986,8 @@ def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
 LINE_BLOCK = 1 << 18
 # largest vector count q^dim whose keys are looked up in a dense table
 DENSE_KEYS = 1 << 20
-# uint64 words of the candidate bitsets of one chunk of children
-CHUNK_WORDS = 1 << 18
-# uint64 words (or int64 flag entries) made by one pass of the batched expansion
+# uint64 words (or int64 flag entries) made by one pass of the expansion
 PASS_WORDS = 1 << 16
-ALL_BITS = np.uint64(2**64 - 1)
 
 # A bitset over a point list is a row of uint64 words: bit j is bit j % 64 of
 # word j // 64.
@@ -992,20 +1000,14 @@ def pack_bits(ok: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def bit_members(bits: np.ndarray, lo: int) -> np.ndarray:
-    """Ascending indices of the set bits of a bitset window that starts at
-    word lo."""
-    return np.flatnonzero(np.unpackbits(bits.view(np.uint8), bitorder="little")) + 64 * lo
-
-
-def bits_after(idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """(len(idx), hi - lo) words lo..hi-1 of the bitsets of the indices above
-    each of idx (each at or after word lo)."""
-    word = idx // 64 - lo
-    out = np.where(np.arange(hi - lo) > word[:, None], ALL_BITS, np.uint64(0))
-    low = (np.uint64(2) << (idx % 64).astype(np.uint64)) - np.uint64(1)
-    out[np.arange(len(idx)), word] = ~low
-    return out
+def clear_through(bits: np.ndarray, idx: np.ndarray, lo: int) -> None:
+    """Clear, in place, the bits of indices up to idx[r] in row r of `bits`,
+    words lo.. of a bitset (each idx at or after word lo)."""
+    (m, w), word = bits.shape, idx // 64 - lo
+    # row r of the mask: word[r] words before idx[r]'s, then the rest
+    before = np.repeat(np.tile([True, False], m), np.stack([word, w - word], axis=1).ravel())
+    np.copyto(bits, 0, where=before.reshape(m, w))
+    bits[np.arange(m), word] &= ~((np.uint64(2) << (idx % 64).astype(np.uint64)) - np.uint64(1))
 
 
 class LineGraph:
@@ -1103,22 +1105,21 @@ class LineGraph:
         self.used = top
 
     def coset(self, idx: np.ndarray, span: np.ndarray) -> np.ndarray:
-        """(len(idx), q^d) indices of the points j + s, s in a d-dimensional
-        span given by the indices of its points: j itself, then the points
-        j + lambda p of the lines from j through the span's points p."""
-        if len(span) == 0:
-            return idx[:, None]
-        line = self.packing.kadd(self.keys[idx][:, None], self.mult[span].ravel()[None, :])
+        """(len(idx), q^d) indices of the points j + s, s in the d-dimensional
+        span of row r of `span`, given by the indices of its points, for each
+        j = idx[r]: j itself, then the points j + lambda p of the lines from j
+        through the span's points p."""
+        line = self.packing.kadd(self.keys[idx][:, None], self.mult[span].reshape(len(idx), -1))
         return np.concatenate([idx[:, None], self.index(line)], axis=1)
 
 
 @dataclass
 class SearchStats:
-    """Counters of a FlagSearch: nodes visited by depth (a child skipped by
-    the one-pass count is counted as visited), children skipped, line-graph
-    rows built and the seconds spent building them.  A parallel search also
-    counts, as `discarded`, the nodes of the ranges above the winning one,
-    which a serial run never visits and `depth_nodes` leaves out."""
+    """Counters of a FlagSearch: nodes visited by depth (a child cut by the
+    count bound is counted as visited), children cut, line-graph rows built
+    and the seconds spent building them.  A parallel search also counts, as
+    `discarded`, the nodes of the ranges above the winning one, which a
+    serial run never visits and `depth_nodes` leaves out."""
 
     depth_nodes: np.ndarray
     skipped: int = 0
@@ -1149,33 +1150,32 @@ class SearchStats:
 class FlagSearch:
     """The canonical-augmentation DFS over `pts`, canonical points in
     ascending canonical index, on keys packed over `fv` in pts.shape[1]
-    coordinates.  `flags()` yields, in DFS order, the index list of every
-    greedy flag of `target` points.  A point is eligible when it is zero at
-    the leading columns of the flag points (the pivot-column test of the
-    module docstring), a bitset per pivot mask (`eligible`).  A `perp`
-    filter over `pts` keeps only candidates perpendicular to every flag
-    point.
+    coordinates, run as the batched expansion of the module docstring
+    (`_expand`).  `flags()` yields, in DFS order, the index list of every
+    greedy flag of `target` points, and `flag_blocks()` yields them as
+    arrays.  A point is eligible when it is zero at the leading columns of
+    the flag points (the pivot-column test of the module docstring), a
+    bitset per pivot mask (`eligible`).
 
-    Without `lines` the search is the batched expansion of the module
-    docstring (`flag_blocks`): a `_Frame` holds nodes of one depth, whose
-    candidates are the points after their last point perpendicular to all
-    of their points, and a pass expands a slice of their row-major (node,
-    child) pairs.  A child at point j keeps its parent's candidates ANDed
-    with `later[j]`.  A pass makes at most about PASS_WORDS words of
-    bitsets, or of flag entries for the last depth, and each of the at most
-    `target` frames on the stack keeps the bitsets of one pass and three
-    words per set word of their eligible part.  Passes start at 16 pairs
-    and double, so a first flag costs few.
+    A child at point j keeps its parent's candidates after j, ANDed with
+    the rows of its coset: without `perp` or `lines` (`iter_subspaces`)
+    there are none; with a `perp` filter over `pts` (the enumerator) the
+    coset is j and the row the points after j perpendicular to it, which
+    also clears the candidates up to j (`perp_bits`); with `lines` (the
+    maximality engine) the coset is the q^d points j + s, s in the span,
+    and the rows are those of a `LineGraph`, into which `perp` is folded.
+    A child with fewer candidates than the count bound asks is cut.
 
-    With `lines` (the maximality engine), a node's candidates are also
-    those whose whole coset <S, c> minus S is listed, kept as a bitset and
-    narrowed by the rows of a `LineGraph`, into which `perp` is folded.  A
-    node then counts its children's candidates in one pass, chunk by chunk,
-    and skips, counted as visited, each child below the count bound.
+    A pass makes at most about PASS_WORDS words of bitsets, or of flag
+    entries for the last depth, and each of the at most `target` frames on
+    the stack keeps the bitsets of one pass and three words per set word of
+    their eligible part.  Passes start at 16 pairs and double, so a first
+    flag costs few.
 
-    `nodes` counts visited nodes; passing `deadline` raises SearchTimeout,
-    and a `stop` predicate that turns true raises SearchStopped, both at the
-    next node entered (the next pass, without `lines`)."""
+    `nodes` counts visited nodes, cut children too, and equals a
+    node-by-node DFS's count whenever a flag is yielded.  Passing `deadline`
+    raises SearchTimeout, and a `stop` predicate that turns true raises
+    SearchStopped, both at the next pass."""
 
     fv: FieldView
     pts: np.ndarray
@@ -1225,149 +1225,140 @@ class FlagSearch:
         return canonicalize(self.fv, self.pts[flag], self.pts.shape[1])
 
     def flags(self, first: range | None = None):
-        """Greedy flags in DFS order; given `first` (a `lines` search only),
-        those whose first point has its index in that range, without
-        visiting the root."""
-        if self.graph is None:
-            if first is not None:
-                raise ValueError("first-point ranges need a lines search")
-            for block in self.flag_blocks():
-                yield from block.tolist()
-            return
-        cand = np.arange(len(self.pts))
-        bits = pack_bits(np.ones((1, len(cand)), dtype=bool))[0]
-        if first is None:
-            yield from self._below_lines([], np.int64(0), cand, bits, 0, cand[:0])
-        elif len(cand) >= self.need[0]:  # the root's cut
-            kids = cand[max(0, first.start) : first.stop]
-            yield from self._children_lines([], np.int64(0), bits, 0, cand[:0], kids)
-
-    def _enter(self, depth: int, count: int = 1) -> None:
-        self.depth_nodes[depth] += count
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise SearchTimeout("maximality search exceeded its budget")
-        if self.stop is not None and self.stop():
-            raise SearchStopped("the search was stopped")
+        """Greedy flags in DFS order; given `first`, those whose first point
+        has its index in that range, without visiting the root.  Each is
+        counted as it is yielded, after the gaps its DFS predecessors left."""
+        for frame, rows, block in self._expand(first):
+            for r, flag in zip(rows.tolist(), block.tolist()):
+                frame.credit(r)
+                self.depth_nodes[-1] += 1
+                yield flag
 
     def flag_blocks(self):
-        """The greedy flags of a search without `lines`, as (m, target)
-        index arrays in DFS order (the batched expansion)."""
+        """The greedy flags as (m, target) index arrays in DFS order."""
+        for frame, rows, block in self._expand():
+            frame.credit(int(rows[-1]))
+            self.depth_nodes[-1] += len(block)
+            yield block
+
+    @cached_property
+    def perp_bits(self) -> np.ndarray:
+        """Row j: the bitset of the points after j perpendicular to it."""
+        bits = self.perp.bitsets()
+        clear_through(bits, np.arange(len(self.pts)), 0)
+        return bits
+
+    def _coset(self, kids: np.ndarray, span: np.ndarray | None) -> np.ndarray:
+        """The points whose rows narrow each child's candidates, one column
+        per row (class docstring)."""
         if self.graph is not None:
-            raise ValueError("a lines search yields its flags one by one")
+            return self.graph.coset(kids, span)
+        return kids[:, None][:, : self.perp is not None]  # j itself, or no point
+
+    def _rows(self, idx: np.ndarray, lo: int) -> np.ndarray:
+        """Words lo.. of the rows of the points idx."""
+        if self.graph is not None:
+            return self.graph.rows(idx, lo)
+        return self.perp_bits[idx, lo:]
+
+    def _expand(self, first: range | None = None):
+        """The batched expansion: yield (frame, rows, flags) for each pass of
+        leaves, with the frame of their parents and each leaf's parent row
+        in it; the caller counts the leaves and credits the frame."""
         n, t = len(self.pts), self.target
-        self._enter(0)
-        if t == 0:
-            yield np.zeros((1, 0), dtype=np.int64)
+        within = None
+        if first is not None:
+            within = np.zeros((1, n), dtype=bool)
+            within[0, first.start : first.stop] = True
+            within = pack_bits(within)
+        empty = np.zeros((1, 0), dtype=np.int64)
+        ones = pack_bits(np.ones((1, n), dtype=bool))
+        root = _Frame(self, empty, np.zeros(1, dtype=np.int64), ones, span=empty if self.lines else None,
+                      within=within)
+        if t == 0:  # the root is the only flag
+            yield root, np.zeros(1, dtype=np.int64), empty
             return
-        if n < self.need[0]:
+        if first is None:
+            self.depth_nodes[0] += 1
+        if n < self.need[0]:  # the root's cut
             return
         # pairs per pass by child depth: bitset words, then flag entries
         top = [max(1, PASS_WORDS // self.words)] * t + [max(1, PASS_WORDS // (t * self.pts.shape[1]))]
         size = [min(16, c) for c in top]
-        root = pack_bits(np.ones((1, n), dtype=bool))
-        stack = [_Frame(self, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64), root)]
+        stack = [root]
         while stack:
             frame = stack[-1]
             d = frame.flags.shape[1] + 1
             rows, kids = frame.take(size[d])
             if len(kids) == 0:
+                frame.credit(len(frame.flags))
                 stack.pop()
                 continue
             size[d] = min(2 * size[d], top[d])
-            self._enter(d, len(kids))
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise SearchTimeout("maximality search exceeded its budget")
+            if self.stop is not None and self.stop():
+                raise SearchStopped("the search was stopped")
             flags = np.concatenate([frame.flags[rows], kids[:, None]], axis=1)
             if d == t:
-                yield flags
+                yield frame, rows, flags
                 continue
-            if self.perp is None:
-                bits = frame.bits[rows] & bits_after(kids, 0, self.words)
-            else:
-                bits = frame.bits[rows] & self.later[kids]
-            keep = np.bitwise_count(bits).sum(axis=1) >= self.need[d]
-            if keep.any():
-                piv = frame.piv[rows[keep]] | self.lead[kids[keep]]
-                stack.append(_Frame(self, flags[keep], piv, bits[keep]))
-
-    @cached_property
-    def later(self) -> np.ndarray:
-        """Row j: the bitset of the points after j perpendicular to it, which
-        a child at point j keeps of its parent's candidates."""
-        return self.perp.bitsets() & bits_after(np.arange(len(self.pts)), 0, self.words)
-
-    def _below_lines(self, flag, piv, cand, bits, lo, span):
-        """The node (flag, cand) of a `lines` search: `bits` holds cand as a
-        bitset from word lo on, and `span` the indices of the points of the
-        flag's span."""
-        depth = len(flag)
-        self._enter(depth)
-        if depth == self.target:
-            yield flag
-            return
-        if len(cand) < self.need[depth]:
-            return
-        kids = bit_members(bits & self.eligible(piv)[lo : lo + len(bits)], lo)
-        if depth + 1 == self.target:  # every eligible child completes the flag
-            for i in kids:
-                self._enter(depth + 1)
-                yield flag + [int(i)]
-            return
-        yield from self._children_lines(flag, piv, bits, lo, span, kids)
-
-    def _children_lines(self, flag, piv, bits, lo, span, kids):
-        """Visit the eligible children `kids` in order; `bits`, the node's
-        candidates, starts at word lo.  A chunk of children gets its
-        candidate bitsets, bits after j ANDed with the rows of the q^d points
-        j + s (s in the span), and their counts in one pass; chunks grow from
-        16 to 1,024 children, so a witness found early builds few rows.  A
-        child's candidates lie after it, so its bitset starts at its word."""
-        g, depth = self.graph, len(flag)
-        need = self.need[depth + 1]
-        top = max(1, min(1024, CHUNK_WORDS // max(1, g.words)))
-        hi = lo + len(bits)
-        at, size = 0, min(16, top)
-        while at < len(kids):
-            chunk = kids[at : at + size]
-            at += len(chunk)
-            size = min(2 * size, top)
-            start = int(chunk[0]) // 64  # no child's candidates lie before its word
-            coset = g.coset(chunk, span)
-            acc = bits[start - lo :] & bits_after(chunk, start, hi)
+            lo = int(kids.min()) // 64  # no child's candidates lie before its word
+            coset = self._coset(kids, None if frame.span is None else frame.span[rows])
+            bits = frame.bits[rows, lo - frame.lo :]
+            if self.graph is not None or self.perp is None:  # the enumerator's rows clear it
+                clear_through(bits, kids, lo)
             for col in coset.T:
-                acc &= g.rows(col, start, hi)
-            fit = np.flatnonzero(np.bitwise_count(acc).sum(axis=1) >= need).tolist()
-            done = 0
-            for r in fit:
-                self._skip(depth + 1, r - done)
-                done = r + 1
-                i = int(chunk[r])
-                first = i // 64 - start
-                yield from self._below_lines(
-                    flag + [i], piv | self.lead[i], bit_members(acc[r, first:], start + first),
-                    acc[r, first:], start + first, np.concatenate([span, coset[r]]),
-                )
-            self._skip(depth + 1, len(chunk) - done)
-
-    def _skip(self, depth: int, count: int) -> None:
-        self.depth_nodes[depth] += count
-        self.skipped += count
+                bits &= self._rows(col, lo)
+            count = np.bitwise_count(bits).sum(axis=1, dtype=np.int32)
+            keep = np.flatnonzero(count >= self.need[d])
+            # count the pairs up to the first survivor, or all if none survives
+            at = int(keep[0]) if len(keep) else len(kids) - 1
+            self.depth_nodes[d] += at + 1
+            self.skipped += at + (len(keep) == 0)
+            frame.credit(int(rows[at]))
+            if len(keep):
+                span = None
+                if frame.span is not None:
+                    span = np.concatenate([frame.span[rows[keep]], coset[keep]], axis=1)
+                piv = frame.piv[rows[keep]] | self.lead[kids[keep]]
+                pos = keep.tolist() + [len(kids) - 1]
+                child = _Frame(self, flags[keep], piv, bits[keep], lo, span, frame, rows[keep], pos)
+                stack.append(child)
 
 
 class _Frame:
-    """Nodes of one depth of a batched expansion, in lexicographic order of
-    their flags: flags (k, d), pivot masks (k,) and candidate bitsets
-    (k, words), and the set words of their eligible children's bitsets,
-    whose (node, child) pairs `take` reads row-major."""
+    """Nodes of one depth of the batched expansion, in lexicographic order of
+    their flags: flags (k, d), pivot masks (k,), candidate bitsets from word
+    lo on (k, words - lo) and, in a `lines` search, spans as point indices
+    (k, (q^d - 1)/(q - 1)); `take` reads the (node, child) pairs of their
+    eligible children row-major from the set words.
 
-    def __init__(self, search: FlagSearch, flags: np.ndarray, piv: np.ndarray, bits: np.ndarray):
+    Node i was made from row up[i] of the `parent` frame, at position
+    pos[i] of that pass, whose last position is pos[k].  Its gap is the
+    pos[i + 1] - pos[i] pairs after it, up to and including the next node
+    (to the pass's end, after the last), all of them cut but that node.
+    `credit(i)` adds the gaps of the nodes before i, whose subtrees are
+    done, and credits the parent up to up[i] (module docstring)."""
+
+    def __init__(self, search: FlagSearch, flags, piv, bits, lo=0, span=None, parent=None, up=None,
+                 pos=(0, 0), within=None):
         masks, inv = np.unique(piv, return_inverse=True)
-        elig = (bits & np.stack([search.eligible(m) for m in masks])[inv]).ravel()
-        self.flags, self.piv, self.words = flags, piv, bits.shape[1]
+        elig = bits & np.stack([search.eligible(m)[lo:] for m in masks])[inv]
+        if within is not None:
+            elig &= within
+        elig = elig.ravel()
+        self.search, self.parent, self.up, self.pos = search, parent, up, pos
+        self.flags, self.piv, self.lo, self.words = flags, piv, lo, bits.shape[1]
         # a frame whose children are leaves never reads their candidates
-        self.bits = bits if flags.shape[1] + 1 < search.target else None
+        leaves = flags.shape[1] + 1 == search.target
+        self.bits = None if leaves else bits
+        self.span = None if leaves else span
         self.at = np.flatnonzero(elig)
         self.vals = elig[self.at]
         self.ends = np.cumsum(np.bitwise_count(self.vals), dtype=np.int64)
         self.next = 0
+        self.done = 0
 
     def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, children) of the next pairs: whole words, at most `count`
@@ -1379,7 +1370,18 @@ class _Frame:
         bits = np.unpackbits(self.vals[lo:hi].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
         word, bit = np.nonzero(bits)
         at = self.at[lo:hi][word]
-        return at // self.words, at % self.words * 64 + bit
+        return at // self.words, (at % self.words + self.lo) * 64 + bit
+
+    def credit(self, upto: int) -> None:
+        if upto <= self.done:
+            return
+        s, pos, last = self.search, self.pos, len(self.pos) - 2
+        nodes = pos[upto] - pos[self.done]
+        s.depth_nodes[self.flags.shape[1]] += nodes
+        s.skipped += nodes - (min(upto, last) - min(self.done, last))  # less the next nodes
+        self.done = upto
+        if self.parent is not None:
+            self.parent.credit(int(self.up[min(upto, len(self.up) - 1)]))
 
 
 def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, cap: int):

@@ -44,6 +44,7 @@ from .linalg import (
     Subspace,
     all_points,
     canonicalize,
+    canonicalize_points,
     isin_sorted,
     mat_mul,
     point_keys,
@@ -189,13 +190,9 @@ def is_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
     if not is_partial_ovoid(fam, flavor):
         return False
     space = fam.space
-    from .linalg import reduce_rows
-
-    for w in space.maximal_totally_singular():
-        inside = reduce_rows(space.fv, w.mat, fam.points)
-        if inside.sum() != 1:
-            return False
-    return True
+    keys = np.sort(point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
+    blocks = _point_key_blocks(space, space.maximal_totally_singular())
+    return all((isin_sorted(b, keys).sum(axis=1) == 1).all() for _, b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +315,8 @@ def check_maximal_spread(
 def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
     """The first flag found among first-flag points with index in [lo, hi).
     A shared `best` below lo (a lower range holds a witness) ends the range
-    at the next node it enters, inside a subtree too, since its outcome can
-    no longer matter."""
+    at its next pass, inside a subtree too, since its outcome can no longer
+    matter."""
     if best is not None:
         search.stop = lambda: best.value < lo
     try:
@@ -348,8 +345,8 @@ def _worker_run(lo: int, hi: int):
 
 def _parallel_search(search: FlagSearch, jobs: int):
     """Ranges of first-flag points are queued in order.  A witness in one
-    range lowers the shared `best`, and every range above it stops at the
-    next node it enters; the run waits only for the ranges below, so the
+    range lowers the shared `best`, and every range above it stops at its
+    next pass; the run waits only for the ranges below, so the
     lowest-ranked witness wins as in a serial run.  A timeout below `best`
     ends the run and cancels the ranges still queued.  The node counts take
     in the root and the ranges at or below the winning one, which ran to
@@ -401,19 +398,25 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     mode = "singular" if flavor == "orthogonal" else "any_point"
     uncovered = cover_report(fam, mode).uncovered_keys
     listed = space.maximal_totally_singular()
+    for lo, keys in _point_key_blocks(space, listed):
+        hit = np.flatnonzero(isin_sorted(keys, uncovered).all(axis=1))
+        if len(hit):
+            return "extendable", listed[lo + int(hit[0])]
+    return "maximal", None
+
+
+def _point_key_blocks(space: FormedSpace, listed: list[Subspace]):
+    """Yield (lo, keys): the point keys of listed[lo:lo + b], one row per
+    subspace, for blocks of subspaces of the same dimension whose points
+    take at most PASS_WORDS entries."""
     if not listed:
-        return "maximal", None
-    # the points of a block of subspaces at once, at most PASS_WORDS entries
+        return
     q, t = space.q, listed[0].dim
     step = max(1, PASS_WORDS // ((q**t - 1) // (q - 1) * space.dim))
     for lo in range(0, len(listed), step):
         block = np.stack([w.mat for w in listed[lo : lo + step]])
         pts = stacked_points(space.fv, block).reshape(-1, space.dim)
-        keys = point_keys(space.fv, pts).reshape(len(block), -1)
-        hit = np.flatnonzero(isin_sorted(keys, uncovered).all(axis=1))
-        if len(hit):
-            return "extendable", listed[lo + int(hit[0])]
-    return "maximal", None
+        yield lo, point_keys(space.fv, pts).reshape(len(block), -1)
 
 
 def all_subspaces_of_dim(fv, dim: int, k: int, block: int = 1 << 14):

@@ -146,6 +146,15 @@ def test_construct_in_spaces_keyed_by_view_ranks(capsys, argv, size):
     assert f"size={size} expected={size}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row,flag", [("thm4.3", "--maxtests"), ("thm7.3", "--ovoid-maxtests")])
+def test_table_rows_over_the_guard_are_skipped(capsys, row, flag):
+    """A spread row and an ovoid row over their guard: the engine's own
+    guard refuses them, and the row says so."""
+    assert run(["table", "--rows", row, flag, "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(row + " ") and "maximality skipped: out of desk scale" in out
+
+
 def test_table_unknown_rows(capsys):
     assert run(["table", "--rows", "zzz"]) == 2
     assert run(["table", "--rows", "thm3.1,zzz"]) == 2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from polarspread import families as F
-from polarspread import gf
+from polarspread import gf, spaces
 from polarspread import verify as V
 from polarspread.families import Provenance, SubspaceFamily
 from polarspread.gf import PRIMITIVE_POLYS, FieldView, standalone
@@ -209,10 +209,10 @@ def enumeration_oracle(space):
     return [canonicalize(space.fv, pts[f], space.dim) for f in flags], nodes
 
 
-def enumerator_search(space, dense=False):
+def enumerator_search(space):
     """The FlagSearch that `maximal_totally_singular` runs."""
     pts = space.singular_points()
-    return FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts, dense=dense))
+    return FlagSearch(space.fv, pts, space.witt_index, perp=Perp(space, pts))
 
 
 def eligible_positions(search, cand, flag):
@@ -222,17 +222,16 @@ def eligible_positions(search, cand, flag):
     return np.flatnonzero((bits[cand // 64] >> (cand % 64).astype(np.uint64)) & np.uint64(1))
 
 
-def engine_oracle(fam, flavor):
-    """Verdict, witness and node count of a row-vector engine: a node is cut
-    when fewer of its candidates than a completion needs have their whole
-    coset uncovered, which is the engine's candidate set; every node
-    visited, cut or not, is counted."""
+def engine_oracle_flags(fam, flavor, nodes):
+    """Every flag of a row-vector engine, in DFS order: a node is cut when
+    fewer of its candidates than a completion needs have their whole coset
+    uncovered, which is the engine's candidate set; nodes[d] counts the
+    nodes of depth d visited, cut or not."""
     space = fam.space
     fv, q = space.fv, space.q
     pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
     keys = point_keys(fv, pts)
     target = space.dim // 2
-    nodes = 0
 
     def rest_after(i, rest):
         if flavor == "plain" or len(rest) == 0:
@@ -240,8 +239,7 @@ def engine_oracle(fam, flavor):
         return rest[space.vbform(pts[rest], pts[i]) == 0]
 
     def pruned(flag, cand):
-        nonlocal nodes
-        nodes += 1
+        nodes[len(flag)] += 1
         if len(flag) == target:
             return False
         live = 0
@@ -250,11 +248,17 @@ def engine_oracle(fam, flavor):
             live = np.isin(coset_canonical_keys(fv, pts[cand], span), keys).all(axis=1).sum()
         return live < (q**target - q ** len(flag)) // (q - 1)
 
-    flags = row_vector_flags(fv, pts, target, rest_after, keys, pruned)
-    flag = next(flags, None)
+    return row_vector_flags(fv, pts, target, rest_after, keys, pruned)
+
+
+def engine_oracle(fam, flavor):
+    """Verdict, witness and node count of the row-vector engine."""
+    nodes = [0] * (fam.space.dim // 2 + 1)
+    flag = next(engine_oracle_flags(fam, flavor, nodes), None)
     if flag is None:
-        return "maximal", None, nodes
-    return "extendable", canonicalize(fv, pts[flag], space.dim), nodes
+        return "maximal", None, sum(nodes)
+    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    return "extendable", canonicalize(fam.space.fv, pts[flag], fam.space.dim), sum(nodes)
 
 
 def iter_subspaces_oracle(fv, container, k):
@@ -393,17 +397,31 @@ PERP_CASES = {
 }
 
 
+def assert_perp_is_the_adjacency(perp, adj):
+    """`Perp.to`, `Perp.rows` and `Perp.bitsets` against the rows of
+    `perp_adjacency`."""
+    n = len(adj)
+    assert np.array_equal(perp.rows(np.arange(n)), adj)
+    assert np.array_equal(perp.bitsets(), spaces.pack_bits(adj))
+    rng = np.random.default_rng(n)
+    for k in range(n):
+        idx = np.flatnonzero(rng.random(n) < 0.5)
+        assert np.array_equal(perp.to(k), adj[k]) and np.array_equal(perp.to(k, idx), adj[k, idx]), k
+
+
 @pytest.mark.parametrize("name", list(PERP_CASES))
 def test_engine_is_the_same_on_every_perpendicularity_path(name):
     """The engine's witness and node count with its line rows narrowed by
-    dense rows, by the default `Perp` (kernel masks or vbform) and, for the
-    orthogonal flavor, by no `Perp` at all, which the engine runs."""
+    the default `Perp` (kernel masks or vbform) and, for the orthogonal
+    flavor, by no `Perp` at all, which the engine runs; that `Perp` answers
+    as the rows of `perp_adjacency` do."""
     build, flavor = PERP_CASES[name]
     fam = build()
     space = fam.space
     pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
     cert = V.check_maximal_spread(fam, flavor)
-    perps = [Perp(space, pts, dense=True), Perp(space, pts)]
+    perps = [Perp(space, pts)]
+    assert_perp_is_the_adjacency(perps[0], perp_adjacency(space, pts))
     if flavor == "orthogonal":
         perps.append(None)
     for perp in perps:
@@ -414,30 +432,32 @@ def test_engine_is_the_same_on_every_perpendicularity_path(name):
 
 
 @pytest.mark.parametrize("space", [oplus_space(2, 4), oplus_space(3, 3)], ids=repr)
-def test_perp_filter_is_the_same_with_and_without_dense_rows(space):
-    """At every node the enumerator visits, dense rows and the kernel-mask
-    (p = 2) or vbform (odd p) filter keep the same candidates after each
-    child, and the packed rows the batched expansion reads are the same."""
-    dense, sparse = enumerator_search(space, dense=True), enumerator_search(space)
-    assert sparse.perp.adj is None and (sparse.perp.keys is None) == (space.fv.p != 2)
-    assert np.array_equal(dense.later, sparse.later)
+def test_perp_filter_matches_the_adjacency_rows(space):
+    """At every node the enumerator visits, the kernel-mask (p = 2) or
+    vbform (odd p) filter keeps the same candidates after each child as the
+    rows of `perp_adjacency`, and the packed rows the batched expansion
+    reads are those rows after each point."""
+    search = enumerator_search(space)
+    adj = perp_adjacency(space, search.pts)
+    assert (search.perp.keys is None) == (space.fv.p != 2)
+    assert_perp_is_the_adjacency(search.perp, adj)
+    assert np.array_equal(search.perp_bits, spaces.pack_bits(np.triu(adj, 1)))
     compared = 0
 
     def walk(flag, cand):
         nonlocal compared
-        if len(flag) == dense.target or len(cand) < dense.need[len(flag)]:
+        if len(flag) == search.target or len(cand) < search.need[len(flag)]:
             return
-        for pos in eligible_positions(dense, cand, flag):
+        for pos in eligible_positions(search, cand, flag):
             i, after = int(cand[pos]), cand[pos + 1 :]
-            rest = after[dense.perp.to(i, after)]
-            assert np.array_equal(after[sparse.perp.to(i, after)], rest), flag + [i]
+            rest = after[adj[i, after]]
+            assert np.array_equal(after[search.perp.to(i, after)], rest), flag + [i]
             compared += 1
             walk(flag + [i], rest)
 
-    walk([], np.arange(len(dense.pts)))
+    walk([], np.arange(len(search.pts)))
     assert compared > len(space.maximal_totally_singular())
-    assert list(dense.flags()) == list(sparse.flags())
-    assert dense.nodes == sparse.nodes
+    assert [search.subspace(f) for f in search.flags()] == space.maximal_totally_singular()
 
 
 @pytest.mark.parametrize(
@@ -493,17 +513,15 @@ def test_ovoid_construction_over_gf25():
 def test_row_blocks_chunks_and_lookup_do_not_change_results(monkeypatch, build, flavor):
     """Line rows built from blocks of 1,000 keys (several rows per block for
     the 12 and 180 points of the first and last case, one row over 17
-    column blocks for the 16,830 of thm4.3), children counted one per
-    chunk, and keys looked up in the sorted multiples for every p, give the
-    same verdict, witness and nodes; the enumeration is untouched."""
-    from polarspread import spaces
-
+    column blocks for the 16,830 of thm4.3), passes of one pair, and keys
+    looked up in the sorted multiples for every p, give the same verdict,
+    witness and nodes by depth; the enumeration is untouched."""
     fam = build()
     whole = V.check_maximal_spread(fam, flavor)
     fresh = sp_space(3, 2)
     listed = [w.mat.tolist() for w in fresh.maximal_totally_singular()]
     monkeypatch.setattr(spaces, "LINE_BLOCK", 1000)
-    monkeypatch.setattr(spaces, "CHUNK_WORDS", 1)
+    monkeypatch.setattr(spaces, "PASS_WORDS", 1)
     monkeypatch.setattr(spaces, "DENSE_KEYS", 0)
     blocked = V.check_maximal_spread(fam, flavor)
     assert (blocked.verdict, blocked.witness, blocked.nodes) == (
@@ -514,6 +532,99 @@ def test_row_blocks_chunks_and_lookup_do_not_change_results(monkeypatch, build, 
     assert blocked.stats["nodes_by_depth"] == whole.stats["nodes_by_depth"]
     fresh._max_ts = None
     assert [w.mat.tolist() for w in fresh.maximal_totally_singular()] == listed
+
+
+EXACT_COUNT_CASES = {
+    "thm4.3(2,2,2)-last": (lambda: _short(F.descended_spread(2, 2, 2)), "orthogonal"),
+    "thm4.3(2,2,2)-last2": (lambda: _short(F.descended_spread(2, 2, 2), 2), "orthogonal"),
+    "thm5.2i(2,2)": (lambda: F.grassl_spread(2, 2, "i"), "symplectic"),
+    "thm3.1(3,1)-last-plain": (lambda: _short(F.transversal_spread(3, 1)), "plain"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_COUNT_CASES))
+def test_pass_sizes_do_not_change_engine_counts(monkeypatch, name):
+    """Passes of the default size, of 1,000 and 7 words and of one pair give
+    the same verdict, witness, nodes by depth and cut children, though a
+    larger pass reads pairs past the first witness and builds their rows."""
+    build, flavor = EXACT_COUNT_CASES[name]
+    fam = build()
+    runs = []
+    for words in (spaces.PASS_WORDS, 1000, 7, 1):
+        monkeypatch.setattr(spaces, "PASS_WORDS", words)
+        cert = V.check_maximal_spread(fam, flavor)
+        runs.append((cert.verdict, cert.witness, cert.stats["nodes_by_depth"], cert.stats["skipped"]))
+    assert all(run == runs[0] for run in runs), runs
+
+
+@pytest.mark.parametrize("name", ["Sp(4,5)", "O(5,3)", "Sp(6,2)", "O+(6,3)"])
+def test_counts_equal_the_dfs_at_every_flag(monkeypatch, name):
+    """At every flag the enumerator yields, its nodes by depth equal the
+    row-vector oracle's at the same flag, for passes of the default size,
+    of 7 words and of one pair."""
+    space = ENUM_SPACES[name]()
+    pts = space.singular_points()
+    adj = perp_adjacency(space, pts)
+    q, t = space.q, space.witt_index
+    for words in (spaces.PASS_WORDS, 7, 1):
+        monkeypatch.setattr(spaces, "PASS_WORDS", words)
+        nodes = [0] * (t + 1)
+
+        def counted(flag, cand):
+            nodes[len(flag)] += 1
+            return len(flag) < t and len(cand) < (q**t - q ** len(flag)) // (q - 1)
+
+        oracle = row_vector_flags(space.fv, pts, t, lambda i, rest: rest[adj[i, rest]], on_node=counted)
+        search = enumerator_search(space)
+        flags, seen = search.flags(), 0
+        for want in oracle:
+            assert next(flags) == want and search.depth_nodes == nodes, (words, want)
+            seen += 1
+        assert next(flags, None) is None and search.depth_nodes == nodes
+        assert seen == len(space.maximal_totally_singular())
+
+
+@pytest.mark.parametrize("name", ["thm3.1(5,1)-last2", "thm3.1(3,1)-last-plain", "thm8.1(3)-last"])
+def test_engine_counts_equal_the_dfs_at_every_flag(monkeypatch, name):
+    """Run past its first witness to its end, the engine's search yields the
+    row-vector engine's flags, and at each its nodes by depth equal the
+    oracle's, for passes of the default size, of 7 words and of one pair."""
+    build, flavor = ENGINE_CASES[name]
+    fam = build()
+    space = fam.space
+    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    for words in (spaces.PASS_WORDS, 7, 1):
+        monkeypatch.setattr(spaces, "PASS_WORDS", words)
+        nodes = [0] * (space.dim // 2 + 1)
+        search = V._build_search(space, flavor, pts, None)
+        flags, seen = search.flags(), 0
+        for want in engine_oracle_flags(fam, flavor, nodes):
+            assert next(flags) == want and search.depth_nodes == nodes, (words, want)
+            seen += 1
+        assert next(flags, None) is None and search.depth_nodes == nodes
+        assert seen > 1
+
+
+@pytest.mark.parametrize("name", ["O+(6,3)", "Sp(6,2)", "Sp(4,9)"])
+def test_first_point_ranges_without_lines(name):
+    """flags(first=...) on the enumerator and on a search with no filter
+    (as `iter_subspaces` runs it): exactly the flags of flags() whose first
+    point lies in the range, in order, and the ranges count the nodes of
+    the whole search but its root."""
+    space = ENUM_SPACES[name]()
+    pts = space.singular_points()
+    for make in (lambda: enumerator_search(space), lambda: FlagSearch(space.fv, pts, 2)):
+        whole = make()
+        flags = list(whole.flags())
+        n = len(pts)
+        cuts = [0, 1, n // 3, n // 2 + 5, n + 3]
+        total = np.zeros(whole.target + 1, dtype=np.int64)
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = make()
+            assert list(part.flags(range(lo, hi))) == [f for f in flags if lo <= f[0] < hi]
+            total += part.stats().depth_nodes
+        total[0] += 1
+        assert total.tolist() == whole.depth_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +729,8 @@ def span_key_engine(fam, flavor):
     multiples, `isin_sorted`)."""
     space = fam.space
     pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
-    perp = None if flavor == "plain" else Perp(space, pts, dense=0 < len(pts) <= 4096)
-    search = FlagSearch(space.fv, pts, space.dim // 2, perp=perp)
+    adj = None if flavor == "plain" else perp_adjacency(space, pts)
+    search = FlagSearch(space.fv, pts, space.dim // 2)
     pk = search.packing
     allowed = np.sort(pk.multiples(pts).ravel())
 
@@ -633,7 +744,7 @@ def span_key_engine(fam, flavor):
             if not isin_sorted(pk.kadd(search.keys[i], span), allowed).all():
                 continue
             grown = np.concatenate([span, pk.kadd(pk.multiples(pts[[i]])[0][:, None], span).ravel()])
-            found = walk(flag + [i], grown, rest if perp is None else rest[perp.to(i, rest)])
+            found = walk(flag + [i], grown, rest if adj is None else rest[adj[i, rest]])
             if found is not None:
                 return found
         return None
@@ -688,8 +799,6 @@ def test_tiny_passes_do_not_change_results(monkeypatch, space):
     """Passes of 200 words (6 to 11 pairs, a set word often split over two
     passes and a dense one taken whole) give the same lists, order and nodes
     by depth as the default passes, and so do iter_subspaces orders."""
-    from polarspread import spaces
-
     pts = space.singular_points()
 
     def listing():
@@ -708,8 +817,6 @@ def test_tiny_passes_do_not_change_results(monkeypatch, space):
 
 
 def test_the_cap_still_raises():
-    from polarspread import spaces
-
     space = sp_space(3, 3)
     pts = space.singular_points()
     with pytest.raises(spaces.OutOfDeskScale):
@@ -776,8 +883,6 @@ def test_perp_row_blocks_match_the_per_point_rows(monkeypatch, space):
     """Without kernel masks (odd p), `Perp.blocks` builds row blocks with
     one product each, here of about 1,000 entries; whole and upper blocks
     equal the former one-point rows, `vbform` of every point against one."""
-    from polarspread import spaces
-
     monkeypatch.setattr(spaces, "PERP_BLOCK", 1000)
     pts = space.singular_points()
     perp = Perp(space, pts)

@@ -9,8 +9,9 @@ import pytest
 from polarspread import gf
 from polarspread.families import _ovoid_context
 from polarspread.gf import FieldView
-from polarspread.linalg import all_points, canonicalize, mat_mul
+from polarspread.linalg import Subspace, all_points, canonicalize, mat_mul
 from polarspread.spaces import (
+    Perp,
     TsType,
     ZProjection,
     embed,
@@ -35,6 +36,21 @@ def test_symplectic_form_values():
     assert s.bform(e1, e2) == 0
     for v in all_points(s.fv, 4):
         assert s.bform(v, v) == 0
+
+
+@pytest.mark.parametrize("space", [sp_space(3, 2), oplus_space(2, 3)], ids=repr)
+def test_is_ti_gram_product_matches_the_perp_blocks(space):
+    """The one Gram product M G M^T against the former `Perp` test (every
+    basis row perpendicular to every basis row), on every 1-, 2- and
+    3-dimensional subspace."""
+    seen = {True: 0, False: 0}
+    for k in (1, 2, 3):
+        for mats in all_subspaces_of_dim(space.fv, space.dim, k):
+            for m in mats:
+                want = all(block.all() for _, block in Perp(space, m).blocks())
+                assert space.is_ti(Subspace(space.fv, space.dim, m)) == want, m
+                seen[want] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_quadratic_scaling():

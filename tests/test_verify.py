@@ -14,7 +14,7 @@ from polarspread import verify as V
 from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
 from polarspread.gf import FieldError
-from polarspread.linalg import canonicalize, isin_sorted, point_keys, rref
+from polarspread.linalg import canonicalize, isin_sorted, point_keys, reduce_rows, rref
 from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
 
 
@@ -320,8 +320,8 @@ def test_parallel_node_counts_are_reproducible():
 def test_branch_range_stops_inside_a_first_flag_subtree():
     """A `best` that drops below the range while the search is deep in the
     first first-flag subtree of [60, 68) (13,650 nodes, 252 of them
-    entered) ends the range at the next node entered, not at the next
-    first-flag point."""
+    entered) ends the range at the next pass, not at the next first-flag
+    point."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     pts = V._prepare_spread_search(short, "orthogonal", V.DEFAULT_TEST_GUARD)
@@ -348,6 +348,36 @@ def test_certificate_stats():
     assert set(st["ms"]) == {"cover", "rows", "search"}
     assert cert.descriptor()["stats"] == st
     assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
+
+
+def is_ovoid_by_reduce_rows(fam):
+    """The former ovoid test: one `reduce_rows` per maximal subspace."""
+    space = fam.space
+    return V.is_partial_ovoid(fam, "orthogonal") and all(
+        reduce_rows(space.fv, w.mat, fam.points).sum() == 1 for w in space.maximal_totally_singular()
+    )
+
+
+@pytest.mark.parametrize(
+    "build,want",
+    [
+        (lambda: F.suzuki_tits_ovoid(8), True),
+        (lambda: F.suzuki_tits_ovoid(8), False),
+        (lambda: F.desarguesian_ovoid(4), True),
+        (lambda: F.klein_family(F.desarguesian_symplectic_spread(3, 2)), True),
+    ],
+    ids=["ST(8)", "ST(8)-last", "appA(4)", "klein(3)"],
+)
+def test_is_ovoid_matches_the_per_subspace_oracle(monkeypatch, build, want):
+    """The block scan of point keys, with blocks of one subspace and of the
+    default size, against one `reduce_rows` call per maximal subspace."""
+    fam = build()
+    if not want:
+        fam = PointFamily(fam.space, fam.points[:-1], Provenance("t", {}), expected_size=None)
+    assert is_ovoid_by_reduce_rows(fam) == want
+    assert V.is_ovoid(fam, "orthogonal") == want
+    monkeypatch.setattr(V, "PASS_WORDS", 1)
+    assert V.is_ovoid(fam, "orthogonal") == want
 
 
 def test_is_ovoid_small():
