@@ -10,8 +10,9 @@ is the constructor's own `expected_size`, which the family checks when it
 is made.
 
 Exit codes: 0 ok, 1 verification failure, invalid artifact or a family that
-fails a transform's precondition, 2 usage error, 3 out-of-desk-scale
-refusal.  `table` prints one family per line as
+fails a transform's precondition, 2 usage error, 3 a computation refused
+for an array over a desk-scale cap or a search over its time budget; `main`
+maps each to its code.  `table` prints one family per line as
 "id params expected actual verdict millis".
 """
 
@@ -103,41 +104,32 @@ def cmd_construct(a) -> int:
 def cmd_verify(a) -> int:
     d, fam = artifacts.load_family(a.artifact)
     flavor = a.flavor
-    try:
-        if isinstance(fam, PointFamily):
-            if flavor == "plain":
-                flavor = "orthogonal" if fam.space.qcoef is not None else "symplectic"
-            if a.check == "partial":
-                ok = V.is_partial_ovoid(fam, flavor)
-                verdict = "partial-ovoid" if ok else "not-a-partial-ovoid"
-            elif a.check == "maximal":
-                cert = V.check_maximal_ovoid(fam, flavor)
-                d["certificate"] = cert.descriptor()
-                ok = cert.is_maximal
-                verdict = cert.verdict
-            else:
-                ok = V.is_ovoid(fam, flavor)
-                verdict = "ovoid" if ok else "not-an-ovoid"
+    if isinstance(fam, PointFamily):
+        if flavor == "plain":
+            flavor = "orthogonal" if fam.space.qcoef is not None else "symplectic"
+        if a.check == "partial":
+            ok = V.is_partial_ovoid(fam, flavor)
+            verdict = "partial-ovoid" if ok else "not-a-partial-ovoid"
+        elif a.check == "maximal":
+            cert = V.check_maximal_ovoid(fam, flavor)
+            d["certificate"] = cert.descriptor()
+            ok = cert.is_maximal
+            verdict = cert.verdict
         else:
-            if a.check == "partial":
-                ok = V.is_partial_spread(fam, flavor)
-                verdict = "partial-spread" if ok else "not-a-partial-spread"
-            elif a.check == "maximal":
-                cert = V.check_maximal_spread(
-                    fam, flavor, jobs=a.jobs, time_budget=a.budget
-                )
-                d["certificate"] = cert.descriptor()
-                ok = cert.is_maximal
-                verdict = cert.verdict
-            else:
-                ok = V.is_spread(fam, flavor)
-                verdict = "spread" if ok else "not-a-spread"
-    except OutOfDeskScale as e:
-        print(f"out of desk scale: {e}", file=sys.stderr)
-        return EXIT_SCALE
-    except SearchTimeout as e:
-        print(f"search timeout: {e}", file=sys.stderr)
-        return EXIT_SCALE
+            ok = V.is_ovoid(fam, flavor)
+            verdict = "ovoid" if ok else "not-an-ovoid"
+    else:
+        if a.check == "partial":
+            ok = V.is_partial_spread(fam, flavor)
+            verdict = "partial-spread" if ok else "not-a-partial-spread"
+        elif a.check == "maximal":
+            cert = V.check_maximal_spread(fam, flavor, jobs=a.jobs, time_budget=a.budget)
+            d["certificate"] = cert.descriptor()
+            ok = cert.is_maximal
+            verdict = cert.verdict
+        else:
+            ok = V.is_spread(fam, flavor)
+            verdict = "spread" if ok else "not-a-spread"
     print(f"{fam.provenance.describe()} check={a.check} flavor={flavor}: {verdict}")
     if a.check == "maximal":
         artifacts.save(d, a.artifact)
@@ -195,11 +187,7 @@ def cmd_census(a) -> int:
 
 def cmd_fingerprint(a) -> int:
     _, fam = artifacts.load_family(a.artifact)
-    try:
-        fp = V.fingerprint(fam, seed=a.seed)
-    except OutOfDeskScale as e:
-        print(f"out of desk scale: {e}", file=sys.stderr)
-        return EXIT_SCALE
+    fp = V.fingerprint(fam, seed=a.seed)
     hist: dict[int, int] = {}
     for v in fp:
         hist[v] = hist.get(v, 0) + 1
@@ -255,21 +243,9 @@ def cmd_table(a) -> int:
         note = ""
         try:
             if isinstance(fam, PointFamily):
-                verdict = V.check_maximal_ovoid(fam, flavor, guard=a.ovoid_maxtests).verdict
+                verdict = V.check_maximal_ovoid(fam, flavor).verdict
             else:
-                try:
-                    cert = V.check_maximal_spread(
-                        fam, flavor, time_budget=a.budget, guard=a.maxtests
-                    )
-                    verdict = cert.verdict
-                except SearchTimeout:
-                    count = V._maximal_ts_count(fam.space)
-                    if flavor != "plain" and count is not None and count <= 200_000:
-                        bv, _w = V.brute_force_spread_verdict(fam, flavor)
-                        verdict = bv
-                        note = " (by full enumeration after engine budget)"
-                    else:
-                        note = " (maximality attempt timed out)"
+                verdict = V.check_maximal_spread(fam, flavor, time_budget=a.budget).verdict
         except SearchTimeout:
             note = " (maximality attempt timed out)"
         except OutOfDeskScale:
@@ -329,8 +305,6 @@ def main(argv=None) -> int:
 
     t = sub.add_parser("table", help="construct+verify the summary rows")
     t.add_argument("--rows", default=None, help="comma-separated row ids")
-    t.add_argument("--maxtests", type=int, default=1_000_000)
-    t.add_argument("--ovoid-maxtests", type=int, default=200_000_000)
     t.add_argument("--budget", type=float, default=30.0)
     t.set_defaults(fn=cmd_table)
 
@@ -354,6 +328,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except OutOfDeskScale as e:
         print(f"out of desk scale: {e}", file=sys.stderr)
+        return EXIT_SCALE
+    except SearchTimeout as e:
+        print(f"search timeout: {e}", file=sys.stderr)
         return EXIT_SCALE
 
 

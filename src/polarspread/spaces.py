@@ -156,7 +156,11 @@ from .linalg import (
     rref,
 )
 
+# desk-scale caps, each checked before the array it bounds is made: points
+# in a listed universe, maximal subspaces listed, bytes of a bitset matrix
 MAX_ENUM_POINTS = 6_000_000
+MAX_ENUM_SUBSPACES = 2_000_000
+MAX_BITSET_BYTES = 1 << 30
 # largest (prefix x t) array of a singular-point block, in elements
 POINT_BLOCK = 1 << 19
 # int64 temporaries per row block of a perpendicularity test
@@ -164,7 +168,9 @@ PERP_BLOCK = 1 << 16
 
 
 class OutOfDeskScale(RuntimeError):
-    """The requested exhaustive computation exceeds the configured guards."""
+    """The requested exhaustive computation would make an array over one of
+    the desk-scale caps (MAX_ENUM_POINTS, MAX_ENUM_SUBSPACES,
+    MAX_BITSET_BYTES)."""
 
 
 class SearchTimeout(RuntimeError):
@@ -349,16 +355,24 @@ class FormedSpace:
         return Subspace(self.fv, self.dim, rref(self.fv, rows) if len(rows) else rows)
 
     # -- point enumeration ---------------------------------------------------
-    def singular_points(self, cap: int = MAX_ENUM_POINTS) -> np.ndarray:
+    def _check_enumerable(self) -> None:
+        if self.point_count() > MAX_ENUM_POINTS:
+            raise OutOfDeskScale(
+                f"enumerating {self.point_count()} points exceeds MAX_ENUM_POINTS ({MAX_ENUM_POINTS})"
+            )
+
+    def points(self) -> np.ndarray:
+        """All canonical points, ascending canonical index."""
+        self._check_enumerable()
+        return all_points(self.fv, self.dim)
+
+    def singular_points(self) -> np.ndarray:
         """All singular canonical points, ascending canonical index; cached."""
         if self._singular is None:
-            if self.point_count() > cap:
-                raise OutOfDeskScale(
-                    f"enumerating {self.point_count()} points exceeds the desk-scale guard"
-                )
             if self.qcoef is None:
-                pts = all_points(self.fv, self.dim)
+                pts = self.points()
             else:
+                self._check_enumerable()
                 pts = self._singular_by_last_coordinate()
             pts.flags.writeable = False
             self._singular = pts
@@ -419,11 +433,11 @@ class FormedSpace:
         return TsType.SAME if (inter.dim - n) % 2 == 0 else TsType.OTHER
 
     # -- maximal t.s./t.i. enumeration ---------------------------------------
-    def maximal_totally_singular(self, cap: int = 2_000_000) -> list[Subspace]:
+    def maximal_totally_singular(self) -> list[Subspace]:
         """Every maximal t.s. (orthogonal) or t.i. (symplectic) subspace."""
         if self._max_ts is None:
             pts = self.singular_points()
-            self._max_ts = _enumerate_maximal_flags(self, pts, self.witt_index, cap)
+            self._max_ts = _enumerate_maximal_flags(self, pts, self.witt_index, MAX_ENUM_SUBSPACES)
         return self._max_ts
 
     # -- serialization ---------------------------------------------------------
@@ -968,7 +982,7 @@ class Perp:
     def bitsets(self) -> np.ndarray:
         """(len(pts), words): row i is the bitset of the points perpendicular
         to pts[i] (`vs` is `pts`), packed block by block."""
-        out = np.empty((len(self.pts), (len(self.pts) + 63) // 64), dtype=np.uint64)
+        out = bitset_matrix(len(self.pts), len(self.pts), "the perpendicularity bitsets")
         for lo, block in self.blocks():
             out[lo : lo + len(block)] = pack_bits(block)
         return out
@@ -1000,6 +1014,18 @@ def pack_bits(ok: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
+def bitset_matrix(rows: int, n: int, what: str) -> np.ndarray:
+    """An uninitialised (rows, words) matrix of bitsets over n points,
+    refused before it is allocated when it exceeds MAX_BITSET_BYTES."""
+    words = (n + 63) // 64
+    if rows * words * 8 > MAX_BITSET_BYTES:
+        raise OutOfDeskScale(
+            f"{what}: {rows} rows over {n} points take {rows * words * 8} bytes,"
+            f" over MAX_BITSET_BYTES ({MAX_BITSET_BYTES})"
+        )
+    return np.empty((rows, words), dtype=np.uint64)
+
+
 def clear_through(bits: np.ndarray, idx: np.ndarray, lo: int) -> None:
     """Clear, in place, the bits of indices up to idx[r] in row r of `bits`,
     words lo.. of a bitset (each idx at or after word lo)."""
@@ -1022,7 +1048,8 @@ class LineGraph:
     by a sorted array of the points' multiples.  Rows are built on first use, from
     blocks of at most LINE_BLOCK keys (a block of rows, or of one row's
     columns), into a slot matrix that grows on demand: r built rows take
-    r * len(pts) / 8 bytes, 33 MB for all 16,320 rows of criterion 5.  A
+    r * len(pts) / 8 bytes, 33 MB for all 16,320 rows of criterion 5, and a
+    growth over MAX_BITSET_BYTES is refused before it is allocated.  A
     pickled graph carries no rows or table, so each worker process builds
     its own."""
 
@@ -1097,7 +1124,10 @@ class LineGraph:
     def _store(self, x: np.ndarray, rows: np.ndarray) -> None:
         used, top = self.used, self.used + len(x)
         if top > len(self.store):
-            grown = np.empty((max(top, 2 * len(self.store), 64), self.words), dtype=np.uint64)
+            # a graph has at most one row per point, so one whose every row
+            # fits the cap is never refused
+            size = min(len(self.pts), max(top, 2 * len(self.store), 64))
+            grown = bitset_matrix(size, len(self.pts), "the line graph")
             grown[:used] = self.store[:used]
             self.store = grown
         self.store[used:top] = rows
@@ -1394,7 +1424,7 @@ def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, c
     for block in search.flag_blocks():
         results.extend(Subspace(space.fv, space.dim, m) for m in pts[block[:, ::-1]])
         if len(results) > cap:
-            raise OutOfDeskScale("maximal subspace enumeration exceeded the cap")
+            raise OutOfDeskScale(f"listing more than {cap} maximal subspaces exceeds MAX_ENUM_SUBSPACES")
     return results
 
 

@@ -55,7 +55,6 @@ from .spaces import (
     PERP_BLOCK,
     FlagSearch,
     FormedSpace,
-    OutOfDeskScale,
     Perp,
     SearchStats,
     SearchStopped,
@@ -63,12 +62,10 @@ from .spaces import (
 )
 
 ENGINE_VERSION = "2"
-DEFAULT_TEST_GUARD = 2_000_000_000
 
 
 @dataclass
 class CoverReport:
-    mode: str
     total: int
     covered: int
     uncovered_keys: np.ndarray  # ascending canonical keys
@@ -148,18 +145,16 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
     return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
 
 
-def universe_points(space: FormedSpace, mode: str) -> np.ndarray:
-    if mode == "singular":
-        return space.singular_points()
-    if mode == "any_point":
-        return all_points(space.fv, space.dim)
-    raise ValueError(f"unknown mode {mode}")
+def universe_points(space: FormedSpace, flavor: str) -> np.ndarray:
+    """The points a member or an extension of a `flavor` family may hold:
+    the singular points for the orthogonal flavor, every point otherwise."""
+    return space.singular_points() if flavor == "orthogonal" else space.points()
 
 
-def cover_report(fam: SubspaceFamily, mode: str = "singular") -> CoverReport:
+def cover_report(fam: SubspaceFamily, flavor: str) -> CoverReport:
     space = fam.space
     fv = space.fv
-    pts = universe_points(space, mode)
+    pts = universe_points(space, flavor)
     keys = point_keys(fv, pts)
     order = np.argsort(keys)
     skeys = keys[order]
@@ -170,7 +165,6 @@ def cover_report(fam: SubspaceFamily, mode: str = "singular") -> CoverReport:
         hit = (idx < len(skeys)) & (skeys[np.minimum(idx, len(skeys) - 1)] == mk)
         covered[idx[hit]] = True
     return CoverReport(
-        mode=mode,
         total=len(skeys),
         covered=int(covered.sum()),
         uncovered_keys=skeys[~covered],
@@ -181,8 +175,7 @@ def cover_report(fam: SubspaceFamily, mode: str = "singular") -> CoverReport:
 def is_spread(fam: SubspaceFamily, flavor: str) -> bool:
     if not is_partial_spread(fam, flavor):
         return False
-    mode = "singular" if flavor == "orthogonal" else "any_point"
-    return cover_report(fam, mode).uncovered == 0
+    return cover_report(fam, flavor).uncovered == 0
 
 
 def is_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
@@ -200,24 +193,12 @@ def is_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_maximal_ovoid(
-    fam: PointFamily,
-    flavor: str = "orthogonal",
-    guard: int = DEFAULT_TEST_GUARD,
-) -> MaximalityCertificate:
+def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> MaximalityCertificate:
     t0 = time.perf_counter()
     if not is_partial_ovoid(fam, flavor):
         raise FieldError("family is not a partial ovoid")
     space = fam.space
-    if flavor == "orthogonal":
-        count = space.singular_count()
-    else:
-        count = space.point_count()
-    if count * max(1, len(fam)) > guard:
-        raise OutOfDeskScale(
-            f"{count} candidate points x {len(fam)} members exceeds the guard"
-        )
-    cands = universe_points(space, "singular" if flavor == "orthogonal" else "any_point")
+    cands = universe_points(space, flavor)
     alive = np.arange(len(cands))  # ascending: alive[0] is the first witness
     perp = Perp(space, cands, fam.points)
     for k in range(len(fam.points)):
@@ -240,22 +221,6 @@ def check_maximal_ovoid(
 # ---------------------------------------------------------------------------
 
 
-def _prepare_spread_search(fam: SubspaceFamily, flavor: str, guard: int):
-    """The uncovered universe points in ascending canonical order."""
-    space = fam.space
-    if flavor == "orthogonal":
-        total = space.singular_count()
-        mode = "singular"
-    else:
-        total = space.point_count()
-        mode = "any_point"
-    if total * max(1, len(fam)) > guard:
-        raise OutOfDeskScale(
-            f"{total} universe points x {len(fam)} members exceeds the guard"
-        )
-    return cover_report(fam, mode).uncovered_points
-
-
 def _build_search(space, flavor, pts, deadline) -> FlagSearch:
     # the line rows of singular points already imply perpendicularity
     perp = Perp(space, pts) if flavor == "symplectic" else None
@@ -267,7 +232,6 @@ def check_maximal_spread(
     flavor: str = "plain",
     jobs: int = 1,
     time_budget: float | None = None,
-    guard: int = DEFAULT_TEST_GUARD,
 ) -> MaximalityCertificate:
     """Search for an n-space disjoint from every member: t.i. for symplectic
     flavor, t.s. for orthogonal, arbitrary for plain.  Returns a maximal
@@ -277,7 +241,7 @@ def check_maximal_spread(
         raise FieldError(f"family is not a {flavor} partial spread")
     space = fam.space
     tc = time.perf_counter()
-    pts = _prepare_spread_search(fam, flavor, guard)
+    pts = cover_report(fam, flavor).uncovered_points  # ascending canonical order
     t1 = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     search = _build_search(space, flavor, pts, deadline)
@@ -395,8 +359,7 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     """Maximality by full enumeration of maximal t.i./t.s. subspaces: the
     family extends iff some enumerated subspace has all points uncovered."""
     space = fam.space
-    mode = "singular" if flavor == "orthogonal" else "any_point"
-    uncovered = cover_report(fam, mode).uncovered_keys
+    uncovered = cover_report(fam, flavor).uncovered_keys
     listed = space.maximal_totally_singular()
     for lo, keys in _point_key_blocks(space, listed):
         hit = np.flatnonzero(isin_sorted(keys, uncovered).all(axis=1))

@@ -112,7 +112,7 @@ def test_c02_transversal_counts():
 def test_c03_orthogonal_spread_cover_and_plain_maximality():
     fam = family("prop4.1(2,2)")
     assert len(fam) == 9
-    rep = V.cover_report(fam, "singular")
+    rep = V.cover_report(fam, "orthogonal")
     assert rep.total == 135 and rep.uncovered == 0
     cert = V.check_maximal_spread(fam, "plain")
     assert cert.is_maximal
@@ -489,7 +489,7 @@ def test_c20_engine_matches_brute_force():
     # 4-subspaces of GF(2)^8 and confirm none consists of uncovered points
     fam = family("prop4.1(2,2)")
     assert V.check_maximal_spread(fam, "plain").is_maximal
-    rep = V.cover_report(fam, "any_point")
+    rep = V.cover_report(fam, "plain")
     uncovered = set(rep.uncovered_keys.tolist())
     fv = fam.space.fv
     combos = np.array(

@@ -201,7 +201,7 @@ def test_singular_points_of_table_spaces():
 def ovoid_oracle(fam, flavor):
     """The former scan: a boolean alive mask narrowed by one vbform per point."""
     space = fam.space
-    cands = V.universe_points(space, "singular" if flavor == "orthogonal" else "any_point")
+    cands = V.universe_points(space, flavor)
     alive = np.ones(len(cands), dtype=bool)
     for p in fam.points:
         idx = np.nonzero(alive)[0]

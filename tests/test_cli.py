@@ -4,10 +4,14 @@ transforms, table rows, census."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from polarspread import artifacts, cli
+from polarspread import artifacts, cli, spaces
 from polarspread.cli import main
+from polarspread.families import Provenance, SubspaceFamily
+from polarspread.linalg import canonicalize
+from polarspread.spaces import sp_space
 
 
 def run(argv):
@@ -146,13 +150,76 @@ def test_construct_in_spaces_keyed_by_view_ranks(capsys, argv, size):
     assert f"size={size} expected={size}" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("row,flag", [("thm4.3", "--maxtests"), ("thm7.3", "--ovoid-maxtests")])
-def test_table_rows_over_the_guard_are_skipped(capsys, row, flag):
-    """A spread row and an ovoid row over their guard: the engine's own
-    guard refuses them, and the row says so."""
-    assert run(["table", "--rows", row, flag, "1"]) == 0
+def test_table_row_over_the_point_cap_is_skipped(capsys):
+    """The 17,899,793 singular points of O+(8,16) are over MAX_ENUM_POINTS."""
+    assert run(["table", "--rows", "thm7.3-n4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith(row + " ") and "maximality skipped: out of desk scale" in out
+    assert out.startswith("thm7.3-n4 ") and "maximality skipped: out of desk scale" in out
+
+
+def test_table_admits_the_thm4_3_row_under_its_budget(capsys):
+    """The row is searched, not refused; a budget too short for its
+    certificate shows that without spending it."""
+    assert run(["table", "--rows", "thm4.3", "--budget", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("thm4.3 ") and "partial (maximality attempt timed out)" in out
+
+
+def test_table_takes_no_test_guards():
+    for flag in ("--maxtests", "--ovoid-maxtests"):
+        with pytest.raises(SystemExit) as e:
+            run(["table", flag, "1"])
+        assert e.value.code == 2
+
+
+def _sp24_one_member(path):
+    space = sp_space(2, 12)
+    member = canonicalize(space.fv, np.eye(24, dtype=np.int64)[0::2], 24)
+    fam = SubspaceFamily(space, [member], Provenance("test", {}), expected_size=None)
+    artifacts.save(artifacts.family_to_dict(fam), path)
+    return ["--check", "maximal", "--flavor", "symplectic"]
+
+
+def _oplus88_points(path):
+    run(["construct", "thm7.3", "--q", "8", "--s", "1", "-o", str(path)])
+    return ["--check", "complete"]
+
+
+def _tiny_bitset_cap(path):
+    run(["construct", "thm8.1", "--q", "3", "-o", str(path)])
+    return ["--check", "maximal", "--flavor", "symplectic"]
+
+
+@pytest.mark.parametrize(
+    "artifact,cap,message",
+    [
+        (_sp24_one_member, None, "MAX_ENUM_POINTS"),
+        (_oplus88_points, None, "perpendicularity bitsets.*MAX_BITSET_BYTES"),
+        (_tiny_bitset_cap, 0, "line graph.*MAX_BITSET_BYTES"),
+    ],
+    ids=["Sp(24,2)-universe", "O+(8,8)-enumerator", "line-graph"],
+)
+def test_verify_refusals_exit_3_and_leave_the_artifact(tmp_path, capsys, monkeypatch, artifact, cap, message):
+    path = tmp_path / "a.json"
+    argv = artifact(path)
+    if cap is not None:
+        monkeypatch.setattr(spaces, "MAX_BITSET_BYTES", cap)
+    raw = path.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", str(path), *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of desk scale: ") and re.search(message, err) and "Traceback" not in err
+    assert path.read_bytes() == raw
+
+
+def test_verify_search_timeout_exits_3(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    run(["construct", "thm4.3", "--q", "2", "-o", str(path)])
+    raw = path.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", str(path), "--check", "maximal", "--flavor", "orthogonal", "--budget", "0"]) == 3
+    assert capsys.readouterr().err.startswith("search timeout: ")
+    assert path.read_bytes() == raw
 
 
 def test_table_unknown_rows(capsys):

@@ -229,7 +229,7 @@ def engine_oracle_flags(fam, flavor, nodes):
     nodes of depth d visited, cut or not."""
     space = fam.space
     fv, q = space.fv, space.q
-    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(fam, flavor).uncovered_points
     keys = point_keys(fv, pts)
     target = space.dim // 2
 
@@ -257,7 +257,7 @@ def engine_oracle(fam, flavor):
     flag = next(engine_oracle_flags(fam, flavor, nodes), None)
     if flag is None:
         return "maximal", None, sum(nodes)
-    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(fam, flavor).uncovered_points
     return "extendable", canonicalize(fam.space.fv, pts[flag], fam.space.dim), sum(nodes)
 
 
@@ -418,7 +418,7 @@ def test_engine_is_the_same_on_every_perpendicularity_path(name):
     build, flavor = PERP_CASES[name]
     fam = build()
     space = fam.space
-    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(fam, flavor).uncovered_points
     cert = V.check_maximal_spread(fam, flavor)
     perps = [Perp(space, pts)]
     assert_perp_is_the_adjacency(perps[0], perp_adjacency(space, pts))
@@ -592,7 +592,7 @@ def test_engine_counts_equal_the_dfs_at_every_flag(monkeypatch, name):
     build, flavor = ENGINE_CASES[name]
     fam = build()
     space = fam.space
-    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(fam, flavor).uncovered_points
     for words in (spaces.PASS_WORDS, 7, 1):
         monkeypatch.setattr(spaces, "PASS_WORDS", words)
         nodes = [0] * (space.dim // 2 + 1)
@@ -706,12 +706,12 @@ def test_line_rows_match_their_definition(name):
     members = greedy_partial_spread(space)
     flavors = ["symplectic", "plain"] + (["orthogonal"] if space.qcoef is not None else [])
     shortest = SubspaceFamily(space, members[:-3], Provenance("t", {}), expected_size=None)
-    outer = V._prepare_spread_search(shortest, "plain", V.DEFAULT_TEST_GUARD)
+    outer = V.cover_report(shortest, "plain").uncovered_points
     lines = line_points(space, outer)
     for drop in range(4):
         fam = SubspaceFamily(space, members[: len(members) - drop], Provenance("t", {}), expected_size=None)
         for flavor in flavors:
-            pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+            pts = V.cover_report(fam, flavor).uncovered_points
             search = V._build_search(space, flavor, pts, None)
             assert (search.graph.perp is None) == (flavor != "symplectic")
             got = graph_rows(search)
@@ -728,7 +728,7 @@ def span_key_engine(fam, flavor):
     child + span is a multiple of an uncovered point (a sorted array of the
     multiples, `isin_sorted`)."""
     space = fam.space
-    pts = V._prepare_spread_search(fam, flavor, V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(fam, flavor).uncovered_points
     adj = None if flavor == "plain" else perp_adjacency(space, pts)
     search = FlagSearch(space.fv, pts, space.dim // 2)
     pk = search.packing

@@ -49,7 +49,7 @@ def test_partial_ovoid_predicate():
 
 def test_cover_report_modes():
     fam = F.transversal_spread(2, 1)
-    rep = V.cover_report(fam, "any_point")
+    rep = V.cover_report(fam, "symplectic")
     assert rep.total == 15
     # decoded uncovered rows really are the uncovered points
     from polarspread.linalg import reduce_rows as _rr
@@ -66,7 +66,7 @@ def test_cover_report_modes():
         cov |= reduce_rows(fam.space.fv, m.mat, pts)
     assert rep.covered == int(cov.sum())
     empty = spread_of(fam.space, [])
-    assert V.cover_report(empty, "any_point").covered == 0
+    assert V.cover_report(empty, "symplectic").covered == 0
 
 
 def test_maximal_then_deletion_extendable():
@@ -121,7 +121,7 @@ def test_uncovered_reduction_sound(q, data):
         if all(mts[i].intersect(m).dim == 0 for m in members):
             members.append(mts[i])
     fam = spread_of(space, members)
-    rep = V.cover_report(fam, "any_point")
+    rep = V.cover_report(fam, "symplectic")
     uncovered = set(rep.uncovered_keys.tolist())
     for w in mts:
         wkeys = set(point_keys(space.fv, w.points()).tolist())
@@ -165,8 +165,7 @@ def test_brute_force_witness_is_the_first_uncovered_subspace(monkeypatch, build,
     space = fam.space
     for drop in range(4):
         short = fam if drop == 0 else spread_of(space, fam.members[:-drop])
-        mode = "singular" if flavor == "orthogonal" else "any_point"
-        uncovered = V.cover_report(short, mode).uncovered_keys
+        uncovered = V.cover_report(short, flavor).uncovered_keys
         want = next(
             (
                 w
@@ -196,13 +195,44 @@ def test_expected_size_values():
     assert build("thm7.3", 16, s=4, scheme="A6ii").expected_size == 3210
 
 
-def test_guard_refuses_big_universes():
-    fam = F.transversal_spread(2, 1)
-    with pytest.raises(OutOfDeskScale):
-        V.check_maximal_spread(fam, "symplectic", guard=10)
-    e = F.elliptic_or_o5_partial_ovoid(2, "elliptic_quadric")
-    with pytest.raises(OutOfDeskScale):
-        V.check_maximal_ovoid(e, "orthogonal", guard=10)
+def sp24_one_member() -> SubspaceFamily:
+    """One t.i. 12-space of Sp(24,2), whose 16,777,215 points would take
+    3.2 GB as rows."""
+    space = sp_space(2, 12)
+    return spread_of(space, [canonicalize(space.fv, np.eye(24, dtype=np.int64)[0::2], 24)])
+
+
+def test_universe_over_the_point_cap_is_refused_before_it_is_made(monkeypatch):
+    fam = sp24_one_member()
+    point = PointFamily(fam.space, fam.members[0].mat[:1], Provenance("t", {}), expected_size=None)
+    monkeypatch.setattr(spaces, "all_points", lambda *a: pytest.fail("the universe was made"))
+    with pytest.raises(OutOfDeskScale, match="MAX_ENUM_POINTS"):
+        V.check_maximal_spread(fam, "symplectic")
+    with pytest.raises(OutOfDeskScale, match="MAX_ENUM_POINTS"):
+        V.check_maximal_ovoid(point, "symplectic")
+
+
+def test_enumerator_bitsets_over_the_cap_are_refused_before_they_are_made(monkeypatch):
+    """The 300,105 singular points of O+(8,8) would take 11.3 GB of
+    perpendicularity bitsets."""
+    monkeypatch.setattr(spaces.Perp, "blocks", lambda *a, **k: pytest.fail("the bitsets were filled"))
+    with pytest.raises(OutOfDeskScale, match="perpendicularity bitsets.*MAX_BITSET_BYTES"):
+        oplus_space(8, 4).maximal_totally_singular()
+
+
+def test_line_graph_over_the_bitset_cap_is_refused(monkeypatch):
+    """The line graph is refused when its slot matrix would grow over
+    MAX_BITSET_BYTES, and never when all of its rows fit."""
+    fam = F.sp6_line_replace(3)
+    want = V.check_maximal_spread(fam, "symplectic")
+    assert want.stats["rows"] > 0
+    n = len(V.cover_report(fam, "symplectic").uncovered_points)
+    monkeypatch.setattr(spaces, "MAX_BITSET_BYTES", n * ((n + 63) // 64) * 8)
+    got = V.check_maximal_spread(fam, "symplectic")
+    assert (got.verdict, got.nodes, got.stats["rows"]) == (want.verdict, want.nodes, want.stats["rows"])
+    monkeypatch.setattr(spaces, "MAX_BITSET_BYTES", 0)
+    with pytest.raises(OutOfDeskScale, match="line graph.*MAX_BITSET_BYTES"):
+        V.check_maximal_spread(fam, "symplectic")
 
 
 def test_fingerprint_properties():
@@ -324,7 +354,7 @@ def test_branch_range_stops_inside_a_first_flag_subtree():
     point."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
-    pts = V._prepare_spread_search(short, "orthogonal", V.DEFAULT_TEST_GUARD)
+    pts = V.cover_report(short, "orthogonal").uncovered_points
     search = V._build_search(short.space, "orthogonal", pts, time.monotonic() + 120)
 
     class Best:
