@@ -725,12 +725,10 @@ def elliptic_or_o5_partial_ovoid(q: int, kind: str) -> PointFamily:
 def _elliptic_hyperplane(para: FormedSpace) -> Subspace:
     """First hyperplane of the parabolic 5-space whose section is minus type."""
     fv = para.fv
-    from .linalg import all_points
-
     radical = np.zeros(5, dtype=np.int64)
     radical[0] = 1
     q = para.q
-    for phi in all_points(fv, 5):
+    for phi in para.points():
         h = para.nullspace(phi[None, :])
         if fv.char == 2 and h.contains(radical):
             continue

@@ -42,7 +42,6 @@ from .families import PointFamily, SubspaceFamily
 from .gf import FieldError
 from .linalg import (
     Subspace,
-    all_points,
     canonicalize,
     canonicalize_points,
     isin_sorted,
@@ -436,7 +435,7 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     allowed = {1, q + 1}
     if root2q * root2q == 2 * q:
         allowed |= {q - root2q + 1, q + root2q + 1}
-    planes = all_points(fv, 5)
+    planes = u_space.points()
     # hyperplane x . phi = 0 meets the ovoid and the singular points in the
     # zeros of one blocked product planes x points; it holds the radical e_0
     # iff phi_0 = 0
