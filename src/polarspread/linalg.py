@@ -146,7 +146,16 @@ class Subspace:
 
 def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
     """(m, P, n): the canonical points of each of m subspaces given by their
-    RREF bases (m, k, n), in ascending canonical index, one row each.
+    RREF bases (m, k, n), in ascending canonical index, one row each: the
+    blocks of `stacked_point_blocks`, concatenated."""
+    m, _, n = bases.shape
+    empty = np.zeros((m, 0, n), dtype=np.int64)
+    return np.concatenate([empty, *stacked_point_blocks(fv, bases)], axis=1)
+
+
+def stacked_point_blocks(fv: FieldView, bases: np.ndarray):
+    """Yield the (m, q^(k-1-i), n) points of each basis led by its row i,
+    for i from k - 1 down to 0: the rows of `stacked_points` in order.
 
     These are the rows c B for the canonical coefficient vectors c.  The
     points led by basis row i (c leading at i) are row i + span(rows i+1..):
@@ -156,17 +165,16 @@ def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
     keys.  Within a block the coefficient of row j is the entry at its pivot
     and the span takes the first row's coefficient as its most significant
     digit; every entry between two pivots depends only on the coefficients
-    before it, so the order is lexicographic."""
+    before it, so the order is lexicographic.  The span grows with the
+    blocks, so a consumer that stops early never makes the later ones."""
     tw, elems = fv.tower, fv.elements()
     m, k, n = bases.shape
     span = np.zeros((m, 1, n), dtype=np.int64)  # span of the rows below row i
-    blocks = [span[:, :0]]
     for i in range(k - 1, -1, -1):
         row = bases[:, i, None, :]
-        blocks.append(tw.vadd(row, span))
+        yield tw.vadd(row, span)
         if i:
             span = tw.vadd(tw.vmul(elems[:, None, None], row[:, None]), span[:, None]).reshape(m, -1, n)
-    return np.concatenate(blocks, axis=1)
 
 
 def canonicalize(fv: FieldView, vectors, dim_ambient: int | None = None) -> Subspace:

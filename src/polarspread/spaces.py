@@ -154,6 +154,7 @@ from .linalg import (
     in_kernel,
     mat_mul,
     rref,
+    stacked_point_blocks,
 )
 
 # desk-scale caps, each checked before the array it bounds is made: points
@@ -314,21 +315,34 @@ class FormedSpace:
             return None
 
     # -- predicates ---------------------------------------------------------
-    def is_ti(self, sub: Subspace) -> bool:
-        """B vanishes on every pair of basis rows: the Gram product M G M^T
-        is zero, summed over the nonzero entries of G."""
-        tw, m = self.fv.tower, sub.mat
-        acc = np.zeros((len(m), len(m)), dtype=np.int64)
+    def ti_mask(self, bases: np.ndarray) -> np.ndarray:
+        """Per basis of an (m, k, n) stack, whether B vanishes on every pair
+        of its rows: the Gram products M G M^T are zero, summed over the
+        nonzero entries of G for the whole stack at once."""
+        tw = self.fv.tower
+        m, k, _ = bases.shape
+        acc = np.zeros((m, k, k), dtype=np.int64)
         for i, j in zip(*np.nonzero(self.gram)):
-            acc = tw.vadd(acc, tw.vmul(self.gram[i, j], tw.vmul(m[:, i, None], m[None, :, j])))
-        return not acc.any()
+            prod = tw.vmul(bases[:, :, i, None], bases[:, None, :, j])
+            acc = tw.vadd(acc, tw.vmul(self.gram[i, j], prod))
+        return ~acc.any(axis=(1, 2))
 
-    def is_ts(self, sub: Subspace) -> bool:
+    def ts_mask(self, bases: np.ndarray) -> np.ndarray:
+        """Per basis of an (m, k, n) stack, whether it spans a t.s.
+        subspace: Q vanishes on its rows (one `vqform` over all m k rows)
+        and B on their pairs (`ti_mask` of the bases that pass)."""
         if self.qcoef is None:
             raise FieldError("t.s. requires a quadratic form")
-        if np.any(self.vqform(sub.mat)):
-            return False
-        return self.is_ti(sub)
+        m, k, n = bases.shape
+        ok = ~self.vqform(bases.reshape(-1, n)).reshape(m, k).any(axis=1)
+        ok[ok] = self.ti_mask(bases[ok])
+        return ok
+
+    def is_ti(self, sub: Subspace) -> bool:
+        return bool(self.ti_mask(sub.mat[None])[0])
+
+    def is_ts(self, sub: Subspace) -> bool:
+        return bool(self.ts_mask(sub.mat[None])[0])
 
     def is_anisotropic(self, sub: Subspace) -> bool:
         pts = sub.points()
@@ -546,6 +560,16 @@ def ominus4_space(q: int) -> FormedSpace:
 # -- hyperbolic bases, isometries --------------------------------------------
 
 
+def _first_point(sub: Subspace, test) -> np.ndarray:
+    """The first point of sub in canonical order where test(points) holds,
+    read block by block, so the points after it are never made."""
+    for block in stacked_point_blocks(sub.fv, sub.mat[None]):
+        hit = np.flatnonzero(test(block[0]))
+        if len(hit):
+            return block[0, hit[0]]
+    raise FieldError("no point of the subspace passes the test")
+
+
 def _hyperbolic_basis(space: FormedSpace) -> np.ndarray:
     fv = space.fv
     tw = fv.tower
@@ -554,14 +578,12 @@ def _hyperbolic_basis(space: FormedSpace) -> np.ndarray:
     pairs = []
     for _ in range(space.dim // 2):
         sub = canonicalize(fv, cur, space.dim)
-        pts = sub.points()
+        # the first singular point, then the first point it pairs with
         if has_q:
-            sing = pts[space.vqform(pts) == 0]
+            e = _first_point(sub, lambda pts: space.vqform(pts) == 0)
         else:
-            sing = pts
-        e = sing[0]
-        vals = space.vbform(pts, e)
-        partner = pts[vals != 0][0]
+            e = _first_point(sub, lambda pts: np.ones(len(pts), dtype=bool))
+        partner = _first_point(sub, lambda pts: space.vbform(pts, e) != 0)
         f = tw.vmul(partner, np.int64(tw.inv(space.bform(partner, e))))
         # force B(e,f)=1 orientation
         if space.bform(e, f) != 1:

@@ -4,8 +4,12 @@ checks, hyperplane census, and fingerprints.
 
 The partial-spread predicate needs no pairwise rank test.  Two members meet
 nontrivially iff they share a projective point, and every point has one
-canonical key, so the members are pairwise disjoint iff the concatenated
-point keys of all members are pairwise distinct: one sort over the union.
+canonical key, so the members are pairwise disjoint iff the point keys of
+all members are pairwise distinct: one sort over the union.  It works on
+stacks of member bases: one t.i./t.s. mask over all bases, then blocks of
+members whose points take about PASS_WORDS entries, each made and keyed in
+one pass and written into one key array, which is sorted in place.  The
+cover report walks the same blocks.
 
 The maximality search rests on one exact reduction: a subspace extends a
 partial spread iff every one of its points is uncovered (lies in no member).
@@ -114,22 +118,28 @@ class MaximalityCertificate:
 
 
 def is_partial_spread(fam: SubspaceFamily, flavor: str = "plain") -> bool:
+    """Distinct n-spaces, t.i. (symplectic) or t.s. (orthogonal) as one mask
+    over the stacked bases, with no point in two members: the point keys of
+    all members, written block by block into one array and sorted in place,
+    hold no repeat."""
     space = fam.space
     n = space.dim // 2
     members = fam.members
     if len(set(members)) != len(members):
         return False
-    for m in members:
-        if m.dim != n:
-            return False
-        if flavor == "symplectic" and not space.is_ti(m):
-            return False
-        if flavor == "orthogonal" and not space.is_ts(m):
-            return False
+    if any(m.dim != n for m in members):
+        return False
     if not members:
         return True
-    # pairwise trivial intersection iff no projective point is repeated
-    keys = np.sort(np.concatenate([point_keys(space.fv, m.points()) for m in members]))
+    if flavor in ("symplectic", "orthogonal"):
+        bases = np.stack([m.mat for m in members])
+        if not (space.ti_mask(bases) if flavor == "symplectic" else space.ts_mask(bases)).all():
+            return False
+    per = (space.q**n - 1) // (space.q - 1)
+    keys = np.empty(len(members) * per, dtype=np.int64)
+    for lo, block in _point_key_blocks(space, members):
+        keys[lo * per : lo * per + block.size] = block.ravel()
+    keys.sort()
     return not np.any(keys[1:] == keys[:-1])
 
 
@@ -152,17 +162,15 @@ def universe_points(space: FormedSpace, flavor: str) -> np.ndarray:
 
 def cover_report(fam: SubspaceFamily, flavor: str) -> CoverReport:
     space = fam.space
-    fv = space.fv
     pts = universe_points(space, flavor)
-    keys = point_keys(fv, pts)
+    keys = point_keys(space.fv, pts)
     order = np.argsort(keys)
     skeys = keys[order]
     covered = np.zeros(len(skeys), dtype=bool)
-    for m in fam.members:
-        mk = point_keys(fv, m.points())
-        idx = np.searchsorted(skeys, mk)
-        hit = (idx < len(skeys)) & (skeys[np.minimum(idx, len(skeys) - 1)] == mk)
-        covered[idx[hit]] = True
+    for _, block in _point_key_blocks(space, fam.members):
+        mk = block.ravel()
+        idx = np.minimum(np.searchsorted(skeys, mk), len(skeys) - 1)
+        covered[idx[skeys[idx] == mk]] = True
     return CoverReport(
         total=len(skeys),
         covered=int(covered.sum()),
@@ -254,25 +262,29 @@ def check_maximal_spread(
     ms = (t2 - t0) * 1000
     # parallel workers build their rows beside the search's wall time
     search_s = t2 - t1 - (0.0 if jobs > 1 and len(pts) else stats.rows_s)
+    check_s = tc - t0
+    if witness is not None:
+        checked = SubspaceFamily(
+            space, fam.members + [witness], fam.provenance, expected_size=None
+        )
+        t3 = time.perf_counter()
+        if not is_partial_spread(checked, flavor):
+            raise FieldError("witness failed re-verification (engine bug)")
+        check_s += time.perf_counter() - t3
     described = {
         "nodes_by_depth": stats.depth_nodes.tolist(),
         "skipped": stats.skipped,
         "rows": stats.rows,
         "discarded": stats.discarded,
         "ms": {
+            "check": round(check_s * 1000, 3),
             "cover": round((t1 - tc) * 1000, 3),
             "rows": round(stats.rows_s * 1000, 3),
             "search": round(search_s * 1000, 3),
         },
     }
-    if witness is not None:
-        checked = SubspaceFamily(
-            space, fam.members + [witness], fam.provenance, expected_size=None
-        )
-        if not is_partial_spread(checked, flavor):
-            raise FieldError("witness failed re-verification (engine bug)")
-        return MaximalityCertificate("extendable", witness, stats.nodes, ms, flavor, described)
-    return MaximalityCertificate("maximal", None, stats.nodes, ms, flavor, described)
+    verdict = "maximal" if witness is None else "extendable"
+    return MaximalityCertificate(verdict, witness, stats.nodes, ms, flavor, described)
 
 
 def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
@@ -379,32 +391,6 @@ def _point_key_blocks(space: FormedSpace, listed: list[Subspace]):
         block = np.stack([w.mat for w in listed[lo : lo + step]])
         pts = stacked_points(space.fv, block).reshape(-1, space.dim)
         yield lo, point_keys(space.fv, pts).reshape(len(block), -1)
-
-
-def all_subspaces_of_dim(fv, dim: int, k: int, block: int = 1 << 14):
-    """All k-subspaces of fv^dim as RREF matrices, yielded in blocks
-    (cell-by-cell over pivot-column patterns).  Small q only."""
-    from itertools import combinations
-
-    elems = fv.elements()
-    q = len(elems)
-    for pivots in combinations(range(dim), k):
-        free = []
-        for i, pc in enumerate(pivots):
-            for col in range(pc + 1, dim):
-                if col not in pivots:
-                    free.append((i, col))
-        nfree = len(free)
-        total = q**nfree
-        for start in range(0, total, block):
-            stop = min(total, start + block)
-            idx = np.arange(start, stop, dtype=np.int64)
-            mats = np.zeros((stop - start, k, dim), dtype=np.int64)
-            for i, pc in enumerate(pivots):
-                mats[:, i, pc] = 1
-            for t, (i, col) in enumerate(free):
-                mats[:, i, col] = elems[(idx // q ** (nfree - 1 - t)) % q]
-            yield mats
 
 
 # ---------------------------------------------------------------------------

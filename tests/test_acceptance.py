@@ -21,6 +21,7 @@ from polarspread.linalg import point_keys
 from polarspread.octonion import triality_image, zorn_space
 from polarspread.spaces import OutOfDeskScale, oplus_space
 from polarspread.verify import SearchTimeout
+from subspace_helpers import all_subspaces_of_dim
 
 _CACHE: dict = {}
 
@@ -497,7 +498,7 @@ def test_c20_engine_matches_brute_force():
     )
     total = 0
     extendable = 0
-    for block in V.all_subspaces_of_dim(fv, 8, 4):
+    for block in all_subspaces_of_dim(fv, 8, 4):
         pts = (combos[None, :, :] @ block) % 2  # (B, 15, 8)
         keys = point_keys(fv, pts.reshape(-1, 8)).reshape(len(block), 15)
         hit = np.isin(keys, np.array(sorted(uncovered), dtype=np.int64))

@@ -18,6 +18,7 @@ from polarspread.linalg import (
     mat_mul,
     point_keys,
 )
+from subspace_helpers import all_subspaces_of_dim
 
 FV2 = standalone(2)
 FV3 = standalone(3)
@@ -68,8 +69,6 @@ def test_canonicalize_order_insensitive(data):
 
 
 def all_subspaces_gf2_dim4():
-    from polarspread.verify import all_subspaces_of_dim
-
     subs = [Subspace(FV2, 4, np.zeros((0, 4), dtype=np.int64)), canonicalize(FV2, np.eye(4, dtype=np.int64), 4)]
     for k in (1, 2, 3):
         for block in all_subspaces_of_dim(FV2, 4, k):

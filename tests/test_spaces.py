@@ -6,10 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from polarspread import gf
+from polarspread import gf, linalg, spaces
 from polarspread.families import _ovoid_context
 from polarspread.gf import FieldView
-from polarspread.linalg import Subspace, all_points, canonicalize, mat_mul
+from polarspread.linalg import Subspace, all_points, canonicalize, mat_mul, rref
 from polarspread.spaces import (
     Perp,
     TsType,
@@ -26,7 +26,7 @@ from polarspread.spaces import (
     parabolic_space,
     sp_space,
 )
-from polarspread.verify import all_subspaces_of_dim
+from subspace_helpers import all_subspaces_of_dim
 
 
 def test_symplectic_form_values():
@@ -300,3 +300,100 @@ def test_appendix_a_form_vanishes_on_ovoid_parametrization():
     for t in tw.subfield_elements(6).tolist():
         v = ctx.vec(1, t, tw.pow(t, 4 + 16), ctx.nm(t))
         assert ctx.space.qform(v) == 0
+
+
+# ---------------------------------------------------------------------------
+# Hyperbolic bases: the first singular point and its first partner, read
+# block by block, against the former full point lists
+# ---------------------------------------------------------------------------
+
+
+def hyperbolic_basis_by_point_lists(space):
+    """The former `_hyperbolic_basis`: each step lists every point of the
+    current subspace, takes its first singular point e and the first point
+    x with B(x, e) != 0."""
+    fv = space.fv
+    tw = fv.tower
+    has_q = space.qcoef is not None
+    cur = np.eye(space.dim, dtype=np.int64)
+    pairs = []
+    for _ in range(space.dim // 2):
+        pts = canonicalize(fv, cur, space.dim).points()
+        sing = pts[space.vqform(pts) == 0] if has_q else pts
+        e = sing[0]
+        partner = pts[space.vbform(pts, e) != 0][0]
+        f = tw.vmul(partner, np.int64(tw.inv(space.bform(partner, e))))
+        if space.bform(e, f) != 1:
+            f = tw.vmul(f, np.int64(tw.inv(space.bform(e, f))))
+        if has_q:
+            f = tw.vadd(f, tw.vmul(np.int64(tw.neg(space.qform(f))), e))
+        pairs.extend([e, f])
+        bfe = space.bform(f, e)
+        new_rows = []
+        for v in cur:
+            a = tw.neg(tw.div(space.bform(v, f), space.bform(e, f)))
+            b = tw.neg(tw.div(space.bform(v, e), bfe))
+            new_rows.append(tw.vadd(v, tw.vadd(tw.vmul(np.int64(a), e), tw.vmul(np.int64(b), f))))
+        cur = rref(fv, np.array(new_rows))
+    return np.array(pairs, dtype=np.int64)
+
+
+def _hyperbolic_spaces():
+    """Every symplectic and plus-type space the suite builds whose point
+    list the former function can hold (Sp(24,2) and O+(8,8) cannot; Sp(20,2)
+    is the next test's)."""
+    from polarspread import families as F
+    from polarspread.octonion import zorn_space
+
+    yield from (sp_space(q, n) for q, n in [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2),
+                                             (2, 3), (3, 3), (4, 3), (2, 4)])
+    yield from (oplus_space(q, n) for q, n in [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3),
+                                                (5, 3), (2, 4), (3, 4), (4, 4)])
+    yield from (zorn_space(oplus_space(q, 4).fv) for q in (2, 3))
+    for build in [
+        lambda: F.desarguesian_symplectic_spread(3, 2),
+        lambda: F.transversal_spread(2, 2),
+        lambda: F.orthogonal_spread(2, 2),
+        lambda: F.descended_spread(2, 2, 2),
+        lambda: F.folklore_pair(4)[0],
+        lambda: F.grassl_spread(2, 2, "i"),
+        lambda: F.sp6_line_replace(4),
+        lambda: F.project_family(F.orthogonal_spread(2, 2)),
+        lambda: F.descend_family(F.folklore_pair(4)[0]),
+    ]:
+        yield build().space
+
+
+def test_hyperbolic_basis_matches_the_point_list_oracle():
+    seen = 0
+    for space in _hyperbolic_spaces():
+        assert space.kind in ("symplectic", "orthogonal_plus"), space
+        got = spaces._hyperbolic_basis(space)
+        assert np.array_equal(got, hyperbolic_basis_by_point_lists(space)), space
+        seen += 1
+    assert seen == 32
+
+
+def test_hyperbolic_basis_lists_no_whole_point_set(monkeypatch):
+    """Sp(20,2) has 1,048,575 points; its basis reads a few blocks of each
+    step's subspace and never the whole point list."""
+    def refuse(*args):
+        raise AssertionError("a whole point list was built")
+
+    made = []
+    blocks = linalg.stacked_point_blocks
+
+    def counted(fv, bases):
+        for block in blocks(fv, bases):
+            made.append(block.shape[1])
+            yield block
+
+    monkeypatch.setattr(linalg, "stacked_points", refuse)
+    monkeypatch.setattr(linalg.Subspace, "points", refuse)
+    monkeypatch.setattr(spaces, "stacked_point_blocks", counted)
+    monkeypatch.setattr(spaces, "all_points", refuse)
+    space = sp_space(2, 10)
+    h = space.hyperbolic_basis()
+    assert h.shape == (20, 20) and 0 < sum(made) < 100
+    gram = mat_mul(space.fv, mat_mul(space.fv, h, space.gram), h.T)
+    assert np.array_equal(gram, np.kron(np.eye(10, dtype=np.int64), [[0, 1], [1, 0]]))

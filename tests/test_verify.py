@@ -375,7 +375,7 @@ def test_certificate_stats():
     st = cert.stats
     assert sum(st["nodes_by_depth"]) == cert.nodes and st["nodes_by_depth"][0] == 1
     assert 0 < st["skipped"] < cert.nodes and 0 < st["rows"] <= 255
-    assert set(st["ms"]) == {"cover", "rows", "search"}
+    assert set(st["ms"]) == {"check", "cover", "rows", "search"}
     assert cert.descriptor()["stats"] == st
     assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
 
@@ -566,3 +566,152 @@ def test_partial_spread_negatives():
     # the empty family and a one-member family
     assert agree(raw_family(space, []), "symplectic")
     assert agree(raw_family(space, [first]), "symplectic")
+
+
+# ---------------------------------------------------------------------------
+# Stacked passes: t.i./t.s. masks, bad members anywhere, cover reports
+# ---------------------------------------------------------------------------
+
+
+def forms_vanish(space, mat, flavor):
+    """One basis at a time, one form value at a time: B on every pair of
+    rows, and Q on every row for the orthogonal flavor (a FieldError on a
+    space with no quadratic form)."""
+    if flavor == "orthogonal" and any(space.qform(r) for r in mat):
+        return False
+    return all(space.bform(u, v) == 0 for u in mat for v in mat)
+
+
+@pytest.mark.parametrize("name", list(SPREAD_FAMILIES))
+def test_ti_ts_masks_match_the_per_member_loop(name):
+    """The masks over the members' stacked bases, and over bases that take
+    their last row from the previous member (mostly not t.i.)."""
+    fam = SPREAD_FAMILIES[name][0]()
+    space = fam.space
+    mats = np.stack([m.mat for m in fam.members])
+    mixed = mats.copy()
+    mixed[:, -1] = np.roll(mats[:, -1], 1, axis=0)
+    bases = np.concatenate([mats, mixed])
+    want = [forms_vanish(space, b, "symplectic") for b in bases]
+    assert space.ti_mask(bases).tolist() == want
+    assert False in want
+    if space.qcoef is None:
+        with pytest.raises(FieldError):
+            space.ts_mask(bases)
+    else:
+        assert space.ts_mask(bases).tolist() == [forms_vanish(space, b, "orthogonal") for b in bases]
+
+
+def outcome(predicate, fam, flavor):
+    try:
+        return predicate(fam, flavor)
+    except FieldError:
+        return "FieldError"
+
+
+def _bad_members(space, rng):
+    """An n-space that is not t.i. and, for a quadratic form, a t.i. one
+    that is not t.s. (spanned by the diagonals of the hyperbolic pairs),
+    the two disjoint."""
+    n = space.dim // 2
+    bad = []
+    if space.qcoef is not None:
+        diag = np.zeros((n, space.dim), dtype=np.int64)
+        i = np.arange(n)
+        diag[i, 2 * i] = diag[i, 2 * i + 1] = 1
+        bad.append(canonicalize(space.fv, diag, space.dim))
+    while True:
+        x = canonicalize(space.fv, rng.integers(0, 2, (n, space.dim)), space.dim)
+        if x.dim == n and not space.is_ti(x) and all(x.intersect(b).dim == 0 for b in bad):
+            return [x] + bad
+
+
+@pytest.mark.parametrize("space", [oplus_space(2, 4), sp_space(2, 3)], ids=repr)
+def test_a_bad_member_is_found_anywhere_in_the_stack(monkeypatch, space):
+    """A non-t.i. member and (with Q) a t.i. but non-t.s. member, each
+    first, in the middle and last, and a bad member on each side of a block
+    boundary: maximal t.s. members are added while disjoint from every
+    member so far, so only the forms can fail.  A t.s. member that meets
+    the first one fails from the last block.  With blocks of two members
+    and the default ones, the predicate equals the per-member loop of the
+    pairwise oracle, FieldError included (orthogonal flavor in Sp(6,2))."""
+    bad = _bad_members(space, np.random.default_rng(5))
+    good = []
+    for w in space.maximal_totally_singular():
+        if all(w.intersect(m).dim == 0 for m in good + bad):
+            good.append(w)
+    assert len(good) >= 4
+    mid = len(good) // 2
+    placed = []
+    for x in bad:
+        placed += [[x] + good, good[:mid] + [x] + good[mid:], good + [x]]
+    # blocks of two members: bad[0] ends the first and bad[1] starts the
+    # second, or the one bad member starts the second
+    placed.append(good[:1] + bad + good[1:] if len(bad) == 2 else good[:2] + bad + good[2:])
+    # a t.s. member meeting the first one, in the last block
+    meets = next(w for w in space.maximal_totally_singular() if 0 < w.intersect(good[0]).dim)
+    per = (space.q ** (space.dim // 2) - 1) // (space.q - 1)
+    for words in (2 * per * space.dim, spaces.PASS_WORDS):
+        monkeypatch.setattr(V, "PASS_WORDS", words)
+        fam = raw_family(space, good + [meets])
+        for flavor in ("plain", "symplectic", "orthogonal"):
+            got = outcome(V.is_partial_spread, fam, flavor)
+            assert got == outcome(pairwise_rank_oracle, fam, flavor) in (False, "FieldError")
+        for members in placed:
+            fam = raw_family(space, members)
+            assert V.is_partial_spread(fam, "plain")
+            for flavor in ("symplectic", "orthogonal"):
+                got = outcome(V.is_partial_spread, fam, flavor)
+                assert got == outcome(pairwise_rank_oracle, fam, flavor)
+                if flavor == "symplectic":
+                    assert got == (bad[0] not in members)
+                else:
+                    assert got == ("FieldError" if space.qcoef is None else False)
+
+
+def cover_report_by_members(fam, flavor):
+    """The former cover report: one point list and one `searchsorted` per
+    member."""
+    space = fam.space
+    pts = V.universe_points(space, flavor)
+    keys = point_keys(space.fv, pts)
+    order = np.argsort(keys)
+    skeys = keys[order]
+    covered = np.zeros(len(skeys), dtype=bool)
+    for m in fam.members:
+        mk = point_keys(space.fv, m.points())
+        idx = np.searchsorted(skeys, mk)
+        hit = (idx < len(skeys)) & (skeys[np.minimum(idx, len(skeys) - 1)] == mk)
+        covered[idx[hit]] = True
+    return V.CoverReport(len(skeys), int(covered.sum()), skeys[~covered], pts[order[~covered]])
+
+
+# the families of the benchmark's engine workload, with its flavors
+ENGINE_FAMILIES = [
+    ("thm4.3(2,2,2)", "orthogonal"),
+    ("ex7.4(3)-triality", "orthogonal"),
+    ("lem7.8(3)-triality", "orthogonal"),
+    ("thm5.2i(2,2)", "symplectic"),
+    ("thm5.2ii(2,2)", "symplectic"),
+    ("prop4.1(2,2)", "plain"),
+    ("thm8.1(4)", "symplectic"),
+    ("thm3.1(5,1)", "symplectic"),
+]
+
+
+@pytest.mark.parametrize("name,flavor", ENGINE_FAMILIES, ids=[n for n, _ in ENGINE_FAMILIES])
+def test_cover_report_matches_the_per_member_loop(monkeypatch, name, flavor):
+    """Each family whole and less 1, 2 and 3 members, with blocks of one
+    member and of the default size: the same counts, and the same uncovered
+    keys and points in the same order; the partial-spread predicate holds."""
+    fam = SPREAD_FAMILIES[name][0]()
+    for drop in range(4):
+        short = fam if drop == 0 else spread_of(fam.space, fam.members[:-drop])
+        want = cover_report_by_members(short, flavor)
+        for words in (1, spaces.PASS_WORDS):
+            monkeypatch.setattr(V, "PASS_WORDS", words)
+            got = V.cover_report(short, flavor)
+            assert (got.total, got.covered) == (want.total, want.covered), (drop, words)
+            assert np.array_equal(got.uncovered_keys, want.uncovered_keys)
+            assert np.array_equal(got.uncovered_points, want.uncovered_points)
+            assert V.is_partial_spread(short, flavor)
