@@ -376,6 +376,7 @@ def test_certificate_stats():
     assert sum(st["nodes_by_depth"]) == cert.nodes and st["nodes_by_depth"][0] == 1
     assert 0 < st["skipped"] < cert.nodes and 0 < st["rows"] <= 255
     assert set(st["ms"]) == {"check", "cover", "rows", "search"}
+    assert 0 < st["ms"]["check"] and sum(st["ms"].values()) <= cert.millis + 0.01
     assert cert.descriptor()["stats"] == st
     assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
 
