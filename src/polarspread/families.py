@@ -24,6 +24,7 @@ from .linalg import (
     canonicalize,
     canonicalize_points,
     point_keys,
+    reduce_rows,
     rref,
 )
 from .octonion import triality_subspace_of_point
@@ -1050,7 +1051,7 @@ def conic_replace(q: int, s: int) -> PointFamily:
     covered = np.zeros(len(omega), dtype=int)
     sections = {}
     for e_pl in planes:
-        inside = np.array([e_pl.contains(pt) for pt in omega])
+        inside = reduce_rows(fv, e_pl.mat, omega)
         sections[e_pl] = inside
         covered += inside.astype(int)
     if not np.all(covered == 1 + ((okeys == okeys[0]) | (okeys == okeys[1])) * (len(planes) - 1)):

@@ -123,13 +123,20 @@ spaces whose keys need more than 62 bits, use `vbform` for one vector and
 one field product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate.  Write a point as
-y + t e_n with y_n = 0; then Q(y + t e_n) = Q(y) + t B(y, e_n) + t^2 Q(e_n)
-in every characteristic (B is the polarization of Q).  So Q and B are
-evaluated once per prefix y, and all q values of t cost three field ops on
-a (prefix x t) array.  The prefixes are the canonical points of the first
-n - 1 coordinates in ascending canonical index and t is the least
-significant digit, so the row-major zeros of that array come out in
-ascending canonical index, as a filter over all points would give them.
+y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
+b = B(y, e_n) and a = Q(e_n), in every characteristic (B is the
+polarization of Q).  So Q and B are evaluated once per prefix y, and the
+roots t come from lookup tables of O(q) entries.  If a = 0 the equation is
+linear: one root -c/b, or every t when b = c = 0.  Otherwise, for odd p,
+(t + h)^2 = h^2 - c/a with h = b/(2a), and a square-root table gives the
+roots -h +- s; for p = 2, t = sqrt(c/a) when b = 0, and else t = (b/a) u
+with u^2 + u = ac/b^2, whose solutions are u_0 and u_0 + 1 for u_0 from a
+table of least solutions.  Each prefix's roots are emitted in ascending
+tower index.  The prefixes are the canonical points of the first n - 1
+coordinates in ascending canonical index and t is the least significant
+digit, so the points come out in ascending canonical index, as a filter
+over all points would give them.  The space keeps the points' canonical
+keys (`linalg.point_keys`) beside them, made once when first asked for.
 """
 
 from __future__ import annotations
@@ -153,6 +160,7 @@ from .linalg import (
     express,
     in_kernel,
     mat_mul,
+    point_keys,
     rref,
     stacked_point_blocks,
 )
@@ -162,7 +170,8 @@ from .linalg import (
 MAX_ENUM_POINTS = 6_000_000
 MAX_ENUM_SUBSPACES = 2_000_000
 MAX_BITSET_BYTES = 1 << 30
-# largest (prefix x t) array of a singular-point block, in elements
+# int64 entries of a singular-point block: its prefixes times q, which
+# bounds its points, or the coordinates of the points keyed at once
 POINT_BLOCK = 1 << 19
 # int64 temporaries per row block of a perpendicularity test
 PERP_BLOCK = 1 << 16
@@ -203,6 +212,7 @@ class FormedSpace:
         self.qcoef = qcoef
         self._qterms = None
         self._singular = None
+        self._singular_keys = None
         self._m0 = None
         self._hyperbolic = None
         self._max_ts = None
@@ -392,24 +402,34 @@ class FormedSpace:
             self._singular = pts
         return self._singular
 
+    def singular_keys(self) -> np.ndarray:
+        """The canonical keys (`point_keys`) of `singular_points()`, ascending
+        and in the same order; cached and read-only.  For p = 2 they are
+        also the keys of `bit_packing`, when it exists."""
+        if self._singular_keys is None:
+            pts = self.singular_points()
+            keys = np.empty(len(pts), dtype=np.int64)
+            step = max(1, POINT_BLOCK // self.dim)
+            for lo in range(0, len(pts), step):
+                keys[lo : lo + step] = point_keys(self.fv, pts[lo : lo + step])
+            keys.flags.writeable = False
+            self._singular_keys = keys
+        return self._singular_keys
+
     def _singular_by_last_coordinate(self) -> np.ndarray:
         """Singular points solved in the last coordinate (module docstring),
         ascending canonical index."""
         fv, n = self.fv, self.dim
-        tw = fv.tower
-        t = fv.elements()
         last = np.zeros(n, dtype=np.int64)
         last[-1] = 1
-        chunks = [last[None, :]] if self.qform(last) == 0 else []
-        t2q = tw.vmul(tw.vmul(t, t), np.int64(self.qform(last)))
-        for block in canonical_point_blocks(fv, n - 1, chunk=max(1, POINT_BLOCK // len(t))):
+        a = self.qform(last)
+        chunks = [last[None, :]] if a == 0 else []
+        for block in canonical_point_blocks(fv, n - 1, chunk=max(1, POINT_BLOCK // fv.q)):
             y = np.zeros((len(block), n), dtype=np.int64)
             y[:, :-1] = block
-            vals = tw.vmul(self.vbform(y, last)[:, None], t[None, :])
-            vals = tw.vadd(tw.vadd(vals, self.vqform(y)[:, None]), t2q[None, :])
-            row, col = np.nonzero(vals == 0)
+            row, t = _quadratic_roots(fv, a, self.vbform(y, last), self.vqform(y))
             hit = y[row]
-            hit[:, -1] = t[col]
+            hit[:, -1] = t
             chunks.append(hit)
         return np.vstack(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
 
@@ -471,6 +491,65 @@ class FormedSpace:
 def _parabolic_singular(q: int, m: int) -> int:
     # (q^m+1)(q^m-1)/(q-1) singular points for the 2m+1-dim parabolic space
     return (q**m + 1) * (q**m - 1) // (q - 1)
+
+
+@lru_cache(maxsize=None)
+def _root_tables(fv: FieldView) -> tuple[np.ndarray, np.ndarray]:
+    """Indexed by the rank of k in the view: the least s with s^2 = k and
+    the least u with u^2 + u = k, or -1 where there is none (q entries
+    each)."""
+    tw, elems = fv.tower, fv.elements()
+    squares = tw.vmul(elems, elems)
+    tables = []
+    for image in (squares, tw.vadd(squares, elems)):
+        table = np.full(len(elems), -1, dtype=np.int64)
+        ranks, first = np.unique(np.searchsorted(elems, image), return_index=True)
+        table[ranks] = elems[first]  # elems ascend, so the first is the least
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _quadratic_roots(fv: FieldView, a: int, b: np.ndarray, c: np.ndarray):
+    """Every root t in the view of c + b t + a t^2 = 0 for each entry of b
+    and c (module docstring): (row, t), by entry and then by ascending
+    tower index."""
+    tw, elems = fv.tower, fv.elements()
+    lo = np.full(len(b), -1, dtype=np.int64)
+    hi = lo.copy()
+    every = np.zeros(len(b), dtype=bool)
+    if a == 0:
+        nz = b != 0
+        lo[nz] = tw.vmul(tw.vneg(c[nz]), tw.vinv(b[nz]))
+        every = ~nz & (c == 0)
+    else:
+        sqrt, least = _root_tables(fv)
+        inv_a = np.int64(tw.inv(a))
+        if fv.p == 2:
+            z = b == 0
+            lo[z] = sqrt[np.searchsorted(elems, tw.vmul(c[z], inv_a))]
+            nz = np.nonzero(~z)[0]
+            ba = tw.vmul(b[nz], inv_a)
+            k = tw.vmul(tw.vmul(c[nz], np.int64(a)), tw.vinv(tw.vmul(b[nz], b[nz])))
+            u = least[np.searchsorted(elems, k)]
+            ok = u >= 0
+            nz, ba = nz[ok], ba[ok]
+            t0 = tw.vmul(ba, u[ok])
+            t1 = tw.vadd(t0, ba)
+        else:
+            h = tw.vmul(b, np.int64(tw.inv(tw.mul(2, a))))
+            s = sqrt[np.searchsorted(elems, tw.vadd(tw.vmul(h, h), tw.vneg(tw.vmul(c, inv_a))))]
+            nz = np.nonzero(s >= 0)[0]
+            mh, s = tw.vneg(h[nz]), s[nz]
+            t0 = tw.vadd(mh, s)
+            t1 = np.where(s == 0, -1, tw.vadd(mh, tw.vneg(s)))  # a double root once
+        lo[nz] = np.where(t1 < 0, t0, np.minimum(t0, t1))
+        hi[nz] = np.where(t1 < 0, -1, np.maximum(t0, t1))
+    counts = (lo >= 0).astype(np.int64) + (hi >= 0)
+    counts[every] = len(elems)
+    row = np.repeat(np.arange(len(b)), counts)
+    j = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t = np.where(every[row], elems[j], np.where(j == 0, lo[row], hi[row]))
+    return row, t
 
 
 # -- standard spaces ---------------------------------------------------------
@@ -956,9 +1035,16 @@ class Perp:
     default `pts`); the only code that chooses how to test it (module
     docstring): kernel masks of `vs` against the packed keys of `pts` when
     the space has a `bit_packing`, else `vbform` or, for many rows, a field
-    product."""
+    product.  `keys`, when given, are the `point_keys` of `pts`, which for
+    p = 2 are the packed keys, so they are not packed again."""
 
-    def __init__(self, space: FormedSpace, pts: np.ndarray, vs: np.ndarray | None = None):
+    def __init__(
+        self,
+        space: FormedSpace,
+        pts: np.ndarray,
+        vs: np.ndarray | None = None,
+        keys: np.ndarray | None = None,
+    ):
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
         bits = space.bit_packing
@@ -969,7 +1055,7 @@ class Perp:
             step = max(1, PERP_BLOCK // (space.dim * space.fv.degree**2))
             los = range(0, max(1, len(self.vs)), step)
             coefs = (mat_mul(space.fv, self.vs[lo : lo + step], space.gram.T) for lo in los)
-            self.keys = bits.pack(pts)
+            self.keys = bits.pack(pts) if keys is None else keys
             self.masks = np.concatenate([bits.kernel_masks(c) for c in coefs])
 
     def to(self, k: int, idx=slice(None)) -> np.ndarray:

@@ -26,9 +26,10 @@ lowest-ranked branch, and only the ranges at or below it are counted.
 
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
-live candidates is narrowed once per member by `spaces.Perp`, so the first
-index left is the first witness in canonical order; like a spread witness,
-it is re-checked by the partial-ovoid predicate before it is returned.  The
+live candidates is narrowed once per member by `spaces.Perp`, on the keys
+the space keeps for its singular points, so the first index left is the
+first witness in canonical order; like a spread witness, it is re-checked
+by the partial-ovoid predicate before it is returned.  The
 hyperplane census counts the zeros of x . phi for all hyperplanes phi at
 once, as a blocked field product hyperplanes x points.
 """
@@ -87,7 +88,8 @@ class MaximalityCertificate:
     millis: float
     flavor: str
     # a spread search's counters: nodes by depth, children skipped by the
-    # one-pass count, line-graph rows built, and per-phase ms
+    # one-pass count, line-graph rows built, and per-phase ms; an ovoid
+    # scan's live candidates after each member, and per-phase ms
     stats: dict | None = None
     engine_version: str = ENGINE_VERSION
 
@@ -150,28 +152,29 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
     return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
 
 
-def universe_points(space: FormedSpace, flavor: str) -> np.ndarray:
-    """The points a member or an extension of a `flavor` family may hold:
-    the singular points for the orthogonal flavor, every point otherwise."""
-    return space.singular_points() if flavor == "orthogonal" else space.points()
+def universe(space: FormedSpace, flavor: str) -> tuple[np.ndarray, np.ndarray]:
+    """The points a member or an extension of a `flavor` family may hold, in
+    ascending canonical index, and their canonical keys: the space's cached
+    singular points and keys for the orthogonal flavor, every point
+    otherwise."""
+    if flavor == "orthogonal":
+        return space.singular_points(), space.singular_keys()
+    pts = space.points()
+    return pts, point_keys(space.fv, pts)
 
 
 def cover_report(fam: SubspaceFamily, flavor: str) -> CoverReport:
-    space = fam.space
-    pts = universe_points(space, flavor)
-    keys = point_keys(space.fv, pts)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    covered = np.zeros(len(skeys), dtype=bool)
-    for _, block in _point_key_blocks(space, fam.members):
+    pts, keys = universe(fam.space, flavor)
+    covered = np.zeros(len(keys), dtype=bool)
+    for _, block in _point_key_blocks(fam.space, fam.members):
         mk = block.ravel()
-        idx = np.minimum(np.searchsorted(skeys, mk), len(skeys) - 1)
-        covered[idx[skeys[idx] == mk]] = True
+        idx = np.minimum(np.searchsorted(keys, mk), len(keys) - 1)
+        covered[idx[keys[idx] == mk]] = True
     return CoverReport(
-        total=len(skeys),
+        total=len(keys),
         covered=int(covered.sum()),
-        uncovered_keys=skeys[~covered],
-        uncovered_points=pts[order[~covered]],
+        uncovered_keys=keys[~covered],
+        uncovered_points=pts[~covered],
     )
 
 
@@ -201,22 +204,35 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     if not is_partial_ovoid(fam, flavor):
         raise FieldError("family is not a partial ovoid")
     space = fam.space
-    cands = universe_points(space, flavor)
+    tc = time.perf_counter()
+    cands, keys = universe(space, flavor)
+    t1 = time.perf_counter()
     alive = np.arange(len(cands))  # ascending: alive[0] is the first witness
-    perp = Perp(space, cands, fam.points)
+    perp = Perp(space, cands, fam.points, keys)
+    live = []  # candidates left after each member, up to the first 0
     for k in range(len(fam.points)):
         if len(alive) == 0:
             break
         alive = alive[~perp.to(k, alive)]
-    nodes = len(cands)
-    ms = (time.perf_counter() - t0) * 1000
+        live.append(len(alive))
+    t2 = time.perf_counter()
+    witness = None
     if len(alive):
         witness = cands[alive[0]]
         grown = PointFamily(space, np.vstack([fam.points, witness]), fam.provenance)
         if not is_partial_ovoid(grown, flavor):
             raise FieldError("witness failed re-verification (engine bug)")
-        return MaximalityCertificate("extendable", witness, nodes, ms, flavor)
-    return MaximalityCertificate("maximal", None, nodes, ms, flavor)
+    t3 = time.perf_counter()
+    described = {
+        "live": live,
+        "ms": {
+            "check": round((tc - t0 + t3 - t2) * 1000, 3),
+            "universe": round((t1 - tc) * 1000, 3),
+            "scan": round((t2 - t1) * 1000, 3),
+        },
+    }
+    verdict = "maximal" if witness is None else "extendable"
+    return MaximalityCertificate(verdict, witness, len(cands), (t3 - t0) * 1000, flavor, described)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +482,11 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
 
     if isinstance(fam, PointFamily):
         space = fam.space
-        sing = space.singular_points()
+        sing, keys = space.singular_points(), space.singular_keys()
         counts = np.zeros(len(sing), dtype=np.int64)
         fam_keys = np.sort(point_keys(space.fv, fam.points))
-        keys = point_keys(space.fv, sing)
         inside = isin_sorted(keys, fam_keys)
-        perp = Perp(space, sing, fam.points)
+        perp = Perp(space, sing, fam.points, keys)
         for k in range(len(fam.points)):
             counts += perp.to(k)
         return tuple(sorted(counts[~inside].tolist()))

@@ -8,16 +8,24 @@ import pytest
 
 from polarspread import families as F
 from polarspread import gf
+from polarspread import spaces as S
 from polarspread import verify as V
 from polarspread.cli import TABLE_ROWS, build
 from polarspread.families import PointFamily
 from polarspread.gf import PRIMITIVE_POLYS, FieldView
-from polarspread.linalg import all_points, canonical_point_blocks, canonicalize, in_kernel
+from polarspread.linalg import (
+    all_points,
+    canonical_point_blocks,
+    canonicalize,
+    in_kernel,
+    point_keys,
+)
 from polarspread.spaces import (
     MAX_ENUM_POINTS,
     FormedSpace,
     OutOfDeskScale,
     Perp,
+    make_orthogonal,
     ominus4_space,
     oplus_space,
     parabolic_space,
@@ -176,21 +184,115 @@ def test_standard_spaces_cover_both_cases_of_q_of_last_unit():
     assert oplus_space(3, 2).qform(last) == 0
 
 
-def test_singular_points_of_table_spaces():
-    """Every distinct space of a `polarspread table` row; those beyond the
-    desk-scale guard must still be refused."""
+def table_spaces():
+    """(row id, fresh space) for every distinct space of a `polarspread
+    table` row; a triality image lies in the space of its point family."""
     seen = set()
     for row_id, family_id, params, _flavor, _triality in TABLE_ROWS:
-        # a triality image lies in the space of its point family
         space = fresh(build(family_id, **params).space)
-        if repr(space.descriptor()) in seen:
-            continue
-        seen.add(repr(space.descriptor()))
+        if repr(space.descriptor()) not in seen:
+            seen.add(repr(space.descriptor()))
+            yield row_id, space
+
+
+def test_singular_points_of_table_spaces():
+    """Every distinct space of a table row; those beyond the desk-scale
+    guard must still be refused."""
+    for row_id, space in table_spaces():
         if space.point_count() > MAX_ENUM_POINTS:
             with pytest.raises(OutOfDeskScale):
                 space.singular_points()
             continue
         assert np.array_equal(space.singular_points(), singular_oracle(space)), row_id
+
+
+ROOT_VIEWS = [
+    FieldView(gf.tower(p, d), d) for p, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]
+] + [char2_view(4, 2), char2_view(6, 3), FieldView(gf.tower(3, 2, (1, 2)), 1)]
+
+
+@pytest.mark.parametrize("fv", ROOT_VIEWS, ids=repr)
+def test_quadratic_roots_match_every_t(fv):
+    """Every equation c + b t + a t^2 = 0 over the view, subfield views of a
+    larger tower included: the roots are the t that vanish, by entry and in
+    ascending tower index, and a = b = c = 0 gives all q of them."""
+    tw, elems = fv.tower, fv.elements()
+    b, c = (g.ravel() for g in np.meshgrid(elems, elems, indexing="ij"))
+    for a in elems:
+        vals = tw.vadd(tw.vadd(c[:, None], tw.vmul(b[:, None], elems[None, :])),
+                       tw.vmul(np.int64(a), tw.vmul(elems, elems))[None, :])
+        want_row, col = np.nonzero(vals == 0)
+        row, t = S._quadratic_roots(fv, int(a), b, c)
+        assert np.array_equal(row, want_row) and np.array_equal(t, elems[col]), int(a)
+        if a == 0:
+            assert np.array_equal(t[row == 0], elems)  # b = c = 0
+
+
+def dimension_two_spaces(q):
+    """O+(2,q) and every Q = c x1^2 + b x1 x2 + a x2^2 with b != 0, so that
+    its polarization is nondegenerate; a = 0 puts e_2 on the quadric."""
+    fv = gf.standalone(q)
+    yield oplus_space(q, 1)
+    for a in fv.elements()[:3]:
+        for c in fv.elements()[:3]:
+            yield make_orthogonal(fv, np.array([[c, 1], [0, a]]), "orthogonal")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_singular_points_of_dimension_two(q):
+    for space in dimension_two_spaces(q):
+        got = fresh(space).singular_points()
+        assert np.array_equal(got, singular_oracle(space)), space.qcoef.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_a_prefix_with_zero_q_b_and_a_yields_every_t(q):
+    """In O+(4,q), Q = x1 x2 + x3 x4, Q(e_4) = 0 and the prefix y = e_1 has
+    B(y, e_4) = Q(y) = 0: all q points e_1 + t e_4 are singular, in order."""
+    space = fresh(oplus_space(q, 2))
+    y = np.eye(4, dtype=np.int64)[0]
+    last = np.eye(4, dtype=np.int64)[-1]
+    assert space.qform(last) == space.bform(y, last) == space.qform(y) == 0
+    pts = space.singular_points()
+    line = pts[(pts[:, :3] == y[:3]).all(axis=1)]
+    assert np.array_equal(line[:, 3], space.fv.elements())
+    assert np.array_equal(pts, singular_oracle(space))
+
+
+@pytest.mark.parametrize("space", list(standard_spaces()), ids=repr)
+def test_singular_keys_are_the_point_keys(space):
+    """The cached keys are `point_keys` of the singular points, the
+    `bit_packing` keys too for p = 2, read-only and made once."""
+    space = fresh(space)
+    keys = space.singular_keys()
+    assert np.array_equal(keys, point_keys(space.fv, space.singular_points()))
+    if space.fv.p == 2:
+        assert np.array_equal(keys, space.bit_packing.pack(space.singular_points()))
+    assert not keys.flags.writeable
+    with pytest.raises(ValueError):
+        keys[0] = 0
+    assert space.singular_keys() is keys
+
+
+def universe_spaces():
+    yield from ((repr(space), space) for space in standard_spaces())
+    yield from ((row_id, space) for row_id, space in table_spaces()
+                if space.point_count() <= MAX_ENUM_POINTS)
+
+
+@pytest.mark.parametrize("flavor", ["orthogonal", "plain"])
+def test_universe_keys_strictly_ascend(flavor):
+    """Singular and all-points universes, odd and even q: the keys are the
+    points' `point_keys` and strictly ascending, so a `searchsorted` on them
+    needs no sort."""
+    qs = set()
+    for name, space in universe_spaces():
+        pts, keys = V.universe(space, flavor)
+        assert len(pts) == len(keys) > 0, name
+        assert np.array_equal(keys, point_keys(space.fv, pts)), name
+        assert (keys[1:] > keys[:-1]).all(), name
+        qs.add(space.q)
+    assert {2, 3} <= qs
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +303,7 @@ def test_singular_points_of_table_spaces():
 def ovoid_oracle(fam, flavor):
     """The former scan: a boolean alive mask narrowed by one vbform per point."""
     space = fam.space
-    cands = V.universe_points(space, flavor)
+    cands = V.universe(space, flavor)[0]
     alive = np.ones(len(cands), dtype=bool)
     for p in fam.points:
         idx = np.nonzero(alive)[0]
@@ -243,6 +345,36 @@ def assert_certificate_matches(fam, flavor):
 def test_ovoid_certificate_matches_scan(name):
     build, flavor = OVOID_FAMILIES[name]
     assert_certificate_matches(build(), flavor)
+
+
+def fresh_key_scan(fam, flavor):
+    """The scan with the universe's keys packed again inside `Perp`."""
+    space = fam.space
+    cands = V.universe(space, flavor)[0]
+    alive = np.arange(len(cands))
+    perp = Perp(space, cands, fam.points)
+    for k in range(len(fam.points)):
+        alive = alive[~perp.to(k, alive)]
+    witness = cands[alive[0]] if len(alive) else None
+    return ("extendable" if len(alive) else "maximal"), witness, len(cands)
+
+
+@pytest.mark.parametrize("name", list(OVOID_FAMILIES))
+def test_ovoid_certificate_matches_freshly_packed_keys(name):
+    """Each ovoid-workload family whole and less 1, 2 and 3 points: the
+    certificate read from the cached keys gives the verdict, witness and
+    nodes of a scan that packs the keys again."""
+    build, flavor = OVOID_FAMILIES[name]
+    fam = build()
+    for drop in range(4):
+        short = fam if drop == 0 else PointFamily(fam.space, fam.points[:-drop], fam.provenance)
+        cert = V.check_maximal_ovoid(short, flavor)
+        verdict, witness, nodes = fresh_key_scan(short, flavor)
+        assert (cert.verdict, cert.nodes) == (verdict, nodes), drop
+        if witness is None:
+            assert cert.witness is None
+        else:
+            assert np.array_equal(cert.witness, witness), drop
 
 
 def test_ovoid_certificate_witness_after_removal():

@@ -381,6 +381,38 @@ def test_certificate_stats():
     assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
 
 
+@pytest.mark.parametrize(
+    "build,flavor,drop",
+    [
+        (lambda: F.conic_replace(7, 1), "orthogonal", 0),
+        (lambda: F.conic_replace(7, 1), "orthogonal", 1),
+        (lambda: F.suzuki_tits_ovoid(8), "orthogonal", 0),
+        (lambda: F.suzuki_tits_ovoid(8), "orthogonal", 2),
+        (lambda: F.three_lines(8, 3), "symplectic", 0),
+    ],
+    ids=["thm9.1(7,1)", "thm9.1(7,1)-1", "ST(8)", "ST(8)-2", "ex9.2(8,3)"],
+)
+def test_ovoid_certificate_stats(build, flavor, drop):
+    """An ovoid certificate's phases add up to at most its millis, and its
+    live candidates never grow, one count per member applied, ending at 0
+    exactly when the family is maximal."""
+    fam = build()
+    fam = PointFamily(fam.space, fam.points[: len(fam.points) - drop], fam.provenance)
+    cert = V.check_maximal_ovoid(fam, flavor)
+    st = cert.stats
+    assert set(st["ms"]) == {"check", "universe", "scan"}
+    assert min(st["ms"].values()) >= 0 and sum(st["ms"].values()) <= cert.millis + 0.01
+    live = st["live"]
+    assert 0 < len(live) <= len(fam.points) and live[0] <= cert.nodes
+    assert all(b <= a for a, b in zip(live, live[1:]))
+    assert (live[-1] == 0) == cert.is_maximal == (drop == 0)
+    if cert.is_maximal:
+        assert 0 not in live[:-1]
+    else:
+        assert len(live) == len(fam.points)
+    assert cert.descriptor()["stats"] == st
+
+
 def is_ovoid_by_reduce_rows(fam):
     """The former ovoid test: one `reduce_rows` per maximal subspace."""
     space = fam.space
@@ -674,7 +706,7 @@ def cover_report_by_members(fam, flavor):
     """The former cover report: one point list and one `searchsorted` per
     member."""
     space = fam.space
-    pts = V.universe_points(space, flavor)
+    pts = V.universe(space, flavor)[0]
     keys = point_keys(space.fv, pts)
     order = np.argsort(keys)
     skeys = keys[order]
