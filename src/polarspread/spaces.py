@@ -506,7 +506,7 @@ def _root_tables(fv: FieldView) -> tuple[np.ndarray, np.ndarray]:
         ranks, first = np.unique(np.searchsorted(elems, image), return_index=True)
         table[ranks] = elems[first]  # elems ascend, so the first is the least
         tables.append(table)
-    return tables[0], tables[1]
+    return tuple(tables)
 
 
 def _quadratic_roots(fv: FieldView, a: int, b: np.ndarray, c: np.ndarray):

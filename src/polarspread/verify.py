@@ -482,7 +482,7 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
 
     if isinstance(fam, PointFamily):
         space = fam.space
-        sing, keys = space.singular_points(), space.singular_keys()
+        sing, keys = universe(space, "orthogonal")
         counts = np.zeros(len(sing), dtype=np.int64)
         fam_keys = np.sort(point_keys(space.fv, fam.points))
         inside = isin_sorted(keys, fam_keys)
