@@ -102,6 +102,9 @@ def cmd_construct(a) -> int:
 
 
 def cmd_verify(a) -> int:
+    if a.jobs < 1:
+        print("error: --jobs must be ≥ 1", file=sys.stderr)
+        return EXIT_USAGE
     d, fam = artifacts.load_family(a.artifact)
     flavor = a.flavor
     if isinstance(fam, PointFamily):
@@ -143,7 +146,11 @@ def cmd_project(a) -> int:
         return EXIT_USAGE
     z = None
     if a.z and a.z != "first":
-        z = np.array([int(t) for t in a.z.split(",")], dtype=np.int64)
+        dim, fv = fam.space.dim, fam.space.fv
+        z = np.array([int(t) if t.strip().isdecimal() else -1 for t in a.z.split(",")])
+        if len(z) != dim or not np.isin(z, fv.elements()).all():
+            print(f"error: --z takes {dim} comma-separated elements of {fv!r}", file=sys.stderr)
+            return EXIT_USAGE
     out = F.project_family(fam, z)
     artifacts.save(artifacts.family_to_dict(out), a.output)
     print(f"projected -> Sp({out.space.dim},{out.space.q}) family of size {len(out)}; wrote {a.output}")

@@ -18,11 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf
-from .gf import FieldView, find_pi, find_theta, trace
+from .gf import FieldView, find_pi, find_theta, trace, trace_form
 from .linalg import (
     Subspace,
     canonicalize,
     canonicalize_points,
+    extend_basis,
+    isin_sorted,
     point_keys,
     reduce_rows,
     rref,
@@ -96,7 +98,8 @@ class PointFamily:
         pts = np.ascontiguousarray(self.points, dtype=np.int64)
         pts.flags.writeable = False
         self.points = pts
-        # rows are canonical representatives, so byte identity = point identity
+        # rows need not be canonical (orthovoid_bullet keeps its removal
+        # points as found), so this rejects repeated rows, not repeated points
         if len({r.tobytes() for r in pts}) != len(pts):
             raise FamilyError("points are not pairwise distinct")
         if self.expected_size is not None and len(pts) != self.expected_size:
@@ -107,6 +110,11 @@ class PointFamily:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _rows_outside(fv: FieldView, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rows, in order, that are none of the given points (both canonical)."""
+    return rows[~isin_sorted(point_keys(fv, rows), np.sort(point_keys(fv, points)))]
 
 
 def _require_partial_ovoid(fam: PointFamily) -> PointFamily:
@@ -158,14 +166,10 @@ class TraceSymplecticSpace:
         self.kview = FieldView(tw, e)
         self.fbasis = tw.subfield_basis(self.fdeg, self.kdeg)
         self.coords = tw.subfield_coords(self.fdeg, self.kdeg)
-        m = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = trace(tw, self.fdeg, self.kdeg, tw.mul(self.fbasis[i], self.fbasis[j]))
+        m = trace_form(tw, self.fdeg, self.kdeg, [[1]], self.fbasis)
         gram = np.zeros((2 * n, 2 * n), dtype=np.int64)
         gram[:n, n:] = m
-        neg = np.vectorize(tw.neg)(m)
-        gram[n:, :n] = neg
+        gram[n:, :n] = tw.vneg(m)
         self.space = make_symplectic(self.kview, gram)
 
     def vec(self, x: int, y: int) -> np.ndarray:
@@ -209,18 +213,30 @@ def desarguesian_symplectic_spread(
     return _require_partial_spread(fam, "symplectic")
 
 
-def transversal_spread(q: int, m: int) -> SubspaceFamily:
-    """Replace the members met by the transversal pair (E, theta*E): a maximal
-    symplectic partial spread of size q^(2m) - q^m + gcd(2, q-1) in Sp(4m,q)."""
+def transversal_star_data(q: int, m: int) -> tuple[TraceSymplecticSpace, list[Subspace], int]:
+    """(space, replaced members, expected transversal count): the members
+    [x=0] and [y = a theta x], a in E, that the transversal pair meets."""
     ts = _trace_space(q, 2 * m, mid=m)
     tw = ts.tw
     theta = find_theta(tw, ts.kdeg)
     edeg = ts.kdeg * m
-    eelems = tw.subfield_elements(edeg).tolist()
+    star = [ts.member_x0()] + [
+        ts.member_slope(tw.mul(a, theta)) for a in tw.subfield_elements(edeg).tolist()
+    ]
+    return ts, star, (2 if q % 2 else 1)
+
+
+def transversal_spread(q: int, m: int) -> SubspaceFamily:
+    """Replace the members met by the transversal pair (E, theta*E): a maximal
+    symplectic partial spread of size q^(2m) - q^m + gcd(2, q-1) in Sp(4m,q)."""
+    ts, star, gcd2 = transversal_star_data(q, m)
+    tw = ts.tw
+    theta = find_theta(tw, ts.kdeg)
+    edeg = ts.kdeg * m
     ebasis = tw.subfield_basis(edeg, ts.kdeg)
     zstar = ts.pair_space(ebasis, [tw.mul(theta, b) for b in ebasis])
     spread = desarguesian_symplectic_spread(q, 2 * m, mid=m)
-    star = {ts.member_x0()} | {ts.member_slope(tw.mul(a, theta)) for a in eelems}
+    star = set(star)
     if len(star) != q**m + 1:
         raise FamilyError("replaced-member count is not q^m + 1")
     for mem in spread.members:
@@ -241,7 +257,6 @@ def transversal_spread(q: int, m: int) -> SubspaceFamily:
             ts.pair_space(abasis, [tw.mul(theta, x) for x in abasis])
         )
     members = [mem for mem in spread.members if mem not in star] + transversals
-    gcd2 = 2 if q % 2 else 1
     fam = SubspaceFamily(
         ts.space,
         members,
@@ -249,19 +264,6 @@ def transversal_spread(q: int, m: int) -> SubspaceFamily:
         expected_size=q ** (2 * m) - q**m + gcd2,
     )
     return _require_partial_spread(fam, "symplectic")
-
-
-def transversal_star_data(q: int, m: int) -> tuple[TraceSymplecticSpace, list[Subspace], int]:
-    """(space, replaced members, expected transversal count) for the
-    transversal-count cross check."""
-    ts = _trace_space(q, 2 * m, mid=m)
-    tw = ts.tw
-    theta = find_theta(tw, ts.kdeg)
-    edeg = ts.kdeg * m
-    star = [ts.member_x0()] + [
-        ts.member_slope(tw.mul(a, theta)) for a in tw.subfield_elements(edeg).tolist()
-    ]
-    return ts, star, (2 if q % 2 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +491,7 @@ class OvoidContext:
         self.coords = self.tw.subfield_coords(self.fdeg, e)
         qc = np.zeros((8, 8), dtype=np.int64)
         qc[0, 7] = 1
-        for i in range(3):
-            for j in range(3):
-                qc[1 + i, 4 + j] = trace(
-                    self.tw, self.fdeg, e, self.tw.mul(self.fbasis[i], self.fbasis[j])
-                )
+        qc[1:4, 4:7] = trace_form(self.tw, self.fdeg, e, [[1]], self.fbasis)
         self.space = make_orthogonal(self.kview, qc, "orthogonal_plus")
         self.pi = find_pi(self.tw, e)
 
@@ -821,16 +819,9 @@ def st_pencil_replace(q: int) -> PointFamily:
     if len(sing) != q + 1:
         raise FamilyError("U-perp does not carry q+1 singular points")
     p = ctx.omega[0]
-    adjoined = []
-    pkeys = point_keys(space.fv, np.vstack([p[None, :], sing]))
-    for x0 in sing:
-        line = canonicalize(space.fv, np.vstack([p[None, :], x0[None, :]]), 8)
-        for cand in line.points():
-            k = point_keys(space.fv, cand[None, :])[0]
-            if k not in set(pkeys.tolist()):
-                adjoined.append(cand)
-                break
-    x = np.array(adjoined, dtype=np.int64)
+    ends = np.vstack([p[None, :], sing])
+    lines = [canonicalize(space.fv, [p, x0], 8) for x0 in sing]
+    x = np.array([_rows_outside(space.fv, line.points(), ends)[0] for line in lines])
     pts = np.vstack([ctx.omega[1:], x])
     fam = PointFamily(
         space,
@@ -846,15 +837,10 @@ def st_section_replace(q: int) -> PointFamily:
     _st_exponent(q)
     ctx = _st_context(q)
     space = ctx.space
-    okeys = set(point_keys(space.fv, ctx.omega).tolist())
-    x = None
-    upts = ctx.u.points()
-    for cand in upts[space.vqform(upts) == 0]:
-        if int(point_keys(space.fv, cand[None, :])[0]) not in okeys:
-            x = cand
-            break
-    if x is None:
+    outside = _rows_outside(space.fv, _singular_points_of(space, ctx.u), ctx.omega)
+    if not len(outside):
         raise FamilyError("no singular point of U outside the ovoid")
+    x = outside[0]
     removed = space.vbform(ctx.omega, x) == 0
     if removed.sum() != q + 1:
         raise FamilyError("x-perp section is not a circle")
@@ -959,17 +945,9 @@ def two_quadrics_ovoid(q: int) -> PointFamily:
     omega2 = _singular_points_of(space, uprime)
     if len(omega) != q**2 + 1 or len(omega2) != q**2 + 1:
         raise FamilyError("glued subspaces are not O-(4,q)")
-    pk = point_keys(fv, p[None, :])[0]
-    ppk = point_keys(fv, pprime[None, :])[0]
-    keep1 = point_keys(fv, omega) != pk
-    keep2 = point_keys(fv, omega2) != ppk
-    x = None
-    lp = point_keys(fv, line.points())
-    for cand, k in zip(line.points(), lp):
-        if k != pk and k != ppk:
-            x = cand
-            break
-    pts = np.vstack([omega[keep1], omega2[keep2], x[None, :]])
+    x = _rows_outside(fv, line.points(), np.vstack([p, pprime]))[:1]
+    kept = [_rows_outside(fv, omega, p[None, :]), _rows_outside(fv, omega2, pprime[None, :])]
+    pts = np.vstack(kept + [x])
     fam = PointFamily(
         space, pts, Provenance("lem7.8", {"q": q}), expected_size=2 * q**2 + 1
     )
@@ -1034,17 +1012,9 @@ def conic_replace(q: int, s: int) -> PointFamily:
     omega = _singular_points_of(para, usub)
     a, b = omega[0], omega[1]
     ab = canonicalize(fv, np.vstack([a[None, :], b[None, :]]), 5)
-    comp = []
-    chosen = [a, b]
-    for row in usub.mat:
-        if len(comp) == 2:
-            break
-        stack = np.vstack(chosen + [row])
-        if rref(fv, stack).shape[0] == len(chosen) + 1:
-            comp.append(row)
-            chosen.append(row)
+    comp = extend_basis(fv, ab.mat, usub.mat, 2)
     planes = []
-    for wq in canonicalize(fv, np.array(comp), 5).points():
+    for wq in canonicalize(fv, comp, 5).points():
         planes.append(canonicalize(fv, np.vstack([ab.mat, wq[None, :]]), 5))
     # each plane through <a,b> cuts a conic; together they partition Omega-{a,b}
     okeys = point_keys(fv, omega)
@@ -1113,26 +1083,16 @@ def three_lines(q: int, ambient_m: int = 2) -> PointFamily:
     ys = [y_perp_of(v) for v in x123x]
     # y must be a fourth point of Y: distinct from the partners y1,y2,y3 and
     # not perpendicular to x (i.e. not the partner of x either)
-    y_last = None
-    blocked = set(point_keys(fv, np.array(ys)).tolist())
-    for cand in ypts:
-        if int(point_keys(fv, cand[None, :])[0]) not in blocked:
-            y_last = cand
-            break
-    if y_last is None:
+    y_last = _rows_outside(fv, ypts, np.array(ys))[:1]
+    if not len(y_last):
         raise FamilyError("no fourth point available in Y (q too small)")
     pts = []
     for i in range(3):
-        line = canonicalize(fv, np.vstack([x123x[i][None, :], ys[(i + 1) % 3][None, :]]), dim)
-        ends = point_keys(fv, np.vstack([x123x[i][None, :], ys[(i + 1) % 3][None, :]]))
-        for p in line.points():
-            if int(point_keys(fv, p[None, :])[0]) not in set(ends.tolist()):
-                pts.append(p)
-    pts.append(x123x[3])
-    pts.append(y_last)
+        ends = np.vstack([x123x[i], ys[(i + 1) % 3]])
+        pts.append(_rows_outside(fv, canonicalize(fv, ends, dim).points(), ends))
     fam = PointFamily(
         space,
-        np.array(pts, dtype=np.int64),
+        np.vstack(pts + [x123x[3:], y_last]),
         Provenance("ex9.2", {"q": q, "m": ambient_m}, window="q >= 4"),
         expected_size=3 * q - 1,
     )

@@ -404,6 +404,8 @@ def standalone(q: int) -> FieldView:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
+    if q < 2:
+        raise FieldError(f"{q} is not a prime power")
     for p in (2, 3, 5, 7, 11, 13):
         if q % p == 0:
             e = 0
@@ -421,7 +423,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 def trace(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> int:
     """Relative trace between designated subfields: sum of Galois conjugates."""
-    _check_chain(tw, from_deg, to_deg, x)
+    _check_chain(tw, from_deg, to_deg, tw.in_subfield(from_deg, x))
     acc = 0
     y = x
     for _ in range(from_deg // to_deg):
@@ -430,9 +432,24 @@ def trace(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> int:
     return acc
 
 
+def trace_form(tw: FieldTower, from_deg: int, to_deg: int, m, basis) -> np.ndarray:
+    """The matrix with entry T(m[i, j] b_a b_b) at (i r + a, j r + b), for
+    the r elements b of `basis` and T the relative trace: the form
+    (x, y) -> T(x m y^T) in the coordinates of x_i = sum_a x_(i r + a) b_a."""
+    m = np.asarray(m, dtype=np.int64)
+    b = np.asarray(basis, dtype=np.int64)
+    x = tw.vmul(m[:, None, :, None], tw.vmul(b[:, None], b)[None, :, None, :])
+    _check_chain(tw, from_deg, to_deg, np.array_equal(tw.vfrob(x, from_deg), x))
+    acc = y = x
+    for _ in range(from_deg // to_deg - 1):
+        y = tw.vfrob(y, to_deg)
+        acc = tw.vadd(acc, y)
+    return acc.reshape(len(m) * len(b), -1)
+
+
 def norm(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> int:
     """Relative norm between designated subfields: product of conjugates."""
-    _check_chain(tw, from_deg, to_deg, x)
+    _check_chain(tw, from_deg, to_deg, tw.in_subfield(from_deg, x))
     acc = 1
     y = x
     for _ in range(from_deg // to_deg):
@@ -441,13 +458,13 @@ def norm(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> int:
     return acc
 
 
-def _check_chain(tw: FieldTower, from_deg: int, to_deg: int, x: int) -> None:
+def _check_chain(tw: FieldTower, from_deg: int, to_deg: int, inside: bool) -> None:
     if from_deg % to_deg:
         raise FieldError(f"{to_deg} does not divide {from_deg}")
     if from_deg not in tw.designated or to_deg not in tw.designated:
         raise FieldError("both degrees must be designated")
-    if not tw.in_subfield(from_deg, x):
-        raise FieldError(f"element {x} outside the degree-{from_deg} subfield")
+    if not inside:
+        raise FieldError(f"an element lies outside the degree-{from_deg} subfield")
 
 
 def sqrt_char2(tw: FieldTower, x: int) -> int:

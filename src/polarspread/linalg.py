@@ -384,6 +384,20 @@ def express(fv: FieldView, basis: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return mat_mul(fv, coeffs, t)
 
 
+def extend_basis(fv: FieldView, base: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """The first k of `rows`, in order, that each extend the independent
+    `base` and the rows taken before them to an independent set (fewer if
+    the rows run out)."""
+    taken = np.zeros((0, base.shape[1]), dtype=np.int64)
+    for row in rows:
+        if len(taken) == k:
+            break
+        stack = np.vstack([base, taken, row[None, :]])
+        if rref(fv, stack).shape[0] == len(stack):
+            taken = stack[len(base) :]
+    return taken
+
+
 def mat_mul(fv: FieldView, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field.  Over a prime field the indices are
     the residues, so it is one integer product mod p."""

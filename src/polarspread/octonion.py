@@ -12,6 +12,8 @@ are machine-checked where they are relied on; they pin down the convention
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .gf import FieldError, FieldView
@@ -88,21 +90,15 @@ def triality_image(zspace: FormedSpace, p) -> Subspace:
     return img
 
 
-_ISO_CACHE: dict[int, tuple[FormedSpace, LinearMap, LinearMap]] = {}
-
-
+@lru_cache(maxsize=None)
 def triality_maps(space: FormedSpace) -> tuple[FormedSpace, LinearMap, LinearMap]:
-    """(zorn_space, iso into it, inverse iso) for a plus-type 8-space."""
-    hit = _ISO_CACHE.get(id(space))
-    if hit is not None and hit[0] is not None:
-        return hit[1], hit[2], hit[3]
+    """(zorn_space, iso into it, inverse iso) for a plus-type 8-space; spaces
+    hash by identity, so each space's maps are found once."""
     if space.kind != "orthogonal_plus" or space.dim != 8:
         raise FieldError("triality needs a plus-type 8-space")
     zs = zorn_space(space.fv)
     iso = find_isometry(space, zs)
-    inv = iso.inverse()
-    _ISO_CACHE[id(space)] = (space, zs, iso, inv)
-    return zs, iso, inv
+    return zs, iso, iso.inverse()
 
 
 def triality_subspace_of_point(space: FormedSpace, p) -> Subspace:

@@ -149,7 +149,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import FieldError, FieldView, sqrt_char2, standalone
+from .gf import FieldError, FieldView, sqrt_char2, standalone, trace_form
 from .linalg import (
     KeyPacking,
     Subspace,
@@ -158,6 +158,7 @@ from .linalg import (
     canonicalize,
     canonicalize_points,
     express,
+    extend_basis,
     in_kernel,
     mat_mul,
     point_keys,
@@ -785,20 +786,10 @@ class ZProjection:
         fv = space.fv
         zsub = canonicalize(fv, [z], space.dim)
         self.zperp = space.perp(zsub)
-        comp = []
-        chosen = [z]
-        for row in self.zperp.mat:
-            stack = np.vstack(chosen + [row])
-            if rref(fv, stack).shape[0] == len(chosen) + 1:
-                comp.append(row)
-                chosen.append(row)
-        self.comp = np.array(comp, dtype=np.int64)
+        self.comp = extend_basis(fv, z[None, :], self.zperp.mat, space.dim - 2)
         if len(self.comp) != space.dim - 2:
             raise FieldError("complement extraction failed")
-        gram = np.zeros((space.dim - 2, space.dim - 2), dtype=np.int64)
-        for i in range(space.dim - 2):
-            for j in range(space.dim - 2):
-                gram[i, j] = space.bform(self.comp[i], self.comp[j])
+        gram = mat_mul(fv, mat_mul(fv, self.comp, space.gram), self.comp.T)
         self.quotient = make_symplectic(fv, gram)
         if rref(fv, gram).shape[0] != space.dim - 2:
             raise FieldError("degenerate quotient form")
@@ -837,17 +828,7 @@ class ZProjection:
     def extend_to_maximal(self, uprime: Subspace, target_type: TsType) -> Subspace:
         space, fv = self.space, self.space.fv
         tw = fv.tower
-        up_perp = space.perp(uprime)
-        comp = []
-        chosen = list(uprime.mat)
-        for row in up_perp.mat:
-            if len(comp) == 2:
-                break
-            stack = np.vstack(chosen + [row])
-            if rref(fv, stack).shape[0] == len(chosen) + 1:
-                comp.append(row)
-                chosen.append(row)
-        d0, d1 = comp
+        d0, d1 = extend_basis(fv, uprime.mat, space.perp(uprime).mat, 2)
         found = []
         # the q + 1 points of <d0, d1>: every other pair (a, b) is a multiple
         # of one of these, with the same Q = 0 test and the same span
@@ -896,47 +877,15 @@ class DescentMap:
         self.basis = tw.subfield_basis(fv.degree, to_deg)
         self.coords = tw.subfield_coords(fv.degree, to_deg)
         self.r = fv.degree // to_deg
-        r, dim = self.r, space.dim
-        ndim = dim * r
-
-        def tr(x):
-            from .gf import trace
-
-            return trace(tw, fv.degree, to_deg, x)
-
-        two = tw.add(1, 1)
         if space.qcoef is not None:
-            qc = np.zeros((ndim, ndim), dtype=np.int64)
-            for i, j, c in space.qterms():
-                for a in range(r):
-                    for b in range(r):
-                        gagb = tw.mul(self.basis[a], self.basis[b])
-                        if i == j:
-                            if a < b:
-                                qc[i * r + a, i * r + b] = tw.add(
-                                    int(qc[i * r + a, i * r + b]), tr(tw.mul(c, tw.mul(two, gagb)))
-                                )
-                            elif a == b:
-                                qc[i * r + a, i * r + a] = tw.add(
-                                    int(qc[i * r + a, i * r + a]), tr(tw.mul(c, gagb))
-                                )
-                        else:
-                            qc[i * r + a, j * r + b] = tw.add(
-                                int(qc[i * r + a, j * r + b]), tr(tw.mul(c, gagb))
-                            )
+            # T(Q(v)): a term c v_i v_j gives T(c b_a b_b) at (ia, jb); fold
+            # the (jb, ia) entries, nonzero only for i = j, into the upper
+            # triangle, where Q keeps its coefficients
+            a = trace_form(tw, fv.degree, to_deg, np.triu(space.qcoef), self.basis)
+            qc = np.triu(tw.vadd(a, a.T), 1) + np.diag(np.diagonal(a))
             self.dst = make_orthogonal(self.small, qc, "orthogonal_plus")
         else:
-            gram = np.zeros((ndim, ndim), dtype=np.int64)
-            for i in range(dim):
-                for j in range(dim):
-                    g = int(space.gram[i, j])
-                    if not g:
-                        continue
-                    for a in range(r):
-                        for b in range(r):
-                            gram[i * r + a, j * r + b] = tr(
-                                tw.mul(g, tw.mul(self.basis[a], self.basis[b]))
-                            )
+            gram = trace_form(tw, fv.degree, to_deg, space.gram, self.basis)
             self.dst = make_symplectic(self.small, gram)
 
     def vector(self, v: np.ndarray) -> np.ndarray:

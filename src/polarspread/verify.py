@@ -484,7 +484,7 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         space = fam.space
         sing, keys = universe(space, "orthogonal")
         counts = np.zeros(len(sing), dtype=np.int64)
-        fam_keys = np.sort(point_keys(space.fv, fam.points))
+        fam_keys = np.sort(point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
         inside = isin_sorted(keys, fam_keys)
         perp = Perp(space, sing, fam.points, keys)
         for k in range(len(fam.points)):

@@ -1,7 +1,10 @@
 """CLI surface: construct/verify exit codes, artifact round-trips, chained
 transforms, table rows, census."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -353,3 +356,63 @@ def test_transform_precondition_failure_exits_1_without_traceback(tmp_path, caps
         assert run([command, str(src), "-o", str(tmp_path / "out.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", ["0", "1", "-4"])
+def test_construct_with_q_below_2_exits_2(q):
+    """Run in a child with a timeout, so a factoring loop that never ends
+    fails the test instead of stalling the suite."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "polarspread.cli", "construct", "desarguesian", "--q", q]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "z",
+    [
+        "1,2",  # too short
+        "a,b,c,d,e,f,g,h",  # not integers
+        "0,0,0,0,0,0,1,",  # an empty entry
+        "0,0,0,0,0,0,0,0,1",  # too long
+        "0,0,0,0,0,0,1,5",  # 5 is in the GF(8) tower but not in the GF(2) view
+        "-1,0,0,0,0,0,1,1",
+    ],
+)
+def test_project_rejects_a_bad_z_with_exit_2(tmp_path, capsys, z):
+    src = tmp_path / "p41.json"
+    run(["construct", "prop4.1", "--q", "2", "--m", "2", "-o", str(src)])
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert run(["project", str(src), f"--z={z}", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --z takes 8 comma-separated elements") and "Traceback" not in err
+    assert not out.exists()
+    # a z of the right shape and field passes the check
+    assert run(["project", str(src), "--z", "0,0,0,0,0,0,1,1", "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_1_exits_2(tmp_path, capsys, jobs):
+    src = tmp_path / "t.json"
+    run(["construct", "thm3.1", "--q", "3", "--m", "1", "-o", str(src)])
+    before = src.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", str(src), "--check", "maximal", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("error: --jobs must be")
+    assert src.read_bytes() == before
+
+
+def test_fingerprint_reads_a_scaled_point_row_as_its_point(tmp_path, capsys):
+    src = tmp_path / "t91.json"
+    run(["construct", "thm9.1", "--q", "5", "--s", "1", "-o", str(src)])
+    d = artifacts.load(src)
+    d["members"][0] = [2 * x % 5 for x in d["members"][0]]  # GF(5) indices are residues
+    scaled = tmp_path / "scaled.json"
+    artifacts.save(d, scaled)
+    capsys.readouterr()
+    assert run(["fingerprint", str(src)]) == 0
+    assert run(["fingerprint", str(scaled)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["fingerprint=2:6,4:60,6:68"] * 2

@@ -8,7 +8,8 @@ import pytest
 from polarspread import families as F
 from polarspread import verify as V
 from polarspread.families import FamilyError, _ovoid_context
-from polarspread.linalg import canonicalize, rref
+from polarspread.linalg import canonicalize, point_keys, rref
+from polarspread.spaces import sp_space
 
 
 def test_desarguesian_sizes_and_cover():
@@ -24,6 +25,29 @@ def test_transversal_internals():
         assert len(star) == q**m + 1
         fam = F.transversal_spread(q, m)
         assert len(fam) == q ** (2 * m) - q**m + expect
+        # the spread members kept are exactly those outside the star
+        kept = set(F.desarguesian_symplectic_spread(q, 2 * m, mid=m).members) - set(star)
+        assert set(fam.members[: len(fam) - expect]) == kept
+
+
+def rows_outside_oracle(fv, rows, points):
+    """The filter the point-family constructors ran before `_rows_outside`:
+    one key and one blocked set per candidate row."""
+    blocked = point_keys(fv, points).tolist()
+    out = [r for r in rows if int(point_keys(fv, r[None, :])[0]) not in set(blocked)]
+    return np.array(out, dtype=np.int64).reshape(-1, rows.shape[1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+def test_rows_outside_matches_the_per_candidate_filter(q):
+    space = sp_space(q, 2)
+    pts = space.points()
+    rng = np.random.default_rng(q)
+    for size in (0, 1, 2, 7, len(pts)):
+        points = pts[rng.choice(len(pts), size=size, replace=False)]
+        for rows in (pts[rng.permutation(len(pts))[:40]], pts[:3], pts[:0]):
+            got = F._rows_outside(space.fv, rows, points)
+            assert np.array_equal(got, rows_outside_oracle(space.fv, rows, points))
 
 
 def test_transversal_odd_q_pair_disjoint():

@@ -19,6 +19,7 @@ from polarspread.gf import (
     theta_line,
     tower,
     trace,
+    trace_form,
 )
 
 
@@ -281,3 +282,53 @@ def test_vmul_call_shapes():
     assert scaled.shape == (tw.order, 1, len(row))
     for e in range(tw.order):
         assert scaled[e, 0].tolist() == [tw.mul(e, int(x)) for x in row]
+
+
+# every (p, d) on record with p^d <= 256, every view degree and every target
+TRACE_FORM_CASES = [
+    (p, d, big, small)
+    for (p, d) in sorted(PRIMITIVE_POLYS)
+    if p**d <= 256
+    for big in range(1, d + 1)
+    if d % big == 0
+    for small in range(1, big + 1)
+    if big % small == 0
+]
+
+
+def trace_form_oracle(tw, big, small, m, basis):
+    """One scalar `trace` per entry: T(m[i, j] b_a b_b) at (i r + a, j r + b)."""
+    r = len(basis)
+    out = np.zeros((m.shape[0] * r, m.shape[1] * r), dtype=np.int64)
+    for (i, j), c in np.ndenumerate(m):
+        for a, ba in enumerate(basis):
+            for b, bb in enumerate(basis):
+                out[i * r + a, j * r + b] = trace(tw, big, small, tw.mul(int(c), tw.mul(ba, bb)))
+    return out
+
+
+@pytest.mark.parametrize("p,d,big,small", TRACE_FORM_CASES)
+def test_trace_form_matches_scalar_traces(p, d, big, small):
+    tw = tower(p, d, tuple(e for e in range(1, d) if d % e == 0))
+    basis = tw.subfield_basis(big, small)
+    elems = tw.subfield_elements(big)
+    rng = np.random.default_rng(p * 1000 + d * 100 + big * 10 + small)
+    for shape in [(1, 1), (2, 3), (3, 3)]:
+        m = rng.choice(elems, size=shape)
+        got = trace_form(tw, big, small, m, basis)
+        assert got.shape == (shape[0] * len(basis), shape[1] * len(basis))
+        assert np.array_equal(got, trace_form_oracle(tw, big, small, m, basis))
+    ones = trace_form(tw, big, small, [[1]], basis)
+    assert np.isin(ones, tw.subfield_elements(small)).all()
+    outside = np.setdiff1d(np.arange(tw.order), elems)
+    if len(outside):
+        with pytest.raises(FieldError):
+            trace_form(tw, big, small, [[1, int(outside[0])]], basis)
+
+
+def test_trace_form_checks_the_degree_chain():
+    t64 = tower(2, 6, (2,))
+    with pytest.raises(FieldError):
+        trace_form(t64, 6, 4, [[1]], [1])  # 4 does not divide 6
+    with pytest.raises(FieldError):
+        trace_form(t64, 2, 1, [[1]], [1, 2])  # 1 not designated here

@@ -15,8 +15,10 @@ from polarspread.linalg import (
     all_points,
     canonicalize,
     canonicalize_points,
+    extend_basis,
     mat_mul,
     point_keys,
+    rref,
 )
 from subspace_helpers import all_subspaces_of_dim
 
@@ -197,6 +199,39 @@ def test_all_points_order():
         [1, 1, 0],
         [1, 1, 1],
     ]
+
+
+def extend_basis_oracle(fv, base, rows, k):
+    """The loop `ZProjection` and `conic_replace` ran before `extend_basis`:
+    take a row when one rank test says it is independent of those chosen."""
+    taken, chosen = [], list(base)
+    for row in rows:
+        if len(taken) == k:
+            break
+        if rref(fv, np.vstack(chosen + [row])).shape[0] == len(chosen) + 1:
+            taken.append(row)
+            chosen.append(row)
+    return np.array(taken, dtype=np.int64).reshape(-1, base.shape[1])
+
+
+@pytest.mark.parametrize("p,d,fv", list(small_views()), ids=lambda v: str(getattr(v, "degree", v)))
+def test_extend_basis_matches_the_rank_loop(p, d, fv):
+    """Random bases of every dimension below n; candidates mix random rows,
+    zero rows, repeats and rows of the base's span; every k up to n."""
+    rng = np.random.default_rng(p * 1000 + d * 10 + fv.degree)
+    elems = fv.elements()
+    for n in range(2, 6):
+        for b in range(n):
+            base = random_subspace(fv, b, n, rng).mat if b else np.zeros((0, n), dtype=np.int64)
+            rows = elems[rng.integers(0, len(elems), size=(n + 2, n))]
+            rows[rng.integers(0, len(rows))] = 0
+            if b:
+                rows[rng.integers(0, len(rows))] = mat_mul(fv, rows[:1, :b], base)[0]
+            rows = np.vstack([rows, rows[:2]])[rng.permutation(len(rows) + 2)]
+            for k in range(n + 1):
+                got = extend_basis(fv, base, rows, k)
+                assert np.array_equal(got, extend_basis_oracle(fv, base, rows, k))
+                assert len(got) <= k and rref(fv, np.vstack([base, got])).shape[0] == b + len(got)
 
 
 @pytest.mark.parametrize("p,d,fv", list(small_views()), ids=lambda v: str(getattr(v, "degree", v)))

@@ -12,11 +12,12 @@ from polarspread.octonion import (
     identity_octonion,
     octonion_norm,
     triality_image,
+    triality_maps,
     triality_subspace_of_point,
     zorn_mul,
     zorn_space,
 )
-from polarspread.spaces import oplus_space
+from polarspread.spaces import make_orthogonal, oplus_space
 
 
 def test_identity():
@@ -115,3 +116,16 @@ def test_conjugated_triality_in_standard_space():
     p = o8.singular_points()[0]
     w = triality_subspace_of_point(o8, p)
     assert o8.is_ts(w) and w.dim == 4
+
+
+def test_triality_maps_are_found_once_per_space():
+    space = oplus_space(2, 4)
+    maps = triality_maps(space)
+    assert triality_maps(space) is maps
+    # an equal space built anew is another key: spaces hash by identity
+    twin = make_orthogonal(space.fv, space.qcoef, "orthogonal_plus")
+    other = triality_maps(twin)
+    assert other is not maps and other[1].src is twin
+    assert np.array_equal(other[1].matrix, maps[1].matrix)
+    with pytest.raises(FieldError):
+        triality_maps(oplus_space(2, 2))

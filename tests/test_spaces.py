@@ -229,6 +229,84 @@ def test_field_descend_appendix_form():
     assert rref(dm.dst.fv, dm.dst.gram).shape[0] == 16
 
 
+def descent_oracle(space, to_deg):
+    """The entry loops `DescentMap` ran before `gf.trace_form`: the descended
+    quadratic coefficients, or for a symplectic space the descended Gram."""
+    fv = space.fv
+    tw = fv.tower
+    basis = tw.subfield_basis(fv.degree, to_deg)
+    r = len(basis)
+    out = np.zeros((space.dim * r, space.dim * r), dtype=np.int64)
+
+    def tr(x):
+        return gf.trace(tw, fv.degree, to_deg, x)
+
+    if space.qcoef is None:
+        for (i, j), g in np.ndenumerate(space.gram):
+            for a in range(r):
+                for b in range(r):
+                    out[i * r + a, j * r + b] = tr(tw.mul(int(g), tw.mul(basis[a], basis[b])))
+        return out
+    two = tw.add(1, 1)
+    for i, j, c in space.qterms():
+        for a in range(r):
+            for b in range(r):
+                gagb = tw.mul(basis[a], basis[b])
+                at = (i * r + a, j * r + b)
+                if i != j:
+                    out[at] = tw.add(int(out[at]), tr(tw.mul(c, gagb)))
+                elif a < b:
+                    out[at] = tw.add(int(out[at]), tr(tw.mul(c, tw.mul(two, gagb))))
+                elif a == b:
+                    out[at] = tw.add(int(out[at]), tr(tw.mul(c, gagb)))
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 4), (2, 6), (3, 2), (5, 2), (3, 4)])
+def test_descent_matches_the_entry_loops(p, d):
+    tw = gf.tower(p, d, tuple(e for e in range(1, d) if d % e == 0))
+    fv = FieldView(tw, d)
+    rng = np.random.default_rng(10 * p + d)
+    upper = np.triu(rng.choice(fv.elements(), size=(4, 4)), 1)
+    sources = [
+        spaces.sp_space_over(fv, 1),
+        spaces.sp_space_over(fv, 2),
+        spaces.oplus_space_over(fv, 1),
+        spaces.oplus_space_over(fv, 2),
+        # every entry in play, and Q with its diagonal terms
+        spaces.make_symplectic(fv, tw.vadd(upper, tw.vneg(upper).T)),
+        make_orthogonal(fv, np.triu(rng.choice(fv.elements(), size=(4, 4))), "orthogonal_plus"),
+    ]
+    for space in sources:
+        for to_deg in tw.designated[:-1]:
+            dm = field_descend(space, to_deg)
+            want = descent_oracle(space, to_deg)
+            if space.qcoef is None:
+                assert dm.dst.kind == "symplectic" and dm.dst.qcoef is None
+                assert np.array_equal(dm.dst.gram, want)
+            else:
+                assert np.array_equal(dm.dst.qcoef, want)
+                # polarizing commutes with the trace: B' = T(B)
+                assert np.array_equal(dm.dst.gram, gf.trace_form(tw, d, to_deg, space.gram, dm.basis))
+
+
+def test_projection_complement_and_quotient_gram():
+    """The complement is the first rows of z-perp that raise the rank of z
+    and the rows before them; the quotient Gram is the bform table."""
+    for q in (2, 4):
+        o = oplus_space(q, 4)
+        pts = o.points()
+        for z in pts[o.vqform(pts) != 0][::997]:
+            proj = ZProjection(o, z)
+            chosen = [z]
+            for row in proj.zperp.mat:
+                if rref(o.fv, np.vstack(chosen + [row])).shape[0] == len(chosen) + 1:
+                    chosen.append(row)
+            assert np.array_equal(proj.comp, np.array(chosen[1:]))
+            table = [[o.bform(u, v) for v in proj.comp] for u in proj.comp]
+            assert np.array_equal(proj.quotient.gram, np.array(table))
+
+
 def test_klein_examples():
     s = sp_space(2, 2)
     k = klein_space(2)

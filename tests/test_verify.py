@@ -14,7 +14,14 @@ from polarspread import verify as V
 from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
 from polarspread.gf import FieldError
-from polarspread.linalg import canonicalize, isin_sorted, point_keys, reduce_rows, rref
+from polarspread.linalg import (
+    canonicalize,
+    canonicalize_points,
+    isin_sorted,
+    point_keys,
+    reduce_rows,
+    rref,
+)
 from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
 
 
@@ -245,6 +252,32 @@ def test_fingerprint_properties():
     assert set(V.fingerprint(empty)) == {0}
     fam = F.transversal_spread(2, 1)
     assert V.fingerprint(fam) == V.fingerprint(fam, seed=5)  # enumerable space
+
+
+# the point families of the perfbench ovoid workload
+OVOID_WORKLOAD = {
+    "appA(8)": lambda: F.desarguesian_ovoid(8),
+    "thm7.3(8,1)-A6i": lambda: F.orthovoid_bullet(8, 1, "A6i"),
+    "thm7.3(8,1)-A6ii": lambda: F.orthovoid_bullet(8, 1, "A6ii"),
+    "lem7.8(8)": lambda: F.two_quadrics_ovoid(8),
+    "ex7.4(8)": lambda: F.elliptic_or_o5_partial_ovoid(8, "elliptic_quadric"),
+    "lem7.5-st(8)": lambda: F.elliptic_or_o5_partial_ovoid(8, "suzuki_tits"),
+    "thm7.10(8)": lambda: F.st_pencil_replace(8),
+    "thm7.11(8)": lambda: F.st_section_replace(8),
+    "thm9.1(7,1)": lambda: F.conic_replace(7, 1),
+    "thm9.1(9,1)": lambda: F.conic_replace(9, 1),
+    "ex9.2(8,3)": lambda: F.three_lines(8, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(OVOID_WORKLOAD))
+def test_fingerprint_has_one_entry_per_point_outside_the_family(name):
+    """Members count as inside whatever multiple their rows hold; thm7.3
+    keeps its removal point as found, not canonical."""
+    fam = OVOID_WORKLOAD[name]()
+    if name.startswith("thm7.3"):
+        assert not np.array_equal(canonicalize_points(fam.space.fv, fam.points), fam.points)
+    assert len(V.fingerprint(fam)) == fam.space.singular_count() - len(fam)
 
 
 def test_fingerprint_spread_sampled_is_seed_deterministic():
