@@ -7,10 +7,12 @@
 Runs each checkout's own ``perfbench/run.py`` (unchanged, ``--trace 0``) in
 alternating pairs, the parent first in odd pairs, with one seed per pair,
 and writes for every workload and column the median and quartiles of the
-five end-to-end metrics, each checkout's `src/` line count, every run's values, and in how many pairs the
-change read lower.  It also runs each listed acceptance criterion (``pytest
-tests/test_acceptance.py -k c05``, ...) once in each checkout, and records
-its pytest call time and the line it printed.  Without ``--parent`` only
+five end-to-end metrics and of each op's median seconds (the ``op NAME
+median X s`` lines run.py prints), each checkout's `src/` line count, every
+run's values, and in how many pairs the change read lower.  It also runs
+each listed acceptance criterion (``pytest tests/test_acceptance.py -k
+c05``, ...) once in each checkout, and records its pytest call time and the
+line it printed.  Without ``--parent`` only
 the change column is written.
 
 Give each side a fresh ``git clone``: runs set PYTHONDONTWRITEBYTECODE, so
@@ -42,12 +44,20 @@ def env(extra: dict | None = None) -> dict:
     return out
 
 
+# the per-op line run.py prints before its result line
+OP_LINE = re.compile(r"^\s*op (.+?)\s+median\s+([\d.]+) s over")
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run.py run: its correctness, end-to-end metrics and the median
+    seconds of each op over the run's passes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=env(), capture_output=True, text=True, check=True)
-    res = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"correct": res["correct"], **{m: res["metrics"][m]["value"] for m in METRICS}}
+    lines = proc.stdout.strip().splitlines()
+    res = json.loads(lines[-1])
+    ops = {m.group(1): float(m.group(2)) for m in map(OP_LINE.match, lines[:-1]) if m}
+    return {"correct": res["correct"], **{m: res["metrics"][m]["value"] for m in METRICS}, "ops": ops}
 
 
 def run_criterion(checkout: Path, name: str, c5_budget: str | None) -> dict:
@@ -132,9 +142,12 @@ def main(argv=None) -> int:
             for name in order:
                 res = run_bench(sides[name], workload, a.seed + i, a.seconds)
                 runs[name].append(res)
-                print(f"{workload} pair {i + 1} {name}: {res}", file=sys.stderr)
+                shown = {k: v for k, v in res.items() if k != "ops"}
+                print(f"{workload} pair {i + 1} {name}: {shown}", file=sys.stderr)
         entry = {name: {"correct": all(r["correct"] for r in rs),
-                        **{m: summary([r[m] for r in rs]) for m in METRICS}}
+                        **{m: summary([r[m] for r in rs]) for m in METRICS},
+                        "ops": {op: summary([r["ops"][op] for r in rs if op in r["ops"]])
+                                for op in rs[0]["ops"]}}
                  for name, rs in runs.items()}
         if "parent" in runs:
             entry["change_lower"] = {

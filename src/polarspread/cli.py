@@ -151,6 +151,9 @@ def cmd_project(a) -> int:
         if len(z) != dim or not np.isin(z, fv.elements()).all():
             print(f"error: --z takes {dim} comma-separated elements of {fv!r}", file=sys.stderr)
             return EXIT_USAGE
+        if fam.space.qcoef is not None and fam.space.qform(z) == 0:
+            print("error: --z names a singular point; projection needs Q(z) != 0", file=sys.stderr)
+            return EXIT_USAGE
     out = F.project_family(fam, z)
     artifacts.save(artifacts.family_to_dict(out), a.output)
     print(f"projected -> Sp({out.space.dim},{out.space.q}) family of size {len(out)}; wrote {a.output}")

@@ -494,6 +494,7 @@ class OvoidContext:
         qc[1:4, 4:7] = trace_form(self.tw, self.fdeg, e, [[1]], self.fbasis)
         self.space = make_orthogonal(self.kview, qc, "orthogonal_plus")
         self.pi = find_pi(self.tw, e)
+        self._ovoid = None
 
     def vec(self, a: int, beta: int, gamma: int, d: int) -> np.ndarray:
         return np.array(
@@ -507,11 +508,24 @@ class OvoidContext:
         return gf.norm(self.tw, self.fdeg, self.kdeg, x)
 
     def ovoid_points(self) -> np.ndarray:
-        tw = self.tw
-        rows = [self.vec(0, 0, 0, 1)]
-        for t in tw.subfield_elements(self.fdeg).tolist():
-            rows.append(self.vec(1, t, tw.pow(t, self.q + self.q**2), self.nm(t)))
-        return np.array(rows, dtype=np.int64)
+        """<(0,0,0,1)> and <(1, t, t^(q+q^2), N(t))> for t in F, ascending;
+        made once per context and read-only.  t^(q+q^2) = t^q t^(q^2) and
+        N(t) = t t^(q+q^2), each one vector product over all of F."""
+        if self._ovoid is None:
+            tw, e = self.tw, self.kdeg
+            t = tw.subfield_elements(self.fdeg)
+            tqq = tw.vmul(tw.vfrob(t, e), tw.vfrob(t, 2 * e))
+            coords = np.zeros((tw.order, 3), dtype=np.int64)  # `coords` as an array
+            coords[list(self.coords)] = list(self.coords.values())
+            rows = np.zeros((len(t) + 1, 8), dtype=np.int64)
+            rows[0, 7] = 1
+            rows[1:, 0] = 1
+            rows[1:, 1:4] = coords[t]
+            rows[1:, 4:7] = coords[tqq]
+            rows[1:, 7] = tw.vmul(t, tqq)
+            rows.flags.writeable = False
+            self._ovoid = rows
+        return self._ovoid
 
 
 @lru_cache(maxsize=None)

@@ -220,16 +220,48 @@ def _ranks(fv: FieldView) -> np.ndarray:
     return ranks
 
 
+def _key_shifts(fv: FieldView, dim: int) -> tuple[int, np.ndarray]:
+    """(width, shifts): the bits per coordinate of a `point_keys` key and
+    each coordinate's shift, first coordinate most significant."""
+    width = (fv.q - 1).bit_length()
+    if dim * width > 62:
+        raise FieldError("coordinate packing exceeds int64; space too wide")
+    return width, width * np.arange(dim - 1, -1, -1, dtype=np.int64)
+
+
 def point_keys(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     """Canonical index of each row: its coordinates' ranks in the view,
     bit_length(q - 1) bits each, first coordinate most significant.  Ranks
     keep the order of the elements, so keys order rows lexicographically."""
-    width = (fv.q - 1).bit_length()
-    dim = rows.shape[1]
-    if dim * width > 62:
-        raise FieldError("coordinate packing exceeds int64; space too wide")
-    weights = np.int64(1) << (width * np.arange(dim - 1, -1, -1, dtype=np.int64))
-    return _ranks(fv)[rows] @ weights
+    _, shifts = _key_shifts(fv, rows.shape[1])
+    return _ranks(fv)[rows] @ (np.int64(1) << shifts)
+
+
+def key_rows(fv: FieldView, keys: np.ndarray, dim: int) -> np.ndarray:
+    """The rows whose `point_keys` are `keys`, in order: the inverse of
+    `point_keys`, made one column at a time."""
+    width, shifts = _key_shifts(fv, dim)
+    keys, elems = np.asarray(keys, dtype=np.int64), fv.elements()
+    rows = np.empty((len(keys), dim), dtype=np.int64)
+    for i, shift in enumerate(shifts.tolist()):
+        rows[:, i] = elems[(keys >> shift) & ((1 << width) - 1)]
+    return rows
+
+
+def canonical_keys(fv: FieldView, dim: int) -> np.ndarray:
+    """The `point_keys` of all canonical points of fv^dim, ascending, made
+    without their rows.  The points led by column dim - 1 - r are 1 there
+    and any ranks in the r columns after it; the ranks are built one column
+    at a time, each new column the most significant, so they ascend."""
+    width, _ = _key_shifts(fv, dim)
+    digits = np.arange(fv.q, dtype=np.int64)
+    tail = np.zeros(1, dtype=np.int64)  # the ranks of the r columns after the lead
+    out = []
+    for r in range(dim):
+        out.append((np.int64(1) << width * r) | tail)
+        if r < dim - 1:
+            tail = ((digits[:, None] << width * r) | tail[None, :]).ravel()
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 
 class KeyPacking:
@@ -432,6 +464,6 @@ def canonical_point_blocks(fv: FieldView, dim: int, chunk: int = 1 << 19):
 
 
 def all_points(fv: FieldView, dim: int) -> np.ndarray:
-    """All canonical projective points of fv^dim, ascending canonical index."""
-    blocks = list(canonical_point_blocks(fv, dim))
-    return np.vstack(blocks) if blocks else np.zeros((0, dim), dtype=np.int64)
+    """All canonical projective points of fv^dim, ascending canonical index,
+    unpacked from their keys."""
+    return key_rows(fv, canonical_keys(fv, dim), dim)

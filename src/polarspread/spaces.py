@@ -122,21 +122,28 @@ passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
 spaces whose keys need more than 62 bits, use `vbform` for one vector and
 one field product (vs G^T) pts^T for a block of them.
 
-Singular points are solved in the last coordinate.  Write a point as
-y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
+Singular points are solved in the last coordinate, as keys.  Write a point
+as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
 b = B(y, e_n) and a = Q(e_n), in every characteristic (B is the
-polarization of Q).  So Q and B are evaluated once per prefix y, and the
-roots t come from lookup tables of O(q) entries.  If a = 0 the equation is
-linear: one root -c/b, or every t when b = c = 0.  Otherwise, for odd p,
-(t + h)^2 = h^2 - c/a with h = b/(2a), and a square-root table gives the
-roots -h +- s; for p = 2, t = sqrt(c/a) when b = 0, and else t = (b/a) u
-with u^2 + u = ac/b^2, whose solutions are u_0 and u_0 + 1 for u_0 from a
-table of least solutions.  Each prefix's roots are emitted in ascending
-tower index.  The prefixes are the canonical points of the first n - 1
-coordinates in ascending canonical index and t is the least significant
-digit, so the points come out in ascending canonical index, as a filter
-over all points would give them.  The space keeps the points' canonical
-keys (`linalg.point_keys`) beside them, made once when first asked for.
+polarization of Q).  The prefixes y of one leading column are built one
+free coordinate k at a time, as tables of their keys, Q(y) and B(y, e_j)
+for the columns j after k: Q(y + c e_k) = Q(y) + c^2 Q(e_k) + c B(y, e_k),
+B(y + c e_k, e_j) = B(y, e_j) + c G[k, j], and the key takes rank(c) at
+column k.  So no prefix is made as a row, and the tables stay within
+POINT_BLOCK entries per block.  The roots t come from lookup tables of
+O(q) entries.  If a = 0 the equation is linear: one root -c/b, or every t
+when b = c = 0.  Otherwise, for odd p, (t + h)^2 = h^2 - c/a with
+h = b/(2a), and a square-root table gives the roots -h +- s; for p = 2,
+t = sqrt(c/a) when b = 0, and else t = (b/a) u with u^2 + u = ac/b^2,
+whose solutions are u_0 and u_0 + 1 for u_0 from a table of least
+solutions.  Each prefix's roots are emitted in ascending tower index, and a
+point's key is its prefix's key with rank(t) in the last digit.  The
+prefixes are the canonical points of the first n - 1 coordinates in
+ascending canonical index (each new coordinate is expanded prefix-major)
+and t is the least significant digit, so the keys come out ascending, as a
+filter over all points would give them.  The space keeps these keys
+(`singular_keys`); the rows (`singular_points`) are unpacked from them by
+`linalg.key_rows` only when asked for.
 """
 
 from __future__ import annotations
@@ -153,15 +160,18 @@ from .gf import FieldError, FieldView, sqrt_char2, standalone, trace_form
 from .linalg import (
     KeyPacking,
     Subspace,
+    _key_shifts,
+    _ranks,
     all_points,
+    canonical_keys,
     canonical_point_blocks,
     canonicalize,
     canonicalize_points,
     express,
     extend_basis,
     in_kernel,
+    key_rows,
     mat_mul,
-    point_keys,
     rref,
     stacked_point_blocks,
 )
@@ -172,7 +182,7 @@ MAX_ENUM_POINTS = 6_000_000
 MAX_ENUM_SUBSPACES = 2_000_000
 MAX_BITSET_BYTES = 1 << 30
 # int64 entries of a singular-point block: its prefixes times q, which
-# bounds its points, or the coordinates of the points keyed at once
+# bounds its points
 POINT_BLOCK = 1 << 19
 # int64 temporaries per row block of a perpendicularity test
 PERP_BLOCK = 1 << 16
@@ -391,48 +401,84 @@ class FormedSpace:
         self._check_enumerable()
         return all_points(self.fv, self.dim)
 
-    def singular_points(self) -> np.ndarray:
-        """All singular canonical points, ascending canonical index; cached."""
-        if self._singular is None:
-            if self.qcoef is None:
-                pts = self.points()
-            else:
-                self._check_enumerable()
-                pts = self._singular_by_last_coordinate()
-            pts.flags.writeable = False
-            self._singular = pts
-        return self._singular
+    def point_keys(self) -> np.ndarray:
+        """The canonical keys (`linalg.point_keys`) of `points()`, ascending,
+        made without the rows."""
+        self._check_enumerable()
+        return canonical_keys(self.fv, self.dim)
 
     def singular_keys(self) -> np.ndarray:
-        """The canonical keys (`point_keys`) of `singular_points()`, ascending
-        and in the same order; cached and read-only.  For p = 2 they are
-        also the keys of `bit_packing`, when it exists."""
+        """The canonical keys of the singular points, ascending; cached and
+        read-only.  For p = 2 they are also the keys of `bit_packing`, when
+        it exists.  They are solved in the last coordinate (module
+        docstring); every point is singular when there is no Q."""
         if self._singular_keys is None:
-            pts = self.singular_points()
-            keys = np.empty(len(pts), dtype=np.int64)
-            step = max(1, POINT_BLOCK // self.dim)
-            for lo in range(0, len(pts), step):
-                keys[lo : lo + step] = point_keys(self.fv, pts[lo : lo + step])
+            self._check_enumerable()
+            if self.qcoef is None:
+                keys = canonical_keys(self.fv, self.dim)
+            else:
+                keys = self._singular_by_last_coordinate()
             keys.flags.writeable = False
             self._singular_keys = keys
         return self._singular_keys
 
+    def singular_points(self) -> np.ndarray:
+        """The rows of `singular_keys()`, in the same order; made when first
+        asked for, cached and read-only."""
+        if self._singular is None:
+            pts = key_rows(self.fv, self.singular_keys(), self.dim)
+            pts.flags.writeable = False
+            self._singular = pts
+        return self._singular
+
     def _singular_by_last_coordinate(self) -> np.ndarray:
-        """Singular points solved in the last coordinate (module docstring),
-        ascending canonical index."""
-        fv, n = self.fv, self.dim
-        last = np.zeros(n, dtype=np.int64)
-        last[-1] = 1
-        a = self.qform(last)
-        chunks = [last[None, :]] if a == 0 else []
-        for block in canonical_point_blocks(fv, n - 1, chunk=max(1, POINT_BLOCK // fv.q)):
-            y = np.zeros((len(block), n), dtype=np.int64)
-            y[:, :-1] = block
-            row, t = _quadratic_roots(fv, a, self.vbform(y, last), self.vqform(y))
-            hit = y[row]
-            hit[:, -1] = t
-            chunks.append(hit)
-        return np.vstack(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
+        """The keys of the singular points, solved in the last coordinate over
+        prefix tables (module docstring), ascending."""
+        fv, n, q = self.fv, self.dim, self.fv.q
+        _, shifts = _key_shifts(fv, n)
+        a = int(self.qcoef[-1, -1])  # Q(e_n)
+        chunks = [np.ones(1, dtype=np.int64)] if a == 0 else []  # e_n, key rank(1) = 1
+        cap = max(1, POINT_BLOCK // q)  # prefixes per block
+        ranks = _ranks(fv)
+        for lead in range(n - 2, -1, -1):
+            free = n - 2 - lead  # the columns lead + 1 .. n - 2
+            tail = 0  # the free columns expanded per block
+            while tail < free and q ** (tail + 1) <= cap:
+                tail += 1
+            # y = e_lead: its key, Q(y) and B(y, e_j) for j > lead
+            head = (
+                np.int64(1) << shifts[lead, None],
+                self.qcoef[lead, lead, None],
+                self.gram[lead, None, lead + 1 :],
+            )
+            head = self._prefix_table(head, lead + 1, free - tail)
+            step = max(1, cap // q**tail)
+            for lo in range(0, len(head[0]), step):
+                part = tuple(h[lo : lo + step] for h in head)
+                key, qy, by = self._prefix_table(part, n - 1 - tail, tail)
+                row, t = _quadratic_roots(fv, a, by[:, 0], qy)
+                chunks.append(key[row] | ranks[t])
+        return np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+
+    def _prefix_table(self, table, first: int, count: int):
+        """Expand the prefixes y of `table` (key, Q(y), B(y, e_j) for the
+        columns j from `first` on) by y + c e_k, c in the view, for the
+        columns k = first .. first + count - 1 in turn: Q(y + c e_k) =
+        Q(y) + c^2 Q(e_k) + c B(y, e_k), B(y + c e_k, e_j) = B(y, e_j) +
+        c G[k, j] and the key takes rank(c) at column k.  Prefix major and
+        c ascending, so the keys stay ascending."""
+        tw, elems, n = self.fv.tower, self.fv.elements(), self.dim
+        _, shifts = _key_shifts(self.fv, n)
+        digits = np.arange(len(elems), dtype=np.int64)
+        key, qy, by = table
+        for k in range(first, first + count):
+            cq = tw.vmul(tw.vmul(elems, elems), self.qcoef[k, k])
+            qy = tw.vadd(tw.vadd(qy[:, None], cq[None, :]), tw.vmul(by[:, :1], elems[None, :]))
+            cg = tw.vmul(elems[:, None], self.gram[k, None, k + 1 :])
+            by = tw.vadd(by[:, None, 1:], cg[None]).reshape(-1, n - 1 - k)
+            key = (key[:, None] | (digits << shifts[k])[None, :]).ravel()
+            qy = qy.ravel()
+        return key, qy, by
 
     def first_nonsingular_point(self) -> np.ndarray:
         if self.qcoef is None:
@@ -985,7 +1031,8 @@ class Perp:
     docstring): kernel masks of `vs` against the packed keys of `pts` when
     the space has a `bit_packing`, else `vbform` or, for many rows, a field
     product.  `keys`, when given, are the `point_keys` of `pts`, which for
-    p = 2 are the packed keys, so they are not packed again."""
+    p = 2 are the packed keys, so they are not packed again; with a
+    `bit_packing`, `to` then reads only them, and `pts` may be None."""
 
     def __init__(
         self,
@@ -1008,10 +1055,18 @@ class Perp:
             self.masks = np.concatenate([bits.kernel_masks(c) for c in coefs])
 
     def to(self, k: int, idx=slice(None)) -> np.ndarray:
-        """Whether each of pts[idx] is perpendicular to vs[k]."""
-        if self.keys is not None:
-            return in_kernel(self.keys[idx], self.masks[k])
-        return self.space.vbform(self.pts[idx], self.vs[k]) == 0
+        """Whether each of pts[idx] is perpendicular to vs[k]; on keys, in
+        passes of PERP_BLOCK keys, so that no temporary outgrows a block."""
+        if self.keys is None:
+            return self.space.vbform(self.pts[idx], self.vs[k]) == 0
+        keys = self.keys[idx] if isinstance(idx, slice) else None
+        n = len(idx) if keys is None else len(keys)
+        out = np.empty(n, dtype=bool)
+        for lo in range(0, n, PERP_BLOCK):
+            hi = lo + PERP_BLOCK
+            part = self.keys[idx[lo:hi]] if keys is None else keys[lo:hi]
+            out[lo:hi] = in_kernel(part, self.masks[k])
+        return out
 
     def rows(self, ks: np.ndarray) -> np.ndarray:
         """(len(ks), len(pts)): whether each point is perpendicular to vs[k]."""

@@ -28,8 +28,11 @@ An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
 live candidates is narrowed once per member by `spaces.Perp`, on the keys
 the space keeps for its singular points, so the first index left is the
-first witness in canonical order; like a spread witness, it is re-checked
-by the partial-ovoid predicate before it is returned.  The
+first witness in canonical order.  For p = 2 the scan reads only keys, and
+the witness alone is unpacked into a row; odd p tests on rows unpacked
+from the keys.  Like a spread witness, the witness is re-checked by the
+partial-ovoid predicate before it is returned.  The cover report likewise
+unpacks only the uncovered keys into rows.  The
 hyperplane census counts the zeros of x . phi for all hyperplanes phi at
 once, as a blocked field product hyperplanes x points.
 """
@@ -50,6 +53,7 @@ from .linalg import (
     canonicalize,
     canonicalize_points,
     isin_sorted,
+    key_rows,
     mat_mul,
     point_keys,
     stacked_points,
@@ -152,29 +156,29 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
     return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
 
 
-def universe(space: FormedSpace, flavor: str) -> tuple[np.ndarray, np.ndarray]:
-    """The points a member or an extension of a `flavor` family may hold, in
-    ascending canonical index, and their canonical keys: the space's cached
-    singular points and keys for the orthogonal flavor, every point
-    otherwise."""
-    if flavor == "orthogonal":
-        return space.singular_points(), space.singular_keys()
-    pts = space.points()
-    return pts, point_keys(space.fv, pts)
+def universe(space: FormedSpace, flavor: str) -> np.ndarray:
+    """The canonical keys, ascending, of the points a member or an extension
+    of a `flavor` family may hold: the space's cached singular keys for the
+    orthogonal flavor and for a space with no Q, every point's otherwise."""
+    if flavor == "orthogonal" or space.qcoef is None:
+        return space.singular_keys()
+    return space.point_keys()
 
 
 def cover_report(fam: SubspaceFamily, flavor: str) -> CoverReport:
-    pts, keys = universe(fam.space, flavor)
+    space = fam.space
+    keys = universe(space, flavor)
     covered = np.zeros(len(keys), dtype=bool)
-    for _, block in _point_key_blocks(fam.space, fam.members):
+    for _, block in _point_key_blocks(space, fam.members):
         mk = block.ravel()
         idx = np.minimum(np.searchsorted(keys, mk), len(keys) - 1)
         covered[idx[keys[idx] == mk]] = True
+    left = keys[~covered]
     return CoverReport(
         total=len(keys),
-        covered=int(covered.sum()),
-        uncovered_keys=keys[~covered],
-        uncovered_points=pts[~covered],
+        covered=len(keys) - len(left),
+        uncovered_keys=left,
+        uncovered_points=key_rows(space.fv, left, space.dim),
     )
 
 
@@ -205,10 +209,10 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
         raise FieldError("family is not a partial ovoid")
     space = fam.space
     tc = time.perf_counter()
-    cands, keys = universe(space, flavor)
+    keys = universe(space, flavor)
     t1 = time.perf_counter()
-    alive = np.arange(len(cands))  # ascending: alive[0] is the first witness
-    perp = Perp(space, cands, fam.points, keys)
+    alive = np.arange(len(keys))  # ascending: alive[0] is the first witness
+    perp = _universe_perp(space, keys, fam.points)
     live = []  # candidates left after each member, up to the first 0
     for k in range(len(fam.points)):
         if len(alive) == 0:
@@ -218,7 +222,7 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     t2 = time.perf_counter()
     witness = None
     if len(alive):
-        witness = cands[alive[0]]
+        witness = key_rows(space.fv, keys[alive[:1]], space.dim)[0]
         grown = PointFamily(space, np.vstack([fam.points, witness]), fam.provenance)
         if not is_partial_ovoid(grown, flavor):
             raise FieldError("witness failed re-verification (engine bug)")
@@ -232,7 +236,15 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
         },
     }
     verdict = "maximal" if witness is None else "extendable"
-    return MaximalityCertificate(verdict, witness, len(cands), (t3 - t0) * 1000, flavor, described)
+    return MaximalityCertificate(verdict, witness, len(keys), (t3 - t0) * 1000, flavor, described)
+
+
+def _universe_perp(space: FormedSpace, keys: np.ndarray, vs: np.ndarray) -> Perp:
+    """A `Perp` of the universe's points, given by their keys, against `vs`:
+    on the keys alone when the space has a `bit_packing`, else on the rows
+    unpacked from them (odd p)."""
+    rows = None if space.bit_packing is not None else key_rows(space.fv, keys, space.dim)
+    return Perp(space, rows, vs, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +494,11 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
 
     if isinstance(fam, PointFamily):
         space = fam.space
-        sing, keys = universe(space, "orthogonal")
-        counts = np.zeros(len(sing), dtype=np.int64)
+        keys = universe(space, "orthogonal")
+        counts = np.zeros(len(keys), dtype=np.int64)
         fam_keys = np.sort(point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
         inside = isin_sorted(keys, fam_keys)
-        perp = Perp(space, sing, fam.points, keys)
+        perp = _universe_perp(space, keys, fam.points)
         for k in range(len(fam.points)):
             counts += perp.to(k)
         return tuple(sorted(counts[~inside].tolist()))

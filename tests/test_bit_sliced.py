@@ -18,6 +18,7 @@ from polarspread.linalg import (
     canonical_point_blocks,
     canonicalize,
     in_kernel,
+    key_rows,
     point_keys,
 )
 from polarspread.spaces import (
@@ -158,6 +159,14 @@ def singular_oracle(space):
     return np.vstack([b[space.vqform(b) == 0] for b in blocks])
 
 
+def block_points(space):
+    return np.vstack(list(canonical_point_blocks(space.fv, space.dim)))
+
+
+def universe_rows(space, flavor):
+    return key_rows(space.fv, V.universe(space, flavor), space.dim)
+
+
 def fresh(space) -> FormedSpace:
     return FormedSpace(space.fv, space.dim, space.kind, space.gram, space.qcoef)
 
@@ -259,6 +268,67 @@ def test_a_prefix_with_zero_q_b_and_a_yields_every_t(q):
     assert np.array_equal(pts, singular_oracle(space))
 
 
+def key_solver_spaces():
+    """Every standard space, O+(8,3) and O+(16,2), and every dimension-two
+    space: p = 2 and odd p, Q(e_n) zero and not."""
+    yield from standard_spaces()
+    yield oplus_space(3, 4)
+    yield oplus_space(2, 8)
+    for q in (2, 3, 4, 5, 8, 9):
+        yield from dimension_two_spaces(q)
+
+
+@pytest.mark.parametrize("block", [None, 1, 40])
+def test_key_solver_matches_the_filter_oracle(monkeypatch, block):
+    """The solved keys are the `point_keys` of the filtered points, and the
+    rows unpacked from them are those points, in order.  A small
+    POINT_BLOCK splits the prefixes of one leading column over several
+    blocks (1: one prefix per block; 40: partial head groups for q = 4)."""
+    if block is not None:
+        monkeypatch.setattr(S, "POINT_BLOCK", block)
+    qs = set()
+    for space in key_solver_spaces():
+        want = singular_oracle(space)
+        space = fresh(space)
+        keys = space.singular_keys()
+        assert space._singular is None  # keys first, rows only when asked
+        assert np.array_equal(keys, point_keys(space.fv, want)), repr(space)
+        assert np.array_equal(space.singular_points(), want), repr(space)
+        qs.add(space.fv.p)
+    assert {2, 3, 5} <= qs
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_symplectic_singular_keys_are_every_point(q, n):
+    """With no Q every point is singular: the keys of every canonical point
+    in order, and `point_keys()` gives the same keys uncached."""
+    space = fresh(sp_space(q, n))
+    want = point_keys(space.fv, block_points(space))
+    assert np.array_equal(space.singular_keys(), want)
+    assert np.array_equal(space.point_keys(), want)
+    assert np.array_equal(space.singular_points(), block_points(space))
+
+
+def test_ovoid_scan_on_keys_leaves_the_rows_unmade():
+    """appA(8) on a fresh O+(8,8): the scan reads the universe's keys only,
+    so no singular-point rows are made, and the verdict, candidates and
+    live counts are those the row-based scan gave (pinned by digest)."""
+    import hashlib
+    import json
+
+    fam = F.desarguesian_ovoid(8)
+    fam = PointFamily(fresh(fam.space), fam.points, fam.provenance)
+    cert = V.check_maximal_ovoid(fam, "orthogonal")
+    assert fam.space._singular is None
+    assert (cert.verdict, cert.nodes, cert.witness) == ("maximal", 300105, None)
+    live = cert.stats["live"]
+    assert len(live) == 513 and live[:3] == [262144, 228928, 199872] and live[-1] == 0
+    digest = hashlib.sha256(json.dumps(live).encode()).hexdigest()
+    assert digest == "ecfc28588523cc9de2454244c0c1de8829b9f19d7403e7c60a5b10bf426a5ced"
+    verdict, _, nodes = ovoid_oracle(fam, "orthogonal")
+    assert (verdict, nodes) == (cert.verdict, cert.nodes)
+
+
 @pytest.mark.parametrize("space", list(standard_spaces()), ids=repr)
 def test_singular_keys_are_the_point_keys(space):
     """The cached keys are `point_keys` of the singular points, the
@@ -287,7 +357,8 @@ def test_universe_keys_strictly_ascend(flavor):
     needs no sort."""
     qs = set()
     for name, space in universe_spaces():
-        pts, keys = V.universe(space, flavor)
+        keys = V.universe(space, flavor)
+        pts = space.singular_points() if flavor == "orthogonal" else block_points(space)
         assert len(pts) == len(keys) > 0, name
         assert np.array_equal(keys, point_keys(space.fv, pts)), name
         assert (keys[1:] > keys[:-1]).all(), name
@@ -303,7 +374,7 @@ def test_universe_keys_strictly_ascend(flavor):
 def ovoid_oracle(fam, flavor):
     """The former scan: a boolean alive mask narrowed by one vbform per point."""
     space = fam.space
-    cands = V.universe(space, flavor)[0]
+    cands = universe_rows(space, flavor)
     alive = np.ones(len(cands), dtype=bool)
     for p in fam.points:
         idx = np.nonzero(alive)[0]
@@ -350,7 +421,7 @@ def test_ovoid_certificate_matches_scan(name):
 def fresh_key_scan(fam, flavor):
     """The scan with the universe's keys packed again inside `Perp`."""
     space = fam.space
-    cands = V.universe(space, flavor)[0]
+    cands = universe_rows(space, flavor)
     alive = np.arange(len(cands))
     perp = Perp(space, cands, fam.points)
     for k in range(len(fam.points)):

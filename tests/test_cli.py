@@ -394,6 +394,19 @@ def test_project_rejects_a_bad_z_with_exit_2(tmp_path, capsys, z):
     assert run(["project", str(src), "--z", "0,0,0,0,0,0,1,1", "-o", str(out)]) == 0
 
 
+def test_project_rejects_a_singular_z_with_exit_2(tmp_path, capsys):
+    src = tmp_path / "p41.json"
+    run(["construct", "prop4.1", "--q", "2", "--m", "2", "-o", str(src)])
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    fam = artifacts.family_from_dict(artifacts.load(src))
+    assert fam.space.qform(np.array([1, 0, 0, 0, 0, 0, 0, 1])) == 0
+    assert run(["project", str(src), "--z=1,0,0,0,0,0,0,1", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --z names a singular point") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_verify_jobs_below_1_exits_2(tmp_path, capsys, jobs):
     src = tmp_path / "t.json"

@@ -176,6 +176,23 @@ def test_ordinary_points_structure():
         assert v[0] == 0 and v[7] == 0
 
 
+@pytest.mark.parametrize("q", [4, 8, 16])
+def test_ovoid_points_match_the_scalar_loop(q):
+    """The vectorised ovoid rows equal the per-element gf.norm and tw.pow
+    loop, in order; they are made once per context and are read-only."""
+    ctx = _ovoid_context(q)
+    tw = ctx.tw
+    rows = [ctx.vec(0, 0, 0, 1)]
+    for t in tw.subfield_elements(ctx.fdeg).tolist():
+        rows.append(ctx.vec(1, t, tw.pow(t, q + q * q), ctx.nm(t)))
+    got = ctx.ovoid_points()
+    assert np.array_equal(got, np.array(rows, dtype=np.int64))
+    assert got.shape == (q**3 + 1, 8)
+    assert ctx.ovoid_points() is got
+    with pytest.raises(ValueError):
+        got[0, 0] = 1
+
+
 def test_ovoid_symmetries():
     ctx = _ovoid_context(4)
     maps = F.ovoid_symmetries(4)

@@ -13,9 +13,12 @@ from polarspread.linalg import (
     AmbientMismatch,
     Subspace,
     all_points,
+    canonical_keys,
+    canonical_point_blocks,
     canonicalize,
     canonicalize_points,
     extend_basis,
+    key_rows,
     mat_mul,
     point_keys,
     rref,
@@ -186,6 +189,23 @@ def test_ambient_mismatch():
     b = canonicalize(FV2, [[1, 0, 0]], 3)
     with pytest.raises(AmbientMismatch):
         a.sum(b)
+
+
+KEY_VIEWS = [standalone(q) for q in (2, 3, 4, 5, 7, 9)] + [FieldView(gf.tower(2, 6, (3,)), 3)]
+
+
+@pytest.mark.parametrize("fv", KEY_VIEWS, ids=repr)
+def test_canonical_keys_and_key_rows_match_the_point_blocks(fv):
+    """The keys made without rows are the `point_keys` of the block
+    enumeration, in order, and `key_rows` unpacks them into its rows; a
+    subfield view of a larger tower included."""
+    for dim in range(1, 5):
+        pts = np.vstack(list(canonical_point_blocks(fv, dim, chunk=7)))
+        keys = canonical_keys(fv, dim)
+        assert np.array_equal(keys, point_keys(fv, pts)), dim
+        assert np.array_equal(key_rows(fv, keys, dim), pts), dim
+        assert np.array_equal(all_points(fv, dim), pts), dim
+    assert key_rows(fv, np.zeros(0, dtype=np.int64), 3).shape == (0, 3)
 
 
 def test_all_points_order():

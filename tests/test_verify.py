@@ -15,6 +15,7 @@ from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
 from polarspread.gf import FieldError
 from polarspread.linalg import (
+    canonical_point_blocks,
     canonicalize,
     canonicalize_points,
     isin_sorted,
@@ -736,10 +737,13 @@ def test_a_bad_member_is_found_anywhere_in_the_stack(monkeypatch, space):
 
 
 def cover_report_by_members(fam, flavor):
-    """The former cover report: one point list and one `searchsorted` per
+    """The former cover report: the universe as rows, filtered from all
+    points by Q for the orthogonal flavor, and one `searchsorted` per
     member."""
     space = fam.space
-    pts = V.universe(space, flavor)[0]
+    pts = np.vstack(list(canonical_point_blocks(space.fv, space.dim)))
+    if flavor == "orthogonal" and space.qcoef is not None:
+        pts = pts[space.vqform(pts) == 0]
     keys = point_keys(space.fv, pts)
     order = np.argsort(keys)
     skeys = keys[order]
