@@ -60,24 +60,19 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": res["correct"], **{m: res["metrics"][m]["value"] for m in METRICS}, "ops": ops}
 
 
-def run_criterion(checkout: Path, name: str, c5_budget: str | None) -> dict:
+def run_criterion(checkout: Path, name: str) -> dict:
     """One pytest run of criterion `name` (c05, c09, ...): exit code, call
     and process seconds, and the ``criterion N:`` line it printed."""
-    budget = c5_budget if name == "c05" else None
-    extra = {"PYTHONPATH": "src"} | ({"POLARSPREAD_C5_BUDGET": budget} if budget else {})
     cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
            "tests/test_acceptance.py", "-k", f"test_{name}_", "--durations=0"]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env(extra), capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env({"PYTHONPATH": "src"}), capture_output=True, text=True)
     wall = time.perf_counter() - t0
     call = re.search(rf"([\d.]+)s call\s+\S*test_{name}_", proc.stdout)
     mark = re.compile(rf"criterion\s+{int(name[1:])}:")
     line = next((ln.strip() for ln in proc.stdout.splitlines() if mark.search(ln)), None)
-    out = {"exit": proc.returncode, "call_s": float(call.group(1)) if call else None,
-           "wall_s": round(wall, 2), "report": line}
-    if name == "c05":
-        out["budget_s"] = budget or "default"
-    return out
+    return {"exit": proc.returncode, "call_s": float(call.group(1)) if call else None,
+            "wall_s": round(wall, 2), "report": line}
 
 
 def summary(values: list[float]) -> dict:
@@ -120,7 +115,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1000, help="seed of the first pair")
     ap.add_argument("--criteria", default="c05",
                     help="comma-separated acceptance criteria to time once per side, '' for none")
-    ap.add_argument("--c5-budget", help="POLARSPREAD_C5_BUDGET for criterion 5 (default: none)")
     ap.add_argument("--out", type=Path, help="default: BENCH_<n>.json in the change checkout")
     a = ap.parse_args(argv)
 
@@ -158,7 +152,7 @@ def main(argv=None) -> int:
     criteria = [c for c in a.criteria.split(",") if c]
     if criteria:
         out["criteria"] = {
-            c: {name: run_criterion(path, c, a.c5_budget) for name, path in sides.items()}
+            c: {name: run_criterion(path, c) for name, path in sides.items()}
             for c in criteria
         }
     path = a.out or sides["change"] / f"BENCH_{a.n}.json"

@@ -25,17 +25,12 @@ class ArtifactError(ValueError):
 
 
 def family_to_dict(fam) -> dict:
-    space = fam.space
+    space = fam.space.descriptor()
     prov = fam.provenance
     d = {
         "format_version": FORMAT_VERSION,
-        "field": space.fv.descriptor(),
-        "space": {
-            "kind": space.kind,
-            "dim": space.dim,
-            "gram": space.gram.tolist(),
-            "qcoef": None if space.qcoef is None else space.qcoef.tolist(),
-        },
+        "field": space.pop("field"),
+        "space": space,
         "provenance": {
             "family": prov.family,
             "params": dict(sorted(prov.params.items())),

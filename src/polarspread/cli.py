@@ -246,7 +246,7 @@ def cmd_table(a) -> int:
             if triality:
                 fam = F.triality_pointset(fam)
         except (FamilyError, FieldError) as e:
-            print(f"{row_id} {params} -- -- FAILED({e}) --")
+            print(f"{row_id} {pstr} -- -- FAILED({e}) --")
             failures += 1
             continue
         verdict = "partial"

@@ -140,9 +140,6 @@ class Subspace:
         inter = red[left_zero][:, n:]
         return Subspace(self.fv, n, rref(self.fv, inter) if len(inter) else inter)
 
-    def descriptor(self) -> dict:
-        return {"dim_ambient": self.dim_ambient, "rows": self.mat.tolist()}
-
 
 def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
     """(m, P, n): the canonical points of each of m subspaces given by their

@@ -149,7 +149,6 @@ filter over all points would give them.  The space keeps these keys
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -196,10 +195,6 @@ class OutOfDeskScale(RuntimeError):
 
 class SearchTimeout(RuntimeError):
     """The maximality search exceeded its time budget."""
-
-
-class SearchStopped(RuntimeError):
-    """A search's `stop` predicate turned true: its outcome no longer matters."""
 
 
 class TsType(Enum):
@@ -1259,15 +1254,12 @@ class LineGraph:
 class SearchStats:
     """Counters of a FlagSearch: nodes visited by depth (a child cut by the
     count bound is counted as visited), children cut, line-graph rows built
-    and the seconds spent building them.  A parallel search also counts, as
-    `discarded`, the nodes of the ranges above the winning one, which a
-    serial run never visits and `depth_nodes` leaves out."""
+    and the seconds spent building them."""
 
     depth_nodes: np.ndarray
     skipped: int = 0
     rows: int = 0
     rows_s: float = 0.0
-    discarded: int = 0
 
     def __add__(self, other: "SearchStats") -> "SearchStats":
         return SearchStats(
@@ -1275,13 +1267,10 @@ class SearchStats:
             self.skipped + other.skipped,
             self.rows + other.rows,
             self.rows_s + other.rows_s,
-            self.discarded + other.discarded,
         )
 
     def __sub__(self, other: "SearchStats") -> "SearchStats":
-        return self + SearchStats(
-            -other.depth_nodes, -other.skipped, -other.rows, -other.rows_s, -other.discarded
-        )
+        return self + SearchStats(-other.depth_nodes, -other.skipped, -other.rows, -other.rows_s)
 
     @property
     def nodes(self) -> int:
@@ -1316,8 +1305,7 @@ class FlagSearch:
 
     `nodes` counts visited nodes, cut children too, and equals a
     node-by-node DFS's count whenever a flag is yielded.  Passing `deadline`
-    raises SearchTimeout, and a `stop` predicate that turns true raises
-    SearchStopped, both at the next pass."""
+    raises SearchTimeout at the next pass."""
 
     fv: FieldView
     pts: np.ndarray
@@ -1325,7 +1313,6 @@ class FlagSearch:
     perp: Perp | None = None
     lines: bool = False
     deadline: float | None = None
-    stop: Callable[[], bool] | None = None
 
     def __post_init__(self):
         # bit c stands for coordinate c: every nonzero one, and the leading one
@@ -1439,8 +1426,6 @@ class FlagSearch:
             size[d] = min(2 * size[d], top[d])
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise SearchTimeout("maximality search exceeded its budget")
-            if self.stop is not None and self.stop():
-                raise SearchStopped("the search was stopped")
             flags = np.concatenate([frame.flags[rows], kids[:, None]], axis=1)
             if d == t:
                 yield frame, rows, flags

@@ -20,9 +20,10 @@ minimum of that coset (so each candidate subspace is visited once), and it
 cuts a node whose candidates are fewer than the points a completion would
 still need.  Candidates are bitsets narrowed by the rows of a
 line-compatibility graph (`spaces.LineGraph`).  Serial and parallel runs
-return the same verdict, witness and node counts: parallel workers own
-disjoint ranges of first-flag points, the merge keeps the witness from the
-lowest-ranked branch, and only the ranges at or below it are counted.
+return the same verdict, witness and node counts: a pool of workers
+searches disjoint ranges of first-flag points, their results are read in
+range order up to the first witness, and the workers still on ranges above
+it are terminated.
 
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
@@ -39,9 +40,7 @@ once, as a blocked field product hyperplanes x points.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,6 @@ from .spaces import (
     FormedSpace,
     Perp,
     SearchStats,
-    SearchStopped,
     SearchTimeout,
 )
 
@@ -296,7 +294,6 @@ def check_maximal_spread(
         "nodes_by_depth": stats.depth_nodes.tolist(),
         "skipped": stats.skipped,
         "rows": stats.rows,
-        "discarded": stats.discarded,
         "ms": {
             "check": round((tc - t0 + t3 - t2) * 1000, 3),
             "cover": round((t1 - tc) * 1000, 3),
@@ -308,78 +305,44 @@ def check_maximal_spread(
     return MaximalityCertificate(verdict, witness, stats.nodes, (t3 - t0) * 1000, flavor, described)
 
 
-def _branch_range(search: FlagSearch, lo: int, hi: int, best=None) -> list[int] | None:
-    """The first flag found among first-flag points with index in [lo, hi).
-    A shared `best` below lo (a lower range holds a witness) ends the range
-    at its next pass, inside a subtree too, since its outcome can no longer
-    matter."""
-    if best is not None:
-        search.stop = lambda: best.value < lo
-    try:
-        return next(search.flags(range(lo, hi)), None)
-    except SearchStopped:
-        return None
+_worker_search: FlagSearch | None = None  # set in each worker process
 
 
-_WORKER_STATE: dict = {}
+def _worker_init(search: FlagSearch) -> None:
+    global _worker_search
+    _worker_search = search
 
 
-def _worker_init(search, best):
-    _WORKER_STATE["search"] = search
-    _WORKER_STATE["best"] = best
-
-
-def _worker_run(lo: int, hi: int):
-    search: FlagSearch = _WORKER_STATE["search"]
-    before = search.stats()  # a worker process runs several ranges
-    try:
-        flag = _branch_range(search, lo, hi, _WORKER_STATE["best"])
-    except SearchTimeout:
-        return "timeout", None, search.stats() - before
-    return "done", flag, search.stats() - before
+def _worker_run(bounds: tuple[int, int]):
+    """The first flag among first-flag points with index in [lo, hi), and
+    the range's counters; a worker process runs several ranges."""
+    search = _worker_search
+    before = search.stats()
+    flag = next(search.flags(range(*bounds)), None)
+    return flag, search.stats() - before
 
 
 def _parallel_search(search: FlagSearch, jobs: int):
-    """Ranges of first-flag points are queued in order.  A witness in one
-    range lowers the shared `best`, and every range above it stops at its
-    next pass; the run waits only for the ranges below, so the
-    lowest-ranked witness wins as in a serial run.  A timeout below `best`
-    ends the run and cancels the ranges still queued.  The node counts take
-    in the root and the ranges at or below the winning one, which ran to
-    the end or to the witness, so they equal a serial run's; the nodes of
-    the ranges above it are counted as `discarded`.  Rows built and their
-    time take in every range that ran, as each worker builds its own rows."""
+    """Ranges of first-flag points go to a pool of `jobs` processes, and
+    their results are read in range order, so a range is read only after
+    every range below it.  The run adds up the counters of the ranges read
+    until the first witness, or re-raises the first SearchTimeout; leaving
+    the pool then terminates the workers still on ranges above it.  So the
+    witness is the lowest-ranked one and the node counts, the root included,
+    equal a serial run's.  Rows built and their time take in the ranges
+    read, as each worker builds its own rows."""
+    import multiprocessing
+
     n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
-    best = multiprocessing.RawValue("q", n)  # written by this process only
-    best_flag, ranges = None, {}
-    ex = ProcessPoolExecutor(jobs, initializer=_worker_init, initargs=(search, best))
-    try:
-        pending = {ex.submit(_worker_run, lo, min(n, lo + chunk)): lo for lo in range(0, n, chunk)}
-        while any(lo < best.value for lo in pending.values()):
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                lo = pending.pop(fut)
-                status, flag, ranges[lo] = fut.result()
-                if lo > best.value:
-                    continue
-                if status == "timeout":
-                    raise SearchTimeout("a worker exceeded the search budget")
-                if flag is not None:
-                    best.value, best_flag = lo, flag
-    finally:
-        ex.shutdown(cancel_futures=True)
-    for fut, lo in pending.items():
-        if not fut.cancelled():
-            ranges[lo] = fut.result()[2]
     stats = SearchStats(np.array([1] + [0] * search.target))  # the root
-    for lo, st in ranges.items():
-        if lo <= best.value:
+    ranges = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
+    with multiprocessing.Pool(jobs, _worker_init, (search,)) as pool:
+        for flag, st in pool.imap(_worker_run, ranges):
             stats += st
-        else:  # a range above the witness: its nodes are discarded, its rows were built
-            stats.rows, stats.rows_s = stats.rows + st.rows, stats.rows_s + st.rows_s
-            stats.discarded += st.nodes
-    return (None if best_flag is None else search.subspace(best_flag)), stats
+            if flag is not None:
+                break
+    return (None if flag is None else search.subspace(flag)), stats
 
 
 # ---------------------------------------------------------------------------

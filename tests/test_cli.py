@@ -12,7 +12,7 @@ import pytest
 
 from polarspread import artifacts, cli, spaces
 from polarspread.cli import main
-from polarspread.families import Provenance, SubspaceFamily
+from polarspread.families import FamilyError, Provenance, SubspaceFamily
 from polarspread.linalg import canonicalize
 from polarspread.spaces import sp_space
 
@@ -31,7 +31,7 @@ def test_construct_and_verify(tmp_path):
     assert d["certificate"]["engine_version"] == "2"
     stats = d["certificate"]["stats"]
     assert sum(stats["nodes_by_depth"]) == d["certificate"]["nodes"]
-    assert set(stats) == {"nodes_by_depth", "skipped", "rows", "discarded", "ms"}
+    assert set(stats) == {"nodes_by_depth", "skipped", "rows", "ms"}
 
 
 def test_construct_unknown_family():
@@ -166,6 +166,33 @@ def test_table_admits_the_thm4_3_row_under_its_budget(capsys):
     assert run(["table", "--rows", "thm4.3", "--budget", "0.01"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("thm4.3 ") and "partial (maximality attempt timed out)" in out
+
+
+def test_table_failed_row_keeps_its_params_column(capsys, monkeypatch):
+    """A row whose build fails prints its params as k=v, as every other
+    line does, and makes the run exit 1."""
+    defaults, _ = cli.FAMILIES["thm7.3"]
+
+    def fail(q, s, scheme):
+        raise FamilyError("no such family")
+
+    monkeypatch.setitem(cli.FAMILIES, "thm7.3", (defaults, fail))
+    assert run(["table", "--rows", "thm7.3-n4"]) == 1
+    out = capsys.readouterr().out
+    assert out == "thm7.3-n4 q=16,s=4 -- -- FAILED(no such family) --\n"
+
+
+def test_import_leaves_the_process_pool_modules_unloaded():
+    """`multiprocessing` is imported only by a parallel search."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, polarspread.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_table_takes_no_test_guards():

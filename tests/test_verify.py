@@ -1,7 +1,12 @@
 """Predicates, cover reports, the maximality engine and its brute-force
 agreement, size formulas, fingerprints."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from polarspread.linalg import (
     reduce_rows,
     rref,
 )
-from polarspread.spaces import OutOfDeskScale, oplus_space, sp_space
+from polarspread.spaces import OutOfDeskScale, SearchTimeout, oplus_space, sp_space
 
 
 def spread_of(space, members):
@@ -335,11 +340,10 @@ def test_parallel_search_stops_at_the_lowest_witness():
     """thm4.3(2,2,2) less one member: the witness lies in the first range of
     2072 first-flag points, found in 33 nodes.  Run to its end, the second
     range counts millions of nodes, 4,017 in each of its first-flag
-    subtrees (the first ten measured), so its worker must stop once the
-    first range reports: the nodes the run discards stay below one such
-    subtree (about 200 measured).  The parallel node count takes in only the
-    root and the ranges at or below the winning one, so it equals the serial
-    count."""
+    subtrees (the first ten measured), so its worker must be terminated
+    once the first range is read.  The parallel node count takes in only
+    the root and the ranges at or below the winning one, so it equals the
+    serial count."""
     fam = F.descended_spread(2, 2, 2)
     short = spread_of(fam.space, fam.members[:-1])
     serial = V.check_maximal_spread(short, "orthogonal")
@@ -349,9 +353,61 @@ def test_parallel_search_stops_at_the_lowest_witness():
     assert serial.nodes == 33
     assert par.nodes == serial.nodes
     assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
-    assert serial.stats["discarded"] == 0
-    assert par.stats["discarded"] < 4017
-    assert par.millis < 60_000  # backstop only
+    assert par.millis < 10_000
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_timeout_leaves_no_worker():
+    """thm4.3(2,2,2) is maximal and takes far longer than its 1 s budget:
+    the first range's SearchTimeout reaches the caller, and no worker is
+    left running."""
+    fam = F.descended_spread(2, 2, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTimeout):
+        V.check_maximal_spread(fam, "orthogonal", jobs=2, time_budget=1)
+    assert time.perf_counter() - t0 < 60  # backstop only
+    assert multiprocessing.active_children() == []
+
+
+# run in a child interpreter with the start method in argv[1]: each family
+# less one member, serial against jobs=2
+START_METHOD_CHECK = """
+import multiprocessing
+import sys
+
+from polarspread import families as F, verify as V
+from polarspread.families import Provenance, SubspaceFamily
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    for fam, flavor in [
+        (F.transversal_spread(2, 2), "symplectic"),
+        (F.transversal_spread(3, 1), "symplectic"),
+        (F.descended_spread(2, 2, 2), "orthogonal"),
+    ]:
+        short = SubspaceFamily(fam.space, fam.members[:-1], Provenance("test", {}), None)
+        serial = V.check_maximal_spread(short, flavor)
+        par = V.check_maximal_spread(short, flavor, jobs=2, time_budget=120)
+        assert serial.verdict == "extendable"
+        assert (par.verdict, par.witness, par.nodes) == (serial.verdict, serial.witness, serial.nodes)
+        for key in ("nodes_by_depth", "skipped"):
+            assert par.stats[key] == serial.stats[key], key
+    assert multiprocessing.active_children() == []
+    print("ok")
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_parallel_search_under_start_method(method):
+    """Under spawn and forkserver each worker unpickles the search (its
+    line graph without rows or key table) and builds its own rows, and the
+    run still equals the serial one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", START_METHOD_CHECK, method]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_parallel_node_counts_are_reproducible():
@@ -379,26 +435,6 @@ def test_parallel_node_counts_are_reproducible():
     witness, stats = V._parallel_search(V._build_search(space, "orthogonal", pts, None), 2)
     assert witness is None and serial.nodes == 1
     assert stats.depth_nodes.tolist() == serial.depth_nodes
-
-
-def test_branch_range_stops_inside_a_first_flag_subtree():
-    """A `best` that drops below the range while the search is deep in the
-    first first-flag subtree of [60, 68) (13,650 nodes, 252 of them
-    entered) ends the range at the next pass, not at the next first-flag
-    point."""
-    fam = F.descended_spread(2, 2, 2)
-    short = spread_of(fam.space, fam.members[:-1])
-    pts = V.cover_report(short, "orthogonal").uncovered_points
-    search = V._build_search(short.space, "orthogonal", pts, time.monotonic() + 120)
-
-    class Best:
-        @property
-        def value(self):
-            return len(pts) if search.nodes < 50 else 0
-
-    assert V._branch_range(search, 60, 68, Best()) is None
-    assert search.nodes == 50
-    assert search.depth_nodes[:5] == [0, 1, 36, 7, 6]
 
 
 def test_certificate_stats():
