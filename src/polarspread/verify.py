@@ -20,10 +20,11 @@ minimum of that coset (so each candidate subspace is visited once), and it
 cuts a node whose candidates are fewer than the points a completion would
 still need.  Candidates are bitsets narrowed by the rows of a
 line-compatibility graph (`spaces.LineGraph`).  Serial and parallel runs
-return the same verdict, witness and node counts: a pool of workers
-searches disjoint ranges of first-flag points, their results are read in
-range order up to the first witness, and the workers still on ranges above
-it are terminated.
+return the same verdict, witness and node counts: worker processes search
+disjoint ranges of first-flag points, their results are read in range
+order up to the first witness, and the workers still on ranges above it
+are killed.  A worker that dies ends the run with an error, and the run
+keeps its time budget even when a worker stops checking it.
 
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  An ascending index array of
@@ -305,43 +306,89 @@ def check_maximal_spread(
     return MaximalityCertificate(verdict, witness, stats.nodes, (t3 - t0) * 1000, flavor, described)
 
 
-_worker_search: FlagSearch | None = None  # set in each worker process
-
-
-def _worker_init(search: FlagSearch) -> None:
-    global _worker_search
-    _worker_search = search
-
-
-def _worker_run(bounds: tuple[int, int]):
+def _run_range(search: FlagSearch, bounds: tuple[int, int]):
     """The first flag among first-flag points with index in [lo, hi), and
-    the range's counters; a worker process runs several ranges."""
-    search = _worker_search
+    the range's counters."""
     before = search.stats()
     flag = next(search.flags(range(*bounds)), None)
     return flag, search.stats() - before
 
 
+def _worker(search: FlagSearch, conn) -> None:
+    """A worker process: runs each range it is sent on its own pipe, until
+    it is sent None, and sends back the result or the exception it raised."""
+    for bounds in iter(conn.recv, None):
+        try:
+            result = _run_range(search, bounds)
+        except Exception as e:  # re-raised when the parent reads the range
+            result = e
+        conn.send(result)
+
+
+LATE_S = 1.0  # how long past its deadline a parallel run waits for a range
+
+
 def _parallel_search(search: FlagSearch, jobs: int):
-    """Ranges of first-flag points go to a pool of `jobs` processes, and
-    their results are read in range order, so a range is read only after
-    every range below it.  The run adds up the counters of the ranges read
-    until the first witness, or re-raises the first SearchTimeout; leaving
-    the pool then terminates the workers still on ranges above it.  So the
-    witness is the lowest-ranked one and the node counts, the root included,
-    equal a serial run's.  Rows built and their time take in the ranges
-    read, as each worker builds its own rows."""
+    """Ranges of first-flag points go to `jobs` worker processes, the next
+    range to whichever worker reports first, and their results are read in
+    range order, so a range is read only after every range below it.  The
+    run adds up the counters of the ranges read until the first witness, or
+    re-raises the first exception, and then kills the workers still on
+    ranges above it.  So the witness is the lowest-ranked one and the node
+    counts, the root included, equal a serial run's.  Rows built and their
+    time take in the ranges read, as each worker builds its own rows.
+
+    Each worker has a pipe of its own, so a worker killed while it sends
+    holds no lock that another process waits on (a `multiprocessing.Pool`
+    can hang on exit that way), and a worker that dies shows as the end of
+    its pipe: the run then raises RuntimeError.  Results are polled every
+    0.1 s, and LATE_S past the deadline the run raises SearchTimeout
+    itself, as a worker checks the budget only between passes."""
     import multiprocessing
+    from multiprocessing.connection import wait
 
     n = len(search.pts)
     chunk = max(1, (n + 4 * jobs - 1) // (4 * jobs))
     stats = SearchStats(np.array([1] + [0] * search.target))  # the root
     ranges = [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
-    with multiprocessing.Pool(jobs, _worker_init, (search,)) as pool:
-        for flag, st in pool.imap(_worker_run, ranges):
+    todo = iter(range(len(ranges)))
+    held, results, workers = {}, {}, []  # held: pipe -> index of its worker's range
+
+    def hand_out(conn):
+        i = next(todo, None)
+        conn.send(None if i is None else ranges[i])  # None ends the worker
+        if i is not None:
+            held[conn] = i
+
+    try:
+        for _ in range(min(jobs, len(ranges))):
+            conn, end = multiprocessing.Pipe()
+            workers.append(multiprocessing.Process(target=_worker, args=(search, end), daemon=True))
+            workers[-1].start()
+            end.close()
+            hand_out(conn)
+        for i in range(len(ranges)):
+            while i not in results:
+                for conn in wait(list(held), timeout=0.1):
+                    try:
+                        results[held.pop(conn)] = conn.recv()
+                        hand_out(conn)
+                    except (EOFError, OSError):  # the pipe ended with its worker
+                        raise RuntimeError("a search worker died before reporting its range") from None
+                if search.deadline is not None and time.monotonic() > search.deadline + LATE_S:
+                    raise SearchTimeout("maximality search exceeded its budget")
+            result = results.pop(i)
+            if isinstance(result, Exception):
+                raise result
+            flag, st = result
             stats += st
             if flag is not None:
                 break
+    finally:
+        for p in workers:
+            p.kill()
+        for p in workers:
+            p.join()
     return (None if flag is None else search.subspace(flag)), stats
 
 

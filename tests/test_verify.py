@@ -3,6 +3,7 @@ agreement, size formulas, fingerprints."""
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -366,6 +367,63 @@ def test_parallel_timeout_leaves_no_worker():
     with pytest.raises(SearchTimeout):
         V.check_maximal_spread(fam, "orthogonal", jobs=2, time_budget=1)
     assert time.perf_counter() - t0 < 60  # backstop only
+    assert multiprocessing.active_children() == []
+
+
+_run_range = V._run_range
+
+
+def _die_on_the_first_range(search, bounds):
+    """A range whose worker dies, as one killed for memory would."""
+    if bounds[0] == 0:
+        os._exit(9)
+    return _run_range(search, bounds)
+
+
+def _hung(signum, frame):
+    raise TimeoutError("the parallel run did not return")
+
+
+@pytest.mark.parametrize("budget", [None, 5])
+def test_parallel_search_raises_when_a_worker_dies(monkeypatch, budget):
+    """The range a dead worker held never reports: the run raises at once,
+    with or without a budget, rather than wait for it, and leaves no
+    worker.  An alarm turns a hang into a failure."""
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr(V, "_run_range", _die_on_the_first_range)
+    fam = F.transversal_spread(2, 2)
+    short = spread_of(fam.space, fam.members[:-1])
+    old = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(30)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="worker died"):
+            V.check_maximal_spread(short, "symplectic", jobs=2, time_budget=budget)
+        assert time.perf_counter() - t0 < 5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert multiprocessing.active_children() == []
+
+
+def _stall_on_the_first_range(search, bounds):
+    """A range that never reaches its budget check."""
+    if bounds[0] == 0:
+        time.sleep(60)
+    return _run_range(search, bounds)
+
+
+def test_parallel_search_keeps_its_budget_when_a_worker_stalls(monkeypatch):
+    """A range that never checks the budget: the run still raises
+    SearchTimeout LATE_S past its budget and leaves no worker."""
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr(V, "_run_range", _stall_on_the_first_range)
+    fam = F.transversal_spread(2, 2)
+    short = spread_of(fam.space, fam.members[:-1])
+    t0 = time.perf_counter()
+    with pytest.raises(SearchTimeout):
+        V.check_maximal_spread(short, "symplectic", jobs=2, time_budget=0.2)
+    assert V.LATE_S < time.perf_counter() - t0 < V.LATE_S + 3
     assert multiprocessing.active_children() == []
 
 
