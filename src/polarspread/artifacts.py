@@ -21,7 +21,12 @@ FORMAT_VERSION = 1
 
 
 class ArtifactError(ValueError):
-    """An artifact file is not JSON or does not describe a family."""
+    """An artifact file cannot be read, is not JSON or does not describe a
+    family."""
+
+
+class ArtifactWriteError(RuntimeError):
+    """An artifact file cannot be written; the message names its path."""
 
 
 def family_to_dict(fam) -> dict:
@@ -100,7 +105,10 @@ def dumps(d: dict) -> str:
 
 
 def save(d: dict, path) -> None:
-    Path(path).write_text(dumps(d))
+    try:
+        Path(path).write_text(dumps(d))
+    except OSError as e:
+        raise ArtifactWriteError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def load(path) -> dict:
@@ -109,12 +117,13 @@ def load(path) -> dict:
 
 def load_family(path) -> tuple[dict, object]:
     """The artifact's dict and the family it describes.  Any defect of the
-    file (not JSON, wrong format version, missing key, ragged member rows,
-    a field or space that fails its checks) raises ArtifactError."""
+    file (unreadable, not JSON, wrong format version, missing key, ragged
+    member rows, a field or space that fails its checks) raises
+    ArtifactError."""
     try:
         d = load(path)
         return d, family_from_dict(d)
     except KeyError as e:
         raise ArtifactError(f"missing key {e}") from e
-    except (ValueError, TypeError, IndexError, AttributeError) as e:
+    except (OSError, ValueError, TypeError, IndexError, AttributeError) as e:
         raise ArtifactError(str(e)) from e

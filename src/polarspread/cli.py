@@ -9,8 +9,9 @@ flag the family does not take is a usage error.  The expected size printed
 is the constructor's own `expected_size`, which the family checks when it
 is made.
 
-Exit codes: 0 ok, 1 verification failure, invalid artifact or a family that
-fails a transform's precondition, 2 usage error, 3 a computation refused
+Exit codes: 0 ok, 1 verification failure, invalid or unreadable artifact
+or a family that fails a transform's precondition, 2 usage error or an
+output file that cannot be written, 3 a computation refused
 for an array over a desk-scale cap or a search over its time budget; `main`
 maps each to its code.  `table` prints one family per line as
 "id params expected actual verdict millis".
@@ -333,6 +334,9 @@ def main(argv=None) -> int:
     except artifacts.ArtifactError as e:
         print(f"artifact invalid: {e}", file=sys.stderr)
         return EXIT_VERIFY
+    except artifacts.ArtifactWriteError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (FamilyError, FieldError) as e:  # e.g. a transform's precondition
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY

@@ -118,9 +118,14 @@ key bits b for which the basis vector u_b with key 1 << b has bit j set in
 rank(f(u_b)) (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is
 even.  The functional B(., v) has coefficient row v G^T, so `Perp` keeps e
 masks per point and a perpendicularity test over many keys is e AND-popcount
-passes (`linalg.in_kernel`) with no field arithmetic.  Odd p, and p = 2
-spaces whose keys need more than 62 bits, use `vbform` for one vector and
-one field product (vs G^T) pts^T for a block of them.
+passes (`linalg.in_kernel`) with no field arithmetic.  The parity is
+GF(2)-linear in the key bits, so for many points at once it is also the
+XOR of the key *bit planes* of mask_j's bits: plane b is the bitset of the
+points whose key has bit b set (`key_planes`).  So one functional's test
+over N points is e XOR-reductions over bitsets of N/64 words
+(`Perp.narrow`), and the planes take nbits/64 of the keys' memory.  Odd p,
+and p = 2 spaces whose keys need more than 62 bits, use `vbform` for one
+vector and one field product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate, as keys.  Write a point
 as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
@@ -219,6 +224,7 @@ class FormedSpace:
         self._qterms = None
         self._singular = None
         self._singular_keys = None
+        self._singular_planes = None
         self._m0 = None
         self._hyperbolic = None
         self._max_ts = None
@@ -416,6 +422,16 @@ class FormedSpace:
             keys.flags.writeable = False
             self._singular_keys = keys
         return self._singular_keys
+
+    def singular_planes(self) -> np.ndarray:
+        """The bit planes (`key_planes`) of `singular_keys()`, for the
+        bit-plane test `Perp.narrow`; made when first asked for, cached and
+        read-only."""
+        if self._singular_planes is None:
+            planes = key_planes(self.singular_keys())
+            planes.flags.writeable = False
+            self._singular_planes = planes
+        return self._singular_planes
 
     def singular_points(self) -> np.ndarray:
         """The rows of `singular_keys()`, in the same order; made when first
@@ -1027,7 +1043,9 @@ class Perp:
     the space has a `bit_packing`, else `vbform` or, for many rows, a field
     product.  `keys`, when given, are the `point_keys` of `pts`, which for
     p = 2 are the packed keys, so they are not packed again; with a
-    `bit_packing`, `to` then reads only them, and `pts` may be None."""
+    `bit_packing`, `to` then reads only them, and `pts` may be None.
+    `planes`, when given with a `bit_packing`, are `key_planes(keys)`, and
+    `narrow` tests on them."""
 
     def __init__(
         self,
@@ -1035,11 +1053,12 @@ class Perp:
         pts: np.ndarray,
         vs: np.ndarray | None = None,
         keys: np.ndarray | None = None,
+        planes: np.ndarray | None = None,
     ):
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
         bits = space.bit_packing
-        self.keys = self.masks = None
+        self.keys = self.masks = self.planes = None
         if bits is not None:
             # (len(vs), e) kernel masks of B(., v), coefficient row v G^T, in
             # blocks of PERP_BLOCK temporaries
@@ -1048,6 +1067,11 @@ class Perp:
             coefs = (mat_mul(space.fv, self.vs[lo : lo + step], space.gram.T) for lo in los)
             self.keys = bits.pack(pts) if keys is None else keys
             self.masks = np.concatenate([bits.kernel_masks(c) for c in coefs])
+            if planes is not None:
+                # (len(vs), e, nbits): whether mask j of vs[k] has bit b
+                bit = np.arange(len(planes), dtype=np.int64)
+                self._plane_sel = (self.masks[..., None] >> bit & 1).astype(bool)
+                self.planes = planes
 
     def to(self, k: int, idx=slice(None)) -> np.ndarray:
         """Whether each of pts[idx] is perpendicular to vs[k]; on keys, in
@@ -1062,6 +1086,16 @@ class Perp:
             part = self.keys[idx[lo:hi]] if keys is None else keys[lo:hi]
             out[lo:hi] = in_kernel(part, self.masks[k])
         return out
+
+    def narrow(self, k: int, live: np.ndarray) -> np.ndarray:
+        """The bitset `live` over pts less the points perpendicular to
+        vs[k], on the bit planes: a point stays iff some parity of its key &
+        mask_j is odd, and parity j of every point at once is the XOR of the
+        planes of mask_j's bits (module docstring)."""
+        off = np.zeros_like(live)
+        for sel in self._plane_sel[k]:
+            off |= np.bitwise_xor.reduce(self.planes[sel], axis=0)
+        return live & off
 
     def rows(self, ks: np.ndarray) -> np.ndarray:
         """(len(ks), len(pts)): whether each point is perpendicular to vs[k]."""
@@ -1118,6 +1152,21 @@ def pack_bits(ok: np.ndarray) -> np.ndarray:
     """Bitsets of the rows of a (m, n) bool array."""
     out = np.zeros((len(ok), (ok.shape[1] + 63) // 64 * 8), dtype=np.uint8)
     out[:, : (ok.shape[1] + 7) // 8] = np.packbits(ok, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def key_planes(keys: np.ndarray) -> np.ndarray:
+    """(nbits, words) bitsets of the bit planes of nonnegative keys: bit i
+    of row b is bit b of keys[i], for the bits up to the largest key's.
+    One packbits per bit, over the key byte that holds it."""
+    n = len(keys)
+    nbits = int(keys.max()).bit_length() if n else 0
+    out = np.zeros((nbits, (n + 63) // 64 * 8), dtype=np.uint8)
+    octets = keys.astype("<i8", copy=False).view(np.uint8).reshape(n, 8)
+    for c in range((nbits + 7) // 8):
+        octet = np.ascontiguousarray(octets[:, c])
+        for b in range(8 * c, min(nbits, 8 * c + 8)):
+            out[b, : (n + 7) // 8] = np.packbits(octet & np.uint8(1 << b % 8), bitorder="little")
     return out.view("<u8")
 
 

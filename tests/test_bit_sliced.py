@@ -1,7 +1,8 @@
-"""Characteristic-2 kernel masks, last-coordinate singular points and the
-blocked census against the code they replaced, kept here as the oracles:
-`vbform` row scans for perpendicularity, the per-block `vqform` filter for
-singular points, and the per-hyperplane loop for the census."""
+"""Characteristic-2 kernel masks, the bit-plane ovoid scan, last-coordinate
+singular points and the blocked census against the code they replaced,
+kept here as the oracles: `vbform` row scans for perpendicularity and for
+the ovoid scan, the per-block `vqform` filter for singular points, and the
+per-hyperplane loop for the census."""
 
 import numpy as np
 import pytest
@@ -371,8 +372,10 @@ def test_universe_keys_strictly_ascend(flavor):
 # ---------------------------------------------------------------------------
 
 
-def ovoid_oracle(fam, flavor):
-    """The former scan: a boolean alive mask narrowed by one vbform per point."""
+def ovoid_oracle(fam, flavor, live=None):
+    """The former scan: a boolean alive mask narrowed by one vbform per
+    point.  `live`, if given, is extended by the candidates left after each
+    point, up to the first 0."""
     space = fam.space
     cands = universe_rows(space, flavor)
     alive = np.ones(len(cands), dtype=bool)
@@ -381,6 +384,8 @@ def ovoid_oracle(fam, flavor):
         if len(idx) == 0:
             break
         alive[idx[space.vbform(cands[idx], p) == 0]] = False
+        if live is not None:
+            live.append(int(alive.sum()))
     hit = np.nonzero(alive)[0]
     witness = cands[hit[0]] if len(hit) else None
     return ("extendable" if len(hit) else "maximal"), witness, len(cands)
@@ -403,8 +408,9 @@ OVOID_FAMILIES = {
 
 def assert_certificate_matches(fam, flavor):
     cert = V.check_maximal_ovoid(fam, flavor)
-    verdict, witness, nodes = ovoid_oracle(fam, flavor)
-    assert (cert.verdict, cert.nodes) == (verdict, nodes)
+    live = []
+    verdict, witness, nodes = ovoid_oracle(fam, flavor, live)
+    assert (cert.verdict, cert.nodes, cert.stats["live"]) == (verdict, nodes, live)
     if witness is None:
         assert cert.witness is None
     else:
@@ -412,10 +418,35 @@ def assert_certificate_matches(fam, flavor):
     return cert
 
 
-@pytest.mark.parametrize("name", list(OVOID_FAMILIES))
-def test_ovoid_certificate_matches_scan(name):
-    build, flavor = OVOID_FAMILIES[name]
-    assert_certificate_matches(build(), flavor)
+# (group, points dropped): every ovoid-workload family whole and less its
+# last 1, 2 and 3 points; ST(8), in O(5,8) and in O+(8,8), less its first
+# 1, 3 and 9; and a symplectic-flavor scan over all points of O+(8,4)
+SCAN_CASES = [(name, -drop) for name in OVOID_FAMILIES for drop in range(4)]
+SCAN_CASES += [(name, drop) for name in ("ST(8)", "lem7.5-st(8)") for drop in (1, 3, 9)]
+SCAN_CASES += [("ex7.4(4)-symplectic", 0)]
+
+
+@pytest.mark.parametrize("name,drop", SCAN_CASES, ids=[f"{n}{d:+d}" if d else n for n, d in SCAN_CASES])
+def test_ovoid_certificate_matches_scan(name, drop):
+    """The bit-plane scan, with its keyed tail, gives the former scan's
+    verdict, witness, candidates and whole list of live counts (less
+    `drop` points: the first ones if positive, the last if negative).
+    Every p = 2 case here applies its first members on the bitset and the
+    rest on keys."""
+    if name == "ex7.4(4)-symplectic":
+        fam, flavor = F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric"), "symplectic"
+    elif name == "ST(8)":
+        fam, flavor = F.suzuki_tits_ovoid(8), "orthogonal"
+    else:
+        build, flavor = OVOID_FAMILIES[name]
+        fam = build()
+    pts = fam.points[drop:] if drop >= 0 else fam.points[:drop]
+    cert = assert_certificate_matches(PointFamily(fam.space, pts, fam.provenance), flavor)
+    sliced = cert.stats["sliced"]
+    if fam.space.bit_packing is None:
+        assert sliced == 0
+    else:
+        assert 0 < sliced < len(cert.stats["live"])
 
 
 def fresh_key_scan(fam, flavor):
@@ -446,6 +477,28 @@ def test_ovoid_certificate_matches_freshly_packed_keys(name):
             assert cert.witness is None
         else:
             assert np.array_equal(cert.witness, witness), drop
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 65, 1000])
+def test_key_planes_are_the_key_bits(n):
+    """Row b of `key_planes`, unpacked, is (keys >> b) & 1, for every bit up
+    to the largest key's; the bits past n are 0."""
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, 1 << 62, n) >> rng.integers(0, 62, n)
+    planes = S.key_planes(keys)
+    nbits = int(keys.max()).bit_length() if n else 0
+    assert planes.shape == (nbits, (n + 63) // 64) and planes.dtype == np.uint64
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
+    want = (keys[None, :] >> np.arange(nbits)[:, None]) & 1
+    assert np.array_equal(bits[:, :n], want) and not bits[:, n:].any()
+
+
+def test_singular_planes_are_cached_planes_of_the_singular_keys():
+    space = fresh(oplus_space(8, 4))
+    planes = space.singular_planes()
+    assert np.array_equal(planes, S.key_planes(space.singular_keys()))
+    assert len(planes) == int(space.singular_keys().max()).bit_length() == 22
+    assert not planes.flags.writeable and space.singular_planes() is planes
 
 
 def test_ovoid_certificate_witness_after_removal():

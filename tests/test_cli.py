@@ -371,6 +371,42 @@ def test_artifact_without_format_or_not_an_object(tmp_path, capsys):
     assert run(["verify", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "project", "descend", "triality", "fingerprint"])
+def test_missing_artifact_exits_1_naming_the_path(tmp_path, capsys, command):
+    missing = tmp_path / "does-not-exist.json"
+    argv = [command, str(missing)]
+    if command in ("project", "descend", "triality"):
+        argv += ["-o", str(tmp_path / "out.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("artifact invalid:") and str(missing) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_missing_artifact_in_a_child_prints_no_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "polarspread.cli", "verify", "does-not-exist.json"]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 1
+    assert done.stderr.startswith("artifact invalid:") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["construct", "project"])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command):
+    out = tmp_path / "no-such-dir" / "x.json"
+    if command == "construct":
+        argv = ["construct", "thm3.1", "--q", "2"]
+    else:
+        src = tmp_path / "p41.json"
+        assert run(["construct", "prop4.1", "--q", "2", "--m", "2", "-o", str(src)]) == 0
+        argv = ["project", str(src)]
+    capsys.readouterr()
+    assert run(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_transform_precondition_failure_exits_1_without_traceback(tmp_path, capsys):
     """A well-formed artifact whose family a transform cannot take."""
     src = tmp_path / "p41.json"

@@ -107,16 +107,30 @@ def test_ovoid_deletion_witness():
     assert np.array_equal(cert.witness, e.points[0])
 
 
-def test_ovoid_witness_is_reverified(monkeypatch):
-    """The witness for a partial ovoid less one point is that point and
-    passes the re-check; a scan that removes no candidate hands back the
-    first singular point, which is perpendicular to a member and refused."""
+@pytest.mark.parametrize("faulty", [("narrow",), ("to",), ("narrow", "to")])
+def test_ovoid_witness_is_reverified(monkeypatch, faulty):
+    """The witness for a partial ovoid less its first point is that point
+    and passes the re-check.  The scan narrows on bit planes
+    (`Perp.narrow`), then on the keys left (`Perp.to`).  Less its last
+    point, the first candidate the bit-plane phase leaves is perpendicular
+    to a later member; when either phase, or both, removes no candidate,
+    the scan hands back a point perpendicular to a member, and the re-check
+    refuses it."""
     e = F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric")
     short = PointFamily(e.space, e.points[1:], Provenance("t", {}), expected_size=None)
     cert = V.check_maximal_ovoid(short, "orthogonal")
     assert cert.verdict == "extendable" and np.array_equal(cert.witness, e.points[0])
-    # the scan asks Perp.to; the p = 2 re-check reads Perp.blocks, which it leaves alone
-    monkeypatch.setattr(spaces.Perp, "to", lambda self, k, idx: np.zeros(len(idx), dtype=bool))
+    short = PointFamily(e.space, e.points[:-1], Provenance("t", {}), expected_size=None)
+    cert = V.check_maximal_ovoid(short, "orthogonal")
+    assert cert.verdict == "extendable"
+    assert 0 < cert.stats["sliced"] < len(short.points)  # both phases run
+    # the p = 2 re-check reads Perp.blocks, which the faults leave alone
+    removes_nothing = {
+        "narrow": lambda self, k, live: live,
+        "to": lambda self, k, idx: np.zeros(len(idx), dtype=bool),
+    }
+    for name in faulty:
+        monkeypatch.setattr(spaces.Perp, name, removes_nothing[name])
     with pytest.raises(FieldError, match="witness failed re-verification"):
         V.check_maximal_ovoid(short, "orthogonal")
 
@@ -532,6 +546,10 @@ def test_ovoid_certificate_stats(build, flavor, drop):
     assert min(st["ms"].values()) >= 0 and sum(st["ms"].values()) <= cert.millis + 0.01
     live = st["live"]
     assert 0 < len(live) <= len(fam.points) and live[0] <= cert.nodes
+    if fam.space.bit_packing is None:
+        assert st["sliced"] == 0
+    else:
+        assert 0 < st["sliced"] <= len(live)
     assert all(b <= a for a, b in zip(live, live[1:]))
     assert (live[-1] == 0) == cert.is_maximal == (drop == 0)
     if cert.is_maximal:
