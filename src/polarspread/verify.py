@@ -226,7 +226,7 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     if planes is None:
         alive = np.arange(len(keys))  # ascending: alive[0] is the first witness
     else:
-        # member len(live) on one bitset while over 4 candidates a word are left
+        # the members go on one bitset while over 4 candidates a word are left
         bits = pack_bits(np.ones((1, len(keys)), dtype=bool))[0]
         count = len(keys)
         while len(live) < len(fam.points) and count > 4 * len(bits):
