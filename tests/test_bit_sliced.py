@@ -566,3 +566,24 @@ def test_census_matches_hyperplane_loop(build, q):
     assert got == want
     assert list(got.sizes.items()) == list(want.sizes.items())
     assert list(got.type_counts.items()) == list(want.type_counts.items())
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
+    """The census's zero counts of x . phi, on bit planes for even q and by
+    field products for odd q, against each functional evaluated alone; a
+    small CENSUS_BLOCK splits the hyperplanes over many blocks."""
+    if block is not None:
+        monkeypatch.setattr(V, "CENSUS_BLOCK", block)
+    space = parabolic_space(q)
+    tw = space.fv.tower
+    planes, pts = space.points(), space.singular_points()
+    want = []
+    for phi in planes:
+        acc = np.zeros(len(pts), dtype=np.int64)
+        for i in np.flatnonzero(phi):
+            acc = tw.vadd(acc, tw.vmul(pts[:, i], np.int64(phi[i])))
+        want.append(int((acc == 0).sum()))
+    assert (space.bit_packing is not None) == (q % 2 == 0)
+    assert V._zero_counts(space, planes, pts).tolist() == want

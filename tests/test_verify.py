@@ -107,7 +107,7 @@ def test_ovoid_deletion_witness():
     assert np.array_equal(cert.witness, e.points[0])
 
 
-@pytest.mark.parametrize("faulty", [("narrow",), ("to",), ("narrow", "to")])
+@pytest.mark.parametrize("faulty", [("narrow",), ("to",), ("narrow", "to")], ids="+".join)
 def test_ovoid_witness_is_reverified(monkeypatch, faulty):
     """The witness for a partial ovoid less its first point is that point
     and passes the re-check.  The scan narrows on bit planes
