@@ -43,8 +43,9 @@ more than the few keys it tests.  Odd p tests on rows unpacked from the
 keys.  Like a spread witness, the witness is re-checked by the
 partial-ovoid predicate before it is returned.  The cover report likewise
 unpacks only the uncovered keys into rows.  The
-hyperplane census counts the zeros of x . phi for all hyperplanes phi at
-once, as a blocked field product hyperplanes x points.
+hyperplane census counts the zeros of x . phi for blocks of hyperplanes phi
+at once: for p = 2 on the bit planes of the points' keys, as the scan
+does, otherwise as a field product hyperplanes x points.
 """
 
 from __future__ import annotations
