@@ -60,6 +60,36 @@ def rref(fv: FieldView, rows: np.ndarray) -> np.ndarray:
     return m[:r]
 
 
+def rref_stack(fv: FieldView, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reduced, ranks): the reduced row echelon form of every matrix of a
+    (B, k, n) stack, in one column loop over the whole stack.  Matrix b's
+    first ranks[b] rows are `rref` of it alone, byte for byte (the same row
+    swap, scaling and elimination, column by column), and its other rows are
+    zero.  The loop is over columns, not matrices, so a stack of one costs
+    about three times a single `rref` (137 against 47 us for a 4 x 8 matrix
+    over GF(4)): use `rref` for one matrix."""
+    tw = fv.tower
+    m = np.array(mats, dtype=np.int64)
+    nmat, k, n = m.shape
+    ranks = np.zeros(nmat, dtype=np.int64)
+    below = np.arange(k)[None, :]
+    for col in range(n):
+        cand = (m[:, :, col] != 0) & (below >= ranks[:, None])
+        b = np.flatnonzero(cand.any(axis=1))
+        if not len(b):
+            continue
+        r, piv = ranks[b], np.argmax(cand[b], axis=1)
+        prow = m[b, piv]
+        m[b, piv] = m[b, r]  # swap rows r and piv (the same row when equal)
+        prow = tw.vmul(prow, tw.vinv(prow[:, col])[:, None])
+        factors = m[b, :, col]
+        factors[np.arange(len(b)), r] = 0
+        m[b] = tw.vadd(m[b], tw.vmul(tw.vneg(factors)[:, :, None], prow[:, None, :]))
+        m[b, r] = prow
+        ranks[b] += 1
+    return m, ranks
+
+
 def rref_with_transform(fv: FieldView, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RREF of independent rows together with T such that T @ rows = R."""
     k, n = rows.shape

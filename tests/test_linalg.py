@@ -22,6 +22,7 @@ from polarspread.linalg import (
     mat_mul,
     point_keys,
     rref,
+    rref_stack,
 )
 from subspace_helpers import all_subspaces_of_dim
 
@@ -268,3 +269,44 @@ def test_mat_mul_matches_scalar_field_ops(p, d, fv):
             for k in range(7):
                 want[i, j] = tw.add(int(want[i, j]), tw.mul(int(a[i, k]), int(b[k, j])))
     assert np.array_equal(mat_mul(fv, a, b), want)
+
+
+def assert_stack_matches_rref(fv, mats):
+    red, ranks = rref_stack(fv, mats)
+    assert red.shape == mats.shape and ranks.shape == (len(mats),)
+    for m, r, rank in zip(mats, red, ranks.tolist()):
+        want = rref(fv, m) if len(m) else m
+        assert rank == len(want)
+        assert r[:rank].tobytes() == want.tobytes()
+        assert not r[rank:].any()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_rref_stack_matches_rref_per_matrix(q):
+    """Each matrix of a random stack reduces as `rref` reduces it alone:
+    full-rank and rank-deficient matrices, zero matrices and repeated or
+    zero rows, tall (k > n) and wide shapes, B = 0 and B = 1."""
+    fv = standalone(q)
+    elems = fv.elements()
+    rng = np.random.default_rng(q)
+    for nmat, k, n in [(0, 3, 4), (1, 3, 5), (1, 1, 1), (40, 4, 8), (40, 7, 3), (25, 5, 5), (8, 1, 6), (6, 0, 3)]:
+        mats = elems[rng.integers(0, q, size=(nmat, k, n))]
+        if nmat >= 8 and k >= 2:
+            mats[0] = 0
+            mats[1, 1] = mats[1, 0]  # a repeated row
+            mats[2, -1] = 0  # a zero row
+            mats[3, :, 0] = 0  # a zero column
+            mats[4, 1] = fv.tower.vmul(mats[4, 0], elems[-1])  # a multiple of a row
+            mats[5:8, : k // 2] = 0
+        assert_stack_matches_rref(fv, mats)
+
+
+def test_rref_stack_on_subfield_views_and_sparse_stacks():
+    """Views of a tower, and stacks drawn from few values so that ranks
+    differ across the stack."""
+    rng = np.random.default_rng(7)
+    for p, d, fv in small_views():
+        elems = fv.elements()
+        for k, n in [(3, 6), (6, 4)]:
+            mats = np.where(rng.random((30, k, n)) < 0.3, elems[rng.integers(0, len(elems), size=(30, k, n))], 0)
+            assert_stack_matches_rref(fv, mats)
