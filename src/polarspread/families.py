@@ -285,7 +285,7 @@ def _orthogonal_spread_cached(q: int, m: int, base_deg: int | None) -> SubspaceF
 
     iso = find_isometry(ts.space, proj.quotient)
     spread = desarguesian_symplectic_spread(q, 2 * m - 1, base=base_deg)
-    members = [proj.lift(iso.subspace(x), TsType.SAME) for x in spread.members]
+    members = proj.lift(np.stack([x.mat for x in spread.members]), TsType.SAME, iso)
     fam = SubspaceFamily(
         space,
         members,
@@ -319,11 +319,11 @@ def descended_spread(q: int, m: int, k: int) -> SubspaceFamily:
     if m == 1:
         ctx = FolkloreContext(q, k)
         dm = field_descend(ctx.fspace, e)
-        members = [dm.subspace(x) for x in ctx.sigma_members()]
+        members = dm.subspaces(ctx.sigma_members())
     else:
         big = orthogonal_spread(q**k, m, e)
         dm = field_descend(big.space, e)
-        members = [dm.subspace(x) for x in big.members]
+        members = dm.subspaces(big.members)
     fam = SubspaceFamily(
         dm.dst,
         members,
@@ -405,7 +405,7 @@ def grassl_spread(q: int, k: int, variant: str) -> SubspaceFamily:
     ctx = FolkloreContext(q, k)
     dm = field_descend(ctx.fspace, ctx.kdeg)
     sigma = ctx.sigma_members()
-    down = [dm.subspace(m) for m in sigma]
+    down = dm.subspaces(sigma)
     if variant == "i":
         # identical to descending the first ruling of the O+(4,q^k) pair,
         # so the provenance chain matches the descend pipeline byte-for-byte
@@ -419,7 +419,7 @@ def grassl_spread(q: int, k: int, variant: str) -> SubspaceFamily:
         return _require_partial_spread(fam, "symplectic")
     dagger = ctx.sigma_dagger(sigma)
     z = sigma[0]
-    adjoined = []
+    lines = []
     for w in z.points():
         wsub = canonicalize(ctx.fview, [w], 4)
         dag_on_w = next(d for d in dagger if d.contains(w))
@@ -434,8 +434,8 @@ def grassl_spread(q: int, k: int, variant: str) -> SubspaceFamily:
                 break
         if line is None:
             raise FamilyError("no adjoinable line (impossible for q^k > 1)")
-        adjoined.append(dm.subspace(line))
-    members = down[1:] + adjoined
+        lines.append(line)
+    members = down[1:] + dm.subspaces(lines)
     fam = SubspaceFamily(
         dm.dst,
         members,
@@ -1200,7 +1200,7 @@ def descend_family(fam: SubspaceFamily, to_deg: int | None = None) -> SubspaceFa
     if to_deg is None:
         to_deg = space.fv.tower.designated[0]
     dm = field_descend(space, to_deg)
-    members = [dm.subspace(x) for x in fam.members]
+    members = dm.subspaces(fam.members)
     flavor = "symplectic" if dm.dst.qcoef is None else "orthogonal"
     if fam.provenance.family == "ex5.1":
         ratio = space.fv.degree // to_deg

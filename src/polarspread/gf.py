@@ -467,11 +467,12 @@ def _check_chain(tw: FieldTower, from_deg: int, to_deg: int, inside: bool) -> No
         raise FieldError(f"an element lies outside the degree-{from_deg} subfield")
 
 
-def sqrt_char2(tw: FieldTower, x: int) -> int:
-    """Unique square root in characteristic 2: x^(2^(d-1))."""
+def sqrt_char2(tw: FieldTower, x):
+    """Unique square root in characteristic 2, x^(2^(d-1)), of an element
+    or of each entry of an array."""
     if tw.p != 2:
         raise FieldError("square-root shortcut requires characteristic 2")
-    return tw.pow(x, 2 ** (tw.d - 1))
+    return tw.vfrob(x, tw.d - 1)
 
 
 def find_theta(tw: FieldTower, k_deg: int | None = None) -> int:

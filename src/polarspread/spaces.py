@@ -149,6 +149,13 @@ and t is the least significant digit, so the keys come out ascending, as a
 filter over all points would give them.  The space keeps these keys
 (`singular_keys`); the rows (`singular_points`) are unpacked from them by
 `linalg.key_rows` only when asked for.
+
+Member maps run on stacks.  The lift through a nonsingular point z
+(`ZProjection.lift`) and the field descent (`DescentMap.subspaces`) take
+all members of a family at once, as one (B, k, n) array of bases: each
+step is one array operation over the stack, and the echelon forms come
+from `linalg.rref_stack`, which reduces every matrix of the stack in one
+column loop to the bytes `rref` gives it alone.
 """
 
 from __future__ import annotations
@@ -177,6 +184,7 @@ from .linalg import (
     key_rows,
     mat_mul,
     rref,
+    rref_stack,
     stacked_point_blocks,
 )
 
@@ -826,9 +834,22 @@ def parabolic_in_oplus8(q: int) -> LinearMap:
 
 
 class ZProjection:
-    """Projection of a plus-type space (even q) through a nonsingular point z
-    into the symplectic quotient z-perp / z, with subspace transport and the
-    inverse lift through the singular-vector hyperplane."""
+    """Projection of a plus-type space O+(2n, q), q even, through a
+    nonsingular point z into the symplectic quotient z-perp / z, with
+    subspace transport and its inverse, the lift.
+
+    The lift takes a maximal t.i. subspace of the quotient to a maximal
+    t.s. subspace M with <z-perp meet M, z> / z equal to it, of a chosen
+    type; it runs on a whole stack of members at once.  The preimage U of
+    a member is t.i. and holds z, and sqrt(Q) is linear on it (q even), so
+    its singular vectors form the hyperplane U' = ker sqrt(Q) of U.  U' is
+    t.s. of dimension n - 1, so it lies in exactly two maximal t.s.
+    subspaces, one of each type: <U', s> for the two singular points s of
+    U'-perp / U', a plus-type line.  With y in U'-perp and B(y, z) = 1,
+    U'-perp = U' + <z, y>, and the singular points are a z + y for the two
+    roots a of Q(z) a^2 + B(z, y) a + Q(y) = 0 (z is nonsingular, so it is
+    not one of them).  M has the type of m0 iff dim(M meet m0) - n =
+    n - rank [M; m0] is even."""
 
     def __init__(self, space: FormedSpace, z: np.ndarray):
         if space.kind != "orthogonal_plus":
@@ -857,64 +878,82 @@ class ZProjection:
         c = express(self.space.fv, self._stacked, np.atleast_2d(rows))
         return c[:, :-1]
 
-    def from_quotient(self, rows: np.ndarray) -> np.ndarray:
-        return mat_mul(self.space.fv, np.atleast_2d(rows), self.comp)
-
     def transport(self, x: Subspace) -> Subspace:
         """X -> <z-perp meet X, z> / z."""
         cut = self.zperp.intersect(x)
         return canonicalize(self.space.fv, self.to_quotient(cut.mat), self.space.dim - 2)
 
-    def lift(self, uq: Subspace, target_type: TsType) -> Subspace:
-        """Inverse of transport on maximal t.i. subspaces: take the preimage
-        U = <U_q lift, z>, cut it to its hyperplane U' of singular vectors,
-        and extend U' to the maximal t.s. subspace of the requested type."""
+    def lift(
+        self, bases: np.ndarray, target_type: TsType, iso: LinearMap | None = None
+    ) -> list[Subspace]:
+        """The lifts of type `target_type` (class docstring) of the maximal
+        t.i. subspaces of the quotient given by a (B, n - 1, 2n - 2) stack of
+        bases, in the quotient's coordinates or, with an isometry `iso` onto
+        the quotient, in those of iso.src; canonical, in stack order.  Every
+        step is one array operation over the stack: one product through
+        iso and the complement, one `ti_mask`, one `vqform`, four
+        `rref_stack` reductions and one `ts_mask`.  Raises FieldError if a
+        preimage is not t.i. or not of full rank, if sqrt(Q) vanishes on
+        one, or if a member does not have exactly one extension of the
+        requested type."""
         space, fv = self.space, self.space.fv
-        tw = fv.tower
-        u_rows = np.vstack([self.from_quotient(uq.mat), self.z[None, :]])
-        u = canonicalize(fv, u_rows, space.dim)
-        if not space.is_ti(u):
+        tw, dim = fv.tower, space.dim
+        n = dim // 2
+        through = self.comp if iso is None else mat_mul(fv, iso.matrix, self.comp)
+        bases = np.asarray(bases, dtype=np.int64)
+        if bases.ndim != 3 or bases.shape[1:] != (n - 1, through.shape[0]):
+            raise FieldError("lift expects a stack of maximal t.i. subspaces of the quotient")
+        nmem = len(bases)
+        if nmem == 0:
+            return []
+        at = np.arange(nmem)
+        u = np.empty((nmem, n, dim), dtype=np.int64)  # the preimage <member, z>
+        u[:, :-1] = mat_mul(fv, bases.reshape(nmem * (n - 1), -1), through).reshape(nmem, -1, dim)
+        u[:, -1] = self.z
+        if not space.ti_mask(u).all():
             raise FieldError("lifted preimage is not totally isotropic")
-        phi = np.array([sqrt_char2(tw, space.qform(b)) for b in u.mat], dtype=np.int64)
-        if not np.any(phi):
+        # U' = ker phi, phi = sqrt(Q): u_i + (phi_i / phi_piv) u_piv, i != piv
+        phi = sqrt_char2(tw, space.vqform(u.reshape(-1, dim))).reshape(nmem, n)
+        if not phi.any(axis=1).all():
             raise FieldError("Q-kernel is not of codimension 1 (z singular or U not t.i.)")
-        coef_kernel = _coeff_kernel(fv, phi)
-        uprime = canonicalize(fv, mat_mul(fv, coef_kernel, u.mat), space.dim)
-        return self.extend_to_maximal(uprime, target_type)
-
-    def extend_to_maximal(self, uprime: Subspace, target_type: TsType) -> Subspace:
-        space, fv = self.space, self.space.fv
-        tw = fv.tower
-        d0, d1 = extend_basis(fv, uprime.mat, space.perp(uprime).mat, 2)
-        found = []
-        # the q + 1 points of <d0, d1>: every other pair (a, b) is a multiple
-        # of one of these, with the same Q = 0 test and the same span
-        for a, b in [(0, 1)] + [(1, b) for b in fv.elements().tolist()]:
-            w = tw.vadd(tw.vmul(np.int64(a), d0), tw.vmul(np.int64(b), d1))
-            if space.qform(w) == 0 and not uprime.contains(w):
-                cand = canonicalize(fv, np.vstack([uprime.mat, w[None, :]]), space.dim)
-                if cand not in found:
-                    found.append(cand)
-        for cand in found:
-            if space.ts_type(cand) == target_type:
-                return cand
-        raise FieldError("no extension of the requested type (geometry bug)")
-
-
-def _coeff_kernel(fv: FieldView, phi: np.ndarray) -> np.ndarray:
-    """Kernel of the linear functional c -> sum c_i phi_i, as coefficient rows."""
-    tw = fv.tower
-    k = len(phi)
-    piv = int(np.argmax(phi != 0))
-    rows = []
-    for i in range(k):
-        if i == piv:
-            continue
-        row = np.zeros(k, dtype=np.int64)
-        row[i] = 1
-        row[piv] = tw.neg(tw.div(int(phi[i]), int(phi[piv])))
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+        piv = np.argmax(phi != 0, axis=1)
+        coef = tw.vmul(phi, tw.vinv(phi[at, piv])[:, None])
+        rows = tw.vadd(u, tw.vmul(coef[:, :, None], u[at, piv][:, None, :]))
+        keep = np.arange(n)[None, :] != piv[:, None]
+        uprime, ranks = rref_stack(fv, rows[keep].reshape(nmem, n - 1, dim))
+        if np.any(ranks != n - 1):
+            raise FieldError("lifted preimage is not of full rank")
+        # y with B(y, U') = 0 and B(y, z) = 1: [U'; z] G^T y = e_n, solved
+        # at the pivot columns of the reduced system
+        system = np.zeros((nmem, n, dim + 1), dtype=np.int64)
+        system[:, :-1, :dim] = uprime
+        system[:, -1, :dim] = self.z
+        cons = mat_mul(fv, system[:, :, :dim].reshape(nmem * n, dim), space.gram.T)
+        system[:, :, :dim] = cons.reshape(nmem, n, dim)
+        system[:, -1, dim] = 1
+        red, ranks = rref_stack(fv, system)
+        lead = red[:, :, :dim] != 0
+        if np.any(ranks != n) or not lead.any(axis=2).all():
+            raise FieldError("degenerate preimage: no vector of U'-perp outside U")
+        y = np.zeros((nmem, dim), dtype=np.int64)
+        y[at[:, None], np.argmax(lead, axis=2)] = red[:, :, dim]
+        # the two singular points a z + y of U'-perp / U' and their spans
+        row, a = _quadratic_roots(fv, space.qform(self.z), space.vbform(y, self.z), space.vqform(y))
+        if not np.array_equal(np.bincount(row, minlength=nmem), np.full(nmem, 2)):
+            raise FieldError("U'-perp / U' does not hold exactly two singular points")
+        cands = np.empty((len(row), n, dim), dtype=np.int64)
+        cands[:, :-1] = uprime[row]
+        cands[:, -1] = tw.vadd(tw.vmul(a[:, None], self.z[None, :]), y[row])
+        m0 = np.broadcast_to(space.m0().mat, (len(row), n, dim))
+        _, ranks = rref_stack(fv, np.concatenate([cands, m0], axis=1))
+        same = (n - ranks) % 2 == 0
+        hit = same if target_type == TsType.SAME else ~same
+        if np.any(hit.reshape(nmem, 2).sum(axis=1) != 1):
+            raise FieldError("not exactly one extension of the requested type (geometry bug)")
+        lifts, ranks = rref_stack(fv, cands[hit])
+        if np.any(ranks != n) or not space.ts_mask(lifts).all():
+            raise FieldError("a lift is not a maximal totally singular subspace")
+        return [Subspace(fv, dim, m) for m in lifts]
 
 
 # -- field descent --------------------------------------------------------------
@@ -922,7 +961,11 @@ def _coeff_kernel(fv: FieldView, phi: np.ndarray) -> np.ndarray:
 
 class DescentMap:
     """Blow-down of a space over GF(q^r) to GF(q) via the power basis and the
-    trace: Q'(v) = T(Q(v)).  Slot i of an E-vector becomes slots i*r..i*r+r-1."""
+    trace: Q'(v) = T(Q(v)).  Slot i of an E-vector becomes slots
+    i*r..i*r+r-1, its coordinates over the power basis.  A list of members
+    descends at once (`subspaces`): one table lookup maps every row g b, for
+    each basis row b and power-basis element g, and one `rref_stack`
+    reduces every member."""
 
     def __init__(self, space: FormedSpace, to_deg: int):
         fv = space.fv
@@ -932,8 +975,11 @@ class DescentMap:
         self.src = space
         self.small = FieldView(tw, to_deg)
         self.basis = tw.subfield_basis(fv.degree, to_deg)
-        self.coords = tw.subfield_coords(fv.degree, to_deg)
         self.r = fv.degree // to_deg
+        # the power-basis coordinates by tower index; -1 off the subfield
+        coords = tw.subfield_coords(fv.degree, to_deg)
+        self.coords = np.full((tw.order, self.r), -1, dtype=np.int64)
+        self.coords[list(coords)] = list(coords.values())
         if space.qcoef is not None:
             # T(Q(v)): a term c v_i v_j gives T(c b_a b_b) at (ia, jb); fold
             # the (jb, ia) entries, nonzero only for i = j, into the upper
@@ -945,22 +991,20 @@ class DescentMap:
             gram = trace_form(tw, fv.degree, to_deg, space.gram, self.basis)
             self.dst = make_symplectic(self.small, gram)
 
-    def vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.src.dim * self.r, dtype=np.int64)
-        for i, x in enumerate(np.asarray(v, dtype=np.int64)):
-            out[i * self.r : (i + 1) * self.r] = self.coords[int(x)]
-        return out
-
-    def point(self, v: np.ndarray) -> np.ndarray:
-        return canonicalize_points(self.small, self.vector(v)[None, :])[0]
-
-    def subspace(self, sub: Subspace) -> Subspace:
-        tw = self.src.fv.tower
-        rows = []
-        for row in sub.mat:
-            for g in self.basis:
-                rows.append(self.vector(tw.vmul(np.int64(g), row)))
-        return canonicalize(self.small, np.array(rows, dtype=np.int64), self.dst.dim)
+    def subspaces(self, members: list[Subspace]) -> list[Subspace]:
+        """The descended subspaces of members of one dimension, in order."""
+        if not members:
+            return []
+        mats = np.stack([m.mat for m in members])  # (B, k, n)
+        nmem, k, _ = mats.shape
+        basis = np.array(self.basis, dtype=np.int64)
+        scaled = self.src.fv.tower.vmul(basis[:, None], mats[:, :, None, :])  # (B, k, r, n)
+        rows = self.coords[scaled].reshape(nmem, k * self.r, -1)
+        if np.any(rows < 0):
+            raise FieldError("a coordinate lies outside the field of the space")
+        red, ranks = rref_stack(self.small, rows)
+        dim = self.dst.dim
+        return [Subspace(self.small, dim, m[:rank]) for m, rank in zip(red, ranks.tolist())]
 
 
 def field_descend(space: FormedSpace, to_deg: int) -> DescentMap:

@@ -28,3 +28,60 @@ def all_subspaces_of_dim(fv, dim: int, k: int, block: int = 1 << 14):
             for t, (i, col) in enumerate(free):
                 mats[:, i, col] = elems[(idx // q ** (nfree - 1 - t)) % q]
             yield mats
+
+
+def lift_oracle(proj, uq, target_type):
+    """The per-member lift `ZProjection.lift` ran before it took stacks:
+    U = <lift of U_q, z> in canonical form, U' the kernel of the
+    coefficient functional sqrt(Q) on U's rows, then each singular point
+    of U'-perp outside U' tried in turn, keeping the extension whose
+    `ts_type` is the requested one."""
+    from polarspread.gf import FieldError, sqrt_char2
+    from polarspread.linalg import canonicalize, extend_basis, mat_mul
+
+    space, fv = proj.space, proj.space.fv
+    tw = fv.tower
+    u_rows = np.vstack([mat_mul(fv, uq.mat, proj.comp), proj.z[None, :]])
+    u = canonicalize(fv, u_rows, space.dim)
+    if not space.is_ti(u):
+        raise FieldError("lifted preimage is not totally isotropic")
+    phi = np.array([int(sqrt_char2(tw, space.qform(b))) for b in u.mat], dtype=np.int64)
+    if not np.any(phi):
+        raise FieldError("Q-kernel is not of codimension 1")
+    piv = int(np.argmax(phi != 0))
+    kernel = []
+    for i in range(len(phi)):
+        if i != piv:
+            row = np.zeros(len(phi), dtype=np.int64)
+            row[i] = 1
+            row[piv] = tw.neg(tw.div(int(phi[i]), int(phi[piv])))
+            kernel.append(row)
+    uprime = canonicalize(fv, mat_mul(fv, np.array(kernel), u.mat), space.dim)
+    d0, d1 = extend_basis(fv, uprime.mat, space.perp(uprime).mat, 2)
+    found = []
+    for a, b in [(0, 1)] + [(1, b) for b in fv.elements().tolist()]:
+        w = tw.vadd(tw.vmul(np.int64(a), d0), tw.vmul(np.int64(b), d1))
+        if space.qform(w) == 0 and not uprime.contains(w):
+            cand = canonicalize(fv, np.vstack([uprime.mat, w[None, :]]), space.dim)
+            if cand not in found:
+                found.append(cand)
+    for cand in found:
+        if space.ts_type(cand) == target_type:
+            return cand
+    raise FieldError("no extension of the requested type")
+
+
+def descent_subspace_oracle(dm, sub):
+    """The per-member blow-down `DescentMap` ran before it took lists: the
+    rows g b for each basis row b and power-basis element g, each vector
+    descended entry by entry, in canonical form."""
+    from polarspread.linalg import canonicalize
+
+    tw = dm.src.fv.tower
+    table = tw.subfield_coords(dm.src.fv.degree, dm.small.degree)
+    rows = [
+        [c for x in tw.vmul(np.int64(g), row).tolist() for c in table[x]]
+        for row in sub.mat
+        for g in dm.basis
+    ]
+    return canonicalize(dm.small, np.array(rows, dtype=np.int64), dm.dst.dim)

@@ -26,7 +26,7 @@ from polarspread.spaces import (
     parabolic_space,
     sp_space,
 )
-from subspace_helpers import all_subspaces_of_dim
+from subspace_helpers import all_subspaces_of_dim, descent_subspace_oracle, lift_oracle
 
 
 def test_symplectic_form_values():
@@ -186,15 +186,62 @@ def test_projection_and_lift_roundtrip_exhaustive():
     z = o.first_nonsingular_point()
     proj = ZProjection(o, z)
     assert proj.quotient.dim == 6
-    for w in o.maximal_totally_singular():
-        t = proj.transport(w)
-        assert t.dim == 3
-        assert proj.lift(t, o.ts_type(w)) == w
+    # one stacked lift per type takes every transported member back to itself
+    for typ in TsType:
+        ws = [w for w in o.maximal_totally_singular() if o.ts_type(w) == typ]
+        ts = [proj.transport(w) for w in ws]
+        assert {t.dim for t in ts} == {3}
+        assert proj.lift(np.stack([t.mat for t in ts]), typ) == ws
     # lifts of one fixed type pairwise meet in even dimension
     ws = o.maximal_totally_singular()[:40]
     same = [w for w in ws if o.ts_type(w) == TsType.SAME]
     for a, b in itertools.combinations(same, 2):
         assert a.intersect(b).dim % 2 == 0
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (4, 2), (8, 2), (2, 3)])
+def test_stacked_lift_matches_the_per_member_oracle(q, m):
+    """`orthogonal_spread` lifts all its members in one call; each member is
+    the per-member lift's, byte for byte, and both types are checked."""
+    from polarspread import families as F
+
+    fam = F.orthogonal_spread(q, m)
+    ts = F._trace_space(q, 2 * m - 1)
+    proj = ZProjection(fam.space, fam.space.first_nonsingular_point())
+    iso = find_isometry(ts.space, proj.quotient)
+    quot = [iso.subspace(x) for x in F.desarguesian_symplectic_spread(q, 2 * m - 1).members]
+    assert [w.mat.tobytes() for w in fam.members] == [
+        lift_oracle(proj, x, TsType.SAME).mat.tobytes() for x in quot
+    ]
+    stack = np.stack([x.mat for x in quot])
+    assert proj.lift(stack, TsType.SAME) == fam.members
+    if q * m <= 8:
+        other = proj.lift(stack, TsType.OTHER)
+        assert other == [lift_oracle(proj, x, TsType.OTHER) for x in quot]
+        assert all(fam.space.ts_type(w) == TsType.OTHER for w in other)
+
+
+def test_lift_refuses_bad_stacks():
+    o = oplus_space(2, 4)
+    proj = ZProjection(o, o.first_nonsingular_point())
+    good = proj.transport(o.maximal_totally_singular()[0]).mat
+    assert proj.lift(np.zeros((0, 3, 6), dtype=np.int64), TsType.SAME) == []
+    # a 3-space of the quotient that is not t.i.: one bad member refuses the stack
+    pts = all_points(proj.quotient.fv, 6)
+    bad = next(
+        s.mat
+        for s in (canonicalize(proj.quotient.fv, pts[[0, i, j]], 6) for i in range(1, 30) for j in range(i + 1, 30))
+        if s.dim == 3 and not proj.quotient.is_ti(s)
+    )
+    with pytest.raises(gf.FieldError, match="not totally isotropic"):
+        proj.lift(np.stack([good, bad]), TsType.SAME)
+    with pytest.raises(gf.FieldError, match="not totally isotropic"):
+        lift_oracle(proj, Subspace(proj.quotient.fv, 6, bad), TsType.SAME)
+    # dependent rows, and a stack of lines, are not maximal t.i. subspaces
+    with pytest.raises(gf.FieldError, match="full rank"):
+        proj.lift(np.stack([good, np.vstack([good[:2], good[:1]])]), TsType.SAME)
+    with pytest.raises(gf.FieldError, match="stack of maximal"):
+        proj.lift(good[None, :2], TsType.SAME)
 
 
 def test_projection_requires_nonsingular():
@@ -215,8 +262,38 @@ def test_field_descend_oplus44():
     assert len(dm.dst.singular_points()) == 135  # plus type
     # a t.s. GF(4)-2-space descends to a t.s. GF(2)-4-space
     line = o44.maximal_totally_singular()[0]
-    down = dm.subspace(line)
+    (down,) = dm.subspaces([line])
     assert down.dim == 4 and dm.dst.is_ts(down)
+
+
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 4), (3, 2), (2, 6)])
+def test_stacked_descent_matches_the_per_member_oracle(p, d):
+    """`DescentMap.subspaces` maps a whole list at once; each member is the
+    per-member blow-down's, byte for byte, for every designated target, on
+    maximal t.i. or t.s. subspaces and on random ones of several ranks."""
+    tw = gf.tower(p, d, tuple(e for e in range(1, d) if d % e == 0))
+    fv = FieldView(tw, d)
+    rng = np.random.default_rng(p * d)
+    lists = [spaces.sp_space_over(fv, 1), spaces.oplus_space_over(fv, 2) if p == 2 else spaces.sp_space_over(fv, 2)]
+    for space in lists:
+        members = space.maximal_totally_singular()[:50]
+        loose = [canonicalize(fv, rng.choice(fv.elements(), size=(2, space.dim)), space.dim) for _ in range(20)]
+        for to_deg in tw.designated[:-1]:
+            dm = field_descend(space, to_deg)
+            assert dm.subspaces([]) == []
+            for batch in (members, [w for w in loose if w.dim == 2], [w for w in loose if w.dim == 1]):
+                got = dm.subspaces(batch)
+                assert [w.mat.tobytes() for w in got] == [
+                    descent_subspace_oracle(dm, w).mat.tobytes() for w in batch
+                ]
+
+
+def test_descent_refuses_entries_off_the_field():
+    tw = gf.tower(2, 4, (1, 2))
+    space = spaces.sp_space_over(FieldView(tw, 2), 1)
+    dm = field_descend(space, 1)
+    with pytest.raises(gf.FieldError, match="outside the field"):
+        dm.subspaces([Subspace(space.fv, 2, np.array([[1, 2]]))])  # 2 is not in GF(4)
 
 
 def test_field_descend_appendix_form():
