@@ -491,8 +491,7 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     # hyperplane x . phi = 0 meets the ovoid and the singular points in the
     # zeros of one blocked product planes x points; it holds the radical e_0
     # iff phi_0 = 0
-    hit_counts = _zero_counts(u_space, planes, fam.points)
-    sing_counts = _zero_counts(u_space, planes, u_space.singular_points())
+    hit_counts, sing_counts = _zero_counts(u_space, planes, [fam.points, u_space.singular_points()])
     sizes: dict[int, int] = {}
     type_counts: dict[str, int] = {}
     tangent = 0
@@ -519,36 +518,42 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
 CENSUS_BLOCK = 16_000
 
 
-def _zero_counts(space: FormedSpace, planes: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """For each row phi of planes, the number of rows x of pts with
-    x . phi = 0, over row blocks of planes whose temporaries take at most
-    CENSUS_BLOCK entries.  With a `bit_packing`, x . phi = 0 iff every
-    parity of key(x) & mask_j is even (`KeyPacking.kernel_masks`), and
-    parity j of every point at once is the XOR of the key bit planes of
-    mask_j's bits, made for a block of phi one key bit at a time.
-    Otherwise each block is one field product."""
+def _zero_counts(
+    space: FormedSpace, planes: np.ndarray, point_sets: list[np.ndarray]
+) -> list[np.ndarray]:
+    """For each point set and each row phi of planes, the number of rows x
+    of the set with x . phi = 0, over row blocks of planes whose
+    temporaries take at most CENSUS_BLOCK entries.  With a `bit_packing`,
+    x . phi = 0 iff every parity of key(x) & mask_j is even
+    (`KeyPacking.kernel_masks`), and parity j of every point at once is the
+    XOR of the key bit planes of mask_j's bits, made for a block of phi one
+    key bit at a time; each block's masks are made once, for every set.
+    Otherwise each block is one field product per set."""
     bits = space.bit_packing
     if bits is None:
-        step = max(1, CENSUS_BLOCK // max(1, len(pts)))
-        return np.concatenate(
-            [
+        out = []
+        for pts in point_sets:
+            step = max(1, CENSUS_BLOCK // max(1, len(pts)))
+            zeros = [
                 (mat_mul(space.fv, planes[lo : lo + step], pts.T) == 0).sum(axis=1)
                 for lo in range(0, len(planes), step)
             ]
-        )
-    key_bits = key_planes(bits.pack(pts))
-    step = max(1, CENSUS_BLOCK // max(1, key_bits.shape[1]))
-    out = []
+            out.append(np.concatenate(zeros))
+        return out
+    key_bits = [key_planes(bits.pack(pts)) for pts in point_sets]
+    step = max(1, CENSUS_BLOCK // max(1, max(kb.shape[1] for kb in key_bits)))
+    out = [[] for _ in point_sets]
     for lo in range(0, len(planes), step):
         masks = bits.kernel_masks(planes[lo : lo + step])
-        off = np.zeros((len(masks), key_bits.shape[1]), dtype=np.uint64)  # x . phi != 0
-        for mask in masks.T:
-            parity = np.zeros_like(off)
-            for b, plane in enumerate(key_bits):
-                parity ^= plane * (mask[:, None] >> b & 1).astype(np.uint64)
-            off |= parity
-        out.append(len(pts) - np.bitwise_count(off).sum(axis=1))
-    return np.concatenate(out)
+        for pts, kb, counts in zip(point_sets, key_bits, out):
+            off = np.zeros((len(masks), kb.shape[1]), dtype=np.uint64)  # x . phi != 0
+            for mask in masks.T:
+                parity = np.zeros_like(off)
+                for b, plane in enumerate(kb):
+                    parity ^= plane * (mask[:, None] >> b & 1).astype(np.uint64)
+                off |= parity
+            counts.append(len(pts) - np.bitwise_count(off).sum(axis=1))
+    return [np.concatenate(counts) for counts in out]
 
 
 # ---------------------------------------------------------------------------

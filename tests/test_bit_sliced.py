@@ -20,6 +20,7 @@ from polarspread.linalg import (
     canonicalize,
     in_kernel,
     key_rows,
+    mat_mul,
     point_keys,
 )
 from polarspread.spaces import (
@@ -586,4 +587,11 @@ def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
             acc = tw.vadd(acc, tw.vmul(pts[:, i], np.int64(phi[i])))
         want.append(int((acc == 0).sum()))
     assert (space.bit_packing is not None) == (q % 2 == 0)
-    assert V._zero_counts(space, planes, pts).tolist() == want
+    assert [c.tolist() for c in V._zero_counts(space, planes, [pts])] == [want]
+    # several sets in one call (the census counts two): each set's counts
+    # are its own, though each block's masks are shared
+    few = pts[::7]
+    want_few = [int((mat_mul(space.fv, phi[None, :], few.T) == 0).sum()) for phi in planes]
+    got = V._zero_counts(space, planes, [few, pts, few[:1]])
+    assert [c.tolist() for c in got[:2]] == [want_few, want]
+    assert got[2].tolist() == [int((mat_mul(space.fv, phi[None, :], few[:1].T) == 0).sum()) for phi in planes]
