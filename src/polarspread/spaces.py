@@ -891,7 +891,7 @@ class ZProjection:
         bases, in the quotient's coordinates or, with an isometry `iso` onto
         the quotient, in those of iso.src; canonical, in stack order.  Every
         step is one array operation over the stack: one product through
-        iso and the complement, one `ti_mask`, one `vqform`, four
+        iso and the complement, one `ti_mask`, two `vqform` calls, four
         `rref_stack` reductions and one `ts_mask`.  Raises FieldError if a
         preimage is not t.i. or not of full rank, if sqrt(Q) vanishes on
         one, or if a member does not have exactly one extension of the
