@@ -28,8 +28,9 @@ from .linalg import (
     point_keys,
     reduce_rows,
     rref,
+    rref_stack,
 )
-from .octonion import triality_subspace_of_point
+from .octonion import triality_subspaces
 from .spaces import (
     FormedSpace,
     TsType,
@@ -179,9 +180,17 @@ class TraceSymplecticSpace:
         rows = [self.vec(0, b) for b in self.fbasis]
         return canonicalize(self.kview, np.array(rows), 2 * self.n)
 
-    def member_slope(self, a: int) -> Subspace:
-        rows = [self.vec(b, self.tw.mul(a, b)) for b in self.fbasis]
-        return canonicalize(self.kview, np.array(rows), 2 * self.n)
+    def member_slopes(self, slopes) -> list[Subspace]:
+        """The members [y = a x] for each slope a, from one stack of their
+        bases (b, a b) over the basis b of F, reduced by one `rref_stack`."""
+        tw, n = self.tw, self.n
+        coords = np.zeros((tw.order, n), dtype=np.int64)
+        coords[list(self.coords)] = list(self.coords.values())
+        basis = np.array(self.fbasis, dtype=np.int64)
+        ys = tw.vmul(np.asarray(slopes, dtype=np.int64)[:, None], basis[None, :])
+        xs = np.broadcast_to(coords[basis], (len(ys), n, n))
+        bases, _ = rref_stack(self.kview, np.concatenate([xs, coords[ys]], axis=2))
+        return [Subspace(self.kview, 2 * n, b) for b in bases]
 
     def pair_space(self, xgens, ygens) -> Subspace:
         rows = [self.vec(x, 0) for x in xgens] + [self.vec(0, y) for y in ygens]
@@ -201,9 +210,7 @@ def desarguesian_symplectic_spread(
     """The t.i. n-spaces [x=0] and [y=ax] of Sp(2n,q) in trace coordinates,
     over `trace_tower(q, n, mid, base)`."""
     ts = _trace_space(q, n, mid, base)
-    members = [ts.member_x0()]
-    for a in ts.tw.subfield_elements(ts.fdeg).tolist():
-        members.append(ts.member_slope(a))
+    members = [ts.member_x0()] + ts.member_slopes(ts.tw.subfield_elements(ts.fdeg))
     fam = SubspaceFamily(
         ts.space,
         members,
@@ -220,9 +227,7 @@ def transversal_star_data(q: int, m: int) -> tuple[TraceSymplecticSpace, list[Su
     tw = ts.tw
     theta = find_theta(tw, ts.kdeg)
     edeg = ts.kdeg * m
-    star = [ts.member_x0()] + [
-        ts.member_slope(tw.mul(a, theta)) for a in tw.subfield_elements(edeg).tolist()
-    ]
+    star = [ts.member_x0()] + ts.member_slopes(tw.vmul(tw.subfield_elements(edeg), np.int64(theta)))
     return ts, star, (2 if q % 2 else 1)
 
 
@@ -716,14 +721,14 @@ def elliptic_or_o5_partial_ovoid(q: int, kind: str) -> PointFamily:
     elif kind == "suzuki_tits":
         st = suzuki_tits_ovoid(q)
         em = parabolic_in_oplus8(q)
-        pts = np.array([em.point(p) for p in st.points], dtype=np.int64)
+        pts = canonicalize_points(space.fv, em.vector(st.points))
         fid = "lem7.5-st"
     elif kind == "o5_generic":
         para = parabolic_space(q)
         sub = _elliptic_hyperplane(para)
         inner = _singular_points_of(para, sub)
         em = parabolic_in_oplus8(q)
-        pts = np.array([em.point(p) for p in inner], dtype=np.int64)
+        pts = canonicalize_points(space.fv, em.vector(inner))
         fid = "lem7.5-o5"
     else:
         raise FamilyError("kind must be elliptic_quadric, suzuki_tits or o5_generic")
@@ -810,7 +815,7 @@ class StContext:
         self.space = oplus_space(q, 4)
         self.embed = parabolic_in_oplus8(q)
         st = suzuki_tits_ovoid(q)
-        self.omega = np.array([self.embed.point(p) for p in st.points], dtype=np.int64)
+        self.omega = canonicalize_points(self.space.fv, self.embed.vector(st.points))
         self.u = canonicalize(self.space.fv, self.embed.matrix, 8)
 
     def circle(self, x: np.ndarray) -> np.ndarray:
@@ -978,7 +983,7 @@ def sp6_line_replace(q: int) -> SubspaceFamily:
     desarguesian Sp(6,q)-spread member: size q^3 - q^2 + 1, any q."""
     ts = _trace_space(q, 3)
     spread = desarguesian_symplectic_spread(q, 3)
-    x = ts.member_slope(0)  # the member [y = 0]
+    x = ts.member_slopes([0])[0]  # the member [y = 0]
     l = next(iter_subspaces(ts.kview, x, 2))
     lperp = ts.space.perp(l)
     u = None
@@ -1152,7 +1157,7 @@ def triality_pointset(fam: PointFamily) -> SubspaceFamily:
     of one type and the same cardinality, in the same space."""
     _require_partial_ovoid(fam)
     space = fam.space
-    members = [triality_subspace_of_point(space, p) for p in fam.points]
+    members = triality_subspaces(space, fam.points)
     out = SubspaceFamily(
         space,
         members,
@@ -1164,9 +1169,13 @@ def triality_pointset(fam: PointFamily) -> SubspaceFamily:
         expected_size=len(fam),
     )
     _require_partial_spread(out, "orthogonal")
-    types = {space.ts_type(w) for w in members}
-    if len(types) > 1:
-        raise FamilyError("triality images straddle both types")
+    # W meets m0 in dimension 8 - rank[W; m0], so W's type (`ts_type`) is
+    # the parity of that rank
+    if members:
+        bases = np.stack([w.mat for w in members])
+        stack = np.concatenate([bases, np.broadcast_to(space.m0().mat, bases.shape)], axis=1)
+        if len(np.unique(rref_stack(space.fv, stack)[1] % 2)) > 1:
+            raise FamilyError("triality images straddle both types")
     return out
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldError, FieldView
-from .linalg import Subspace, canonicalize
+from .linalg import Subspace, canonicalize, mat_mul, rref_stack
 from .spaces import FormedSpace, LinearMap, find_isometry, make_orthogonal
 
 
@@ -106,3 +106,33 @@ def triality_subspace_of_point(space: FormedSpace, p) -> Subspace:
     resulting t.s. 4-space lives in `space` itself."""
     zs, iso, inv = triality_maps(space)
     return inv.subspace(triality_image(zs, iso.vector(np.asarray(p, dtype=np.int64))))
+
+
+@lru_cache(maxsize=None)
+def _left_products(fv: FieldView) -> np.ndarray:
+    """(8, 64): row k is the 8 x 8 matrix L[k] with rows e_k * e_i, flat.
+    The Zorn product is bilinear, so p * e_i = sum_k p_k L[k][i], and the
+    rows of x -> p * x for many points p are one product P L."""
+    unit = np.eye(8, dtype=np.int64)
+    return np.stack([np.stack([zorn_mul(fv, e, f) for f in unit]).ravel() for e in unit])
+
+
+def triality_subspaces(space: FormedSpace, pts: np.ndarray) -> list[Subspace]:
+    """`triality_subspace_of_point` of every row of `pts`, byte for byte, on
+    stacks: the points go through the isometry, their left-multiplication
+    rows come from one product with the fixed matrices L[k], and the images
+    and their preimages under the isometry are each reduced by one
+    `rref_stack`.  Raises FieldError on a zero row, a nonsingular point or
+    an image that is not 4-dimensional, as the per-point call does."""
+    zs, iso, inv = triality_maps(space)
+    fv = zs.fv
+    zp = iso.vector(np.asarray(pts, dtype=np.int64).reshape(-1, 8))
+    if not np.all(np.any(zp, axis=1)):
+        raise FieldError("zero vector is not a point")
+    if np.any(zs.vqform(zp)):
+        raise FieldError("point is not singular")
+    imgs, ranks = rref_stack(fv, mat_mul(fv, zp, _left_products(fv)).reshape(-1, 8, 8))
+    if np.any(ranks != 4):
+        raise FieldError("multiplication image is not 4-dimensional")
+    back, _ = rref_stack(fv, mat_mul(fv, imgs[:, :4].reshape(-1, 8), inv.matrix).reshape(-1, 4, 8))
+    return [Subspace(fv, 8, m) for m in back]

@@ -30,6 +30,45 @@ def test_transversal_internals():
         assert set(fam.members[: len(fam) - expect]) == kept
 
 
+def member_slope_oracle(ts, a):
+    """The per-member build `member_slopes` replaced: the rows (b, a b)
+    over the basis b of F, canonicalized alone."""
+    rows = [ts.vec(b, ts.tw.mul(a, b)) for b in ts.fbasis]
+    return canonicalize(ts.kview, np.array(rows), 2 * ts.n)
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w and g.mat.dtype == w.mat.dtype and g.mat.tobytes() == w.mat.tobytes()
+
+
+# every (q, n, mid, base) the suite builds a desarguesian spread with
+DESARGUESIAN_PARAMS = [
+    (2, 2, None, None), (2, 3, None, None), (2, 5, None, None), (3, 1, None, None),
+    (3, 2, None, None), (3, 3, None, None), (4, 2, None, None), (4, 3, None, None),
+    (4, 4, None, None), (8, 2, None, None), (8, 3, None, None),
+    (2, 2, 1, None), (3, 2, 1, None), (4, 2, 1, None), (5, 2, 1, None), (2, 4, 2, None),
+    (4, 4, 2, None),
+]
+
+
+@pytest.mark.parametrize("q,n,mid,base", DESARGUESIAN_PARAMS)
+def test_desarguesian_members_match_the_per_member_build(q, n, mid, base):
+    """The stacked [y = a x] are the per-member canonical bases, byte for
+    byte, in the same order; so are the star members [y = a theta x] of a
+    transversal pair, where mid = n / 2."""
+    fam = F.desarguesian_symplectic_spread(q, n, mid, base)
+    ts = F._trace_space(q, n, mid, base)
+    want = [ts.member_x0()] + [member_slope_oracle(ts, a) for a in ts.tw.subfield_elements(ts.fdeg).tolist()]
+    assert_same_bytes(fam.members, want)
+    if mid is not None and base is None:
+        ts, star, _ = F.transversal_star_data(q, mid)
+        theta = F.find_theta(ts.tw, ts.kdeg)
+        slopes = [ts.tw.mul(a, theta) for a in ts.tw.subfield_elements(ts.kdeg * mid).tolist()]
+        assert_same_bytes(star, [ts.member_x0()] + [member_slope_oracle(ts, a) for a in slopes])
+
+
 def rows_outside_oracle(fv, rows, points):
     """The filter the point-family constructors ran before `_rows_outside`:
     one key and one blocked set per candidate row."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarspread import families as F
 from polarspread.gf import FieldError, standalone
 from polarspread.octonion import (
     identity_octonion,
@@ -14,6 +15,7 @@ from polarspread.octonion import (
     triality_image,
     triality_maps,
     triality_subspace_of_point,
+    triality_subspaces,
     zorn_mul,
     zorn_space,
 )
@@ -129,3 +131,46 @@ def test_triality_maps_are_found_once_per_space():
     assert np.array_equal(other[1].matrix, maps[1].matrix)
     with pytest.raises(FieldError):
         triality_maps(oplus_space(2, 2))
+
+
+# every point family the suite and the benchmark take the triality image of
+TRIALITY_FAMILIES = {
+    "ex7.4(3)": lambda: F.elliptic_or_o5_partial_ovoid(3, "elliptic_quadric"),
+    "ex7.4(4)": lambda: F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric"),
+    "lem7.8(2)": lambda: F.two_quadrics_ovoid(2),
+    "lem7.8(3)": lambda: F.two_quadrics_ovoid(3),
+    "lem7.8(4)": lambda: F.two_quadrics_ovoid(4),
+    "thm7.2(4)": lambda: F.orthovoid_bullet(4, 1, "A6i"),
+    "appA(4)": lambda: F.desarguesian_ovoid(4),
+    "one point": lambda: F.PointFamily(
+        oplus_space(2, 4), oplus_space(2, 4).singular_points()[:1], F.Provenance("test", {})
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIALITY_FAMILIES))
+def test_triality_subspaces_match_the_per_point_call(name):
+    """The stacked images are `triality_subspace_of_point` of each point,
+    byte for byte and in order, and are what `triality_pointset` keeps."""
+    fam = TRIALITY_FAMILIES[name]()
+    space = fam.space
+    got = triality_subspaces(space, fam.points)
+    want = [triality_subspace_of_point(space, p) for p in fam.points]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w and g.mat.dtype == w.mat.dtype and g.mat.tobytes() == w.mat.tobytes()
+    assert F.triality_pointset(fam).members == got
+    assert len({space.ts_type(w) for w in got}) == 1
+
+
+def test_triality_subspaces_refuse_a_zero_row_or_a_nonsingular_point():
+    space = oplus_space(4, 4)
+    pts = space.singular_points()[:5]
+    with pytest.raises(FieldError, match="zero vector"):
+        triality_subspaces(space, np.vstack([pts, np.zeros(8, dtype=np.int64)]))
+    bad = space.first_nonsingular_point()
+    with pytest.raises(FieldError, match="not singular"):
+        triality_subspaces(space, np.vstack([pts, bad]))
+    with pytest.raises(FieldError, match="not singular"):
+        triality_subspace_of_point(space, bad)
+    assert triality_subspaces(space, pts[:0]) == []
