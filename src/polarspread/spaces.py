@@ -118,14 +118,28 @@ key bits b for which the basis vector u_b with key 1 << b has bit j set in
 rank(f(u_b)) (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is
 even.  The functional B(., v) has coefficient row v G^T, so `Perp` keeps e
 masks per point and a perpendicularity test over many keys is e AND-popcount
-passes (`linalg.in_kernel`) with no field arithmetic.  The parity is
+passes (`linalg.in_kernel`) with no field arithmetic.  The masks are
+GF(2)-linear in key(v) as well, so they too are looked up, not computed:
+the space keeps the masks of the unit vectors in tables (`mask_tables`, as
+below), and v's masks are one entry per 8 bits of key(v).  The parity is
 GF(2)-linear in the key bits, so for many points at once it is also the
 XOR of the key *bit planes* of mask_j's bits: plane b is the bitset of the
 points whose key has bit b set (`key_planes`).  So one functional's test
 over N points is e XOR-reductions over bitsets of N/64 words
-(`Perp.narrow`), and the planes take nbits/64 of the keys' memory.  Odd p,
-and p = 2 spaces whose keys need more than 62 bits, use `vbform` for one
-vector and one field product (vs G^T) pts^T for a block of them.
+(`Perp.narrow`), and the planes take nbits/64 of the keys' memory.  For
+many functionals at once the planes go into *plane tables*
+(`plane_tables`): entry s of group c is the XOR of the planes 8c + i for
+the bits i set in s, so the XOR of any set of planes is one entry per
+8-bit group of its mask (the Method of Four Russians: V. L. Arlazarov,
+E. A. Dinic, M. A. Kronrod and I. A. Faradzev, 1970).  A block of
+functionals' bitsets of the points off their kernels is then e times
+groups gathers (`off_kernel`).  The tables take 32 bytes per point and
+group; they are refused over MAX_BITSET_BYTES.  The p = 2 partial-ovoid
+test (`verify.is_partial_ovoid`) and the hyperplane census
+(`verify._zero_counts`) count kernels this way; the ovoid scan narrows one
+bitset per member and keeps `Perp.narrow`.  Odd p, and p = 2 spaces whose
+keys need more than 62 bits, use `vbform` for one vector and one field
+product (vs G^T) pts^T for a block of them.
 
 Singular points are solved in the last coordinate, as keys.  Write a point
 as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
@@ -343,6 +357,18 @@ class FormedSpace:
             return KeyPacking(self.fv, self.dim)
         except FieldError:
             return None
+
+    @cached_property
+    def mask_tables(self) -> np.ndarray | None:
+        """`plane_tables` of the kernel masks of B(., u_b) for the vectors
+        u_b with key 1 << b, or None without a `bit_packing`.  B(., v) is
+        GF(2)-linear in key(v), so the masks of v are `table_xor` of these
+        at key(v) (`Perp`)."""
+        bits = self.bit_packing
+        if bits is None:
+            return None
+        units = key_rows(self.fv, np.int64(1) << np.arange(self.dim * self.fv.degree), self.dim)
+        return plane_tables(bits.kernel_masks(mat_mul(self.fv, units, self.gram.T)))
 
     # -- predicates ---------------------------------------------------------
     def ti_mask(self, bases: np.ndarray) -> np.ndarray:
@@ -765,9 +791,6 @@ class LinearMap:
         out = mat_mul(self.src.fv, rows[None, :] if single else rows, self.matrix)
         return out[0] if single else out
 
-    def point(self, v: np.ndarray) -> np.ndarray:
-        return canonicalize_points(self.src.fv, self.vector(v)[None, :])[0]
-
     def subspace(self, sub: Subspace) -> Subspace:
         return canonicalize(self.dst.fv, self.vector(sub.mat), self.dst.dim)
 
@@ -1104,13 +1127,9 @@ class Perp:
         bits = space.bit_packing
         self.keys = self.masks = self.planes = None
         if bits is not None:
-            # (len(vs), e) kernel masks of B(., v), coefficient row v G^T, in
-            # blocks of PERP_BLOCK temporaries
-            step = max(1, PERP_BLOCK // (space.dim * space.fv.degree**2))
-            los = range(0, max(1, len(self.vs)), step)
-            coefs = (mat_mul(space.fv, self.vs[lo : lo + step], space.gram.T) for lo in los)
+            # (len(vs), e) kernel masks of B(., v), looked up by key(v)
             self.keys = bits.pack(pts) if keys is None else keys
-            self.masks = np.concatenate([bits.kernel_masks(c) for c in coefs])
+            self.masks = table_xor(space.mask_tables, bits.pack(self.vs))
             if planes is not None:
                 # (len(vs), e, nbits): whether mask j of vs[k] has bit b
                 bit = np.arange(len(planes), dtype=np.int64)
@@ -1212,6 +1231,52 @@ def key_planes(keys: np.ndarray) -> np.ndarray:
         for b in range(8 * c, min(nbits, 8 * c + 8)):
             out[b, : (n + 7) // 8] = np.packbits(octet & np.uint8(1 << b % 8), bitorder="little")
     return out.view("<u8")
+
+
+def plane_tables(planes: np.ndarray) -> np.ndarray:
+    """(groups, 256, words) XOR tables of (nbits, words) rows, the bit
+    planes of `key_planes` or the kernel masks of `mask_tables`: entry s of
+    group c is the XOR of the rows 8c + i for the bits i set in s (a row
+    past the last is zero).  Each entry is one earlier entry XOR one row,
+    so the tables take one pass.  Refused before they are allocated when
+    they exceed MAX_BITSET_BYTES."""
+    nbits, words = planes.shape
+    groups = (nbits + 7) // 8
+    size = groups * 256 * words * planes.itemsize
+    if size > MAX_BITSET_BYTES:
+        raise OutOfDeskScale(
+            f"the plane tables of {nbits} rows of {words} words take {size} bytes,"
+            f" over MAX_BITSET_BYTES ({MAX_BITSET_BYTES})"
+        )
+    out = np.zeros((groups, 256, words), dtype=planes.dtype)
+    for b in range(8 * groups):
+        c, lo = b // 8, 1 << b % 8
+        if b < nbits:
+            np.bitwise_xor(out[c, :lo], planes[b], out=out[c, lo : 2 * lo])
+        else:
+            out[c, lo : 2 * lo] = out[c, :lo]
+    return out
+
+
+def off_kernel(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(m, words): bit x of row r is set iff the functional with kernel masks
+    masks[r] (`KeyPacking.kernel_masks`) is nonzero at point x.  Parity j
+    of every point at once is the XOR of the planes of mask_j's bits, so it
+    is one table entry per 8-bit group of mask_j (`plane_tables`): e times
+    groups gathers of m rows (the Method of Four Russians)."""
+    off = np.zeros((len(masks), tables.shape[2]), dtype=tables.dtype)
+    for mask in masks.T:
+        off |= table_xor(tables, mask)
+    return off
+
+
+def table_xor(tables: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each key, the XOR of the rows r_b of `plane_tables(r)` over the
+    bits b set in it: the XOR of one entry per 8-bit group."""
+    out = np.zeros((len(keys), tables.shape[2]), dtype=tables.dtype)
+    for c, table in enumerate(tables):
+        out ^= table[keys >> 8 * c & 255]
+    return out
 
 
 def bitset_matrix(rows: int, n: int, what: str) -> np.ndarray:

@@ -44,8 +44,15 @@ keys.  Like a spread witness, the witness is re-checked by the
 partial-ovoid predicate before it is returned.  The cover report likewise
 unpacks only the uncovered keys into rows.  The
 hyperplane census counts the zeros of x . phi for blocks of hyperplanes phi
-at once: for p = 2 on the bit planes of the points' keys, as the scan
-does, otherwise as a field product hyperplanes x points.
+at once: for p = 2 on the plane tables of the points' keys
+(`spaces.off_kernel`), otherwise as a field product hyperplanes x points.
+
+The partial-ovoid predicate needs no pair loop for p = 2 either.  A family
+is a partial ovoid iff the functional B(x, .) of each point x vanishes at no
+other point of the family, so it counts each functional's kernel points on
+the plane tables of the family's keys, a block of points at a time, and
+stops at the first block with a point over.  Odd p, and keys over 62 bits,
+test the pairs i < j by blocks (`Perp.blocks`).
 """
 
 from __future__ import annotations
@@ -75,7 +82,9 @@ from .spaces import (
     SearchStats,
     SearchTimeout,
     key_planes,
+    off_kernel,
     pack_bits,
+    plane_tables,
 )
 
 ENGINE_VERSION = "2"
@@ -163,7 +172,21 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
             return False
         if np.any(space.vqform(pts)):
             return False
-    return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
+    perp = Perp(space, pts)
+    if perp.keys is None:
+        return not any(block.any() for _, block in perp.blocks(upper=True))
+    # every point's functional B(x, .) may vanish at no other point of the
+    # family: on the plane tables, a block of functionals at a time, with
+    # x itself counted off its own kernel
+    tables = plane_tables(key_planes(perp.keys))
+    step = max(1, KERNEL_BLOCK // max(1, tables.shape[2]))
+    for lo in range(0, len(pts), step):
+        off = off_kernel(tables, perp.masks[lo : lo + step])
+        own = np.arange(lo, lo + len(off))
+        off[own - lo, own // 64] |= np.uint64(1) << (own % 64).astype(np.uint64)
+        if np.any(np.bitwise_count(off).sum(axis=1) != len(pts)):
+            return False
+    return True
 
 
 def universe(space: FormedSpace, flavor: str) -> np.ndarray:
@@ -511,11 +534,12 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     return CensusReport(sizes, tangent, type_counts, len(planes))
 
 
-# int64 entries of a census block's temporaries: 125 KB, under malloc's
-# default 128 KiB mmap threshold, so the blocks reuse heap memory.  Blocks
-# of PERP_BLOCK entries (512 KiB) could each be mapped afresh: the q = 8
-# census then took 67,000 page faults and 0.25 s instead of 0.07 s.
-CENSUS_BLOCK = 16_000
+# entries of a block's temporaries in the census and the p = 2
+# partial-ovoid test: 125 KB, under malloc's default 128 KiB mmap
+# threshold, so the blocks reuse heap memory.  Blocks of PERP_BLOCK entries
+# (512 KiB) could each be mapped afresh: the q = 8 census then took 67,000
+# page faults and 0.25 s instead of 0.07 s.
+KERNEL_BLOCK = 16_000
 
 
 def _zero_counts(
@@ -523,36 +547,30 @@ def _zero_counts(
 ) -> list[np.ndarray]:
     """For each point set and each row phi of planes, the number of rows x
     of the set with x . phi = 0, over row blocks of planes whose
-    temporaries take at most CENSUS_BLOCK entries.  With a `bit_packing`,
+    temporaries take at most KERNEL_BLOCK entries.  With a `bit_packing`,
     x . phi = 0 iff every parity of key(x) & mask_j is even
-    (`KeyPacking.kernel_masks`), and parity j of every point at once is the
-    XOR of the key bit planes of mask_j's bits, made for a block of phi one
-    key bit at a time; each block's masks are made once, for every set.
-    Otherwise each block is one field product per set."""
+    (`KeyPacking.kernel_masks`): a block's points off the kernel are
+    `spaces.off_kernel` on each set's plane tables, and each block's masks
+    are made once, for every set.  Otherwise each block is one field
+    product per set."""
     bits = space.bit_packing
     if bits is None:
         out = []
         for pts in point_sets:
-            step = max(1, CENSUS_BLOCK // max(1, len(pts)))
+            step = max(1, KERNEL_BLOCK // max(1, len(pts)))
             zeros = [
                 (mat_mul(space.fv, planes[lo : lo + step], pts.T) == 0).sum(axis=1)
                 for lo in range(0, len(planes), step)
             ]
             out.append(np.concatenate(zeros))
         return out
-    key_bits = [key_planes(bits.pack(pts)) for pts in point_sets]
-    step = max(1, CENSUS_BLOCK // max(1, max(kb.shape[1] for kb in key_bits)))
+    tables = [plane_tables(key_planes(bits.pack(pts))) for pts in point_sets]
+    step = max(1, KERNEL_BLOCK // max(1, max(t.shape[2] for t in tables)))
     out = [[] for _ in point_sets]
     for lo in range(0, len(planes), step):
         masks = bits.kernel_masks(planes[lo : lo + step])
-        for pts, kb, counts in zip(point_sets, key_bits, out):
-            off = np.zeros((len(masks), kb.shape[1]), dtype=np.uint64)  # x . phi != 0
-            for mask in masks.T:
-                parity = np.zeros_like(off)
-                for b, plane in enumerate(kb):
-                    parity ^= plane * (mask[:, None] >> b & 1).astype(np.uint64)
-                off |= parity
-            counts.append(len(pts) - np.bitwise_count(off).sum(axis=1))
+        for pts, table, counts in zip(point_sets, tables, out):
+            counts.append(len(pts) - np.bitwise_count(off_kernel(table, masks)).sum(axis=1))
     return [np.concatenate(counts) for counts in out]
 
 

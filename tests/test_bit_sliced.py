@@ -18,6 +18,7 @@ from polarspread.linalg import (
     all_points,
     canonical_point_blocks,
     canonicalize,
+    canonicalize_points,
     in_kernel,
     key_rows,
     mat_mul,
@@ -574,9 +575,9 @@ def test_census_matches_hyperplane_loop(build, q):
 def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
     """The census's zero counts of x . phi, on bit planes for even q and by
     field products for odd q, against each functional evaluated alone; a
-    small CENSUS_BLOCK splits the hyperplanes over many blocks."""
+    small KERNEL_BLOCK splits the hyperplanes over many blocks."""
     if block is not None:
-        monkeypatch.setattr(V, "CENSUS_BLOCK", block)
+        monkeypatch.setattr(V, "KERNEL_BLOCK", block)
     space = parabolic_space(q)
     tw = space.fv.tower
     planes, pts = space.points(), space.singular_points()
@@ -595,3 +596,136 @@ def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
     got = V._zero_counts(space, planes, [few, pts, few[:1]])
     assert [c.tolist() for c in got[:2]] == [want_few, want]
     assert got[2].tolist() == [int((mat_mul(space.fv, phi[None, :], few[:1].T) == 0).sum()) for phi in planes]
+
+
+# ---------------------------------------------------------------------------
+# plane tables and the partial-ovoid test
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 65, 700])
+@pytest.mark.parametrize("nbits", [1, 8, 21])
+def test_plane_table_entries_are_xors_of_their_planes(n, nbits):
+    """Entry s of group c is the XOR of planes 8c + i for the bits i of s,
+    for every s and every group; planes past the last count as zero."""
+    rng = np.random.default_rng(100 * n + nbits)
+    planes = S.key_planes(rng.integers(0, 1 << nbits, n) | (1 << (nbits - 1)) * (n > 0))
+    tables = S.plane_tables(planes)
+    groups = (len(planes) + 7) // 8
+    assert tables.shape == (groups, 256, planes.shape[1]) and tables.dtype == np.uint64
+    for c in range(groups):
+        for s in range(256):
+            want = np.zeros(planes.shape[1], dtype=np.uint64)
+            for i in range(8):
+                if s >> i & 1 and 8 * c + i < len(planes):
+                    want ^= planes[8 * c + i]
+            assert np.array_equal(tables[c, s], want), (c, s)
+
+
+@pytest.mark.parametrize("n", [1, 64, 300])
+def test_off_kernel_is_the_complement_of_in_kernel(n):
+    """off_kernel on the tables of random keys, against in_kernel of every
+    key and every mask row, packed; mask bits past the keys' count too."""
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, 1 << 20, n)
+    masks = rng.integers(0, 1 << 30, (40, 3))
+    got = S.off_kernel(S.plane_tables(S.key_planes(keys)), masks)
+    want = S.pack_bits(~in_kernel(keys[None, :], masks[:, None, :]))
+    assert np.array_equal(got, want)
+
+
+def test_plane_tables_over_the_cap_are_refused_before_they_are_made(monkeypatch):
+    """The tables' bytes are checked against MAX_BITSET_BYTES first: under a
+    cap one byte short, the refusal allocates nothing near their size."""
+    import tracemalloc
+
+    planes = np.zeros((9, 4000), dtype=np.uint64)
+    size = 2 * 256 * 4000 * 8
+    monkeypatch.setattr(S, "MAX_BITSET_BYTES", size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfDeskScale, match="plane tables.*MAX_BITSET_BYTES"):
+            S.plane_tables(planes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 16
+    monkeypatch.setattr(S, "MAX_BITSET_BYTES", size)
+    assert S.plane_tables(planes).nbytes == size
+
+
+def partial_ovoid_oracle(fam, flavor):
+    """The former test: every pair i < j by its kernel mask on the keys."""
+    space, pts = fam.space, fam.points
+    if flavor == "orthogonal" and (space.qcoef is None or np.any(space.vqform(pts))):
+        return False
+    return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
+
+
+# every p = 2 point family of cli.FAMILIES at its perfbench and `table`
+# parameters
+CHAR2_POINT_FAMILIES = [
+    ("appA", {"q": 4}),
+    ("thm7.2", {"q": 4}),
+    ("thm7.3", {"q": 8, "s": 1}),
+    ("thm7.3", {"q": 16, "s": 4, "scheme": "A6ii"}),
+    ("ex7.4", {"q": 4}),
+    ("lem7.5-st", {"q": 8}),
+    ("lem7.5-o5", {"q": 4}),
+    ("lem7.8", {"q": 2}),
+    ("thm7.10", {"q": 8}),
+    ("thm7.11", {"q": 8}),
+    ("thm7.12", {"q": 32, "s": 2}),
+    ("ex9.2", {"q": 4}),
+    ("appB-st", {"q": 32}),
+]
+
+
+def _singular_outside(space, fam, rng, count):
+    """Up to `count` canonical singular points, not in the family, from
+    random vectors."""
+    elems = space.fv.elements()
+    rows = elems[rng.integers(0, len(elems), (64 * space.q, space.dim))]
+    rows = rows[np.any(rows, axis=1)]
+    if space.qcoef is not None:
+        rows = rows[space.vqform(rows) == 0]
+    rows = canonicalize_points(space.fv, rows)
+    keys = point_keys(space.fv, rows)
+    inside = np.isin(keys, point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
+    _, first = np.unique(keys[~inside], return_index=True)
+    return rows[~inside][np.sort(first)][:count]
+
+
+@pytest.mark.parametrize(
+    "fid,params", CHAR2_POINT_FAMILIES, ids=[f"{f}({','.join(map(str, p.values()))})" for f, p in CHAR2_POINT_FAMILIES]
+)
+def test_partial_ovoid_on_plane_tables_matches_the_pair_oracle(fid, params):
+    """is_partial_ovoid against the upper-triangle oracle on the family
+    whole, less one point, with one added singular point, and with a point
+    perpendicular to exactly one member: the family less the others that
+    point is perpendicular to, plus the point (a failing case whose only
+    bad pair is that one)."""
+    fam = build(fid, **params)
+    space = fam.space
+    assert space.bit_packing is not None
+    flavor = "symplectic" if space.qcoef is None else "orthogonal"
+    rng = np.random.default_rng(len(fam))
+
+    def same(points):
+        sub = PointFamily(space, points, fam.provenance)
+        got = V.is_partial_ovoid(sub, flavor)
+        assert got == partial_ovoid_oracle(sub, flavor)
+        return got
+
+    assert same(fam.points)
+    assert same(np.delete(fam.points, len(fam) // 2, axis=0))
+    single = 0
+    for x in _singular_outside(space, fam, rng, 4):
+        same(np.vstack([fam.points, x]))
+        perp = np.flatnonzero(space.vbform(fam.points, x) == 0)
+        if len(perp):
+            keep = np.ones(len(fam), dtype=bool)
+            keep[perp[1:]] = False
+            assert not same(np.vstack([fam.points[keep], x]))
+            single += 1
+    assert single
