@@ -102,7 +102,7 @@ class FieldTower:
         self.poly = PRIMITIVE_POLYS[key] + (1,)
         degs = sorted(set(designated) | {d})
         for e in degs:
-            if d % e:
+            if e < 1 or d % e:
                 raise FieldError(f"designated degree {e} does not divide {d}")
         self.designated = tuple(degs)
 

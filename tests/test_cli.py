@@ -1,6 +1,7 @@
 """CLI surface: construct/verify exit codes, artifact round-trips, chained
 transforms, table rows, census."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polarspread import artifacts, cli, spaces
 from polarspread.cli import main
@@ -338,10 +341,18 @@ def _entry_outside_field(path, d):
     artifacts.save(d, path)
 
 
+def _zero_designated_degree(path, d):
+    d["field"]["designated"][0] = 0
+    artifacts.save(d, path)
+
+
 @pytest.mark.parametrize("command", ["descend", "project", "triality", "verify", "fingerprint"])
 @pytest.mark.parametrize(
     "defect",
-    [_not_json, _wrong_format_version, _missing_key, _truncated_members, _entry_outside_field],
+    [
+        _not_json, _wrong_format_version, _missing_key, _truncated_members, _entry_outside_field,
+        _zero_designated_degree,
+    ],
 )
 def test_malformed_artifact_exits_1_without_traceback(tmp_path, capsys, command, defect):
     src = tmp_path / "good.json"
@@ -492,3 +503,98 @@ def test_fingerprint_reads_a_scaled_point_row_as_its_point(tmp_path, capsys):
     assert run(["fingerprint", str(src)]) == 0
     assert run(["fingerprint", str(scaled)]) == 0
     assert capsys.readouterr().out.splitlines() == ["fingerprint=2:6,4:60,6:68"] * 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed artifacts
+# ---------------------------------------------------------------------------
+
+# (source artifact, construct argv): a point family in O+(8,2), an
+# orthogonal spread of O+(8,2) and a symplectic spread of Sp(4,2)
+FUZZ_SOURCES = {
+    "lem7.8(2)": ["lem7.8", "--q", "2"],
+    "prop4.1(2,2)": ["prop4.1", "--q", "2", "--m", "2"],
+    "thm3.1(2,1)": ["thm3.1", "--q", "2", "--m", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    out = {}
+    for name, argv in FUZZ_SOURCES.items():
+        path = tmp_path_factory.mktemp("fuzz") / "src.json"
+        assert run(["construct", *argv, "-o", str(path)]) == 0
+        out[name] = path.read_bytes()
+    return out
+
+
+def _paths(node, at=()):
+    """Every (container path, key or index) in a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield at, k
+        yield from _paths(v, at + (k,))
+
+
+def _at(d, path):
+    for k in path:
+        d = d[k]
+    return d
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 70), st.text(max_size=3),
+    st.lists(st.integers(-2, 9), max_size=9),
+)
+
+
+def _mutate(raw: bytes, data) -> bytes:
+    """One mutation of an artifact: bytes flipped, a field dropped, a field
+    replaced, or a member row edited (an entry changed, the row cut or
+    grown, or the member zeroed, duplicated or swapped)."""
+    how = data.draw(st.sampled_from(["flip", "drop", "replace", "row"]))
+    if how == "flip":
+        out = bytearray(raw)
+        for _ in range(data.draw(st.integers(1, 4))):
+            out[data.draw(st.integers(0, len(out) - 1))] = data.draw(st.integers(0, 255))
+        return bytes(out)
+    d = json.loads(raw)
+    if how in ("drop", "replace"):
+        at, key = data.draw(st.sampled_from(list(_paths(d))))
+        if how == "drop":
+            del _at(d, at)[key]
+        else:
+            _at(d, at)[key] = data.draw(JSON_SCALARS)
+        return artifacts.dumps(d).encode()
+    members = d["members"]
+    i = data.draw(st.integers(0, len(members) - 1))
+    row = members[i] if not isinstance(members[i][0], list) else members[i][data.draw(st.integers(0, len(members[i]) - 1))]
+    edit = data.draw(st.sampled_from(["entry", "cut", "grow", "zero", "duplicate", "swap"]))
+    if edit == "entry":
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.integers(-2, 9))
+    elif edit == "cut":
+        row.pop()
+    elif edit == "grow":
+        row.append(data.draw(st.integers(0, 3)))
+    elif edit == "zero":
+        row[:] = [0] * len(row)
+    elif edit == "duplicate":
+        members.append(members[i])
+    else:
+        j = data.draw(st.integers(0, len(members) - 1))
+        members[i], members[j] = members[j], members[i]
+    return artifacts.dumps(d).encode()
+
+
+@pytest.mark.parametrize("source", list(FUZZ_SOURCES))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_artifacts_exit_with_a_documented_code(fuzz_sources, tmp_path, capsys, source, data):
+    """verify, triality and project on a mutated artifact return 0, 1, 2 or
+    3 and print no traceback, also when the file loads and the family then
+    fails inside a transform."""
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_bytes(_mutate(fuzz_sources[source], data))
+    for argv in (["verify", str(bad)], ["triality", str(bad), "-o", str(out)], ["project", str(bad), "-o", str(out)]):
+        assert run(argv) in (0, 1, 2, 3), argv
+        assert "Traceback" not in capsys.readouterr().err
