@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf
-from .gf import FieldView, find_pi, find_theta, trace, trace_form
+from .gf import FieldView, find_pi, find_theta, sqrt_char2, trace, trace_form
 from .linalg import (
     Subspace,
     canonicalize,
@@ -509,9 +509,6 @@ class OvoidContext:
     def tr(self, x: int) -> int:
         return trace(self.tw, self.fdeg, self.kdeg, x)
 
-    def nm(self, x: int) -> int:
-        return gf.norm(self.tw, self.fdeg, self.kdeg, x)
-
     def ovoid_points(self) -> np.ndarray:
         """<(0,0,0,1)> and <(1, t, t^(q+q^2), N(t))> for t in F, ascending;
         made once per context and read-only.  t^(q+q^2) = t^q t^(q^2) and
@@ -776,27 +773,22 @@ def suzuki_tits_ovoid(q: int) -> PointFamily:
     s = 2^(e+1); each symplectic point lifts along its unique singular point
     on the line through the radical."""
     e = _st_exponent(q)
-    sigma = 2 ** (e + 1)
     para = parabolic_space(q)
     fv = para.fv
     tw = fv.tower
-
-    def lift(s1, s2, s3, s4):
-        # symplectic coords pair 1st-4th and 2nd-3rd; parabolic pairs are
-        # (x1,x2), (x3,x4), so reorder to (s1, s4, s2, s3)
-        body = np.array([0, s1, s4, s2, s3], dtype=np.int64)
-        lam = tw.pow(para.qform(body), 2 ** (tw.d - 1))
-        body[0] = lam
-        if para.qform(body) != 0:
-            raise FamilyError("lift is not singular (convention bug)")
-        return body
-
-    rows = [lift(0, 0, 0, 1)]
-    for a in range(q):
-        for b in range(q):
-            s4 = tw.add(tw.add(tw.mul(a, b), tw.pow(a, sigma + 2)), tw.pow(b, sigma))
-            rows.append(lift(1, a, b, s4))
-    pts = canonicalize_points(fv, np.array(rows, dtype=np.int64))
+    a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    # s4 = ab + a^s a^2 + b^s, with x^s the (e+1)-fold Frobenius
+    s4 = tw.vadd(tw.vadd(tw.vmul(a, b), tw.vmul(tw.vfrob(a, e + 1), tw.vmul(a, a))), tw.vfrob(b, e + 1))
+    # symplectic coords pair 1st-4th and 2nd-3rd; parabolic pairs are
+    # (x1,x2), (x3,x4), so (s1, s2, s3, s4) goes to (lam, s1, s4, s2, s3)
+    # with lam^2 = Q(0, s1, s4, s2, s3): first (0,0,0,1), then a-major
+    body = np.zeros((q * q + 1, 5), dtype=np.int64)
+    body[0, 2] = 1
+    body[1:, 1:] = np.stack([np.ones_like(a), s4, a, b], axis=1)
+    body[:, 0] = sqrt_char2(tw, para.vqform(body))
+    if np.any(para.vqform(body)):
+        raise FamilyError("lift is not singular (convention bug)")
+    pts = canonicalize_points(fv, body)
     span = rref(fv, pts)
     if span.shape[0] != 5:
         raise FamilyError("ovoid does not span the 5-space")

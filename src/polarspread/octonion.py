@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldError, FieldView
-from .linalg import Subspace, canonicalize, mat_mul, rref_stack
+from .linalg import Subspace, mat_mul, rref_stack
 from .spaces import FormedSpace, LinearMap, find_isometry, make_orthogonal
 
 
@@ -75,21 +75,6 @@ def identity_octonion() -> np.ndarray:
     return e
 
 
-def triality_image(zspace: FormedSpace, p) -> Subspace:
-    """The t.s. 4-space p*O for a singular point p of the Zorn space."""
-    p = np.asarray(p, dtype=np.int64)
-    if not np.any(p):
-        raise FieldError("zero vector is not a point")
-    if zspace.qform(p) != 0:
-        raise FieldError("point is not singular")
-    fv = zspace.fv
-    rows = np.array([zorn_mul(fv, p, e) for e in np.eye(8, dtype=np.int64)])
-    img = canonicalize(fv, rows, 8)
-    if img.dim != 4:
-        raise FieldError("multiplication image is not 4-dimensional")
-    return img
-
-
 @lru_cache(maxsize=None)
 def triality_maps(space: FormedSpace) -> tuple[FormedSpace, LinearMap, LinearMap]:
     """(zorn_space, iso into it, inverse iso) for a plus-type 8-space; spaces
@@ -102,10 +87,10 @@ def triality_maps(space: FormedSpace) -> tuple[FormedSpace, LinearMap, LinearMap
 
 
 def triality_subspace_of_point(space: FormedSpace, p) -> Subspace:
-    """Triality image of a singular point of `space`, conjugated back so the
-    resulting t.s. 4-space lives in `space` itself."""
-    zs, iso, inv = triality_maps(space)
-    return inv.subspace(triality_image(zs, iso.vector(np.asarray(p, dtype=np.int64))))
+    """Triality image of a singular point of `space`: the t.s. 4-space p*O
+    of its image in the Zorn space, conjugated back so that it lives in
+    `space` itself (`triality_subspaces` of the one point)."""
+    return triality_subspaces(space, p)[0]
 
 
 @lru_cache(maxsize=None)
@@ -118,12 +103,12 @@ def _left_products(fv: FieldView) -> np.ndarray:
 
 
 def triality_subspaces(space: FormedSpace, pts: np.ndarray) -> list[Subspace]:
-    """`triality_subspace_of_point` of every row of `pts`, byte for byte, on
-    stacks: the points go through the isometry, their left-multiplication
+    """The triality image of every row of `pts` (`triality_subspace_of_point`),
+    on stacks: the points go through the isometry, their left-multiplication
     rows come from one product with the fixed matrices L[k], and the images
     and their preimages under the isometry are each reduced by one
     `rref_stack`.  Raises FieldError on a zero row, a nonsingular point or
-    an image that is not 4-dimensional, as the per-point call does."""
+    an image that is not 4-dimensional."""
     zs, iso, inv = triality_maps(space)
     fv = zs.fv
     zp = iso.vector(np.asarray(pts, dtype=np.int64).reshape(-1, 8))

@@ -107,11 +107,13 @@ and zero at the others'.
 
 Perpendicularity, B(x, v) = 0, of points is decided in one place, `Perp`:
 the partial-ovoid test, the ovoid scan, fingerprints, the symplectic line
-rows and the enumerator's filter all ask it; the enumerator packs its rows
-into bitsets once (`Perp.bitsets`).  (The t.i. test of a basis M is the Gram
-product M G M^T.)  For p = 2 keys within 62 bits, it is a bit test on the
-keys.  For p = 2 a key is the n*e bits of the coordinates' ranks, and
-ranking is GF(2)-linear, so key(x) is a GF(2)-linear bijection.  A
+rows and the enumerator's filter all ask it.  A caller that asks about
+many points at once gets one kind of answer, the bitsets of the points off
+the kernels of a block of functionals B(., v) (`Perp.off`).  (The t.i. test
+of a basis M is the Gram product M G M^T.)  For p = 2 keys within 62 bits,
+it is a bit test on the keys.  For p = 2 a key is the n*e bits of the
+coordinates' ranks, and ranking is GF(2)-linear, so key(x) is a
+GF(2)-linear bijection.  A
 GF(q)-linear functional f is GF(2)-linear too, hence so is x -> rank(f(x)):
 bit j of rank(f(x)) is the parity of key(x) & mask_j, where mask_j marks the
 key bits b for which the basis vector u_b with key 1 << b has bit j set in
@@ -134,12 +136,12 @@ the bits i set in s, so the XOR of any set of planes is one entry per
 E. A. Dinic, M. A. Kronrod and I. A. Faradzev, 1970).  A block of
 functionals' bitsets of the points off their kernels is then e times
 groups gathers (`off_kernel`).  The tables take 32 bytes per point and
-group; they are refused over MAX_BITSET_BYTES.  The p = 2 partial-ovoid
-test (`verify.is_partial_ovoid`) and the hyperplane census
-(`verify._zero_counts`) count kernels this way; the ovoid scan narrows one
-bitset per member and keeps `Perp.narrow`.  Odd p, and p = 2 spaces whose
-keys need more than 62 bits, use `vbform` for one vector and one field
-product (vs G^T) pts^T for a block of them.
+group; they are refused over MAX_BITSET_BYTES.  `Perp.off` answers this
+way, and the hyperplane census (`verify._zero_counts`) counts kernels the
+same way; the ovoid scan narrows one bitset per member and keeps
+`Perp.narrow`.  Odd p, and p = 2 spaces whose keys need more than 62 bits,
+use `vbform` for one vector and one field product (vs G^T) pts^T for a
+block of them.
 
 Singular points are solved in the last coordinate, as keys.  Write a point
 as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
@@ -212,6 +214,12 @@ MAX_BITSET_BYTES = 1 << 30
 POINT_BLOCK = 1 << 19
 # int64 temporaries per row block of a perpendicularity test
 PERP_BLOCK = 1 << 16
+# uint64 entries of a block's temporaries in a plane-table test (`Perp.off`,
+# the census): 125 KB, under malloc's default 128 KiB mmap threshold, so the
+# blocks reuse heap memory.  Blocks of PERP_BLOCK entries (512 KiB) could
+# each be mapped afresh: the q = 8 census then took 67,000 page faults and
+# 0.25 s instead of 0.07 s.
+KERNEL_BLOCK = 16_000
 
 
 class OutOfDeskScale(RuntimeError):
@@ -700,34 +708,6 @@ def parabolic_space(q: int) -> FormedSpace:
     return make_orthogonal(fv, qc, "parabolic")
 
 
-@lru_cache(maxsize=None)
-def ominus4_space(q: int) -> FormedSpace:
-    """O-(4, q): hyperbolic pair plus the first anisotropic binary form
-    x3^2 + d x3 x4 + e x4^2 in scan order."""
-    fv = standalone(q)
-    tw = fv.tower
-    de = None
-    for dd in range(q):
-        for ee in range(q):
-            vals = [
-                tw.add(tw.add(tw.mul(a, a), tw.mul(dd, tw.mul(a, b))), tw.mul(ee, tw.mul(b, b)))
-                for a in range(q)
-                for b in range(q)
-                if a or b
-            ]
-            if all(vals):
-                de = (dd, ee)
-                break
-        if de:
-            break
-    qc = np.zeros((4, 4), dtype=np.int64)
-    qc[0, 1] = 1
-    qc[2, 2] = 1
-    qc[2, 3] = de[0]
-    qc[3, 3] = de[1]
-    return make_orthogonal(fv, qc, "orthogonal_minus")
-
-
 # -- hyperbolic bases, isometries --------------------------------------------
 
 
@@ -1107,24 +1087,26 @@ class Perp:
     """B(x, v) = 0 for the points x of `pts` and the vectors v of `vs` (by
     default `pts`); the only code that chooses how to test it (module
     docstring): kernel masks of `vs` against the packed keys of `pts` when
-    the space has a `bit_packing`, else `vbform` or, for many rows, a field
-    product.  `keys`, when given, are the `point_keys` of `pts`, which for
-    p = 2 are the packed keys, so they are not packed again; with a
-    `bit_packing`, `to` then reads only them, and `pts` may be None.
+    the space has a `bit_packing`, else field arithmetic.  `keys`, when
+    given, are the `point_keys` of `pts`, which for p = 2 are the packed
+    keys, so they are not packed again; `pts` may then be None, and is
+    unpacked from `keys` only when the space has no `bit_packing`.
     `planes`, when given with a `bit_packing`, are `key_planes(keys)`, and
     `narrow` tests on them."""
 
     def __init__(
         self,
         space: FormedSpace,
-        pts: np.ndarray,
+        pts: np.ndarray | None = None,
         vs: np.ndarray | None = None,
         keys: np.ndarray | None = None,
         planes: np.ndarray | None = None,
     ):
+        bits = space.bit_packing
+        if pts is None and bits is None:
+            pts = key_rows(space.fv, keys, space.dim)
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
-        bits = space.bit_packing
         self.keys = self.masks = self.planes = None
         if bits is not None:
             # (len(vs), e) kernel masks of B(., v), looked up by key(v)
@@ -1160,44 +1142,36 @@ class Perp:
             off |= np.bitwise_xor.reduce(self.planes[sel], axis=0)
         return live & off
 
-    def rows(self, ks: np.ndarray) -> np.ndarray:
-        """(len(ks), len(pts)): whether each point is perpendicular to vs[k]."""
-        if self.keys is not None:
-            return in_kernel(self.keys[None, :], self.masks[ks, None, :])
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        return plane_tables(key_planes(self.keys))
+
+    def off(self, ks: np.ndarray) -> np.ndarray:
+        """(len(ks), words): bit x of row r is set iff pts[x] is not
+        perpendicular to vs[ks[r]]; the bits past the last point are clear.
+        With a `bit_packing`, `off_kernel` on the plane tables of the keys,
+        made on first use, a block of KERNEL_BLOCK words at a time;
+        otherwise one field product (vs G^T) pts^T per PERP_BLOCK entries.
+        Refused over MAX_BITSET_BYTES before it is allocated."""
+        n = len(self.keys if self.pts is None else self.pts)
+        out = bitset_matrix(len(ks), n, "the perpendicularity bitsets")
+        if self.masks is not None:
+            step = max(1, KERNEL_BLOCK // max(1, out.shape[1]))
+            for lo in range(0, len(ks), step):
+                out[lo : lo + step] = off_kernel(self._tables, self.masks[ks[lo : lo + step]])
+            return out
         fv = self.space.fv
-        return mat_mul(fv, mat_mul(fv, self.vs[ks], self.space.gram.T), self.pts.T) == 0
-
-    def blocks(self, upper: bool = False):
-        """Yield (lo, block) over row blocks of pts (`vs` is `pts`): block[r, c]
-        tells whether pts[lo + r] is perpendicular to pts[c], or, when
-        `upper`, whether pts[lo + r] and pts[lo + 1 + c] are a perpendicular
-        pair i < j.  A block is one kernel-mask test, otherwise one `rows`
-        call; either holds about PERP_BLOCK entries."""
-        n = len(self.pts)
         step = max(1, PERP_BLOCK // max(1, n))
-        for lo in range(0, n, step):
-            if self.keys is None:
-                block = self.rows(np.arange(lo, min(n, lo + step)))[:, lo + 1 if upper else 0 :]
-            else:
-                keys = self.keys[None, lo + 1 if upper else 0 :]
-                block = in_kernel(keys, self.masks[lo : lo + step, None, :])
-            yield lo, np.triu(block) if upper else block
-
-    def bitsets(self) -> np.ndarray:
-        """(len(pts), words): row i is the bitset of the points perpendicular
-        to pts[i] (`vs` is `pts`), packed block by block."""
-        out = bitset_matrix(len(self.pts), len(self.pts), "the perpendicularity bitsets")
-        for lo, block in self.blocks():
-            out[lo : lo + len(block)] = pack_bits(block)
+        for lo in range(0, len(ks), step):
+            w = mat_mul(fv, self.vs[ks[lo : lo + step]], self.space.gram.T)
+            out[lo : lo + step] = pack_bits(mat_mul(fv, w, self.pts.T) != 0)
         return out
 
 
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:
     """Boolean matrix: adj[i, j] iff pts[i] and pts[j] are perpendicular."""
-    adj = np.zeros((len(pts), len(pts)), dtype=bool)
-    for lo, block in Perp(space, pts).blocks():
-        adj[lo : lo + len(block)] = block
-    return adj
+    off = Perp(space, pts).off(np.arange(len(pts)))
+    return np.unpackbits(off.view(np.uint8), axis=1, count=len(pts), bitorder="little") == 0
 
 
 # int64 keys per block of a line-graph row build
@@ -1380,9 +1354,11 @@ class LineGraph:
             for c in range(0, n, cols):
                 line = self.packing.kadd(self.keys[None, c : c + cols, None], mult[x][:, None, :])
                 ok[:, c : c + cols] = (self.index(line) >= 0).all(axis=2)
-            if self.perp is not None:
-                ok &= self.perp.rows(x)
+            # stored before the perpendicularity rows are made, so that a
+            # graph over MAX_BITSET_BYTES is refused as the line graph
             self._store(x, pack_bits(ok))
+            if self.perp is not None:
+                self.store[self.used - len(x) : self.used] &= ~self.perp.off(x)
         self.built += len(xs)
         self.build_s += time.perf_counter() - t0
 
@@ -1531,8 +1507,11 @@ class FlagSearch:
     @cached_property
     def perp_bits(self) -> np.ndarray:
         """Row j: the bitset of the points after j perpendicular to it."""
-        bits = self.perp.bitsets()
-        clear_through(bits, np.arange(len(self.pts)), 0)
+        n = len(self.pts)
+        bits = self.perp.off(np.arange(n))
+        np.invert(bits, out=bits)
+        bits &= pack_bits(np.ones((1, n), dtype=bool))  # no bits past the last point
+        clear_through(bits, np.arange(n), 0)
         return bits
 
     def _coset(self, kids: np.ndarray, span: np.ndarray | None) -> np.ndarray:

@@ -47,12 +47,11 @@ hyperplane census counts the zeros of x . phi for blocks of hyperplanes phi
 at once: for p = 2 on the plane tables of the points' keys
 (`spaces.off_kernel`), otherwise as a field product hyperplanes x points.
 
-The partial-ovoid predicate needs no pair loop for p = 2 either.  A family
-is a partial ovoid iff the functional B(x, .) of each point x vanishes at no
-other point of the family, so it counts each functional's kernel points on
-the plane tables of the family's keys, a block of points at a time, and
-stops at the first block with a point over.  Odd p, and keys over 62 bits,
-test the pairs i < j by blocks (`Perp.blocks`).
+The partial-ovoid predicate needs no pair loop either.  A family is a
+partial ovoid iff the functional B(x, .) of each point x vanishes at no
+other point of the family, so it counts the points off each functional's
+kernel (`Perp.off`), a block of points at a time, and stops at the first
+block with a point over.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ from .linalg import (
     stacked_points,
 )
 from .spaces import (
+    KERNEL_BLOCK,
     PASS_WORDS,
     FlagSearch,
     FormedSpace,
@@ -172,19 +172,16 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
             return False
         if np.any(space.vqform(pts)):
             return False
-    perp = Perp(space, pts)
-    if perp.keys is None:
-        return not any(block.any() for _, block in perp.blocks(upper=True))
     # every point's functional B(x, .) may vanish at no other point of the
-    # family: on the plane tables, a block of functionals at a time, with
-    # x itself counted off its own kernel
-    tables = plane_tables(key_planes(perp.keys))
-    step = max(1, KERNEL_BLOCK // max(1, tables.shape[2]))
-    for lo in range(0, len(pts), step):
-        off = off_kernel(tables, perp.masks[lo : lo + step])
-        own = np.arange(lo, lo + len(off))
+    # family: a block of functionals at a time, with x itself counted off
+    # its own kernel
+    perp, n = Perp(space, pts), len(pts)
+    step = max(1, KERNEL_BLOCK // max(1, (n + 63) // 64))
+    for lo in range(0, n, step):
+        own = np.arange(lo, min(n, lo + step))
+        off = perp.off(own)
         off[own - lo, own // 64] |= np.uint64(1) << (own % 64).astype(np.uint64)
-        if np.any(np.bitwise_count(off).sum(axis=1) != len(pts)):
+        if np.any(np.bitwise_count(off).sum(axis=1) != n):
             return False
     return True
 
@@ -245,7 +242,7 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     keys = universe(space, flavor)
     planes = _universe_planes(space, flavor, keys)
     t1 = time.perf_counter()
-    perp = _universe_perp(space, keys, fam.points, planes)
+    perp = Perp(space, vs=fam.points, keys=keys, planes=planes)
     live = []  # candidates left after each member, up to the first 0
     if planes is None:
         alive = np.arange(len(keys))  # ascending: alive[0] is the first witness
@@ -294,14 +291,6 @@ def _universe_planes(space: FormedSpace, flavor: str, keys: np.ndarray) -> np.nd
     if flavor == "orthogonal" or space.qcoef is None:
         return space.singular_planes()
     return key_planes(keys)
-
-
-def _universe_perp(space: FormedSpace, keys: np.ndarray, vs: np.ndarray, planes=None) -> Perp:
-    """A `Perp` of the universe's points, given by their keys (and their
-    bit planes, if given), against `vs`: on the keys alone when the space
-    has a `bit_packing`, else on the rows unpacked from them (odd p)."""
-    rows = None if space.bit_packing is not None else key_rows(space.fv, keys, space.dim)
-    return Perp(space, rows, vs, keys, planes)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +523,6 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     return CensusReport(sizes, tangent, type_counts, len(planes))
 
 
-# entries of a block's temporaries in the census and the p = 2
-# partial-ovoid test: 125 KB, under malloc's default 128 KiB mmap
-# threshold, so the blocks reuse heap memory.  Blocks of PERP_BLOCK entries
-# (512 KiB) could each be mapped afresh: the q = 8 census then took 67,000
-# page faults and 0.25 s instead of 0.07 s.
-KERNEL_BLOCK = 16_000
-
-
 def _zero_counts(
     space: FormedSpace, planes: np.ndarray, point_sets: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -593,7 +574,7 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
         counts = np.zeros(len(keys), dtype=np.int64)
         fam_keys = np.sort(point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
         inside = isin_sorted(keys, fam_keys)
-        perp = _universe_perp(space, keys, fam.points)
+        perp = Perp(space, vs=fam.points, keys=keys)
         for k in range(len(fam.points)):
             counts += perp.to(k)
         return tuple(sorted(counts[~inside].tolist()))

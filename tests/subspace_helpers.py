@@ -1,6 +1,10 @@
-"""Brute-force enumeration shared by the tests: every k-subspace of a
-small space, the oracle the enumerators are checked against."""
+"""Oracles and spaces shared by the tests: every k-subspace of a small
+space, which the enumerators are checked against; the per-member lift,
+descent and triality image and the per-point Suzuki-Tits lift that the
+stacked builds replaced; and the O-(4, q) space, which no library code
+builds."""
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -85,3 +89,74 @@ def descent_subspace_oracle(dm, sub):
         for g in dm.basis
     ]
     return canonicalize(dm.small, np.array(rows, dtype=np.int64), dm.dst.dim)
+
+
+def triality_oracle(space, p):
+    """The per-point triality image `octonion` made before it took stacks:
+    the rows z * e_i of left multiplication by the point's image z in the
+    Zorn space, one `zorn_mul` each, in canonical form (a 4-space), carried
+    back into `space` by the inverse isometry."""
+    from polarspread.linalg import canonicalize
+    from polarspread.octonion import triality_maps, zorn_mul
+
+    zs, iso, inv = triality_maps(space)
+    z = iso.vector(np.asarray(p, dtype=np.int64))
+    img = canonicalize(zs.fv, np.array([zorn_mul(zs.fv, z, e) for e in np.eye(8, dtype=np.int64)]), 8)
+    assert img.dim == 4
+    return inv.subspace(img)
+
+
+@lru_cache(maxsize=None)
+def ominus4_space(q: int):
+    """O-(4, q): hyperbolic pair plus the first anisotropic binary form
+    x3^2 + d x3 x4 + e x4^2 in scan order."""
+    from polarspread.gf import standalone
+    from polarspread.spaces import make_orthogonal
+
+    fv = standalone(q)
+    tw = fv.tower
+    de = None
+    for dd in range(q):
+        for ee in range(q):
+            vals = [
+                tw.add(tw.add(tw.mul(a, a), tw.mul(dd, tw.mul(a, b))), tw.mul(ee, tw.mul(b, b)))
+                for a in range(q)
+                for b in range(q)
+                if a or b
+            ]
+            if all(vals):
+                de = (dd, ee)
+                break
+        if de:
+            break
+    qc = np.zeros((4, 4), dtype=np.int64)
+    qc[0, 1] = 1
+    qc[2, 2] = 1
+    qc[2, 3] = de[0]
+    qc[3, 3] = de[1]
+    return make_orthogonal(fv, qc, "orthogonal_minus")
+
+
+def st_lift_oracle(q: int) -> np.ndarray:
+    """The Suzuki-Tits points as `families.suzuki_tits_ovoid` lifted them
+    before it took arrays, one point at a time: (0,0,0,1), then
+    (1, a, b, ab + a^(s+2) + b^s) a-major with s = 2^(e+1), q = 2^(2e+1),
+    each taken to (0, s1, s4, s2, s3) with the first entry then set to
+    sqrt(Q), in canonical form."""
+    from polarspread.linalg import canonicalize_points
+    from polarspread.spaces import parabolic_space
+
+    para = parabolic_space(q)
+    tw = para.fv.tower
+    sigma = 2 ** ((q.bit_length() - 2) // 2 + 1)
+    coords = [(0, 0, 0, 1)] + [
+        (1, a, b, tw.add(tw.add(tw.mul(a, b), tw.pow(a, sigma + 2)), tw.pow(b, sigma)))
+        for a in range(q)
+        for b in range(q)
+    ]
+    rows = []
+    for s1, s2, s3, s4 in coords:
+        body = np.array([0, s1, s4, s2, s3], dtype=np.int64)
+        body[0] = tw.pow(para.qform(body), 2 ** (tw.d - 1))
+        rows.append(body)
+    return canonicalize_points(para.fv, np.array(rows, dtype=np.int64))

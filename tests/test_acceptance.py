@@ -15,7 +15,7 @@ from polarspread import families as F
 from polarspread import verify as V
 from polarspread.families import SubspaceFamily, _ovoid_context
 from polarspread.linalg import point_keys
-from polarspread.octonion import triality_image, zorn_space
+from polarspread.octonion import triality_subspaces, zorn_space
 from polarspread.spaces import OutOfDeskScale, oplus_space
 from subspace_helpers import all_subspaces_of_dim
 
@@ -210,7 +210,7 @@ def test_c08_triality_properties_q2():
     fv_space = zorn_space(oplus_space(2, 4).fv)
     pts = fv_space.singular_points()
     assert len(pts) == 135
-    imgs = [triality_image(fv_space, p) for p in pts]
+    imgs = triality_subspaces(fv_space, pts)
     assert len(set(imgs)) == 135
     assert len({fv_space.ts_type(w) for w in imgs}) == 1
     for i, j in itertools.combinations(range(135), 2):

@@ -30,12 +30,13 @@ from polarspread.spaces import (
     OutOfDeskScale,
     Perp,
     make_orthogonal,
-    ominus4_space,
     oplus_space,
     parabolic_space,
     perp_adjacency,
     sp_space,
 )
+
+from subspace_helpers import ominus4_space
 
 # ---------------------------------------------------------------------------
 # kernel masks
@@ -136,6 +137,35 @@ def adjacency_oracle(space, pts):
 def test_perp_adjacency_matches_row_scan(space):
     pts = space.singular_points()
     assert np.array_equal(perp_adjacency(space, pts), adjacency_oracle(space, pts))
+
+
+@pytest.mark.parametrize(
+    "space,count",
+    [(oplus_space(4, 4), 200), (sp_space(3, 3), 100), (sp_space(256, 4), 37)],
+    ids=["O+(8,4)", "Sp(6,3)", "Sp(8,256)"],
+)
+def test_perp_off_matches_vbform_padding_included(space, count):
+    """`Perp.off` on the plane tables (p = 2), and on field products (odd p,
+    and p = 2 keys over 62 bits), against vbform, word for word with the
+    bits past the last point: random points against other random vectors,
+    rows asked for in any order; a universe given by its keys alone gives
+    the same rows."""
+    rng = np.random.default_rng(count)
+    elems = space.fv.elements()
+    rows = elems[rng.integers(0, len(elems), (count, space.dim))]
+    pts = canonicalize_points(space.fv, rows[np.any(rows, axis=1)])
+    vs = elems[rng.integers(0, len(elems), (50, space.dim))]
+    want = np.zeros((len(vs), (len(pts) + 63) // 64), dtype=np.uint64)
+    for r, v in enumerate(vs):
+        for x in np.flatnonzero(space.vbform(pts, v)):
+            want[r, x // 64] |= np.uint64(1) << np.uint64(x % 64)
+    ks = np.r_[rng.permutation(len(vs)), 0]
+    perp = Perp(space, pts, vs)
+    assert (perp.masks is None) == (space.bit_packing is None) and len(pts) % 64
+    assert np.array_equal(perp.off(ks), want[ks])
+    if space.fv.p != 2 or space.bit_packing is not None:
+        universe = Perp(space, vs=vs, keys=point_keys(space.fv, pts))
+        assert np.array_equal(universe.off(ks), want[ks])
 
 
 def test_is_ti_and_partial_ovoid_match_row_scans():
@@ -655,11 +685,18 @@ def test_plane_tables_over_the_cap_are_refused_before_they_are_made(monkeypatch)
 
 
 def partial_ovoid_oracle(fam, flavor):
-    """The former test: every pair i < j by its kernel mask on the keys."""
+    """The former test: every pair i < j by its kernel mask on the keys, a
+    block of rows at a time."""
     space, pts = fam.space, fam.points
     if flavor == "orthogonal" and (space.qcoef is None or np.any(space.vqform(pts))):
         return False
-    return not any(block.any() for _, block in Perp(space, pts).blocks(upper=True))
+    bits = space.bit_packing
+    keys = bits.pack(pts)[None, :]
+    masks = bits.kernel_masks(mat_mul(space.fv, pts, space.gram.T))
+    for lo in range(0, len(pts), 256):
+        if np.triu(in_kernel(keys, masks[lo : lo + 256, None, :]), lo + 1).any():
+            return False
+    return True
 
 
 # every p = 2 point family of cli.FAMILIES at its perfbench and `table`

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from polarspread import families as F
+from polarspread import gf
 from polarspread import verify as V
 from polarspread.families import FamilyError, _ovoid_context
 from polarspread.linalg import canonicalize, point_keys, rref
 from polarspread.spaces import sp_space
+
+from subspace_helpers import st_lift_oracle
 
 
 def test_desarguesian_sizes_and_cover():
@@ -205,7 +208,7 @@ def test_ordinary_points_structure():
     q = 4
     omega0 = [ctx.vec(0, 0, 0, 1)]
     for t in tw.subfield_elements(ctx.kdeg).tolist():
-        omega0.append(ctx.vec(1, t, tw.pow(t, q + q * q), ctx.nm(t)))
+        omega0.append(ctx.vec(1, t, tw.pow(t, q + q * q), gf.norm(ctx.tw, ctx.fdeg, ctx.kdeg, t)))
     o0 = canonicalize(ctx.kview, np.array(omega0), 8)
     perp = ctx.space.perp(o0)
     pts = perp.points()
@@ -223,7 +226,7 @@ def test_ovoid_points_match_the_scalar_loop(q):
     tw = ctx.tw
     rows = [ctx.vec(0, 0, 0, 1)]
     for t in tw.subfield_elements(ctx.fdeg).tolist():
-        rows.append(ctx.vec(1, t, tw.pow(t, q + q * q), ctx.nm(t)))
+        rows.append(ctx.vec(1, t, tw.pow(t, q + q * q), gf.norm(ctx.tw, ctx.fdeg, ctx.kdeg, t)))
     got = ctx.ovoid_points()
     assert np.array_equal(got, np.array(rows, dtype=np.int64))
     assert got.shape == (q**3 + 1, 8)
@@ -304,6 +307,15 @@ def test_suzuki_tits_basics():
         F.suzuki_tits_ovoid(4)
     with pytest.raises(FamilyError):
         F.suzuki_tits_ovoid(2)
+
+
+@pytest.mark.parametrize("q", [8, 32, 128])
+def test_suzuki_tits_points_match_the_per_point_lift(q):
+    """The q^2 + 1 lifts made on one array are the former per-point lifts,
+    byte for byte and in order."""
+    got = F.suzuki_tits_ovoid(q).points
+    want = st_lift_oracle(q)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_st_pencil_internals():

@@ -12,7 +12,6 @@ from polarspread.gf import FieldError, standalone
 from polarspread.octonion import (
     identity_octonion,
     octonion_norm,
-    triality_image,
     triality_maps,
     triality_subspace_of_point,
     triality_subspaces,
@@ -20,6 +19,8 @@ from polarspread.octonion import (
     zorn_space,
 )
 from polarspread.spaces import make_orthogonal, oplus_space
+
+from subspace_helpers import triality_oracle
 
 
 def test_identity():
@@ -60,15 +61,15 @@ def test_triality_basic_images():
     zs = zorn_space(fv)
     x = np.zeros(8, dtype=np.int64)
     x[0] = 1  # [[1,0],[0,0]], N = 0
-    img = triality_image(zs, x)
+    (img,) = triality_subspaces(zs, x)
     assert img.dim == 4 and zs.is_ts(img)
     # image = {[[a, v], [0, 0]]}
     for row in img.mat:
         assert not np.any(row[4:])
     with pytest.raises(FieldError):
-        triality_image(zs, identity_octonion())  # N = 1, not singular
+        triality_subspaces(zs, identity_octonion())  # N = 1, not singular
     with pytest.raises(FieldError):
-        triality_image(zs, np.zeros(8, dtype=np.int64))
+        triality_subspaces(zs, np.zeros(8, dtype=np.int64))
 
 
 def test_triality_q2_full_properties():
@@ -76,7 +77,7 @@ def test_triality_q2_full_properties():
     zs = zorn_space(fv)
     pts = zs.singular_points()
     assert len(pts) == 135
-    imgs = [triality_image(zs, p) for p in pts]
+    imgs = triality_subspaces(zs, pts)
     assert len(set(imgs)) == 135
     types = {zs.ts_type(w) for w in imgs}
     assert len(types) == 1
@@ -92,20 +93,18 @@ def test_triality_representative_independent():
     tw = fv.tower
     p = zs.singular_points()[3]
     for lam in (2, 3):
-        assert triality_image(zs, tw.vmul(np.int64(lam), p)) == triality_image(zs, p)
+        assert triality_subspaces(zs, tw.vmul(np.int64(lam), p)) == triality_subspaces(zs, p)
 
 
 def test_triality_q3_sampled():
     fv = standalone(3)
     zs = zorn_space(fv)
     pts = zs.singular_points()
-    imgs = {}
     rng = np.random.default_rng(2)
     sample = rng.choice(len(pts), size=40, replace=False)
-    for i in sample:
-        w = triality_image(zs, pts[i])
+    imgs = dict(zip(sample.tolist(), triality_subspaces(zs, pts[sample])))
+    for w in imgs.values():
         assert w.dim == 4 and zs.is_ts(w)
-        imgs[i] = w
     types = {zs.ts_type(w) for w in imgs.values()}
     assert len(types) == 1
     for i, j in itertools.combinations(sorted(imgs), 2):
@@ -150,12 +149,14 @@ TRIALITY_FAMILIES = {
 
 @pytest.mark.parametrize("name", list(TRIALITY_FAMILIES))
 def test_triality_subspaces_match_the_per_point_call(name):
-    """The stacked images are `triality_subspace_of_point` of each point,
-    byte for byte and in order, and are what `triality_pointset` keeps."""
+    """The stacked images are the per-point images, one `zorn_mul` per row,
+    byte for byte and in order, as is `triality_subspace_of_point` of each
+    point, and are what `triality_pointset` keeps."""
     fam = TRIALITY_FAMILIES[name]()
     space = fam.space
     got = triality_subspaces(space, fam.points)
-    want = [triality_subspace_of_point(space, p) for p in fam.points]
+    want = [triality_oracle(space, p) for p in fam.points]
+    assert [triality_subspace_of_point(space, p) for p in fam.points] == want
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w and g.mat.dtype == w.mat.dtype and g.mat.tobytes() == w.mat.tobytes()

@@ -36,12 +36,13 @@ from polarspread.spaces import (
     FlagSearch,
     Perp,
     iter_subspaces,
-    ominus4_space,
     oplus_space,
     parabolic_space,
     perp_adjacency,
     sp_space,
 )
+
+from subspace_helpers import ominus4_space
 
 
 def views(p, d):
@@ -398,11 +399,9 @@ PERP_CASES = {
 
 
 def assert_perp_is_the_adjacency(perp, adj):
-    """`Perp.to`, `Perp.rows` and `Perp.bitsets` against the rows of
-    `perp_adjacency`."""
+    """`Perp.to` and `Perp.off` against the rows of `perp_adjacency`."""
     n = len(adj)
-    assert np.array_equal(perp.rows(np.arange(n)), adj)
-    assert np.array_equal(perp.bitsets(), spaces.pack_bits(adj))
+    assert np.array_equal(perp.off(np.arange(n)), spaces.pack_bits(~adj))
     rng = np.random.default_rng(n)
     for k in range(n):
         idx = np.flatnonzero(rng.random(n) < 0.5)
@@ -880,20 +879,15 @@ def test_stacked_points_equal_subspace_points(name):
     "space", [sp_space(5, 2), parabolic_space(3), sp_space(9, 2), oplus_space(3, 3)], ids=repr
 )
 def test_perp_row_blocks_match_the_per_point_rows(monkeypatch, space):
-    """Without kernel masks (odd p), `Perp.blocks` builds row blocks with
-    one product each, here of about 1,000 entries; whole and upper blocks
-    equal the former one-point rows, `vbform` of every point against one."""
+    """Without kernel masks (odd p), `Perp.off` makes its rows in blocks of
+    one product each, here of about 1,000 entries; all rows, and the rows
+    of every other point in descending order, equal the former one-point
+    rows, `vbform` of every point against one."""
     monkeypatch.setattr(spaces, "PERP_BLOCK", 1000)
     pts = space.singular_points()
     perp = Perp(space, pts)
-    assert perp.keys is None
-    want = np.stack([space.vbform(pts, v) == 0 for v in pts])
-    whole = np.zeros_like(want)
-    upper = np.zeros_like(want)
-    for lo, block in perp.blocks():
-        whole[lo : lo + len(block)] = block
-    for lo, block in perp.blocks(upper=True):
-        upper[lo : lo + len(block), lo + 1 :] = block
-    assert len(list(perp.blocks())) > 1
-    assert np.array_equal(whole, want)
-    assert np.array_equal(upper, np.triu(want, 1))
+    assert perp.keys is None and len(pts) > 1000 // len(pts)  # several blocks
+    want = spaces.pack_bits(np.stack([space.vbform(pts, v) != 0 for v in pts]))
+    assert np.array_equal(perp.off(np.arange(len(pts))), want)
+    ks = np.arange(len(pts))[::-2]
+    assert np.array_equal(perp.off(ks), want[ks])

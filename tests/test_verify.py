@@ -243,7 +243,8 @@ def test_universe_over_the_point_cap_is_refused_before_it_is_made(monkeypatch):
 def test_enumerator_bitsets_over_the_cap_are_refused_before_they_are_made(monkeypatch):
     """The 300,105 singular points of O+(8,8) would take 11.3 GB of
     perpendicularity bitsets."""
-    monkeypatch.setattr(spaces.Perp, "blocks", lambda *a, **k: pytest.fail("the bitsets were filled"))
+    monkeypatch.setattr(spaces.Perp, "_tables", property(lambda self: pytest.fail("the plane tables were made")))
+    monkeypatch.setattr(spaces, "off_kernel", lambda *a: pytest.fail("the bitsets were filled"))
     with pytest.raises(OutOfDeskScale, match="perpendicularity bitsets.*MAX_BITSET_BYTES"):
         oplus_space(8, 4).maximal_totally_singular()
 
