@@ -20,6 +20,7 @@ maps each to its code.  `table` prints one family per line as
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -102,9 +103,21 @@ def cmd_construct(a) -> int:
     return EXIT_OK
 
 
+def _budget_ok(budget: float | None) -> bool:
+    """Whether --budget is omitted or a positive finite number of seconds;
+    prints the usage error if not.  (A NaN budget compares false with any
+    time, so it would mean no budget at all.)"""
+    if budget is None or 0 < budget < math.inf:
+        return True
+    print("error: --budget must be a positive number of seconds", file=sys.stderr)
+    return False
+
+
 def cmd_verify(a) -> int:
     if a.jobs < 1:
         print("error: --jobs must be ≥ 1", file=sys.stderr)
+        return EXIT_USAGE
+    if not _budget_ok(a.budget):
         return EXIT_USAGE
     d, fam = artifacts.load_family(a.artifact)
     flavor = a.flavor
@@ -228,6 +241,8 @@ TABLE_ROWS = [
 
 
 def cmd_table(a) -> int:
+    if not _budget_ok(a.budget):
+        return EXIT_USAGE
     rows = TABLE_ROWS
     if a.rows:
         wanted = a.rows.split(",")

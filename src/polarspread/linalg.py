@@ -389,17 +389,6 @@ def _digit_values(p: int, width: int) -> tuple[int, np.ndarray]:
     return per, sum(((fields >> (k * width)) & ((1 << width) - 1)) * p**k for k in range(per))
 
 
-def in_kernel(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Whether f(x) = 0, from the p = 2 keys of x and the kernel masks of f
-    (last axis of `masks`; `keys` broadcasts against masks[..., j]): iff
-    every parity of key & mask_j is even, i.e. bit 0 of the OR of the
-    popcounts is 0."""
-    acc = np.bitwise_count(keys & masks[..., 0])
-    for j in range(1, masks.shape[-1]):
-        acc |= np.bitwise_count(keys & masks[..., j])
-    return (acc & 1) == 0
-
-
 def isin_sorted(keys: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     """Elementwise membership of keys in an ascending array."""
     if len(sorted_arr) == 0:

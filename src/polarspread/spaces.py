@@ -106,42 +106,39 @@ before its own, is zero at p_j's.  Every point is 1 at its leading column
 and zero at the others'.
 
 Perpendicularity, B(x, v) = 0, of points is decided in one place, `Perp`:
-the partial-ovoid test, the ovoid scan, fingerprints, the symplectic line
-rows and the enumerator's filter all ask it.  A caller that asks about
-many points at once gets one kind of answer, the bitsets of the points off
-the kernels of a block of functionals B(., v) (`Perp.off`).  (The t.i. test
-of a basis M is the Gram product M G M^T.)  For p = 2 keys within 62 bits,
-it is a bit test on the keys.  For p = 2 a key is the n*e bits of the
-coordinates' ranks, and ranking is GF(2)-linear, so key(x) is a
-GF(2)-linear bijection.  A
+the partial-ovoid test, the ovoid scan, fingerprints, the hyperplane
+census, the symplectic line rows and the enumerator's filter all ask it.
+A caller that asks about many points at once gets one kind of answer, the
+bitsets of the points off the kernels of a block of functionals B(., v)
+(`Perp.off`), and a caller that reads every functional reads them a block
+at a time (`Perp.off_blocks`).  (The t.i. test of a basis M is the Gram
+product M G M^T.)  For p = 2 keys within 62 bits, it is a bit test on the
+keys.  For p = 2 a key is the n*e bits of the coordinates' ranks, and
+ranking is GF(2)-linear, so key(x) is a GF(2)-linear bijection.  A
 GF(q)-linear functional f is GF(2)-linear too, hence so is x -> rank(f(x)):
 bit j of rank(f(x)) is the parity of key(x) & mask_j, where mask_j marks the
 key bits b for which the basis vector u_b with key 1 << b has bit j set in
 rank(f(u_b)) (`KeyPacking.kernel_masks`).  f(x) = 0 iff every such parity is
 even.  The functional B(., v) has coefficient row v G^T, so `Perp` keeps e
-masks per point and a perpendicularity test over many keys is e AND-popcount
-passes (`linalg.in_kernel`) with no field arithmetic.  The masks are
-GF(2)-linear in key(v) as well, so they too are looked up, not computed:
-the space keeps the masks of the unit vectors in tables (`mask_tables`, as
-below), and v's masks are one entry per 8 bits of key(v).  The parity is
-GF(2)-linear in the key bits, so for many points at once it is also the
-XOR of the key *bit planes* of mask_j's bits: plane b is the bitset of the
-points whose key has bit b set (`key_planes`).  So one functional's test
-over N points is e XOR-reductions over bitsets of N/64 words
-(`Perp.narrow`), and the planes take nbits/64 of the keys' memory.  For
-many functionals at once the planes go into *plane tables*
-(`plane_tables`): entry s of group c is the XOR of the planes 8c + i for
-the bits i set in s, so the XOR of any set of planes is one entry per
-8-bit group of its mask (the Method of Four Russians: V. L. Arlazarov,
-E. A. Dinic, M. A. Kronrod and I. A. Faradzev, 1970).  A block of
-functionals' bitsets of the points off their kernels is then e times
-groups gathers (`off_kernel`).  The tables take 32 bytes per point and
-group; they are refused over MAX_BITSET_BYTES.  `Perp.off` answers this
-way, and the hyperplane census (`verify._zero_counts`) counts kernels the
-same way; the ovoid scan narrows one bitset per member and keeps
-`Perp.narrow`.  Odd p, and p = 2 spaces whose keys need more than 62 bits,
-use `vbform` for one vector and one field product (vs G^T) pts^T for a
-block of them.
+masks per vector v.  The masks are GF(2)-linear in key(v) as well, so they
+too are looked up, not computed: the space keeps the masks of the unit
+vectors in tables (`mask_tables`, as below), and v's masks are one entry
+per 8 bits of key(v).  The parity is GF(2)-linear in the key bits, so for
+many points at once it is the XOR of the key *bit planes* of mask_j's
+bits: plane b is the bitset of the points whose key has bit b set
+(`key_planes`).  So one functional's test over N points is e
+XOR-reductions over bitsets of N/64 words (`Perp.narrow`), and the planes
+take nbits/64 of the keys' memory.  For many functionals at once the
+planes go into *plane tables* (`plane_tables`): entry s of group c is the
+XOR of the planes 8c + i for the bits i set in s, so the XOR of any set of
+planes is one entry per 8-bit group of its mask (the Method of Four
+Russians: V. L. Arlazarov, E. A. Dinic, M. A. Kronrod and I. A. Faradzev,
+1970).  A block of functionals' bitsets of the points off their kernels is
+then e times groups gathers (`off_kernel`).  The tables take 32 bytes per
+point and group; they are refused over MAX_BITSET_BYTES.  A `Perp` makes
+its planes, and their tables, when `narrow` or `off` first needs them.
+Odd p, and p = 2 spaces whose keys need more than 62 bits, use one field
+product (vs G^T) pts^T for a block of vectors.
 
 Singular points are solved in the last coordinate, as keys.  Write a point
 as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
@@ -196,7 +193,6 @@ from .linalg import (
     canonicalize_points,
     express,
     extend_basis,
-    in_kernel,
     key_rows,
     mat_mul,
     rref,
@@ -254,7 +250,6 @@ class FormedSpace:
         self._qterms = None
         self._singular = None
         self._singular_keys = None
-        self._singular_planes = None
         self._m0 = None
         self._hyperbolic = None
         self._max_ts = None
@@ -464,16 +459,6 @@ class FormedSpace:
             keys.flags.writeable = False
             self._singular_keys = keys
         return self._singular_keys
-
-    def singular_planes(self) -> np.ndarray:
-        """The bit planes (`key_planes`) of `singular_keys()`, for the
-        bit-plane test `Perp.narrow`; made when first asked for, cached and
-        read-only."""
-        if self._singular_planes is None:
-            planes = key_planes(self.singular_keys())
-            planes.flags.writeable = False
-            self._singular_planes = planes
-        return self._singular_planes
 
     def singular_points(self) -> np.ndarray:
         """The rows of `singular_keys()`, in the same order; made when first
@@ -1090,9 +1075,9 @@ class Perp:
     the space has a `bit_packing`, else field arithmetic.  `keys`, when
     given, are the `point_keys` of `pts`, which for p = 2 are the packed
     keys, so they are not packed again; `pts` may then be None, and is
-    unpacked from `keys` only when the space has no `bit_packing`.
-    `planes`, when given with a `bit_packing`, are `key_planes(keys)`, and
-    `narrow` tests on them."""
+    unpacked from `keys` only when the space has no `bit_packing`.  The
+    bit planes of the keys, and their plane tables, are made when `narrow`
+    or `off` first needs them."""
 
     def __init__(
         self,
@@ -1100,37 +1085,32 @@ class Perp:
         pts: np.ndarray | None = None,
         vs: np.ndarray | None = None,
         keys: np.ndarray | None = None,
-        planes: np.ndarray | None = None,
     ):
         bits = space.bit_packing
         if pts is None and bits is None:
             pts = key_rows(space.fv, keys, space.dim)
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
-        self.keys = self.masks = self.planes = None
+        self.n = len(keys if pts is None else pts)
+        self.keys = self.masks = None
         if bits is not None:
             # (len(vs), e) kernel masks of B(., v), looked up by key(v)
             self.keys = bits.pack(pts) if keys is None else keys
             self.masks = table_xor(space.mask_tables, bits.pack(self.vs))
-            if planes is not None:
-                # (len(vs), e, nbits): whether mask j of vs[k] has bit b
-                bit = np.arange(len(planes), dtype=np.int64)
-                self._plane_sel = (self.masks[..., None] >> bit & 1).astype(bool)
-                self.planes = planes
 
-    def to(self, k: int, idx=slice(None)) -> np.ndarray:
-        """Whether each of pts[idx] is perpendicular to vs[k]; on keys, in
-        passes of PERP_BLOCK keys, so that no temporary outgrows a block."""
-        if self.keys is None:
-            return self.space.vbform(self.pts[idx], self.vs[k]) == 0
-        keys = self.keys[idx] if isinstance(idx, slice) else None
-        n = len(idx) if keys is None else len(keys)
-        out = np.empty(n, dtype=bool)
-        for lo in range(0, n, PERP_BLOCK):
-            hi = lo + PERP_BLOCK
-            part = self.keys[idx[lo:hi]] if keys is None else keys[lo:hi]
-            out[lo:hi] = in_kernel(part, self.masks[k])
-        return out
+    @cached_property
+    def _planes(self) -> np.ndarray:
+        return key_planes(self.keys)
+
+    @cached_property
+    def _plane_sel(self) -> np.ndarray:
+        # (len(vs), e, nbits): whether mask j of vs[k] has bit b
+        bit = np.arange(len(self._planes), dtype=np.int64)
+        return (self.masks[..., None] >> bit & 1).astype(bool)
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        return plane_tables(self._planes)
 
     def narrow(self, k: int, live: np.ndarray) -> np.ndarray:
         """The bitset `live` over pts less the points perpendicular to
@@ -1139,33 +1119,36 @@ class Perp:
         planes of mask_j's bits (module docstring)."""
         off = np.zeros_like(live)
         for sel in self._plane_sel[k]:
-            off |= np.bitwise_xor.reduce(self.planes[sel], axis=0)
+            off |= np.bitwise_xor.reduce(self._planes[sel], axis=0)
         return live & off
-
-    @cached_property
-    def _tables(self) -> np.ndarray:
-        return plane_tables(key_planes(self.keys))
 
     def off(self, ks: np.ndarray) -> np.ndarray:
         """(len(ks), words): bit x of row r is set iff pts[x] is not
         perpendicular to vs[ks[r]]; the bits past the last point are clear.
         With a `bit_packing`, `off_kernel` on the plane tables of the keys,
-        made on first use, a block of KERNEL_BLOCK words at a time;
-        otherwise one field product (vs G^T) pts^T per PERP_BLOCK entries.
-        Refused over MAX_BITSET_BYTES before it is allocated."""
-        n = len(self.keys if self.pts is None else self.pts)
-        out = bitset_matrix(len(ks), n, "the perpendicularity bitsets")
+        a block of KERNEL_BLOCK words at a time; otherwise one field product
+        (vs G^T) pts^T per PERP_BLOCK entries.  Refused over
+        MAX_BITSET_BYTES before it is allocated."""
+        out = bitset_matrix(len(ks), self.n, "the perpendicularity bitsets")
         if self.masks is not None:
             step = max(1, KERNEL_BLOCK // max(1, out.shape[1]))
             for lo in range(0, len(ks), step):
                 out[lo : lo + step] = off_kernel(self._tables, self.masks[ks[lo : lo + step]])
             return out
         fv = self.space.fv
-        step = max(1, PERP_BLOCK // max(1, n))
+        step = max(1, PERP_BLOCK // max(1, self.n))
         for lo in range(0, len(ks), step):
             w = mat_mul(fv, self.vs[ks[lo : lo + step]], self.space.gram.T)
             out[lo : lo + step] = pack_bits(mat_mul(fv, w, self.pts.T) != 0)
         return out
+
+    def off_blocks(self, ks: np.ndarray):
+        """Yield (block, off(block)) for the blocks of ks, in order, whose
+        bitsets take about KERNEL_BLOCK words, so that a caller reading
+        every vector holds one block of bitsets at a time."""
+        step = max(1, KERNEL_BLOCK // max(1, (self.n + 63) // 64))
+        for lo in range(0, len(ks), step):
+            yield ks[lo : lo + step], self.off(ks[lo : lo + step])
 
 
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:

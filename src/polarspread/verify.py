@@ -34,24 +34,26 @@ is the first witness in canonical order.  For p = 2 the scan reads only
 keys, and the witness alone is unpacked into a row.  It starts on one
 bitset over all candidates: the kernel test of a member is GF(2)-linear in
 the key bits, so for every candidate at once it is e XOR-reductions of the
-keys' bit planes (`Perp.narrow`).  The space caches the planes beside its
-singular keys; they take nbits/64 of the keys' memory (0.8 MB for the
-300,105 points of O+(8,8)).  Once no more than 4 candidates per bitset
-word are left, the scan goes on with their indices, narrowed by kernel
-masks against their keys (`Perp.to`), as a bitset pass would then cost
-more than the few keys it tests.  Odd p tests on rows unpacked from the
-keys.  Like a spread witness, the witness is re-checked by the
-partial-ovoid predicate before it is returned.  The cover report likewise
-unpacks only the uncovered keys into rows.  The
-hyperplane census counts the zeros of x . phi for blocks of hyperplanes phi
-at once: for p = 2 on the plane tables of the points' keys
-(`spaces.off_kernel`), otherwise as a field product hyperplanes x points.
+keys' bit planes (`Perp.narrow`), which take nbits/64 of the keys' memory
+(0.8 MB for the 300,105 points of O+(8,8)).  Once no more than 4
+candidates per bitset word are left, and from the start for odd p, the
+members left go a block at a time to a `Perp` over the candidates left
+only: one `off` per block, and the candidates left after each member of
+the block are the running AND of its rows.  The next block's `Perp` holds
+only the candidates this block left, so no member costs a pass over
+candidates an earlier one removed.  Like a spread witness, the witness is
+re-checked by the partial-ovoid predicate before it is returned.  The
+cover report likewise unpacks only the uncovered keys into rows.
+Fingerprints count, for each candidate, the members its row of
+`Perp.off_blocks` leaves out, and the hyperplane census counts the zeros
+of x . phi the same way, with phi as the vector of a form whose Gram
+matrix is the identity.
 
 The partial-ovoid predicate needs no pair loop either.  A family is a
 partial ovoid iff the functional B(x, .) of each point x vanishes at no
 other point of the family, so it counts the points off each functional's
-kernel (`Perp.off`), a block of points at a time, and stops at the first
-block with a point over.
+kernel (`Perp.off_blocks`), and stops at the first block with a point
+over.
 """
 
 from __future__ import annotations
@@ -69,22 +71,17 @@ from .linalg import (
     canonicalize_points,
     isin_sorted,
     key_rows,
-    mat_mul,
     point_keys,
     stacked_points,
 )
 from .spaces import (
-    KERNEL_BLOCK,
     PASS_WORDS,
     FlagSearch,
     FormedSpace,
     Perp,
     SearchStats,
     SearchTimeout,
-    key_planes,
-    off_kernel,
     pack_bits,
-    plane_tables,
 )
 
 ENGINE_VERSION = "2"
@@ -175,12 +172,9 @@ def is_partial_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> bool:
     # every point's functional B(x, .) may vanish at no other point of the
     # family: a block of functionals at a time, with x itself counted off
     # its own kernel
-    perp, n = Perp(space, pts), len(pts)
-    step = max(1, KERNEL_BLOCK // max(1, (n + 63) // 64))
-    for lo in range(0, n, step):
-        own = np.arange(lo, min(n, lo + step))
-        off = perp.off(own)
-        off[own - lo, own // 64] |= np.uint64(1) << (own % 64).astype(np.uint64)
+    n = len(pts)
+    for own, off in Perp(space, pts).off_blocks(np.arange(n)):
+        off[np.arange(len(own)), own // 64] |= np.uint64(1) << (own % 64).astype(np.uint64)
         if np.any(np.bitwise_count(off).sum(axis=1) != n):
             return False
     return True
@@ -237,35 +231,40 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     t0 = time.perf_counter()
     if not is_partial_ovoid(fam, flavor):
         raise FieldError("family is not a partial ovoid")
-    space = fam.space
+    space, members = fam.space, fam.points
     tc = time.perf_counter()
     keys = universe(space, flavor)
-    planes = _universe_planes(space, flavor, keys)
+    nodes = len(keys)
     t1 = time.perf_counter()
-    perp = Perp(space, vs=fam.points, keys=keys, planes=planes)
-    live = []  # candidates left after each member, up to the first 0
-    if planes is None:
-        alive = np.arange(len(keys))  # ascending: alive[0] is the first witness
-    else:
-        # the members go on one bitset while over 4 candidates a word are left
+    perp = Perp(space, vs=members, keys=keys)
+    live = []  # candidates left after each member
+    if perp.masks is not None:
+        # kernel masks: the members go on one bitset over the universe while
+        # over 4 candidates a word are left
         bits = pack_bits(np.ones((1, len(keys)), dtype=bool))[0]
         count = len(keys)
-        while len(live) < len(fam.points) and count > 4 * len(bits):
+        while len(live) < len(members) and count > 4 * len(bits):
             bits = perp.narrow(len(live), bits)
             count = int(np.bitwise_count(bits).sum())
             live.append(count)
-        alive = np.flatnonzero(np.unpackbits(bits.view(np.uint8), count=len(keys), bitorder="little"))
+        keys = keys[_bit_mask(bits, len(keys))]
     sliced = len(live)
-    for k in range(sliced, len(fam.points)):
-        if len(alive) == 0:
-            break
-        alive = alive[~perp.to(k, alive)]
-        live.append(len(alive))
+    # then one block of members at a time, in a Perp over the candidates
+    # left only: those left after each member of the block are the running
+    # AND of its bitsets.  No count is 0 before the last member's, as the
+    # members not yet applied are candidates perpendicular to none applied.
+    while len(live) < len(members):
+        if perp.n != len(keys):
+            perp = Perp(space, vs=members, keys=keys)
+        _, off = next(perp.off_blocks(np.arange(len(live), len(members))))
+        np.bitwise_and.accumulate(off, axis=0, out=off)
+        live += np.bitwise_count(off).sum(axis=1).tolist()
+        keys = keys[_bit_mask(off[-1], len(keys))]
     t2 = time.perf_counter()
     witness = None
-    if len(alive):
-        witness = key_rows(space.fv, keys[alive[:1]], space.dim)[0]
-        grown = PointFamily(space, np.vstack([fam.points, witness]), fam.provenance)
+    if len(keys):  # ascending: keys[0] is the first witness
+        witness = key_rows(space.fv, keys[:1], space.dim)[0]
+        grown = PointFamily(space, np.vstack([members, witness]), fam.provenance)
         if not is_partial_ovoid(grown, flavor):
             raise FieldError("witness failed re-verification (engine bug)")
     t3 = time.perf_counter()
@@ -279,18 +278,12 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
         },
     }
     verdict = "maximal" if witness is None else "extendable"
-    return MaximalityCertificate(verdict, witness, len(keys), (t3 - t0) * 1000, flavor, described)
+    return MaximalityCertificate(verdict, witness, nodes, (t3 - t0) * 1000, flavor, described)
 
 
-def _universe_planes(space: FormedSpace, flavor: str, keys: np.ndarray) -> np.ndarray | None:
-    """The bit planes of the universe's keys, or None when the space has no
-    `bit_packing`: the space's cached `singular_planes()` when the universe
-    is its singular keys."""
-    if space.bit_packing is None:
-        return None
-    if flavor == "orthogonal" or space.qcoef is None:
-        return space.singular_planes()
-    return key_planes(keys)
+def _bit_mask(bits: np.ndarray, n: int) -> np.ndarray:
+    """The bitset `bits` over n points as a boolean mask."""
+    return np.unpackbits(bits.view(np.uint8), count=n, bitorder="little").view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +493,9 @@ def hyperplane_census(u_space: FormedSpace, fam: PointFamily) -> CensusReport:
     if root2q * root2q == 2 * q:
         allowed |= {q - root2q + 1, q + root2q + 1}
     planes = u_space.points()
-    # hyperplane x . phi = 0 meets the ovoid and the singular points in the
-    # zeros of one blocked product planes x points; it holds the radical e_0
-    # iff phi_0 = 0
+    # hyperplane x . phi = 0 meets the ovoid and the singular points in
+    # their points in the kernel of x . phi; it holds the radical e_0 iff
+    # phi_0 = 0
     hit_counts, sing_counts = _zero_counts(u_space, planes, [fam.points, u_space.singular_points()])
     sizes: dict[int, int] = {}
     type_counts: dict[str, int] = {}
@@ -527,32 +520,21 @@ def _zero_counts(
     space: FormedSpace, planes: np.ndarray, point_sets: list[np.ndarray]
 ) -> list[np.ndarray]:
     """For each point set and each row phi of planes, the number of rows x
-    of the set with x . phi = 0, over row blocks of planes whose
-    temporaries take at most KERNEL_BLOCK entries.  With a `bit_packing`,
-    x . phi = 0 iff every parity of key(x) & mask_j is even
-    (`KeyPacking.kernel_masks`): a block's points off the kernel are
-    `spaces.off_kernel` on each set's plane tables, and each block's masks
-    are made once, for every set.  Otherwise each block is one field
-    product per set."""
-    bits = space.bit_packing
-    if bits is None:
-        out = []
-        for pts in point_sets:
-            step = max(1, KERNEL_BLOCK // max(1, len(pts)))
-            zeros = [
-                (mat_mul(space.fv, planes[lo : lo + step], pts.T) == 0).sum(axis=1)
-                for lo in range(0, len(planes), step)
-            ]
-            out.append(np.concatenate(zeros))
-        return out
-    tables = [plane_tables(key_planes(bits.pack(pts))) for pts in point_sets]
-    step = max(1, KERNEL_BLOCK // max(1, max(t.shape[2] for t in tables)))
-    out = [[] for _ in point_sets]
-    for lo in range(0, len(planes), step):
-        masks = bits.kernel_masks(planes[lo : lo + step])
-        for pts, table, counts in zip(point_sets, tables, out):
-            counts.append(len(pts) - np.bitwise_count(off_kernel(table, masks)).sum(axis=1))
-    return [np.concatenate(counts) for counts in out]
+    of the set with x . phi = 0.  x . phi is B(x, phi) for the Gram matrix
+    I, so the test runs in a space with that form.  The space's own B would
+    not do: for even q the parabolic form is degenerate, and its
+    hyperplanes are not all of the form B(., v)."""
+    dot = FormedSpace(space.fv, space.dim, "dot", np.eye(space.dim, dtype=np.int64))
+    return [_kernel_counts(Perp(dot, pts, planes)) for pts in point_sets]
+
+
+def _kernel_counts(perp: Perp) -> np.ndarray:
+    """For each vector v of perp.vs, the points of perp.pts in the kernel of
+    B(., v): all of them less those its row of `off_blocks` marks."""
+    counts = np.empty(len(perp.vs), dtype=np.int64)
+    for ks, off in perp.off_blocks(np.arange(len(perp.vs))):
+        counts[ks] = perp.n - np.bitwise_count(off).sum(axis=1)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +553,9 @@ def fingerprint(fam, seed: int = 0, sample: int = 64, enum_cap: int = 200_000) -
     if isinstance(fam, PointFamily):
         space = fam.space
         keys = universe(space, "orthogonal")
-        counts = np.zeros(len(keys), dtype=np.int64)
         fam_keys = np.sort(point_keys(space.fv, canonicalize_points(space.fv, fam.points)))
         inside = isin_sorted(keys, fam_keys)
-        perp = Perp(space, vs=fam.points, keys=keys)
-        for k in range(len(fam.points)):
-            counts += perp.to(k)
+        counts = _kernel_counts(Perp(space, fam.points, key_rows(space.fv, keys, space.dim)))
         return tuple(sorted(counts[~inside].tolist()))
     space = fam.space
     expected = _maximal_ts_count(space)

@@ -1,7 +1,8 @@
 """Oracles and spaces shared by the tests: every k-subspace of a small
 space, which the enumerators are checked against; the per-member lift,
 descent and triality image and the per-point Suzuki-Tits lift that the
-stacked builds replaced; and the O-(4, q) space, which no library code
+stacked builds replaced; the kernel-mask test of single keys that the
+bit-plane tests replaced; and the O-(4, q) space, which no library code
 builds."""
 
 from functools import lru_cache
@@ -104,6 +105,17 @@ def triality_oracle(space, p):
     img = canonicalize(zs.fv, np.array([zorn_mul(zs.fv, z, e) for e in np.eye(8, dtype=np.int64)]), 8)
     assert img.dim == 4
     return inv.subspace(img)
+
+
+def in_kernel(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether f(x) = 0, from the p = 2 keys of x and the kernel masks of f
+    (last axis of `masks`; `keys` broadcasts against masks[..., j]): iff
+    every parity of key & mask_j is even, i.e. bit 0 of the OR of the
+    popcounts is 0."""
+    acc = np.bitwise_count(keys & masks[..., 0])
+    for j in range(1, masks.shape[-1]):
+        acc |= np.bitwise_count(keys & masks[..., j])
+    return (acc & 1) == 0
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ from polarspread.linalg import (
     canonical_point_blocks,
     canonicalize,
     canonicalize_points,
-    in_kernel,
     key_rows,
     mat_mul,
     point_keys,
@@ -36,7 +35,7 @@ from polarspread.spaces import (
     sp_space,
 )
 
-from subspace_helpers import ominus4_space
+from subspace_helpers import in_kernel, ominus4_space
 
 # ---------------------------------------------------------------------------
 # kernel masks
@@ -443,6 +442,8 @@ def assert_certificate_matches(fam, flavor):
     live = []
     verdict, witness, nodes = ovoid_oracle(fam, flavor, live)
     assert (cert.verdict, cert.nodes, cert.stats["live"]) == (verdict, nodes, live)
+    # a count per member: the members not yet applied are always left
+    assert len(live) == len(fam.points)
     if witness is None:
         assert cert.witness is None
     else:
@@ -481,14 +482,13 @@ def test_ovoid_certificate_matches_scan(name, drop):
         assert 0 < sliced < len(cert.stats["live"])
 
 
-def fresh_key_scan(fam, flavor):
-    """The scan with the universe's keys packed again inside `Perp`."""
-    space = fam.space
-    cands = universe_rows(space, flavor)
+def fresh_key_scan(fam, cands):
+    """The scan as one vbform filter per member over the rows of the
+    candidates left: the form evaluated on rows, with no key or kernel
+    mask."""
     alive = np.arange(len(cands))
-    perp = Perp(space, cands, fam.points)
-    for k in range(len(fam.points)):
-        alive = alive[~perp.to(k, alive)]
+    for p in fam.points:
+        alive = alive[fam.space.vbform(cands[alive], p) != 0]
     witness = cands[alive[0]] if len(alive) else None
     return ("extendable" if len(alive) else "maximal"), witness, len(cands)
 
@@ -497,13 +497,14 @@ def fresh_key_scan(fam, flavor):
 def test_ovoid_certificate_matches_freshly_packed_keys(name):
     """Each ovoid-workload family whole and less 1, 2 and 3 points: the
     certificate read from the cached keys gives the verdict, witness and
-    nodes of a scan that packs the keys again."""
+    nodes of a scan that evaluates the form on rows."""
     build, flavor = OVOID_FAMILIES[name]
     fam = build()
+    cands = universe_rows(fam.space, flavor)
     for drop in range(4):
         short = fam if drop == 0 else PointFamily(fam.space, fam.points[:-drop], fam.provenance)
         cert = V.check_maximal_ovoid(short, flavor)
-        verdict, witness, nodes = fresh_key_scan(short, flavor)
+        verdict, witness, nodes = fresh_key_scan(short, cands)
         assert (cert.verdict, cert.nodes) == (verdict, nodes), drop
         if witness is None:
             assert cert.witness is None
@@ -525,12 +526,46 @@ def test_key_planes_are_the_key_bits(n):
     assert np.array_equal(bits[:, :n], want) and not bits[:, n:].any()
 
 
-def test_singular_planes_are_cached_planes_of_the_singular_keys():
-    space = fresh(oplus_space(8, 4))
-    planes = space.singular_planes()
-    assert np.array_equal(planes, S.key_planes(space.singular_keys()))
-    assert len(planes) == int(space.singular_keys().max()).bit_length() == 22
-    assert not planes.flags.writeable and space.singular_planes() is planes
+def sliced_oracle(space, nodes, live, members):
+    """The members the scan applies on its one bitset over the universe: p =
+    2 only, while over 4 candidates a word of it are left."""
+    if space.bit_packing is None:
+        return 0
+    sliced, count = 0, nodes
+    while sliced < members and count > 4 * ((nodes + 63) // 64):
+        count = live[sliced]
+        sliced += 1
+    return sliced
+
+
+@pytest.mark.parametrize("name", list(OVOID_FAMILIES))
+def test_ovoid_blocks_recompact_the_candidates_left(monkeypatch, name):
+    """A small KERNEL_BLOCK puts the members after the bitset phase into
+    many blocks: each family whole and less its last 1, 2 and 3 points,
+    p = 2 and odd p, gives the verdict, witness, live counts and sliced
+    members of the vbform oracle, and each block after the first narrowed
+    one reads a Perp over the fewer candidates the last block left."""
+    monkeypatch.setattr(S, "KERNEL_BLOCK", 40)
+    sizes = []
+
+    class Recording(Perp):
+        def __init__(self, space, pts=None, vs=None, keys=None):
+            super().__init__(space, pts, vs, keys)
+            if keys is not None:  # the scan's Perp; the partial-ovoid test's has none
+                sizes.append(self.n)
+
+    monkeypatch.setattr(V, "Perp", Recording)
+    build, flavor = OVOID_FAMILIES[name]
+    fam = build()
+    for drop in range(4):
+        short = PointFamily(fam.space, fam.points[: len(fam) - drop], fam.provenance)
+        sizes.clear()
+        cert = assert_certificate_matches(short, flavor)
+        live, sliced = cert.stats["live"], cert.stats["sliced"]
+        assert sliced == sliced_oracle(fam.space, cert.nodes, live, len(short)), drop
+        assert sizes[0] == cert.nodes and len(sizes) >= 3, (drop, sizes)
+        # a new Perp only over fewer candidates: strictly shrinking
+        assert all(a > b for a, b in zip(sizes, sizes[1:])), drop
 
 
 def test_ovoid_certificate_witness_after_removal():
@@ -607,7 +642,7 @@ def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
     field products for odd q, against each functional evaluated alone; a
     small KERNEL_BLOCK splits the hyperplanes over many blocks."""
     if block is not None:
-        monkeypatch.setattr(V, "KERNEL_BLOCK", block)
+        monkeypatch.setattr(S, "KERNEL_BLOCK", block)
     space = parabolic_space(q)
     tw = space.fv.tower
     planes, pts = space.points(), space.singular_points()

@@ -250,7 +250,7 @@ def test_verify_search_timeout_exits_3(tmp_path, capsys):
     run(["construct", "thm4.3", "--q", "2", "-o", str(path)])
     raw = path.read_bytes()
     capsys.readouterr()
-    assert run(["verify", str(path), "--check", "maximal", "--flavor", "orthogonal", "--budget", "0"]) == 3
+    assert run(["verify", str(path), "--check", "maximal", "--flavor", "orthogonal", "--budget", "1e-9"]) == 3
     assert capsys.readouterr().err.startswith("search timeout: ")
     assert path.read_bytes() == raw
 
@@ -490,6 +490,23 @@ def test_verify_jobs_below_1_exits_2(tmp_path, capsys, jobs):
     assert run(["verify", str(src), "--check", "maximal", "--jobs", jobs]) == 2
     assert capsys.readouterr().err.startswith("error: --jobs must be")
     assert src.read_bytes() == before
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+def test_budget_not_a_positive_number_exits_2(tmp_path, capsys, budget):
+    """verify and table refuse the budget before they build or search
+    anything: NaN would mean no budget, 0 and -1 an instant timeout, and
+    table would print every row as timed out."""
+    src = tmp_path / "t.json"
+    run(["construct", "thm3.1", "--q", "3", "--m", "1", "-o", str(src)])
+    before = src.read_bytes()
+    capsys.readouterr()
+    assert run(["verify", str(src), "--check", "maximal", "--budget", budget]) == 2
+    assert capsys.readouterr().err == "error: --budget must be a positive number of seconds\n"
+    assert src.read_bytes() == before
+    assert run(["table", "--rows", "thm3.1", "--budget", budget]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --budget must be a positive number of seconds\n"
 
 
 def test_fingerprint_reads_a_scaled_point_row_as_its_point(tmp_path, capsys):

@@ -399,13 +399,20 @@ PERP_CASES = {
 
 
 def assert_perp_is_the_adjacency(perp, adj):
-    """`Perp.to` and `Perp.off` against the rows of `perp_adjacency`."""
+    """`Perp.off`, for every row and for a random half of the rows in any
+    order, and `Perp.off_blocks` over that half, against the rows of
+    `perp_adjacency`; 64 of those rows against vbform."""
     n = len(adj)
-    assert np.array_equal(perp.off(np.arange(n)), spaces.pack_bits(~adj))
+    want = spaces.pack_bits(~adj)
+    assert np.array_equal(perp.off(np.arange(n)), want)
     rng = np.random.default_rng(n)
-    for k in range(n):
-        idx = np.flatnonzero(rng.random(n) < 0.5)
-        assert np.array_equal(perp.to(k), adj[k]) and np.array_equal(perp.to(k, idx), adj[k, idx]), k
+    ks = rng.permutation(n)[: n // 2]
+    assert np.array_equal(perp.off(ks), want[ks])
+    blocks = list(perp.off_blocks(ks))
+    assert np.array_equal(np.concatenate([b for b, _ in blocks]), ks)
+    assert np.array_equal(np.vstack([off for _, off in blocks]), want[ks])
+    for k in ks[:64]:
+        assert np.array_equal(perp.space.vbform(perp.pts, perp.pts[k]) == 0, adj[k]), k
 
 
 @pytest.mark.parametrize("name", list(PERP_CASES))
@@ -450,7 +457,9 @@ def test_perp_filter_matches_the_adjacency_rows(space):
         for pos in eligible_positions(search, cand, flag):
             i, after = int(cand[pos]), cand[pos + 1 :]
             rest = after[adj[i, after]]
-            assert np.array_equal(after[search.perp.to(i, after)], rest), flag + [i]
+            off = search.perp.off(np.array([i]))[0]
+            off = np.unpackbits(off.view(np.uint8), count=len(adj), bitorder="little").view(bool)
+            assert np.array_equal(after[~off[after]], rest), flag + [i]
             compared += 1
             walk(flag + [i], rest)
 

@@ -107,15 +107,15 @@ def test_ovoid_deletion_witness():
     assert np.array_equal(cert.witness, e.points[0])
 
 
-@pytest.mark.parametrize("faulty", [("narrow",), ("to",), ("narrow", "to")], ids="+".join)
+@pytest.mark.parametrize("faulty", [("narrow",), ("off",), ("narrow", "off")], ids="+".join)
 def test_ovoid_witness_is_reverified(monkeypatch, faulty):
     """The witness for a partial ovoid less its first point is that point
     and passes the re-check.  The scan narrows on bit planes
-    (`Perp.narrow`), then on the keys left (`Perp.to`).  Less its last
-    point, the first candidate the bit-plane phase leaves is perpendicular
-    to a later member; when either phase, or both, removes no candidate,
-    the scan hands back a point perpendicular to a member, and the re-check
-    refuses it."""
+    (`Perp.narrow`), then on the bitsets of the candidates left
+    (`Perp.off`).  Less its last point, the first candidate the bit-plane
+    phase leaves is perpendicular to a later member; when either phase, or
+    both, removes no candidate, the scan hands back a point perpendicular
+    to a member, and the re-check refuses it."""
     e = F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric")
     short = PointFamily(e.space, e.points[1:], Provenance("t", {}), expected_size=None)
     cert = V.check_maximal_ovoid(short, "orthogonal")
@@ -124,13 +124,22 @@ def test_ovoid_witness_is_reverified(monkeypatch, faulty):
     cert = V.check_maximal_ovoid(short, "orthogonal")
     assert cert.verdict == "extendable"
     assert 0 < cert.stats["sliced"] < len(short.points)  # both phases run
-    # the p = 2 re-check reads Perp.blocks, which the faults leave alone
-    removes_nothing = {
-        "narrow": lambda self, k, live: live,
-        "to": lambda self, k, idx: np.zeros(len(idx), dtype=bool),
-    }
-    for name in faulty:
-        monkeypatch.setattr(spaces.Perp, name, removes_nothing[name])
+    # only the scan's Perp, over the universe's keys, is faulty: the
+    # re-check's, over the family's points, reads `off` too
+    real = spaces.Perp
+
+    def scan_perp(space, pts=None, vs=None, keys=None):
+        perp = real(space, pts, vs, keys)
+        if keys is not None:
+            removes_nothing = {
+                "narrow": lambda k, live: live,
+                "off": lambda ks: np.full((len(ks), (perp.n + 63) // 64), ~np.uint64(0)),
+            }
+            for name in faulty:
+                setattr(perp, name, removes_nothing[name])
+        return perp
+
+    monkeypatch.setattr(V, "Perp", scan_perp)
     with pytest.raises(FieldError, match="witness failed re-verification"):
         V.check_maximal_ovoid(short, "orthogonal")
 
