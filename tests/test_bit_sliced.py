@@ -527,8 +527,8 @@ def test_key_planes_are_the_key_bits(n):
 
 
 def sliced_oracle(space, nodes, live, members):
-    """The members the scan applies on its one bitset over the universe: p =
-    2 only, while over 4 candidates a word of it are left."""
+    """The members the scan applies on its one bitset over the universe:
+    for p = 2 only, while over 4 candidates a word of it are left."""
     if space.bit_packing is None:
         return 0
     sliced, count = 0, nodes
@@ -543,8 +543,8 @@ def test_ovoid_blocks_recompact_the_candidates_left(monkeypatch, name):
     """A small KERNEL_BLOCK puts the members after the bitset phase into
     many blocks: each family whole and less its last 1, 2 and 3 points,
     p = 2 and odd p, gives the verdict, witness, live counts and sliced
-    members of the vbform oracle, and each block after the first narrowed
-    one reads a Perp over the fewer candidates the last block left."""
+    members of the vbform oracle.  The scan builds a new Perp whenever a
+    block left fewer candidates, each over only those."""
     monkeypatch.setattr(S, "KERNEL_BLOCK", 40)
     sizes = []
 
