@@ -230,11 +230,14 @@ TABLE_ROWS = [
     ("thm5.2ii", "thm5.2ii", {"q": 2, "k": 2}, "symplectic", False),
     ("thm7.2", "thm7.2", {"q": 4}, "orthogonal", True),
     ("thm7.3", "thm7.3", {"q": 8, "s": 1}, "orthogonal", False),
+    ("thm7.3-triality", "thm7.3", {"q": 8, "s": 1}, "orthogonal", True),
     ("thm7.3-n4", "thm7.3", {"q": 16, "s": 4, "scheme": "A6ii"}, "orthogonal", False),
     ("ex7.4", "ex7.4", {"q": 4}, "orthogonal", True),
     ("lem7.8", "lem7.8", {"q": 2}, "orthogonal", True),
     ("thm7.10", "thm7.10", {"q": 8}, "orthogonal", False),
+    ("thm7.10-triality", "thm7.10", {"q": 8}, "orthogonal", True),
     ("thm7.11", "thm7.11", {"q": 8}, "orthogonal", False),
+    ("thm7.11-triality", "thm7.11", {"q": 8}, "orthogonal", True),
     ("thm7.12", "thm7.12", {"q": 32, "s": 2}, "orthogonal", False),
     ("thm8.1", "thm8.1", {"q": 2}, "symplectic", False),
 ]

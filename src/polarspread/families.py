@@ -1166,7 +1166,8 @@ def triality_pointset(fam: PointFamily) -> SubspaceFamily:
     if members:
         bases = np.stack([w.mat for w in members])
         stack = np.concatenate([bases, np.broadcast_to(space.m0().mat, bases.shape)], axis=1)
-        if len(np.unique(rref_stack(space.fv, stack)[1] % 2)) > 1:
+        par = rref_stack(space.fv, stack)[1] % 2
+        if (par != par[0]).any():
             raise FamilyError("triality images straddle both types")
     return out
 

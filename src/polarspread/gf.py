@@ -129,7 +129,7 @@ class FieldTower:
                 cur = [(a + carry * r) % p for a, r in zip(cur, red)]
         if _undigits(cur, p) != 1:
             raise FieldError(f"polynomial for GF({p}^{d}) is not irreducible")
-        if len(np.unique(exp[: n - 1])) != n - 1:
+        if np.bincount(exp[: n - 1]).max() > 1:
             raise FieldError(f"polynomial for GF({p}^{d}) is not primitive")
         exp[n - 1 : 2 * (n - 1)] = exp[: n - 1]
         log[0] = 2 * (n - 1)  # zero sentinel: any sum with it hits the zero tail

@@ -1,5 +1,6 @@
 """Split octonions as Zorn vector matrices, and the triality leg used here:
-singular points of O+(8,q) to totally singular 4-spaces of one type.
+singular points of O+(8,q) to totally singular 4-spaces of one type, and
+back (`triality_points`).
 
 An octonion is flattened to (a, v1, v2, v3, w1, w2, w3, b) for the Zorn
 matrix [[a, v], [w, b]]; its norm a*b - v.w is the quadratic form of the
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldError, FieldView
-from .linalg import Subspace, mat_mul, rref_stack
+from .linalg import Subspace, canonicalize_points, mat_mul, rref_stack
 from .spaces import FormedSpace, LinearMap, find_isometry, make_orthogonal
 
 
@@ -121,3 +122,70 @@ def triality_subspaces(space: FormedSpace, pts: np.ndarray) -> list[Subspace]:
         raise FieldError("multiplication image is not 4-dimensional")
     back, _ = rref_stack(fv, mat_mul(fv, imgs[:, :4].reshape(-1, 8), inv.matrix).reshape(-1, 4, 8))
     return [Subspace(fv, 8, m) for m in back]
+
+
+@lru_cache(maxsize=None)
+def _class_swap(fv: FieldView) -> np.ndarray:
+    """sigma: (a, v, w, b) -> (b, v, w, a) on Zorn coordinates, as a matrix.
+    The norm a*b - v.w is symmetric in a and b, so sigma is an isometry; it
+    is the reflection in e_0 - e_7, which exchanges the two classes of t.s.
+    4-spaces.  Checked exactly when made: M G M^T = G, and Q on the basis."""
+    zs = zorn_space(fv)
+    unit = np.eye(8, dtype=np.int64)
+    swap = unit[[7, 1, 2, 3, 4, 5, 6, 0]]
+    isometry = np.array_equal(mat_mul(fv, mat_mul(fv, swap, zs.gram), swap.T), zs.gram)
+    if not (isometry and np.array_equal(zs.vqform(swap), zs.vqform(unit))):
+        raise FieldError("the class swap is not an isometry")
+    return swap
+
+
+def _preimages(zs: FormedSpace, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(points, ranks) for a (m, 4, 8) stack of bases in the Zorn space zs:
+    the 32 x 8 system B(p * e_i, w_j) = 0 of each member, made by one
+    product of the rows e_k * e_i with the Gram matrix and the bases and
+    reduced by one `rref_stack`, and the point read from the free column of
+    a rank 7 system (rows of other ranks are zero)."""
+    fv, m = zs.fv, len(zb)
+    lg = mat_mul(fv, _left_products(fv).reshape(64, 8), zs.gram)  # row (k, i): B(e_k * e_i, .)
+    eqs = mat_mul(fv, lg, zb.reshape(-1, 8).T).reshape(8, 8, m, 4)
+    red, ranks = rref_stack(fv, eqs.transpose(2, 1, 3, 0).reshape(m, 32, 8))
+    pts = np.zeros((m, 8), dtype=np.int64)
+    one = np.flatnonzero(ranks == 7)
+    red = red[one, :7]
+    piv = np.argmax(red != 0, axis=2)  # the 7 pivot columns, ascending
+    free = 28 - piv.sum(axis=1)  # the column of 0..7 that is no pivot
+    pts[one, free] = 1
+    pts[one[:, None], piv] = fv.tower.vneg(red[np.arange(len(one))[:, None], np.arange(7), free[:, None]])
+    return pts, ranks
+
+
+def triality_points(space: FormedSpace, members: list[Subspace]) -> np.ndarray:
+    """The inverse of `triality_subspaces`, on stacks: the canonical point of
+    `space` whose image is each member, one row per member.  p * O = W iff
+    p * e_i lies in W for every i, and as W = W^perp, iff B(p * e_i, w_j) =
+    0 (`_preimages`).  A rank of 7 leaves one point.  When every member has
+    rank 8 they all lie in the other class: they are moved once by sigma
+    (`_class_swap`), and the rows are the points of the moved members, a
+    family isometric to the given one.  The points' images are compared with
+    the (moved) members byte for byte.  Raises FieldError on any other rank
+    pattern, or on a mismatch."""
+    zs, iso, inv = triality_maps(space)
+    fv = zs.fv
+    if not members:
+        return np.zeros((0, 8), dtype=np.int64)
+    if any(w.dim != 4 or w.dim_ambient != 8 for w in members):
+        raise FieldError("triality images are 4-spaces of an 8-space")
+    bases = np.stack([w.mat for w in members])
+    zb = iso.vector(bases.reshape(-1, 8)).reshape(bases.shape)
+    pts, ranks = _preimages(zs, zb)
+    if np.all(ranks == 8):
+        zb = mat_mul(fv, zb.reshape(-1, 8), _class_swap(fv)).reshape(zb.shape)
+        bases = rref_stack(fv, mat_mul(fv, zb.reshape(-1, 8), inv.matrix).reshape(bases.shape))[0]
+        pts, ranks = _preimages(zs, zb)
+    if np.any(ranks != 7):
+        raise FieldError("members are not the triality images of points of one class")
+    pts = canonicalize_points(fv, inv.vector(pts))
+    images = np.stack([w.mat for w in triality_subspaces(space, pts)])
+    if not np.array_equal(images, bases):
+        raise FieldError("the points' triality images are not the members")
+    return pts

@@ -1077,7 +1077,8 @@ class Perp:
     keys, so they are not packed again; `pts` may then be None, and is
     unpacked from `keys` only when the space has no `bit_packing`.  The
     bit planes of the keys, and their plane tables, are made when `narrow`
-    or `off` first needs them."""
+    or `off` first needs them.  The kernel masks of `vs` are made for each
+    `off` block alone, and whole only for `narrow`."""
 
     def __init__(
         self,
@@ -1092,11 +1093,13 @@ class Perp:
         self.space, self.pts = space, pts
         self.vs = pts if vs is None else vs
         self.n = len(keys if pts is None else pts)
-        self.keys = self.masks = None
+        self.keys = None
         if bits is not None:
-            # (len(vs), e) kernel masks of B(., v), looked up by key(v)
             self.keys = bits.pack(pts) if keys is None else keys
-            self.masks = table_xor(space.mask_tables, bits.pack(self.vs))
+
+    def _masks(self, vs: np.ndarray) -> np.ndarray:
+        """(len(vs), e) kernel masks of B(., v), looked up by key(v)."""
+        return table_xor(self.space.mask_tables, self.space.bit_packing.pack(vs))
 
     @cached_property
     def _planes(self) -> np.ndarray:
@@ -1106,7 +1109,7 @@ class Perp:
     def _plane_sel(self) -> np.ndarray:
         # (len(vs), e, nbits): whether mask j of vs[k] has bit b
         bit = np.arange(len(self._planes), dtype=np.int64)
-        return (self.masks[..., None] >> bit & 1).astype(bool)
+        return (self._masks(self.vs)[..., None] >> bit & 1).astype(bool)
 
     @cached_property
     def _tables(self) -> np.ndarray:
@@ -1130,10 +1133,10 @@ class Perp:
         (vs G^T) pts^T per PERP_BLOCK entries.  Refused over
         MAX_BITSET_BYTES before it is allocated."""
         out = bitset_matrix(len(ks), self.n, "the perpendicularity bitsets")
-        if self.masks is not None:
+        if self.keys is not None:
             step = max(1, KERNEL_BLOCK // max(1, out.shape[1]))
             for lo in range(0, len(ks), step):
-                out[lo : lo + step] = off_kernel(self._tables, self.masks[ks[lo : lo + step]])
+                out[lo : lo + step] = off_kernel(self._tables, self._masks(self.vs[ks[lo : lo + step]]))
             return out
         fv = self.space.fv
         step = max(1, PERP_BLOCK // max(1, self.n))
@@ -1322,7 +1325,8 @@ class LineGraph:
         the points idx."""
         slots = self.slot[idx]
         if (slots < 0).any():
-            self._build(np.unique(idx[slots < 0]))
+            todo = np.sort(idx[slots < 0])
+            self._build(todo[np.concatenate([[True], todo[1:] != todo[:-1]])])
             slots = self.slot[idx]
         return self.store[slots, lo:hi]
 

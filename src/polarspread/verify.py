@@ -26,6 +26,20 @@ order up to the first witness, and the workers still on ranges above it
 are killed.  A worker that dies ends the run with an error, and the run
 keeps its time budget even when a worker stops checking it.
 
+In O+(8,q) an orthogonal partial spread of t.s. 4-spaces is decided
+through triality, with no search.  Two t.s. 4-spaces of opposite classes
+always meet (in dimension 1 or 3), so the members of a partial spread, and
+any extension of it, lie in one class.  Triality maps the singular points
+one to one onto a class, p -> p * O in the Zorn model, and two images are
+disjoint iff their points are non-perpendicular (`octonion`).  So the
+family is maximal iff the points of its members (`triality_points`, which
+first moves members of the other class by a fixed isometry) form a
+maximal partial ovoid, which the ovoid scan below decides.  A maximal
+scan is the certificate; an extendable one falls through to the search,
+so the witness is the search's canonical one, and a search that then
+finds none raises.  The facts the route rests on are checked by
+enumeration at q = 2 and 3 in the tests.
+
 An ovoid is certified maximal by a scan: a candidate point extends the
 family iff it is perpendicular to no member.  The live candidates, in
 ascending canonical order, are narrowed once per member by `spaces.Perp`,
@@ -74,6 +88,7 @@ from .linalg import (
     point_keys,
     stacked_points,
 )
+from .octonion import triality_points
 from .spaces import (
     PASS_WORDS,
     FlagSearch,
@@ -84,7 +99,7 @@ from .spaces import (
     pack_bits,
 )
 
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 
 @dataclass
@@ -109,7 +124,8 @@ class MaximalityCertificate:
     # a spread search's counters: nodes by depth, children skipped by the
     # one-pass count, line-graph rows built, and per-phase ms; an ovoid
     # scan's live candidates after each member, the members applied on the
-    # bitset, and per-phase ms
+    # bitset, and per-phase ms; a spread certified through triality the
+    # route's name and its scan's live counts, members on the bitset and ms
     stats: dict | None = None
     engine_version: str = ENGINE_VERSION
 
@@ -238,7 +254,7 @@ def check_maximal_ovoid(fam: PointFamily, flavor: str = "orthogonal") -> Maximal
     t1 = time.perf_counter()
     perp = Perp(space, vs=members, keys=keys)
     live = []  # candidates left after each member
-    if perp.masks is not None:
+    if perp.keys is not None:
         # kernel masks: the members go on one bitset over the universe while
         # over 4 candidates a word are left
         bits = pack_bits(np.ones((1, len(keys)), dtype=bool))[0]
@@ -303,9 +319,50 @@ def check_maximal_spread(
     jobs: int = 1,
     time_budget: float | None = None,
 ) -> MaximalityCertificate:
-    """Search for an n-space disjoint from every member: t.i. for symplectic
-    flavor, t.s. for orthogonal, arbitrary for plain.  Returns a maximal
-    verdict or the first witness in canonical search order."""
+    """Is there an n-space disjoint from every member: t.i. for symplectic
+    flavor, t.s. for orthogonal, arbitrary for plain?  Returns a maximal
+    verdict or the first witness in canonical search order.  An orthogonal
+    family of t.s. 4-spaces in O+(8,q) is first answered through triality
+    (module docstring): a maximal scan of the members' points is the
+    certificate, and an extendable one falls through to the search, which
+    finds the witness.  `jobs` and `time_budget` apply to the search."""
+    space = fam.space
+    if not (flavor == "orthogonal" and space.kind == "orthogonal_plus" and space.dim == 8 and fam.members):
+        return _search_spread(fam, flavor, jobs, time_budget)
+    t0 = time.perf_counter()
+    if not is_partial_spread(fam, flavor):
+        raise FieldError(f"family is not a {flavor} partial spread")
+    t1 = time.perf_counter()
+    pts = triality_points(space, fam.members)
+    t2 = time.perf_counter()
+    scan = check_maximal_ovoid(PointFamily(space, pts, fam.provenance), "orthogonal")
+    if not scan.is_maximal:
+        cert = _search_spread(fam, flavor, jobs, time_budget)
+        if cert.is_maximal:
+            raise FieldError("the search found no extension the triality scan found (engine bug)")
+        return cert
+    t3 = time.perf_counter()
+    described = {
+        "route": "triality",
+        "live": scan.stats["live"],
+        "sliced": scan.stats["sliced"],
+        "ms": {
+            "check": round((t1 - t0) * 1000, 3),
+            "points": round((t2 - t1) * 1000, 3),
+            "scan": round((t3 - t2) * 1000, 3),
+        },
+    }
+    return MaximalityCertificate("maximal", None, scan.nodes, (t3 - t0) * 1000, flavor, described)
+
+
+def _search_spread(
+    fam: SubspaceFamily,
+    flavor: str = "plain",
+    jobs: int = 1,
+    time_budget: float | None = None,
+) -> MaximalityCertificate:
+    """The search engine alone: the first n-space disjoint from every member
+    in canonical search order, or none."""
     t0 = time.perf_counter()
     if not is_partial_spread(fam, flavor):
         raise FieldError(f"family is not a {flavor} partial spread")

@@ -107,6 +107,19 @@ def triality_oracle(space, p):
     return inv.subspace(img)
 
 
+def class_swapped(space, members):
+    """The members moved by `octonion`'s class swap sigma, carried into
+    `space` and back by its triality isometry: t.s. 4-spaces of the other
+    class, in canonical form."""
+    from polarspread.linalg import canonicalize, mat_mul
+    from polarspread.octonion import _class_swap, triality_maps
+
+    zs, iso, inv = triality_maps(space)
+    fv = space.fv
+    move = mat_mul(fv, mat_mul(fv, iso.matrix, _class_swap(fv)), inv.matrix)
+    return [canonicalize(fv, mat_mul(fv, w.mat, move), space.dim) for w in members]
+
+
 def in_kernel(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Whether f(x) = 0, from the p = 2 keys of x and the kernel masks of f
     (last axis of `masks`; `keys` broadcasts against masks[..., j]): iff

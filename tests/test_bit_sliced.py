@@ -74,7 +74,7 @@ def vectors(fv, dim, rng, limit=256):
 
 def assert_masks_match_vbform(space, vecs):
     perp = Perp(space, vecs)
-    got = in_kernel(perp.keys[None, :], perp.masks[:, None, :])
+    got = in_kernel(perp.keys[None, :], perp._masks(vecs)[:, None, :])
     want = np.array([space.vbform(vecs, v) == 0 for v in vecs])
     assert np.array_equal(got, want)
 
@@ -160,7 +160,7 @@ def test_perp_off_matches_vbform_padding_included(space, count):
             want[r, x // 64] |= np.uint64(1) << np.uint64(x % 64)
     ks = np.r_[rng.permutation(len(vs)), 0]
     perp = Perp(space, pts, vs)
-    assert (perp.masks is None) == (space.bit_packing is None) and len(pts) % 64
+    assert (perp.keys is None) == (space.bit_packing is None) and len(pts) % 64
     assert np.array_equal(perp.off(ks), want[ks])
     if space.fv.p != 2 or space.bit_packing is not None:
         universe = Perp(space, vs=vs, keys=point_keys(space.fv, pts))

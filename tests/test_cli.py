@@ -31,7 +31,7 @@ def test_construct_and_verify(tmp_path):
     assert run(["verify", str(out), "--check", "maximal", "--flavor", "symplectic"]) == 0
     d = artifacts.load(out)
     assert d["certificate"]["verdict"] == "maximal"
-    assert d["certificate"]["engine_version"] == "2"
+    assert d["certificate"]["engine_version"] == "3"
     stats = d["certificate"]["stats"]
     assert sum(stats["nodes_by_depth"]) == d["certificate"]["nodes"]
     assert set(stats) == {"nodes_by_depth", "skipped", "rows", "ms"}
@@ -141,6 +141,16 @@ def test_table_marks_exploratory_rows(capsys):
     assert run(["construct", "thm7.2", "--q", "4"]) == 2
 
 
+def test_table_certifies_the_triality_images_at_q_8(capsys):
+    """The spreads of t.s. 4-spaces that thm7.3, thm7.10 and thm7.11 give
+    through triality, which the search alone could not decide at q = 8."""
+    assert run(["table", "--rows", "thm7.3-triality,thm7.10-triality,thm7.11-triality"]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    assert rows.keys() == {"thm7.3-triality", "thm7.10-triality", "thm7.11-triality"}
+    for words in rows.values():
+        assert words[1] == words[2].replace("actual", "expected") and words[3] == "maximal"
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [
@@ -196,6 +206,34 @@ def test_import_leaves_the_process_pool_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# a small spread check, an ovoid check and a construct in one interpreter
+MASKED_CHECK = """
+import sys
+import tempfile
+from pathlib import Path
+
+from polarspread import families as F, verify as V
+from polarspread.cli import main
+
+assert V.check_maximal_spread(F.triality_pointset(F.two_quadrics_ovoid(3)), "orthogonal").is_maximal
+assert V.check_maximal_spread(F.transversal_spread(2, 1), "symplectic").is_maximal
+assert V.check_maximal_ovoid(F.suzuki_tits_ovoid(8)).is_maximal
+with tempfile.TemporaryDirectory() as d:
+    assert main(["construct", "thm7.10", "--q", "8", "-o", str(Path(d) / "t.json")]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_checks_leave_numpy_ma_unloaded():
+    """numpy 2's plain `np.unique` imports `numpy.ma` on first use (about
+    13 ms), so no work of the package calls it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", MASKED_CHECK], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_table_takes_no_test_guards():

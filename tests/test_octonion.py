@@ -12,15 +12,19 @@ from polarspread.gf import FieldError, standalone
 from polarspread.octonion import (
     identity_octonion,
     octonion_norm,
+    _class_swap,
     triality_maps,
+    triality_points,
     triality_subspace_of_point,
     triality_subspaces,
     zorn_mul,
     zorn_space,
 )
+from polarspread.linalg import canonicalize, canonicalize_points, isin_sorted, mat_mul
 from polarspread.spaces import make_orthogonal, oplus_space
+from polarspread.verify import _point_key_blocks
 
-from subspace_helpers import triality_oracle
+from subspace_helpers import class_swapped, triality_oracle
 
 
 def test_identity():
@@ -175,3 +179,74 @@ def test_triality_subspaces_refuse_a_zero_row_or_a_nonsingular_point():
     with pytest.raises(FieldError, match="not singular"):
         triality_subspace_of_point(space, bad)
     assert triality_subspaces(space, pts[:0]) == []
+
+
+@pytest.mark.parametrize("name", list(TRIALITY_FAMILIES))
+def test_triality_points_invert_the_images(name):
+    """The members' points, with the members permuted, are the family's
+    points in the same order, canonical; members moved into the other class
+    by sigma give the same points, as sigma moves them back."""
+    fam = TRIALITY_FAMILIES[name]()
+    space = fam.space
+    members = triality_subspaces(space, fam.points)
+    perm = np.random.default_rng(len(members)).permutation(len(members))
+    want = canonicalize_points(space.fv, fam.points)[perm]
+    shuffled = [members[i] for i in perm]
+    assert np.array_equal(triality_points(space, shuffled), want)
+    moved = class_swapped(space, shuffled)
+    assert {space.ts_type(w) for w in moved} != {space.ts_type(w) for w in members}
+    assert np.array_equal(triality_points(space, moved), want)
+
+
+def test_triality_points_refuse_other_members():
+    """Members of both classes, a 4-space that is not t.s., and a member of
+    the wrong dimension raise FieldError; no members give no points."""
+    space = oplus_space(3, 4)
+    pts = space.singular_points()[:3]
+    members = triality_subspaces(space, pts)
+    with pytest.raises(FieldError, match="one class"):
+        triality_points(space, members[:2] + class_swapped(space, members[2:]))
+    flat = canonicalize(space.fv, np.eye(8, dtype=np.int64)[:4], 8)
+    assert not space.is_ts(flat)
+    with pytest.raises(FieldError):
+        triality_points(space, members + [flat])
+    with pytest.raises(FieldError, match="4-spaces"):
+        triality_points(space, members + [canonicalize(space.fv, pts[:1], 8)])
+    assert triality_points(space, []).shape == (0, 8)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_facts_the_triality_route_rests_on(q):
+    """By enumeration in O+(8,q): the images of the singular points are one
+    class of the maximal t.s. subspaces, one to one; sigma is an isometry
+    that maps that class onto the other; and two t.s. 4-spaces of opposite
+    classes share 1 or q^2 + q + 1 points (meet in dimension 1 or 3),
+    never 0."""
+    space = oplus_space(q, 4)
+    fv = space.fv
+    pts = space.singular_points()
+    images = triality_subspaces(space, pts)
+    assert len(set(images)) == len(pts)
+    listed = space.maximal_totally_singular()
+    kind = space.ts_type(images[0])
+    ours = [w for w in listed if space.ts_type(w) == kind]
+    theirs = [w for w in listed if space.ts_type(w) != kind]
+    assert sorted(images, key=lambda w: w.mat.tobytes()) == sorted(ours, key=lambda w: w.mat.tobytes())
+    assert len(ours) == len(theirs) == len(pts)
+    zs = triality_maps(space)[0]
+    swap = _class_swap(fv)
+    assert np.array_equal(mat_mul(fv, mat_mul(fv, swap, zs.gram), swap.T), zs.gram)
+    assert set(class_swapped(space, ours)) == set(theirs)
+    # incidence of the singular points with each class; shared points of
+    # every opposite pair by one product
+    keys = space.singular_keys()
+
+    def incidence(subs):
+        out = np.zeros((len(subs), len(keys)), dtype=np.float32)
+        for lo, block in _point_key_blocks(space, subs):
+            assert isin_sorted(block, keys).all()
+            out[np.arange(lo, lo + len(block))[:, None], np.searchsorted(keys, block)] = 1
+        return out
+
+    shared = (incidence(ours) @ incidence(theirs).T).astype(np.int64)
+    assert set(np.unique(shared).tolist()) == {1, q * q + q + 1}

@@ -376,7 +376,7 @@ def test_engine_matches_row_vector_oracle(name):
     build, flavor = ENGINE_CASES[name]
     fam = build()
     assert fam.space.fv.char != 2
-    cert = V.check_maximal_spread(fam, flavor)
+    cert = V._search_spread(fam, flavor)
     verdict, witness, nodes = engine_oracle(fam, flavor)
     assert (cert.verdict, cert.witness, cert.nodes) == (verdict, witness, nodes)
 
@@ -425,7 +425,7 @@ def test_engine_is_the_same_on_every_perpendicularity_path(name):
     fam = build()
     space = fam.space
     pts = V.cover_report(fam, flavor).uncovered_points
-    cert = V.check_maximal_spread(fam, flavor)
+    cert = V._search_spread(fam, flavor)
     perps = [Perp(space, pts)]
     assert_perp_is_the_adjacency(perps[0], perp_adjacency(space, pts))
     if flavor == "orthogonal":
@@ -792,7 +792,7 @@ def test_engine_matches_the_span_key_oracle(name):
     fam = build()
     for drop in range(4):
         short = fam if drop == 0 else _short(fam, drop)
-        cert = V.check_maximal_spread(short, flavor)
+        cert = V._search_spread(short, flavor)
         assert (cert.verdict, cert.witness) == span_key_engine(short, flavor), drop
 
 

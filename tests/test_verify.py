@@ -31,6 +31,8 @@ from polarspread.linalg import (
 )
 from polarspread.spaces import OutOfDeskScale, SearchTimeout, oplus_space, sp_space
 
+from subspace_helpers import class_swapped
+
 
 def spread_of(space, members):
     return SubspaceFamily(space, members, Provenance("test", {}), expected_size=None)
@@ -502,8 +504,8 @@ def test_parallel_node_counts_are_reproducible():
         (spread_of(F.transversal_spread(3, 1).space, F.transversal_spread(3, 1).members[:-1]), "symplectic"),
     ]
     for fam, flavor in cases:
-        serial = V.check_maximal_spread(fam, flavor)
-        runs = [V.check_maximal_spread(fam, flavor, jobs=2) for _ in range(2)]
+        serial = V._search_spread(fam, flavor)
+        runs = [V._search_spread(fam, flavor, jobs=2) for _ in range(2)]
         for par in runs:
             assert (par.verdict, par.witness, par.nodes) == (serial.verdict, serial.witness, serial.nodes)
             assert par.stats["nodes_by_depth"] == serial.stats["nodes_by_depth"]
@@ -521,7 +523,7 @@ def test_parallel_node_counts_are_reproducible():
 
 def test_certificate_stats():
     """A serial certificate's stats add up to its node count, and `verify`
-    writes them into the artifact with engine version 2."""
+    writes them into the artifact with engine version 3."""
     fam = F.grassl_spread(2, 2, "i")
     cert = V.check_maximal_spread(fam, "symplectic")
     st = cert.stats
@@ -530,7 +532,7 @@ def test_certificate_stats():
     assert set(st["ms"]) == {"check", "cover", "rows", "search"}
     assert 0 < st["ms"]["check"] and sum(st["ms"].values()) <= cert.millis + 0.01
     assert cert.descriptor()["stats"] == st
-    assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "2"
+    assert cert.descriptor()["engine_version"] == V.ENGINE_VERSION == "3"
 
 
 @pytest.mark.parametrize(
@@ -701,6 +703,76 @@ def test_partial_spread_matches_pairwise_oracle_on_families(name):
     assert agree(fam, flavor)
     assert agree(fam, "plain")
     assert agree(raw_family(fam.space, fam.members[:-1]), flavor)
+
+
+# the O+(8,q) entries of SPREAD_FAMILIES, which the triality route answers
+# for the orthogonal flavor
+ROUTED = [n for n, (b, f) in SPREAD_FAMILIES.items() if f == "orthogonal" and b().space.dim == 8]
+
+
+def test_the_routed_families_are_the_o8_entries():
+    assert ROUTED == [
+        "prop4.1(2,2)",
+        "thm7.2(4)",
+        "ex7.4(4)-triality",
+        "ex7.4(3)-triality",
+        "lem7.8(2)-triality",
+        "lem7.8(3)-triality",
+    ]
+
+
+@pytest.mark.parametrize("name", ROUTED)
+def test_the_triality_route_matches_the_search(name):
+    """Each O+(8,q) family whole and less its last 1, 2 and 3 members, and
+    each once more moved into the other class by sigma: the verdict and
+    witness of the search engine alone.  A maximal verdict comes from the
+    point scan, and its nodes are the scan's candidates; an extendable one
+    is the search's own certificate."""
+    fam = SPREAD_FAMILIES[name][0]()
+    space = fam.space
+    cases = []
+    for drop in range(4):
+        members = fam.members[: len(fam.members) - drop]
+        cases += [members, class_swapped(space, members)]
+    verdicts = set()
+    for members in cases:
+        short = spread_of(space, members)
+        got = V.check_maximal_spread(short, "orthogonal")
+        want = V._search_spread(short, "orthogonal")
+        assert (got.verdict, got.witness) == (want.verdict, want.witness), len(members)
+        verdicts.add(got.verdict)
+        if got.is_maximal:
+            assert got.stats["route"] == "triality" and set(got.stats["ms"]) == {"check", "points", "scan"}
+            assert got.nodes == len(space.singular_keys())
+            assert got.stats["live"][-1] == 0 and got.engine_version == "3"
+        else:
+            assert got.stats.keys() == want.stats.keys() and got.nodes == want.nodes
+    assert verdicts == {"maximal", "extendable"}
+
+
+def test_a_scan_the_search_contradicts_is_an_engine_bug(monkeypatch):
+    """A scan that finds an extension where the search finds none raises
+    FieldError rather than return either verdict."""
+    fam = SPREAD_FAMILIES["lem7.8(2)-triality"][0]()
+    scan = V.check_maximal_ovoid
+
+    def extendable(pf, flavor):
+        cert = scan(pf, flavor)
+        cert.verdict, cert.witness = "extendable", pf.points[0]
+        return cert
+
+    monkeypatch.setattr(V, "check_maximal_ovoid", extendable)
+    with pytest.raises(FieldError, match="engine bug"):
+        V.check_maximal_spread(fam, "orthogonal")
+
+
+def test_the_route_keeps_the_partial_spread_check():
+    """A family whose members meet is refused before any point is taken."""
+    fam = SPREAD_FAMILIES["lem7.8(2)-triality"][0]()
+    space = fam.space
+    meets = next(w for w in space.maximal_totally_singular() if 0 < w.intersect(fam.members[0]).dim < 4)
+    with pytest.raises(FieldError, match="not a orthogonal partial spread"):
+        V.check_maximal_spread(spread_of(space, fam.members + [meets]), "orthogonal")
 
 
 @pytest.mark.parametrize("q", [2, 3])
