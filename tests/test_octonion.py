@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarspread import families as F
+from polarspread import octonion
 from polarspread.gf import FieldError, standalone
 from polarspread.octonion import (
     identity_octonion,
@@ -198,9 +199,10 @@ def test_triality_points_invert_the_images(name):
     assert np.array_equal(triality_points(space, moved), want)
 
 
-def test_triality_points_refuse_other_members():
-    """Members of both classes, a 4-space that is not t.s., and a member of
-    the wrong dimension raise FieldError; no members give no points."""
+def test_triality_points_refuse_other_members(monkeypatch):
+    """Members of both classes, a 4-space that is not t.s., a member of the
+    wrong dimension, and points whose images do not map back onto the
+    members raise FieldError; no members give no points."""
     space = oplus_space(3, 4)
     pts = space.singular_points()[:3]
     members = triality_subspaces(space, pts)
@@ -213,6 +215,9 @@ def test_triality_points_refuse_other_members():
     with pytest.raises(FieldError, match="4-spaces"):
         triality_points(space, members + [canonicalize(space.fv, pts[:1], 8)])
     assert triality_points(space, []).shape == (0, 8)
+    monkeypatch.setattr(octonion, "triality_subspaces", lambda space, pts: members[::-1])
+    with pytest.raises(FieldError, match="not the members"):
+        triality_points(space, members)
 
 
 @pytest.mark.parametrize("q", [2, 3])
