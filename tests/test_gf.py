@@ -48,6 +48,14 @@ def test_table_polynomials_are_primitive(p, d):
     assert poly_is_irreducible(p, coeffs)
 
 
+def test_irreducible_but_not_primitive_polynomial_is_refused(monkeypatch):
+    """x^2 + 1 is irreducible over GF(3), but x has order 4, not 8: the
+    powers of x repeat, and the tower refuses the polynomial."""
+    monkeypatch.setitem(gf.PRIMITIVE_POLYS, (3, 2), (1, 0))
+    with pytest.raises(FieldError, match="not primitive"):
+        gf.FieldTower(3, 2)
+
+
 def test_zero_one_indices():
     for p, d in [(2, 4), (3, 2), (5, 2)]:
         tw = tower(p, d)
