@@ -11,11 +11,14 @@ Every "first point such that ..." rule in the package uses this order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .gf import FieldError, FieldView
+
+# points per basis in a block of `stacked_point_blocks`
+POINT_CHUNK = 1 << 10
 
 
 class AmbientMismatch(ValueError):
@@ -181,27 +184,80 @@ def stacked_points(fv: FieldView, bases: np.ndarray) -> np.ndarray:
 
 
 def stacked_point_blocks(fv: FieldView, bases: np.ndarray):
-    """Yield the (m, q^(k-1-i), n) points of each basis led by its row i,
-    for i from k - 1 down to 0: the rows of `stacked_points` in order.
+    """Yield the points of each basis in blocks of at most POINT_CHUNK
+    points each, as (m, size, n) arrays: the rows of `stacked_points` in
+    order.
 
     These are the rows c B for the canonical coefficient vectors c.  The
     points led by basis row i (c leading at i) are row i + span(rows i+1..):
     rows below i vanish left of their pivots, and at pivot column i only row
-    i is nonzero (= 1), so every such sum is already canonical.  Blocks run
+    i is nonzero (= 1), so every such sum is already canonical.  They run
     from the last row up, so from the latest leading column, the smallest
-    keys.  Within a block the coefficient of row j is the entry at its pivot
+    keys.  Within a lead the coefficient of row j is the entry at its pivot
     and the span takes the first row's coefficient as its most significant
     digit; every entry between two pivots depends only on the coefficients
-    before it, so the order is lexicographic.  The span grows with the
-    blocks, so a consumer that stops early never makes the later ones."""
+    before it, so the order is lexicographic.  The span of the last rows
+    is kept whole while it has at most POINT_CHUNK points; a lead with more
+    points is yielded one head at a time, row i plus one combination of the
+    rows above that tail, in lexicographic order of the combinations, plus
+    the whole tail.  So a consumer that stops early makes no point past the
+    chunk it stops in."""
     tw, elems = fv.tower, fv.elements()
     m, k, n = bases.shape
-    span = np.zeros((m, 1, n), dtype=np.int64)  # span of the rows below row i
+    span = np.zeros((m, 1, n), dtype=np.int64)  # span of the tail rows
+    heads = span  # span of the rows between row i and the tail
     for i in range(k - 1, -1, -1):
         row = bases[:, i, None, :]
-        yield tw.vadd(row, span)
-        if i:
-            span = tw.vadd(tw.vmul(elems[:, None, None], row[:, None]), span[:, None]).reshape(m, -1, n)
+        for c in range(heads.shape[1]):
+            yield tw.vadd(tw.vadd(row, heads[:, c, None]), span)
+        if i and heads.shape[1] == 1 and span.shape[1] * len(elems) <= POINT_CHUNK:
+            span = _grow_span(tw, elems, row, span)
+        elif i:
+            heads = _grow_span(tw, elems, row, heads)
+
+
+def _grow_span(tw, elems: np.ndarray, row: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The (m, q S, n) span of `row` and a (m, S, n) span, the row's
+    coefficient most significant."""
+    m, _, n = span.shape
+    return tw.vadd(tw.vmul(elems[:, None, None], row[:, None]), span[:, None]).reshape(m, -1, n)
+
+
+def stacked_point_keys(fv: FieldView, bases: np.ndarray) -> np.ndarray:
+    """(m, P): the `point_keys` of `stacked_points(fv, bases)`, in the same
+    order, made from key sums with no row.  `KeyPacking` keys add as the
+    vectors do, so the keys of the points led by row i are key(row i) plus
+    the keys of the span of the rows below it, grown as `stacked_point_blocks`
+    grows that span: from the keys of each row's q multiples, one `kadd` per
+    row.  Coordinates whose packed keys would pass 62 bits are summed in
+    blocks of columns that fit (`_column_blocks`), and each block's keys are
+    read back into `point_keys` form (`KeyPacking.point_keys`) at its
+    shift."""
+    tw, elems = fv.tower, fv.elements()
+    m, k, n = bases.shape
+    width, _ = _key_shifts(fv, n)
+    out = np.zeros((m, (fv.q**k - 1) // (fv.q - 1)), dtype=np.int64)
+    for lo, hi in _column_blocks(fv, n):
+        pk = packing(fv, hi - lo)
+        mult = pk.pack(tw.vmul(elems[:, None, None, None], bases[None, :, :, lo:hi]))  # (q, m, k)
+        span = np.zeros((m, 1), dtype=np.int64)
+        at = 0
+        for i in range(k - 1, -1, -1):
+            keys = pk.kadd(mult[1, :, i, None], span)  # elems[1] is 1
+            out[:, at : at + keys.shape[1]] |= pk.point_keys(keys) << width * (n - hi)
+            at += keys.shape[1]
+            if i:
+                span = pk.kadd(mult[:, :, i].T[:, :, None], span[:, None, :]).reshape(m, -1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column_blocks(fv: FieldView, dim: int) -> tuple[tuple[int, int], ...]:
+    """Ranges of columns, first to last, each of as many columns as
+    `KeyPacking` can pack in 62 bits."""
+    width = 1 if fv.p == 2 else (fv.p - 1).bit_length() + 1
+    per = 62 // (fv.degree * width)
+    return tuple((lo, min(dim, lo + per)) for lo in range(0, dim, per))
 
 
 def canonicalize(fv: FieldView, vectors, dim_ambient: int | None = None) -> Subspace:
@@ -345,6 +401,39 @@ class KeyPacking:
         s = a + b
         return s - self.p * (((s + self.off) >> (self.width - 1)) & self.ones)
 
+    def point_keys(self, keys: np.ndarray) -> np.ndarray:
+        """The `point_keys` of the vectors keyed `keys`: each coordinate's
+        digits read back into its rank, bit_length(q - 1) bits a coordinate.
+        For p = 2 these are the keys themselves.  For odd p a digit d_k of
+        coordinate i adds d_k p^k to that coordinate's field, whatever the
+        other digits are, so the read is one lookup per group of digit
+        fields (`_rank_tables`), summed."""
+        if self.p == 2:
+            return keys
+        bits, tables = self._rank_tables
+        out = tables[0][keys & ((1 << bits) - 1)]
+        for c in range(1, len(tables)):
+            out += tables[c][(keys >> c * bits) & ((1 << bits) - 1)]
+        return out
+
+    @cached_property
+    def _rank_tables(self) -> tuple[int, np.ndarray]:
+        """(bits, tables): table c maps the key bits c*bits.. of up to 12
+        bits, whole digit fields, to their part of the `point_keys` key."""
+        e, width = self.fv.degree, self.width
+        per = max(1, 12 // width)  # digit fields a group
+        ndig = len(self.weights) * e
+        fields = np.arange(1 << per * width, dtype=np.int64)
+        step = (self.q - 1).bit_length()  # a coordinate's bits in a point key
+        tables = []
+        for lo in range(0, ndig, per):
+            table = np.zeros_like(fields)
+            for pos in range(lo, min(ndig, lo + per)):  # digit pos % e of coordinate pos // e from the last
+                digit = (fields >> width * (pos - lo)) & ((1 << width) - 1)
+                table += digit * self.p ** (pos % e) << step * (pos // e)
+            tables.append(table)
+        return per * width, np.stack(tables)
+
     def number(self, keys: np.ndarray) -> np.ndarray:
         """The integer whose base-p digits are the key's digits: a bijection
         of the keys of fv^dim onto range(q^dim); the key itself for p = 2."""
@@ -378,6 +467,12 @@ class KeyPacking:
         pos = e * np.arange(dim - 1, -1, -1)[:, None] + np.arange(e)  # key bit of (i, k)
         bits = (ranks[..., None] >> np.arange(e)) & 1  # (m, dim, k, j)
         return (bits << pos[:, :, None]).sum(axis=(1, 2))
+
+
+@lru_cache(maxsize=None)
+def packing(fv: FieldView, dim: int) -> KeyPacking:
+    """The shared `KeyPacking` of fv^dim."""
+    return KeyPacking(fv, dim)
 
 
 @lru_cache(maxsize=None)

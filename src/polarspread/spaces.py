@@ -137,8 +137,24 @@ Russians: V. L. Arlazarov, E. A. Dinic, M. A. Kronrod and I. A. Faradzev,
 then e times groups gathers (`off_kernel`).  The tables take 32 bytes per
 point and group; they are refused over MAX_BITSET_BYTES.  A `Perp` makes
 its planes, and their tables, when `narrow` or `off` first needs them.
-Odd p, and p = 2 spaces whose keys need more than 62 bits, use one field
-product (vs G^T) pts^T for a block of vectors.
+
+Odd p, and p = 2 spaces whose keys need more than 62 bits, use digit
+tables, in integers only.  Let d_b(x) be the D = n e base-p digits of the
+ranks of x's coordinates, digit b = i e + k the k-th of coordinate i, and
+u_b the vector with d_b = 1 and every other digit 0.  x is the GF(p)-sum of
+d_b(x) u_b and rank is GF(p)-linear, so digit j of rank(B(x, v)) is
+sum_b d_b(x) c_(j,b)(v) mod p, with c_(j,b)(v) digit j of rank(B(u_b, v));
+B(x, v) = 0 iff every such sum is 0 mod p.  The c_(j,b)(v) are GF(p)-linear
+in v's digits, so they are v's digits times one integer matrix the space
+keeps (`digit_gram`), reduced mod p.  The digits go in chunks of c,
+p^c <= 256 (`DigitLayout`): a point's chunk is one index, looked up from
+the key field of the coordinates it covers, so no row is made from the
+keys.  A functional's table for a chunk holds the chunk's sum for all p^c
+digit values, one row of a table of dot products per digit j, each j in
+its own field of a uint16 entry, wide enough for the sum over all chunks.
+A block of functionals over N points is then one gather of N entries per
+chunk and functional, added, and one lookup of whether every field is 0
+mod p (`digit_off`; the Method of Four Russians again).
 
 Singular points are solved in the last coordinate, as keys.  Write a point
 as y + t e_n with y_n = 0; then Q(y + t e_n) = c + b t + a t^2 with c = Q(y),
@@ -174,7 +190,7 @@ column loop to the bytes `rref` gives it alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -208,13 +224,11 @@ MAX_BITSET_BYTES = 1 << 30
 # int64 entries of a singular-point block: its prefixes times q, which
 # bounds its points
 POINT_BLOCK = 1 << 19
-# int64 temporaries per row block of a perpendicularity test
-PERP_BLOCK = 1 << 16
 # uint64 entries of a block's temporaries in a plane-table test (`Perp.off`,
-# the census): 125 KB, under malloc's default 128 KiB mmap threshold, so the
-# blocks reuse heap memory.  Blocks of PERP_BLOCK entries (512 KiB) could
-# each be mapped afresh: the q = 8 census then took 67,000 page faults and
-# 0.25 s instead of 0.07 s.
+# the census), or four times as many uint16 sums in a digit-table test: 125
+# KB, under malloc's default 128 KiB mmap threshold, so the blocks reuse heap
+# memory.  Blocks of 512 KiB could each be mapped afresh: the q = 8 census
+# then took 67,000 page faults and 0.25 s instead of 0.07 s.
 KERNEL_BLOCK = 16_000
 
 
@@ -372,6 +386,30 @@ class FormedSpace:
             return None
         units = key_rows(self.fv, np.int64(1) << np.arange(self.dim * self.fv.degree), self.dim)
         return plane_tables(bits.kernel_masks(mat_mul(self.fv, units, self.gram.T)))
+
+    @cached_property
+    def digit_layout(self) -> "DigitLayout":
+        """The chunks of `digit_off` for the dim e digits of a vector."""
+        return DigitLayout.make(self.fv.p, self.fv.degree, self.dim)
+
+    @cached_property
+    def digit_gram(self) -> np.ndarray:
+        """(D, D slots) integer matrix A with A[b', b slots + j] the j-th
+        base-p digit of rank(B(u_b, u_b')) (0 for the padding slots j >= e),
+        for the D = dim e vectors u_b whose rank digits are all 0 but digit
+        b = i e + k, 1: the element of rank p^k at coordinate i.  B is
+        bilinear and rank GF(p)-linear, so the digit coefficients
+        c_(j,b)(v) of the functional B(., v) are the digits of v times A,
+        mod p (`digit_off`)."""
+        fv, n, slots = self.fv, self.dim, self.digit_layout.slots
+        e, p = fv.degree, fv.p
+        b = np.arange(n * e)
+        units = np.zeros((n * e, n), dtype=np.int64)
+        units[b, b // e] = fv.elements()[p ** (b % e)]
+        ranks = _ranks(fv)[mat_mul(fv, mat_mul(fv, units, self.gram), units.T)]  # [b, b']
+        digits = np.zeros((n * e, n * e, slots), dtype=np.int64)  # [b', b, j]
+        digits[..., :e] = ranks.T[:, :, None] // p ** np.arange(e) % p
+        return digits.reshape(n * e, -1)
 
     # -- predicates ---------------------------------------------------------
     def ti_mask(self, bases: np.ndarray) -> np.ndarray:
@@ -1072,13 +1110,13 @@ class Perp:
     """B(x, v) = 0 for the points x of `pts` and the vectors v of `vs` (by
     default `pts`); the only code that chooses how to test it (module
     docstring): kernel masks of `vs` against the packed keys of `pts` when
-    the space has a `bit_packing`, else field arithmetic.  `keys`, when
-    given, are the `point_keys` of `pts`, which for p = 2 are the packed
-    keys, so they are not packed again; `pts` may then be None, and is
-    unpacked from `keys` only when the space has no `bit_packing`.  The
-    bit planes of the keys, and their plane tables, are made when `narrow`
-    or `off` first needs them.  The kernel masks of `vs` are made for each
-    `off` block alone, and whole only for `narrow`."""
+    the space has a `bit_packing`, else digit tables.  `keys`, when given,
+    are the `point_keys` of `pts`, which for p = 2 are the packed keys; `pts`
+    may then be None, and no row is made from them.  The bit planes of the
+    keys and their plane tables, or the points' chunk indices, are made when
+    `narrow` or `off` first needs them.  The kernel masks or digit tables of
+    `vs` are made for each `off` block alone, and masks whole only for
+    `narrow`."""
 
     def __init__(
         self,
@@ -1087,19 +1125,19 @@ class Perp:
         vs: np.ndarray | None = None,
         keys: np.ndarray | None = None,
     ):
-        bits = space.bit_packing
-        if pts is None and bits is None:
-            pts = key_rows(space.fv, keys, space.dim)
-        self.space, self.pts = space, pts
-        self.vs = pts if vs is None else vs
+        self.space, self.pts, self.keys = space, pts, keys
         self.n = len(keys if pts is None else pts)
-        self.keys = None
-        if bits is not None:
-            self.keys = bits.pack(pts) if keys is None else keys
+        self.vs = vs  # None: the points themselves
+        self.m = self.n if vs is None else len(vs)
+        bits = space.bit_packing
+        if bits is not None and keys is None:
+            self.keys = bits.pack(pts)
 
-    def _masks(self, vs: np.ndarray) -> np.ndarray:
-        """(len(vs), e) kernel masks of B(., v), looked up by key(v)."""
-        return table_xor(self.space.mask_tables, self.space.bit_packing.pack(vs))
+    def _masks(self, ks: np.ndarray) -> np.ndarray:
+        """(len(ks), e) kernel masks of B(., v) for v = vs[ks], looked up by
+        key(v)."""
+        vkeys = self.keys[ks] if self.vs is None else self.space.bit_packing.pack(self.vs[ks])
+        return table_xor(self.space.mask_tables, vkeys)
 
     @cached_property
     def _planes(self) -> np.ndarray:
@@ -1109,11 +1147,43 @@ class Perp:
     def _plane_sel(self) -> np.ndarray:
         # (len(vs), e, nbits): whether mask j of vs[k] has bit b
         bit = np.arange(len(self._planes), dtype=np.int64)
-        return (self._masks(self.vs)[..., None] >> bit & 1).astype(bool)
+        return (self._masks(np.arange(self.m))[..., None] >> bit & 1).astype(bool)
 
     @cached_property
     def _tables(self) -> np.ndarray:
         return plane_tables(self._planes)
+
+    def _rank_rows(self, rows: np.ndarray | None) -> np.ndarray:
+        """(len, dim) ranks of the coordinates of rows, or of the points'
+        keys when rows is None."""
+        if rows is not None:
+            return _ranks(self.space.fv)[rows]
+        width, shifts = _key_shifts(self.space.fv, self.space.dim)
+        return (self.keys[:, None] >> shifts) & ((1 << width) - 1)
+
+    @cached_property
+    def _chunks(self) -> np.ndarray:
+        """(groups, n) uint8: chunk g of each point's digits, one lookup of
+        the key field of the coordinates it covers (`DigitLayout`), read
+        from the keys or made from the rows' ranks."""
+        layout, dim = self.space.digit_layout, self.space.dim
+        width = layout.width
+        ranks = None if self.keys is not None else self._rank_rows(self.pts)
+        out = np.empty((layout.groups, self.n), dtype=np.uint8)
+        for g, (first, last, table) in enumerate(layout.reads):
+            if ranks is None:
+                fields = (self.keys >> width * (dim - 1 - last)) & ((1 << width * (last + 1 - first)) - 1)
+            else:
+                fields = ranks[:, first : last + 1] @ (np.int64(1) << width * np.arange(last - first, -1, -1))
+            out[g] = table[fields]
+        return out
+
+    @cached_property
+    def _vdigits(self) -> np.ndarray:
+        """(len(vs), D) base-p digits of vs, digit i e + k the k-th of
+        coordinate i."""
+        ranks = self._rank_rows(self.vs if self.vs is not None or self.keys is not None else self.pts)
+        return self.space.digit_layout.digits[ranks].reshape(len(ranks), -1)
 
     def narrow(self, k: int, live: np.ndarray) -> np.ndarray:
         """The bitset `live` over pts less the points perpendicular to
@@ -1129,20 +1199,20 @@ class Perp:
         """(len(ks), words): bit x of row r is set iff pts[x] is not
         perpendicular to vs[ks[r]]; the bits past the last point are clear.
         With a `bit_packing`, `off_kernel` on the plane tables of the keys,
-        a block of KERNEL_BLOCK words at a time; otherwise one field product
-        (vs G^T) pts^T per PERP_BLOCK entries.  Refused over
-        MAX_BITSET_BYTES before it is allocated."""
+        a block of KERNEL_BLOCK words at a time; otherwise `digit_off` on
+        the points' chunk indices, a block of 4 KERNEL_BLOCK sums at a
+        time.  Refused over MAX_BITSET_BYTES before it is allocated."""
         out = bitset_matrix(len(ks), self.n, "the perpendicularity bitsets")
-        if self.keys is not None:
+        if self.space.bit_packing is not None:
             step = max(1, KERNEL_BLOCK // max(1, out.shape[1]))
             for lo in range(0, len(ks), step):
-                out[lo : lo + step] = off_kernel(self._tables, self._masks(self.vs[ks[lo : lo + step]]))
+                out[lo : lo + step] = off_kernel(self._tables, self._masks(ks[lo : lo + step]))
             return out
-        fv = self.space.fv
-        step = max(1, PERP_BLOCK // max(1, self.n))
+        layout = self.space.digit_layout
+        step = max(1, 4 * KERNEL_BLOCK // max(1, layout.subs * self.n))
         for lo in range(0, len(ks), step):
-            w = mat_mul(fv, self.vs[ks[lo : lo + step]], self.space.gram.T)
-            out[lo : lo + step] = pack_bits(mat_mul(fv, w, self.pts.T) != 0)
+            coef = self._vdigits[ks[lo : lo + step]] @ self.space.digit_gram
+            out[lo : lo + step] = digit_off(layout, self._chunks, coef)
         return out
 
     def off_blocks(self, ks: np.ndarray):
@@ -1152,6 +1222,99 @@ class Perp:
         step = max(1, KERNEL_BLOCK // max(1, (self.n + 63) // 64))
         for lo in range(0, len(ks), step):
             yield ks[lo : lo + step], self.off(ks[lo : lo + step])
+
+
+@dataclass(frozen=True)
+class DigitLayout:
+    """How `digit_off` reads the D = dim e base-p digits of a vector: in
+    `groups` chunks of `chunk` digits, p^chunk <= 256, so a chunk's digits
+    are one index t = sum_l d_(gc+l) p^l below p^chunk.  `reads` holds, per
+    chunk, the first and last coordinate it covers and a table from their
+    key field, `width` bits a coordinate, to t; `digits` maps a rank to its
+    e digits.  A functional's coefficients on a chunk are an index a of the
+    same kind, and `dots[a, t]` is their dot product mod p.  Rank digit j of B(x, v) takes a field of `bits` bits,
+    wide enough for the sum of `groups` dot products; `per` fields share one
+    uint16 entry, so the e digits, padded to `slots` = subs per, take
+    `subs` entries.  `nonzero[s]` is True iff some field of the summed entry
+    s is not 0 mod p."""
+
+    p: int
+    e: int
+    width: int
+    chunk: int
+    groups: int
+    bits: int
+    per: int
+    subs: int
+    digits: np.ndarray = field(repr=False, compare=False)
+    reads: tuple = field(repr=False, compare=False)
+    dots: np.ndarray = field(repr=False, compare=False)
+    nonzero: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def slots(self) -> int:
+        return self.subs * self.per
+
+    @staticmethod
+    def make(p: int, e: int, dim: int) -> "DigitLayout":
+        chunk = 1
+        while p ** (chunk + 1) <= 256:
+            chunk += 1
+        ndig = dim * e
+        groups = -(-ndig // chunk)
+        bits = (groups * (p - 1)).bit_length()
+        per = min(e, max(1, 16 // bits))
+        width = (p**e - 1).bit_length()
+        digits = (np.arange(p**e)[:, None] // p ** np.arange(e) % p).astype(np.uint8)
+        reads = []
+        for lo in range(0, ndig, chunk):
+            first, last = lo // e, (min(ndig, lo + chunk) - 1) // e
+            fields = np.arange(1 << width * (last + 1 - first), dtype=np.int64)
+            table = np.zeros(len(fields), dtype=np.int64)
+            for b in range(lo, min(ndig, lo + chunk)):
+                rank = (fields >> width * (last - b // e)) & ((1 << width) - 1)
+                table += rank // p ** (b % e) % p * p ** (b - lo)
+            reads.append((first, last, table.astype(np.uint8)))
+        sums = np.arange(1 << per * bits, dtype=np.int64)
+        fields = (sums[:, None] >> bits * np.arange(per)) & ((1 << bits) - 1)
+        nonzero = (fields % p != 0).any(axis=1)
+        pc = np.arange(p**chunk)[:, None] // p ** np.arange(chunk) % p
+        dots = ((pc @ pc.T) % p).astype(np.uint16)
+        return DigitLayout(p, e, width, chunk, groups, bits, per, -(-e // per), digits, tuple(reads), dots, nonzero)
+
+
+def digit_off(layout: DigitLayout, chunks: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(m, words) bitsets of the points off the kernels of m functionals,
+    from the points' chunk indices `chunks` (groups, n) and the functionals'
+    digit coefficients `coef` (m, D slots), c_(j,b) at b slots + j, not
+    yet reduced mod p.
+
+    Rank is GF(p)-linear, so B(x, v) = 0 iff every rank digit j has
+    sum_b d_b(x) c_(j,b)(v) = 0 mod p.  Each chunk gives each functional a
+    table of that sum over the chunk's digits for all p^chunk digit values
+    at once (the Method of Four Russians), a row of `layout.dots` per digit
+    j, each in its own field of a uint16 entry.  A point's sums are then one
+    gather per chunk, added, and `layout.nonzero` reads whether any of them
+    is not 0 mod p."""
+    g, c, subs, per = layout.groups, layout.chunk, layout.subs, layout.per
+    m = len(coef)
+    coef = (coef % layout.p).reshape(m, -1, layout.slots)  # (m, D, slots)
+    ndig = coef.shape[1]
+    padded = np.zeros((g * c, m, layout.slots), dtype=np.int64)
+    padded[:ndig] = coef.transpose(1, 0, 2)
+    weights = layout.p ** np.arange(c, dtype=np.int64)
+    index = np.tensordot(weights, padded.reshape(g, c, -1), axes=(0, 1))  # (g, m slots)
+    tables = layout.dots[index]  # (g, m slots, p^chunk)
+    if per > 1:
+        shifts = (layout.bits * np.arange(per, dtype=np.uint16))[:, None]
+        tables = (tables.reshape(g, m * subs, per, -1) << shifts).sum(axis=2, dtype=np.uint16)
+    acc = np.take(tables[0], chunks[0], axis=1)
+    for t in range(1, g):
+        acc += np.take(tables[t], chunks[t], axis=1)
+    off = layout.nonzero[acc]
+    if subs > 1:
+        off = off.reshape(m, subs, -1).any(axis=1)
+    return pack_bits(off)
 
 
 def perp_adjacency(space: FormedSpace, pts: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 space, which the enumerators are checked against; the per-member lift,
 descent and triality image and the per-point Suzuki-Tits lift that the
 stacked builds replaced; the kernel-mask test of single keys that the
-bit-plane tests replaced; and the O-(4, q) space, which no library code
-builds."""
+bit-plane tests replaced; the field product that the digit tables replaced
+and the row-made point keys that key sums replaced; and the O-(4, q)
+space, which no library code builds."""
 
 from functools import lru_cache
 from itertools import combinations
@@ -185,3 +186,24 @@ def st_lift_oracle(q: int) -> np.ndarray:
         body[0] = tw.pow(para.qform(body), 2 ** (tw.d - 1))
         rows.append(body)
     return canonicalize_points(para.fv, np.array(rows, dtype=np.int64))
+
+
+def perp_off_oracle(space, pts: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The field product `Perp.off` made for odd p and wide keys before it
+    read digit tables: the bitsets of the points of `pts` off the kernel of
+    B(., v) for each row v of `vs`, from (vs G^T) pts^T."""
+    from polarspread.linalg import mat_mul
+    from polarspread.spaces import pack_bits
+
+    w = mat_mul(space.fv, vs, space.gram.T)
+    return pack_bits(mat_mul(space.fv, w, pts.T) != 0)
+
+
+def point_keys_oracle(fv, bases: np.ndarray) -> np.ndarray:
+    """The (m, P) point keys of a stack of RREF bases as the partial-spread
+    check made them before key sums: every point as a field row
+    (`stacked_points`), then keyed (`point_keys`)."""
+    from polarspread.linalg import point_keys, stacked_points
+
+    m, _, n = bases.shape
+    return point_keys(fv, stacked_points(fv, bases).reshape(-1, n)).reshape(m, -1)

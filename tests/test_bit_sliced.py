@@ -35,7 +35,7 @@ from polarspread.spaces import (
     sp_space,
 )
 
-from subspace_helpers import in_kernel, ominus4_space
+from subspace_helpers import in_kernel, ominus4_space, perp_off_oracle
 
 # ---------------------------------------------------------------------------
 # kernel masks
@@ -74,7 +74,7 @@ def vectors(fv, dim, rng, limit=256):
 
 def assert_masks_match_vbform(space, vecs):
     perp = Perp(space, vecs)
-    got = in_kernel(perp.keys[None, :], perp._masks(vecs)[:, None, :])
+    got = in_kernel(perp.keys[None, :], perp._masks(np.arange(len(vecs)))[:, None, :])
     want = np.array([space.vbform(vecs, v) == 0 for v in vecs])
     assert np.array_equal(got, want)
 
@@ -144,7 +144,7 @@ def test_perp_adjacency_matches_row_scan(space):
     ids=["O+(8,4)", "Sp(6,3)", "Sp(8,256)"],
 )
 def test_perp_off_matches_vbform_padding_included(space, count):
-    """`Perp.off` on the plane tables (p = 2), and on field products (odd p,
+    """`Perp.off` on the plane tables (p = 2), and on digit tables (odd p,
     and p = 2 keys over 62 bits), against vbform, word for word with the
     bits past the last point: random points against other random vectors,
     rows asked for in any order; a universe given by its keys alone gives
@@ -639,7 +639,7 @@ def test_census_matches_hyperplane_loop(build, q):
 @pytest.mark.parametrize("q", [3, 4, 5, 8])
 def test_census_zero_counts_match_the_functional_values(monkeypatch, q, block):
     """The census's zero counts of x . phi, on bit planes for even q and by
-    field products for odd q, against each functional evaluated alone; a
+    digit tables for odd q, against each functional evaluated alone; a
     small KERNEL_BLOCK splits the hyperplanes over many blocks."""
     if block is not None:
         monkeypatch.setattr(S, "KERNEL_BLOCK", block)
@@ -801,3 +801,60 @@ def test_partial_ovoid_on_plane_tables_matches_the_pair_oracle(fid, params):
             assert not same(np.vstack([fam.points[keep], x]))
             single += 1
     assert single
+
+
+def _sp6_over_gf27():
+    return S.sp_space_over(FieldView(gf.tower(3, 3, (1, 3)), 1), 3)
+
+
+def _ex74_gf25():
+    fam = F.elliptic_or_o5_partial_ovoid(25, "elliptic_quadric")
+    rng = np.random.default_rng(25)
+    rows = fam.space.fv.elements()[rng.integers(0, 25, (2000, 8))]
+    # the family's points, then random points of fv^8 as the many points
+    return fam.space, fam.points, canonicalize_points(fam.space.fv, rows[np.any(rows, axis=1)])
+
+
+# odd-p spaces for the digit tables: (space, points for all pairs, many points)
+DIGIT_SPACES = {
+    "O+(8,3)": lambda: (oplus_space(3, 4), None, None),
+    "Sp(6,3)/GF(27)": lambda: (_sp6_over_gf27(), None, None),
+    "O(5,7)": lambda: (parabolic_space(7), None, None),
+    "O(5,9)": lambda: (parabolic_space(9), None, None),
+    "thm3.1(5,1)/GF(25)": lambda: (F.transversal_spread(5, 1).space, None, None),
+    "ex7.4(25)/O+(8,25)": _ex74_gf25,
+}
+
+
+@pytest.mark.parametrize("name", list(DIGIT_SPACES))
+def test_digit_tables_match_the_field_product(name):
+    """Odd-p `Perp.off` on digit tables against the field product it
+    replaced (`perp_off_oracle`), word for word with the padding bits: all
+    pairs of points given as rows and as keys alone, and a few functionals
+    over many points given as keys.  The points are the singular points, or
+    for O+(8,25) the 626 points of ex7.4(25) and 2,000 random points."""
+    space, pts, many = DIGIT_SPACES[name]()
+    assert space.fv.p != 2 and space.bit_packing is None
+    if pts is None:
+        pts = many = space.singular_points()
+    pts, many = pts[: len(pts) - (len(pts) % 64 == 0)], many[: len(many) - (len(many) % 64 == 0)]
+    want = perp_off_oracle(space, pts, pts)
+    everything = np.arange(len(pts))
+    assert np.array_equal(S.Perp(space, pts).off(everything), want)
+    assert np.array_equal(S.Perp(space, keys=point_keys(space.fv, pts)).off(everything), want)
+    few = many[:: max(1, len(many) // 5)][:5]
+    got = S.Perp(space, vs=few, keys=point_keys(space.fv, many)).off(np.arange(len(few)))
+    assert np.array_equal(got, perp_off_oracle(space, many, few))
+
+
+def test_digit_tables_of_every_coefficient():
+    """Over GF(9)^3 with a random Gram matrix, every one of the 729 vectors
+    as a functional against every point, so every coefficient digit of every
+    chunk is met: the digit tables against the field product."""
+    fv = gf.standalone(9)
+    rng = np.random.default_rng(9)
+    space = random_space(fv, 3, rng)
+    vs = vectors(fv, 3, rng, limit=729)
+    pts = canonicalize_points(fv, vs[np.any(vs, axis=1)])
+    pts = np.unique(pts, axis=0)
+    assert np.array_equal(S.Perp(space, pts, vs).off(np.arange(len(vs))), perp_off_oracle(space, pts, vs))

@@ -387,7 +387,7 @@ PERP_CASES = {
         lambda: _short(F.triality_pointset(F.elliptic_or_o5_partial_ovoid(4, "elliptic_quadric"))),
         "orthogonal",
     ),
-    # odd p: Perp uses vbform
+    # odd p: Perp uses digit tables
     "lem7.8(3)-triality-last": (
         lambda: _short(F.triality_pointset(F.two_quadrics_ovoid(3))),
         "orthogonal",
@@ -418,7 +418,7 @@ def assert_perp_is_the_adjacency(perp, adj):
 @pytest.mark.parametrize("name", list(PERP_CASES))
 def test_engine_is_the_same_on_every_perpendicularity_path(name):
     """The engine's witness and node count with its line rows narrowed by
-    the default `Perp` (kernel masks or vbform) and, for the orthogonal
+    the default `Perp` (kernel masks or digit tables) and, for the orthogonal
     flavor, by no `Perp` at all, which the engine runs; that `Perp` answers
     as the rows of `perp_adjacency` do."""
     build, flavor = PERP_CASES[name]
@@ -440,7 +440,7 @@ def test_engine_is_the_same_on_every_perpendicularity_path(name):
 @pytest.mark.parametrize("space", [oplus_space(2, 4), oplus_space(3, 3)], ids=repr)
 def test_perp_filter_matches_the_adjacency_rows(space):
     """At every node the enumerator visits, the kernel-mask (p = 2) or
-    vbform (odd p) filter keeps the same candidates after each child as the
+    digit-table (odd p) filter keeps the same candidates after each child as the
     rows of `perp_adjacency`, and the packed rows the batched expansion
     reads are those rows after each point."""
     search = enumerator_search(space)
@@ -889,13 +889,13 @@ def test_stacked_points_equal_subspace_points(name):
 )
 def test_perp_row_blocks_match_the_per_point_rows(monkeypatch, space):
     """Without kernel masks (odd p), `Perp.off` makes its rows in blocks of
-    one product each, here of about 1,000 entries; all rows, and the rows
-    of every other point in descending order, equal the former one-point
-    rows, `vbform` of every point against one."""
-    monkeypatch.setattr(spaces, "PERP_BLOCK", 1000)
+    digit-table sums, here of about 1,000 each; all rows, and the rows of
+    every other point in descending order, equal the former one-point rows,
+    `vbform` of every point against one."""
+    monkeypatch.setattr(spaces, "KERNEL_BLOCK", 250)
     pts = space.singular_points()
     perp = Perp(space, pts)
-    assert perp.keys is None and len(pts) > 1000 // len(pts)  # several blocks
+    assert space.bit_packing is None and len(pts) > 1000 // len(pts)  # several blocks
     want = spaces.pack_bits(np.stack([space.vbform(pts, v) != 0 for v in pts]))
     assert np.array_equal(perp.off(np.arange(len(pts))), want)
     ks = np.arange(len(pts))[::-2]

@@ -551,3 +551,53 @@ def test_hyperbolic_basis_lists_no_whole_point_set(monkeypatch):
     assert h.shape == (20, 20) and 0 < sum(made) < 100
     gram = mat_mul(space.fv, mat_mul(space.fv, h, space.gram), h.T)
     assert np.array_equal(gram, np.kron(np.eye(10, dtype=np.int64), [[0, 1], [1, 0]]))
+
+
+def test_first_point_makes_one_chunk_of_a_large_lead(monkeypatch):
+    """In GF(8)^5 the first point with a nonzero first coordinate is e_1,
+    the first of the 4,096 points led by the first row.  `_first_point`
+    makes the 585 points of the later leads, which all fail, and then one
+    chunk of at most POINT_CHUNK points, not the whole lead."""
+    made = []
+    blocks = linalg.stacked_point_blocks
+
+    def counted(fv, bases):
+        for block in blocks(fv, bases):
+            made.append(block.shape[1])
+            yield block
+
+    monkeypatch.setattr(spaces, "stacked_point_blocks", counted)
+    fv = gf.standalone(8)
+    sub = canonicalize(fv, np.eye(5, dtype=np.int64), 5)
+    got = spaces._first_point(sub, lambda pts: pts[:, 0] != 0)
+    assert np.array_equal(got, np.eye(5, dtype=np.int64)[0])
+    before = (8**4 - 1) // 7
+    assert before < sum(made) <= before + linalg.POINT_CHUNK < 8**4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, None])
+def test_point_chunks_keep_the_point_order(monkeypatch, chunk):
+    """Chunked leads concatenate to the points of `span_vectors` filtered to
+    their canonical rows, in ascending canonical index, for chunks smaller
+    than, across and above the leads of GF(4)^5 and GF(3)^6 subspaces."""
+    if chunk is not None:
+        monkeypatch.setattr(linalg, "POINT_CHUNK", chunk)
+    rng = np.random.default_rng(chunk or 0)
+    for q, k, n in [(4, 4, 5), (3, 5, 6), (2, 6, 6)]:
+        fv = gf.standalone(q)
+        mats = []
+        while len(mats) < 3:
+            red = rref(fv, fv.elements()[rng.integers(0, q, (k, n))])
+            if len(red) == k:
+                mats.append(red)
+        bases = np.stack(mats)
+        blocks = list(linalg.stacked_point_blocks(fv, bases))
+        assert max(b.shape[1] for b in blocks) <= max(1, chunk or linalg.POINT_CHUNK)
+        got = np.concatenate(blocks, axis=1)
+        for m, pts in zip(mats, got):
+            vecs = linalg.span_vectors(fv, m, n)
+            canon = linalg.canonicalize_points(fv, vecs[np.any(vecs, axis=1)])
+            want = np.unique(canon, axis=0)
+            keys = linalg.point_keys(fv, pts)
+            assert np.all(keys[1:] > keys[:-1]) and len(pts) == (q**k - 1) // (q - 1)
+            assert np.array_equal(np.sort(keys), np.sort(linalg.point_keys(fv, want)))

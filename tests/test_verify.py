@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarspread import families as F
-from polarspread import spaces
+from polarspread import gf, linalg, octonion, spaces
 from polarspread import verify as V
 from polarspread.cli import build
 from polarspread.families import PointFamily, Provenance, SubspaceFamily
@@ -31,7 +31,7 @@ from polarspread.linalg import (
 )
 from polarspread.spaces import OutOfDeskScale, SearchTimeout, oplus_space, sp_space
 
-from subspace_helpers import class_swapped
+from subspace_helpers import class_swapped, point_keys_oracle
 
 
 def spread_of(space, members):
@@ -703,6 +703,81 @@ def test_partial_spread_matches_pairwise_oracle_on_families(name):
     assert agree(fam, flavor)
     assert agree(fam, "plain")
     assert agree(raw_family(fam.space, fam.members[:-1]), flavor)
+
+
+def assert_key_sums_match_rows(space, listed):
+    """`_point_key_blocks` against the row-made keys of `point_keys_oracle`,
+    order included, block by block over the whole list."""
+    seen = 0
+    for lo, block in V._point_key_blocks(space, listed):
+        bases = np.stack([w.mat for w in listed[lo : lo + len(block)]])
+        assert lo == seen and np.array_equal(block, point_keys_oracle(space.fv, bases)), lo
+        seen += len(block)
+    assert seen == len(listed)
+
+
+@pytest.mark.parametrize("name", list(SPREAD_FAMILIES))
+def test_member_key_sums_match_the_row_keys(name):
+    """Every family's member keys from key sums, as the partial-spread
+    check and the cover report read them, equal the keys of the members'
+    points made as rows, point for point."""
+    fam = SPREAD_FAMILIES[name][0]()
+    assert_key_sums_match_rows(fam.space, fam.members)
+
+
+ENUMERATED = {
+    "O+(8,3)": lambda: oplus_space(3, 4),
+    "O+(8,2)": lambda: F.triality_pointset(F.two_quadrics_ovoid(2)).space,
+    "zorn(2)": lambda: octonion.zorn_space(gf.standalone(2)),
+    "Sp(6,2)": lambda: sp_space(2, 3),
+    "Sp(6,3)": lambda: sp_space(3, 3),
+    "Sp(6,4)": lambda: sp_space(4, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATED))
+def test_listing_key_sums_match_the_row_keys(name):
+    """The keys of every maximal t.s./t.i. subspace of the spaces the
+    enumerate benchmark lists, from key sums, against the row-made keys."""
+    space = ENUMERATED[name]()
+    assert_key_sums_match_rows(space, space.maximal_totally_singular())
+
+
+@pytest.mark.parametrize("q,k,n", [(25, 4, 8), (27, 3, 7), (27, 2, 8)], ids=["O+(8,25)", "GF(27)^7", "GF(27)^8"])
+def test_key_sums_over_column_blocks(q, k, n):
+    """Spaces whose packed keys pass 62 bits are summed over blocks of
+    columns: random k-subspaces, and in O+(8,25) the reference t.s. 4-space
+    m0, against the row-made keys."""
+    fv = gf.standalone(q)
+    assert len(linalg._column_blocks(fv, n)) > 1
+    rng = np.random.default_rng(q * n)
+    bases = [rref(fv, fv.elements()[rng.integers(0, q, (k, n))]) for _ in range(12)]
+    bases = [b for b in bases if len(b) == k]
+    if (q, n) == (25, 8):
+        bases.append(oplus_space(25, 4).m0().mat)
+    bases = np.stack(bases)
+    assert np.array_equal(linalg.stacked_point_keys(fv, bases), point_keys_oracle(fv, bases))
+
+
+def test_an_extendable_triality_scan_checks_the_partial_spread_once(monkeypatch):
+    """On the route's extendable fallback the search body runs without a
+    second partial-spread check: one check before the scan and one
+    re-verification of the witness, and the witness is the search's."""
+    fam = SPREAD_FAMILIES["ex7.4(3)-triality"][0]()
+    short = spread_of(fam.space, fam.members[:-1])
+    want = V._search_spread(short, "orthogonal")
+    calls = []
+    check = V.is_partial_spread
+
+    def counted(f, flavor="plain"):
+        calls.append(len(f.members))
+        return check(f, flavor)
+
+    monkeypatch.setattr(V, "is_partial_spread", counted)
+    got = V.check_maximal_spread(short, "orthogonal")
+    assert not got.is_maximal and (got.witness, got.nodes) == (want.witness, want.nodes)
+    assert calls == [len(short.members), len(short.members) + 1]
+    assert got.stats["ms"].keys() == want.stats["ms"].keys()
 
 
 # the O+(8,q) entries of SPREAD_FAMILIES, which the triality route answers
