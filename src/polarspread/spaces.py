@@ -1256,6 +1256,7 @@ class DigitLayout:
         return self.subs * self.per
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def make(p: int, e: int, dim: int) -> "DigitLayout":
         chunk = 1
         while p ** (chunk + 1) <= 256:
@@ -1278,8 +1279,11 @@ class DigitLayout:
         sums = np.arange(1 << per * bits, dtype=np.int64)
         fields = (sums[:, None] >> bits * np.arange(per)) & ((1 << bits) - 1)
         nonzero = (fields % p != 0).any(axis=1)
-        pc = np.arange(p**chunk)[:, None] // p ** np.arange(chunk) % p
-        dots = ((pc @ pc.T) % p).astype(np.uint16)
+        dots = np.zeros((1, 1), dtype=np.int64)  # grown one digit at a time, least significant last
+        for _ in range(chunk):
+            digit = np.arange(p)
+            dots = (dots[:, None, :, None] + np.outer(digit, digit)[None, :, None, :]).reshape(len(dots) * p, -1)
+        dots = (dots % p).astype(np.uint16)
         return DigitLayout(p, e, width, chunk, groups, bits, per, -(-e // per), digits, tuple(reads), dots, nonzero)
 
 

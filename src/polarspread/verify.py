@@ -521,7 +521,11 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     uncovered = cover_report(fam, flavor).uncovered_keys
     listed = space.maximal_totally_singular()
     for lo, keys in _point_key_blocks(space, listed):
-        hit = np.flatnonzero(isin_sorted(keys, uncovered).all(axis=1))
+        # one point at a time, over the subspaces with every point so far
+        # uncovered: most are out after a point or two
+        hit = np.arange(len(keys))
+        for col in keys.T:
+            hit = hit[isin_sorted(col[hit], uncovered)]
         if len(hit):
             return "extendable", listed[lo + int(hit[0])]
     return "maximal", None
