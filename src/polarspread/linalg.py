@@ -208,8 +208,11 @@ def stacked_point_blocks(fv: FieldView, bases: np.ndarray):
     heads = span  # span of the rows between row i and the tail
     for i in range(k - 1, -1, -1):
         row = bases[:, i, None, :]
-        for c in range(heads.shape[1]):
-            yield tw.vadd(tw.vadd(row, heads[:, c, None]), span)
+        if heads.shape[1] == 1:  # the zero head alone
+            yield tw.vadd(row, span)
+        else:
+            for c in range(heads.shape[1]):
+                yield tw.vadd(tw.vadd(row, heads[:, c, None]), span)
         if i and heads.shape[1] == 1 and span.shape[1] * len(elems) <= POINT_CHUNK:
             span = _grow_span(tw, elems, row, span)
         elif i:

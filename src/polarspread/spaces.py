@@ -394,8 +394,8 @@ class FormedSpace:
 
     @cached_property
     def digit_gram(self) -> np.ndarray:
-        """(D, D slots) integer matrix A with A[b', b slots + j] the j-th
-        base-p digit of rank(B(u_b, u_b')) (0 for the padding slots j >= e),
+        """(D, slots D) integer matrix A with A[b', j D + b] the j-th base-p
+        digit of rank(B(u_b, u_b')) (0 for the padding slots j >= e),
         for the D = dim e vectors u_b whose rank digits are all 0 but digit
         b = i e + k, 1: the element of rank p^k at coordinate i.  B is
         bilinear and rank GF(p)-linear, so the digit coefficients
@@ -407,8 +407,8 @@ class FormedSpace:
         units = np.zeros((n * e, n), dtype=np.int64)
         units[b, b // e] = fv.elements()[p ** (b % e)]
         ranks = _ranks(fv)[mat_mul(fv, mat_mul(fv, units, self.gram), units.T)]  # [b, b']
-        digits = np.zeros((n * e, n * e, slots), dtype=np.int64)  # [b', b, j]
-        digits[..., :e] = ranks.T[:, :, None] // p ** np.arange(e) % p
+        digits = np.zeros((n * e, slots, n * e), dtype=np.int64)  # [b', j, b]
+        digits[:, :e] = ranks.T[:, None, :] // (p ** np.arange(e))[:, None] % p
         return digits.reshape(n * e, -1)
 
     # -- predicates ---------------------------------------------------------
@@ -1153,37 +1153,40 @@ class Perp:
     def _tables(self) -> np.ndarray:
         return plane_tables(self._planes)
 
-    def _rank_rows(self, rows: np.ndarray | None) -> np.ndarray:
-        """(len, dim) ranks of the coordinates of rows, or of the points'
-        keys when rows is None."""
+    def _digits(self, rows: np.ndarray | None) -> np.ndarray:
+        """(len, D) base-p digits of rows, or of the points' keys when rows
+        is None: digit i e + k the k-th of coordinate i."""
+        fv, dim = self.space.fv, self.space.dim
         if rows is not None:
-            return _ranks(self.space.fv)[rows]
-        width, shifts = _key_shifts(self.space.fv, self.space.dim)
-        return (self.keys[:, None] >> shifts) & ((1 << width) - 1)
+            ranks = _ranks(fv)[rows]
+        else:
+            width, shifts = _key_shifts(fv, dim)
+            ranks = (self.keys[:, None] >> shifts) & ((1 << width) - 1)
+        return self.space.digit_layout.digits[ranks].reshape(len(ranks), -1)
 
     @cached_property
     def _chunks(self) -> np.ndarray:
-        """(groups, n) uint8: chunk g of each point's digits, one lookup of
-        the key field of the coordinates it covers (`DigitLayout`), read
-        from the keys or made from the rows' ranks."""
+        """(groups, n) uint8: chunk g of each point's digits (`DigitLayout`).
+        From keys, one lookup of the key field of the coordinates the chunk
+        covers, so no row is made; from rows, their digits times the chunk
+        weights."""
         layout, dim = self.space.digit_layout, self.space.dim
+        if self.keys is None:
+            digits = self._vdigits if self.vs is None else self._digits(self.pts)
+            return (digits @ layout.weights).T.astype(np.uint8)
         width = layout.width
-        ranks = None if self.keys is not None else self._rank_rows(self.pts)
         out = np.empty((layout.groups, self.n), dtype=np.uint8)
         for g, (first, last, table) in enumerate(layout.reads):
-            if ranks is None:
-                fields = (self.keys >> width * (dim - 1 - last)) & ((1 << width * (last + 1 - first)) - 1)
-            else:
-                fields = ranks[:, first : last + 1] @ (np.int64(1) << width * np.arange(last - first, -1, -1))
-            out[g] = table[fields]
+            out[g] = table[(self.keys >> width * (dim - 1 - last)) & ((1 << width * (last + 1 - first)) - 1)]
         return out
 
     @cached_property
     def _vdigits(self) -> np.ndarray:
-        """(len(vs), D) base-p digits of vs, digit i e + k the k-th of
-        coordinate i."""
-        ranks = self._rank_rows(self.vs if self.vs is not None or self.keys is not None else self.pts)
-        return self.space.digit_layout.digits[ranks].reshape(len(ranks), -1)
+        """(len(vs), D) base-p digits of vs: of the points, from their keys
+        when given, if vs is None."""
+        if self.vs is not None:
+            return self._digits(self.vs)
+        return self._digits(self.pts if self.keys is None else None)
 
     def narrow(self, k: int, live: np.ndarray) -> np.ndarray:
         """The bitset `live` over pts less the points perpendicular to
@@ -1228,15 +1231,16 @@ class Perp:
 class DigitLayout:
     """How `digit_off` reads the D = dim e base-p digits of a vector: in
     `groups` chunks of `chunk` digits, p^chunk <= 256, so a chunk's digits
-    are one index t = sum_l d_(gc+l) p^l below p^chunk.  `reads` holds, per
-    chunk, the first and last coordinate it covers and a table from their
-    key field, `width` bits a coordinate, to t; `digits` maps a rank to its
-    e digits.  A functional's coefficients on a chunk are an index a of the
-    same kind, and `dots[a, t]` is their dot product mod p.  Rank digit j of B(x, v) takes a field of `bits` bits,
-    wide enough for the sum of `groups` dot products; `per` fields share one
-    uint16 entry, so the e digits, padded to `slots` = subs per, take
-    `subs` entries.  `nonzero[s]` is True iff some field of the summed entry
-    s is not 0 mod p."""
+    are one index t = sum_l d_(gc+l) p^l below p^chunk: the digits times
+    `weights` (D, groups).  `digits` maps a rank to its e digits, and
+    `reads` holds, per chunk, the first and last coordinate it covers and a
+    table from their key field, `width` bits a coordinate, to t.  A
+    functional's coefficients on a chunk are an index a of the same kind,
+    and `dots[a, t]` is their dot product mod p.  Rank digit j of B(x, v)
+    takes a field of `bits` bits, wide enough for the sum of `groups` dot
+    products; `per` fields share one uint16 entry, so the e digits, padded
+    to `slots` = subs per, take `subs` entries.  `nonzero[s]` is True iff
+    some field of the summed entry s is not 0 mod p."""
 
     p: int
     e: int
@@ -1247,6 +1251,7 @@ class DigitLayout:
     per: int
     subs: int
     digits: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
     reads: tuple = field(repr=False, compare=False)
     dots: np.ndarray = field(repr=False, compare=False)
     nonzero: np.ndarray = field(repr=False, compare=False)
@@ -1267,6 +1272,9 @@ class DigitLayout:
         per = min(e, max(1, 16 // bits))
         width = (p**e - 1).bit_length()
         digits = (np.arange(p**e)[:, None] // p ** np.arange(e) % p).astype(np.uint8)
+        b = np.arange(ndig)
+        weights = np.zeros((ndig, groups), dtype=np.int64)
+        weights[b, b // chunk] = p ** (b % chunk)
         reads = []
         for lo in range(0, ndig, chunk):
             first, last = lo // e, (min(ndig, lo + chunk) - 1) // e
@@ -1279,19 +1287,17 @@ class DigitLayout:
         sums = np.arange(1 << per * bits, dtype=np.int64)
         fields = (sums[:, None] >> bits * np.arange(per)) & ((1 << bits) - 1)
         nonzero = (fields % p != 0).any(axis=1)
-        dots = np.zeros((1, 1), dtype=np.int64)  # grown one digit at a time, least significant last
-        for _ in range(chunk):
-            digit = np.arange(p)
-            dots = (dots[:, None, :, None] + np.outer(digit, digit)[None, :, None, :]).reshape(len(dots) * p, -1)
-        dots = (dots % p).astype(np.uint16)
-        return DigitLayout(p, e, width, chunk, groups, bits, per, -(-e // per), digits, tuple(reads), dots, nonzero)
+        tdigits = (np.arange(p**chunk)[:, None] // p ** np.arange(chunk) % p).astype(np.uint16)
+        dots = sum(np.multiply.outer(d, d) for d in tdigits.T) % p  # sum_l a_l t_l
+        subs = -(-e // per)
+        return DigitLayout(p, e, width, chunk, groups, bits, per, subs, digits, weights, tuple(reads), dots, nonzero)
 
 
 def digit_off(layout: DigitLayout, chunks: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(m, words) bitsets of the points off the kernels of m functionals,
     from the points' chunk indices `chunks` (groups, n) and the functionals'
-    digit coefficients `coef` (m, D slots), c_(j,b) at b slots + j, not
-    yet reduced mod p.
+    digit coefficients `coef` (m, slots D), c_(j,b) at j D + b, not yet
+    reduced mod p.
 
     Rank is GF(p)-linear, so B(x, v) = 0 iff every rank digit j has
     sum_b d_b(x) c_(j,b)(v) = 0 mod p.  Each chunk gives each functional a
@@ -1300,18 +1306,15 @@ def digit_off(layout: DigitLayout, chunks: np.ndarray, coef: np.ndarray) -> np.n
     j, each in its own field of a uint16 entry.  A point's sums are then one
     gather per chunk, added, and `layout.nonzero` reads whether any of them
     is not 0 mod p."""
-    g, c, subs, per = layout.groups, layout.chunk, layout.subs, layout.per
+    g, subs, per = layout.groups, layout.subs, layout.per
     m = len(coef)
-    coef = (coef % layout.p).reshape(m, -1, layout.slots)  # (m, D, slots)
-    ndig = coef.shape[1]
-    padded = np.zeros((g * c, m, layout.slots), dtype=np.int64)
-    padded[:ndig] = coef.transpose(1, 0, 2)
-    weights = layout.p ** np.arange(c, dtype=np.int64)
-    index = np.tensordot(weights, padded.reshape(g, c, -1), axes=(0, 1))  # (g, m slots)
-    tables = layout.dots[index]  # (g, m slots, p^chunk)
-    if per > 1:
+    # (g, m, slots): the chunk's coefficients of each rank digit as one index
+    index = ((coef % layout.p).reshape(m, layout.slots, -1) @ layout.weights).transpose(2, 0, 1)
+    tables = layout.dots[index]  # (g, m, slots, p^chunk)
+    if per > 1:  # the fields of one entry
         shifts = (layout.bits * np.arange(per, dtype=np.uint16))[:, None]
         tables = (tables.reshape(g, m * subs, per, -1) << shifts).sum(axis=2, dtype=np.uint16)
+    tables = tables.reshape(g, m * subs, -1)
     acc = np.take(tables[0], chunks[0], axis=1)
     for t in range(1, g):
         acc += np.take(tables[t], chunks[t], axis=1)

@@ -520,14 +520,18 @@ def brute_force_spread_verdict(fam: SubspaceFamily, flavor: str) -> tuple[str, S
     space = fam.space
     uncovered = cover_report(fam, flavor).uncovered_keys
     listed = space.maximal_totally_singular()
-    for lo, keys in _point_key_blocks(space, listed):
-        # one point at a time, over the subspaces with every point so far
-        # uncovered: most are out after a point or two
+    # a subspace's first point is its last basis row, and many listed
+    # subspaces are out there already: only the others are keyed whole
+    firsts = np.array([w.mat[-1] for w in listed]).reshape(len(listed), space.dim)
+    left = [listed[i] for i in np.flatnonzero(isin_sorted(point_keys(space.fv, firsts), uncovered))]
+    for lo, keys in _point_key_blocks(space, left):
+        # then one point at a time, over those with every point so far
+        # uncovered
         hit = np.arange(len(keys))
-        for col in keys.T:
+        for col in keys.T[1:]:
             hit = hit[isin_sorted(col[hit], uncovered)]
         if len(hit):
-            return "extendable", listed[lo + int(hit[0])]
+            return "extendable", left[lo + int(hit[0])]
     return "maximal", None
 
 
@@ -541,7 +545,7 @@ def _point_key_blocks(space: FormedSpace, listed: list[Subspace]):
     q, t = space.q, listed[0].dim
     step = max(1, PASS_WORDS // ((q**t - 1) // (q - 1)))
     for lo in range(0, len(listed), step):
-        yield lo, stacked_point_keys(space.fv, np.stack([w.mat for w in listed[lo : lo + step]]))
+        yield lo, stacked_point_keys(space.fv, np.array([w.mat for w in listed[lo : lo + step]]))
 
 
 # ---------------------------------------------------------------------------
