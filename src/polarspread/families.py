@@ -190,7 +190,7 @@ class TraceSymplecticSpace:
         ys = tw.vmul(np.asarray(slopes, dtype=np.int64)[:, None], basis[None, :])
         xs = np.broadcast_to(coords[basis], (len(ys), n, n))
         bases, _ = rref_stack(self.kview, np.concatenate([xs, coords[ys]], axis=2))
-        return [Subspace(self.kview, 2 * n, b) for b in bases]
+        return Subspace.of_stack(self.kview, 2 * n, bases)
 
     def pair_space(self, xgens, ygens) -> Subspace:
         rows = [self.vec(x, 0) for x in xgens] + [self.vec(0, y) for y in ygens]

@@ -104,7 +104,8 @@ def rref_with_transform(fv: FieldView, rows: np.ndarray) -> tuple[np.ndarray, np
 
 
 class Subspace:
-    """Immutable subspace of fv^dim_ambient in canonical RREF form."""
+    """Immutable subspace of fv^dim_ambient in canonical RREF form.  Its
+    hash is made when first asked for."""
 
     __slots__ = ("fv", "dim_ambient", "mat", "_hash")
 
@@ -114,7 +115,20 @@ class Subspace:
         mat = np.ascontiguousarray(mat, dtype=np.int64)
         mat.flags.writeable = False
         self.mat = mat
-        self._hash = hash((fv.degree, dim_ambient, mat.tobytes()))
+        self._hash = None
+
+    @classmethod
+    def of_stack(cls, fv: FieldView, dim_ambient: int, mats: np.ndarray) -> list["Subspace"]:
+        """One subspace per canonical basis of an (m, k, n) stack, each
+        matrix a row of one read-only copy of the stack."""
+        mats = np.array(mats, dtype=np.int64)
+        mats.flags.writeable = False
+        out = []
+        for mat in mats:
+            sub = cls.__new__(cls)
+            sub.fv, sub.dim_ambient, sub.mat, sub._hash = fv, dim_ambient, mat, None
+            out.append(sub)
+        return out
 
     @property
     def dim(self) -> int:
@@ -130,6 +144,8 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.fv.degree, self.dim_ambient, self.mat.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:

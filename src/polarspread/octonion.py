@@ -121,7 +121,7 @@ def triality_subspaces(space: FormedSpace, pts: np.ndarray) -> list[Subspace]:
     if np.any(ranks != 4):
         raise FieldError("multiplication image is not 4-dimensional")
     back, _ = rref_stack(fv, mat_mul(fv, imgs[:, :4].reshape(-1, 8), inv.matrix).reshape(-1, 4, 8))
-    return [Subspace(fv, 8, m) for m in back]
+    return Subspace.of_stack(fv, 8, back)
 
 
 @lru_cache(maxsize=None)

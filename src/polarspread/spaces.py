@@ -979,7 +979,7 @@ class ZProjection:
         lifts, ranks = rref_stack(fv, cands[hit])
         if np.any(ranks != n) or not space.ts_mask(lifts).all():
             raise FieldError("a lift is not a maximal totally singular subspace")
-        return [Subspace(fv, dim, m) for m in lifts]
+        return Subspace.of_stack(fv, dim, lifts)
 
 
 # -- field descent --------------------------------------------------------------
@@ -1813,7 +1813,7 @@ def _enumerate_maximal_flags(space: FormedSpace, pts: np.ndarray, target: int, c
     search = FlagSearch(space.fv, pts, target, perp=Perp(space, pts))
     results: list[Subspace] = []
     for block in search.flag_blocks():
-        results.extend(Subspace(space.fv, space.dim, m) for m in pts[block[:, ::-1]])
+        results.extend(Subspace.of_stack(space.fv, space.dim, pts[block[:, ::-1]]))
         if len(results) > cap:
             raise OutOfDeskScale(f"listing more than {cap} maximal subspaces exceeds MAX_ENUM_SUBSPACES")
     return results
