@@ -120,8 +120,9 @@ class Subspace:
     @classmethod
     def of_stack(cls, fv: FieldView, dim_ambient: int, mats: np.ndarray) -> list["Subspace"]:
         """One subspace per canonical basis of an (m, k, n) stack, each
-        matrix a row of one read-only copy of the stack."""
-        mats = np.array(mats, dtype=np.int64)
+        matrix a row of the stack, which is made read-only (copied first
+        only if it is not C-contiguous int64)."""
+        mats = np.ascontiguousarray(mats, dtype=np.int64)
         mats.flags.writeable = False
         out = []
         for mat in mats:

@@ -310,3 +310,20 @@ def test_rref_stack_on_subfield_views_and_sparse_stacks():
         for k, n in [(3, 6), (6, 4)]:
             mats = np.where(rng.random((30, k, n)) < 0.3, elems[rng.integers(0, len(elems), size=(30, k, n))], 0)
             assert_stack_matches_rref(fv, mats)
+
+
+def test_subspaces_of_a_stack_match_one_at_a_time():
+    """`Subspace.of_stack` against one `Subspace` per basis: equal, with
+    equal hashes, and read-only, as is the stack they share."""
+    rng = np.random.default_rng(5)
+    fv = standalone(4)
+    reduced, ranks = rref_stack(fv, fv.elements()[rng.integers(0, 4, size=(30, 3, 6))])
+    bases = reduced[ranks == 3]
+    subs = Subspace.of_stack(fv, 6, bases)
+    want = [Subspace(fv, 6, b.copy()) for b in bases]
+    assert subs == want
+    assert [hash(s) for s in subs] == [hash(w) for w in want]
+    assert len(set(subs + want)) == len({w.mat.tobytes() for w in want})
+    assert not bases.flags.writeable
+    assert all(not s.mat.flags.writeable for s in subs)
+    assert Subspace.of_stack(fv, 6, np.zeros((0, 3, 6), dtype=np.int64)) == []
